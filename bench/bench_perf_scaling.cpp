@@ -3,11 +3,11 @@
 // closure, pattern selection end-to-end, and the multi-pattern scheduler —
 // across graph sizes.
 //
-// main() additionally pins the arena-enumerator speedup: the word-parallel
-// scratch-arena walk must beat the reference (copy-a-bitset-per-node)
-// enumerator by ≥2× on the Fig. 5 span workload, single shard, with
-// byte-identical analysis output — and writes the BENCH_perf_scaling.json
-// trajectory cell for it.
+// main() additionally pins the enumeration kernel's speedup over the
+// reference (copy-a-bitset-per-node) enumerator, single shard, with
+// byte-identical analysis output: ≥2× on the Fig. 5 span workload and ≥4×
+// on fir(20) at the engine defaults — and writes the BENCH_perf_scaling.json
+// trajectory cells for them.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,6 +20,7 @@
 #include "graph/closure.hpp"
 #include "pattern/random.hpp"
 #include "util/timer.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_dag.hpp"
@@ -160,18 +161,14 @@ double best_seconds(Fn&& fn, int iterations, int reps) {
   return best;
 }
 
-/// The pinned arena-vs-reference enumeration gate on the Fig. 5 span
-/// workload (3DFT, max_size 4 — the population Theorem 1 is checked over),
-/// single shard (parallel off), exercised through both public entry points.
-int run_enumeration_speedup_gate() {
-  bench::Gate gate("perf_scaling");
-  gate.workload("fig5-span-3dft");
-
-  const Dfg g = workloads::paper_3dft();
+/// One pinned kernel-vs-reference cell, single shard (parallel off):
+/// byte-identity with member lists, the antichain population, and a
+/// best-of-5 speedup of at least `min_speedup`.
+void pin_speedup(bench::Gate& gate, const Dfg& g, EnumerateOptions options,
+                 const std::string& population_metric, long long population,
+                 double min_speedup) {
   const Levels lv = compute_levels(g);
   const Reachability reach(g);
-  EnumerateOptions options;
-  options.max_size = 4;
   options.parallel = false;
 
   // Byte-identity first: the representation change must be invisible in
@@ -183,8 +180,7 @@ int run_enumeration_speedup_gate() {
     const AntichainAnalysis arena = enumerate_antichains(g, lv, reach, with_members);
     gate.check(analyses_identical(ref, arena),
                "arena enumerator byte-identical to reference (collect_members)");
-    gate.check_eq(3808, static_cast<long long>(arena.total),
-                  "fig5 span workload antichain population");
+    gate.check_eq(population, static_cast<long long>(arena.total), population_metric);
   }
 
   // Calibrate the inner iteration count off the reference walk so one rep
@@ -203,14 +199,34 @@ int run_enumeration_speedup_gate() {
       iterations, 5);
   const double speedup = ref_s / arena_s;
 
-  std::printf("\nFig. 5 span workload, single shard: reference %.3f ms, arena %.3f ms, "
-              "speedup %.2fx\n",
-              ref_s * 1e3, arena_s * 1e3, speedup);
+  std::printf("\n%s, single shard: reference %.3f ms, kernel %.3f ms, speedup %.2fx\n",
+              population_metric.c_str(), ref_s * 1e3, arena_s * 1e3, speedup);
   gate.info("reference enumerate ms", ref_s * 1e3);
   gate.info("arena enumerate ms", arena_s * 1e3);
-  gate.check_min(2.0, speedup, "single-shard enumeration speedup (arena vs reference)");
+  gate.check_min(min_speedup, speedup, "single-shard enumeration speedup (arena vs reference)");
+}
 
-  return gate.finish("perf scaling (arena enumerator identity + pinned >=2x speedup)");
+/// The pinned kernel-vs-reference enumeration gates. The Fig. 5 span
+/// workload (3DFT, max_size 4 — the population Theorem 1 is checked over)
+/// is leaf-light; fir(20) at the engine defaults (C=5, span limit 1) is
+/// leaf-heavy, so it is where the leaf loop at depth C−1 shows.
+int run_enumeration_speedup_gate() {
+  bench::Gate gate("perf_scaling");
+
+  gate.workload("fig5-span-3dft");
+  EnumerateOptions fig5;
+  fig5.max_size = 4;
+  pin_speedup(gate, workloads::paper_3dft(), fig5, "fig5 span workload antichain population",
+              3808, 2.0);
+
+  gate.workload("fir20-engine-defaults");
+  EnumerateOptions defaults;
+  defaults.max_size = 5;
+  defaults.span_limit = 1;
+  pin_speedup(gate, workloads::make_workload("fir(20)"), defaults,
+              "fir(20) antichain population", 113244, 4.0);
+
+  return gate.finish("perf scaling (enumerator identity + pinned speedups)");
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <span>
 #include <unordered_map>
 
 #include "antichain/span.hpp"
@@ -17,42 +16,18 @@ namespace {
 using Word = DynamicBitset::Word;
 constexpr std::size_t kWordBits = DynamicBitset::kWordBits;
 
-/// Transparent hash/equality so record() can probe the per-pattern map
-/// with a sorted scratch color span — no Pattern (and no heap allocation)
-/// is constructed unless a pattern occurs for the first time. The span
-/// hash MUST mirror Pattern::hash() (FNV-1a over the canonical colors).
-struct PatternKeyHash {
-  using is_transparent = void;
-  std::size_t operator()(const Pattern& p) const noexcept { return p.hash(); }
-  std::size_t operator()(std::span<const ColorId> colors) const noexcept {
-    std::size_t h = 1469598103934665603ULL;
-    for (const ColorId c : colors) {
-      h ^= static_cast<std::size_t>(c) + 1;
-      h *= 1099511628211ULL;
-    }
-    return h;
-  }
-};
-
-struct PatternKeyEq {
-  using is_transparent = void;
-  bool operator()(const Pattern& a, const Pattern& b) const noexcept { return a == b; }
-  bool operator()(std::span<const ColorId> s, const Pattern& p) const noexcept {
-    return std::equal(s.begin(), s.end(), p.colors().begin(), p.colors().end());
-  }
-  bool operator()(const Pattern& p, std::span<const ColorId> s) const noexcept {
-    return (*this)(s, p);
-  }
-};
-
 /// Per-thread accumulator; merged deterministically after the fan-out.
 struct Accumulator {
   struct Entry {
     std::uint64_t count = 0;
     std::vector<std::uint64_t> node_frequency;
     std::vector<std::vector<NodeId>> members;
+    /// Walker lookup table: by color c, the entry of this pattern plus c
+    /// (null until first needed; sized only for patterns below max_size).
+    std::vector<std::pair<const Pattern, Entry>*> plus_color;
   };
-  std::unordered_map<Pattern, Entry, PatternKeyHash, PatternKeyEq> per_pattern;
+  using Map = std::unordered_map<Pattern, Entry, PatternHash>;
+  Map per_pattern;
   std::vector<std::vector<std::uint64_t>> by_size_span;  // [size][span]
   std::uint64_t total = 0;
 
@@ -77,7 +52,7 @@ struct SearchContext {
 /// threshold sense: partial sums only ever reach the true total, so a
 /// flush observes a count above the limit iff the enumeration really
 /// produced more than max_antichains — the same workloads trip it, the
-/// same workloads pass (flush_final() guarantees the last pending batch
+/// same workloads pass (Walker::finish() guarantees the last pending batch
 /// is always published).
 class CountBudget {
  public:
@@ -86,8 +61,10 @@ class CountBudget {
   CountBudget(std::atomic<std::uint64_t>* global, std::uint64_t limit)
       : global_(global), limit_(limit) {}
 
-  void note() {
-    if (++pending_ >= kChunk) flush();
+  /// Notes `k` more antichains (a whole leaf level at once).
+  void note(std::uint64_t k) {
+    pending_ += k;
+    if (pending_ >= kChunk) flush();
   }
 
   void flush() {
@@ -108,12 +85,21 @@ class CountBudget {
 
 /// One worker's depth-first walk over the subtrees of its assigned roots,
 /// on arena-style scratch: a preallocated max_depth × word_count mask
-/// stack replaces the per-node `DynamicBitset next_compat = compat` heap
-/// copy, the candidate probe is a fused word-parallel AND+countr_zero
-/// loop over raw words, and the shared safety counter is batched through
-/// CountBudget. The walk itself allocates nothing (pattern classification
-/// allocates only the first time a pattern is seen, plus the explicit
-/// member lists when collect_members is on).
+/// stack, a fused word-parallel AND+countr_zero candidate probe over raw
+/// words, and the shared safety counter batched through CountBudget.
+///
+/// The probe ANDs in two level masks, so it yields only candidates within
+/// the span limit. Each depth carries its prefix's accumulator entry, and
+/// an entry maps each color to the entry of its pattern plus that color,
+/// so classifying an antichain is one table load: the colors are gathered,
+/// sorted and hashed only on a (pattern, color) pair's first sight. The
+/// last level, depth C−1, is a leaf loop instead of a record per leaf:
+/// leaves under one prefix differ only in their own color and span, so a
+/// leaf bumps only its span row, its color slot's count and its own
+/// frequency. After the loop each touched color adds its count to its
+/// entry, to the prefix members' frequencies, to the total and to the
+/// budget. The walk allocates only on a (pattern, color) pair's first
+/// sight and for the explicit member lists when collect_members is on.
 class Walker {
  public:
   Walker(const SearchContext& ctx, Accumulator& acc)
@@ -122,38 +108,61 @@ class Walker {
         budget_(ctx.global_count, ctx.options.max_antichains),
         word_count_(ctx.dfg.node_count() == 0
                         ? 0
-                        : (ctx.dfg.node_count() + kWordBits - 1) / kWordBits) {
+                        : (ctx.dfg.node_count() + kWordBits - 1) / kWordBits),
+        max_size_(ctx.options.max_size),
+        span_limit_(ctx.effective_span_limit),
+        max_level_(ctx.levels.asap_max),
+        asap_(ctx.levels.asap.data()),
+        alap_(ctx.levels.alap.data()) {
+    const std::size_t n = ctx.dfg.node_count();
     // An antichain can never exceed node_count members, so the mask stack
     // depth is bounded by min(max_size, n) no matter how large the
     // configured max_size is.
-    const std::size_t depth =
-        std::min<std::size_t>(ctx.options.max_size, ctx.dfg.node_count());
+    const std::size_t depth = std::min<std::size_t>(max_size_, n);
     masks_.assign(depth * word_count_, 0);
     stack_.reserve(depth);
-    colors_.resize(depth);
-    last_colors_.resize(depth);
+    path_.reserve(depth);
     // Hot-path caches: the color table snapshot skips dfg.color()'s
-    // always-on bounds assert per member per antichain, and the span-row
-    // pointers skip two vector indexings per record (the Accumulator
-    // preallocates by_size_span once; rows never move).
-    color_of_.resize(ctx.dfg.node_count());
-    pm_of_.resize(ctx.dfg.node_count());
-    for (NodeId n = 0; n < ctx.dfg.node_count(); ++n) {
-      color_of_[n] = ctx.dfg.color(n);
-      pm_of_[n] = ctx.reach.parallel_mask(n).words();
+    // always-on bounds assert, and the span-row pointers skip two vector
+    // indexings per antichain (the Accumulator preallocates by_size_span
+    // once; rows never move).
+    color_of_.resize(n);
+    pm_of_.resize(n);
+    for (NodeId v = 0; v < n; ++v) {
+      color_of_[v] = ctx.dfg.color(v);
+      pm_of_[v] = ctx.reach.parallel_mask(v).words();
     }
     span_rows_.resize(acc_.by_size_span.size());
     for (std::size_t s = 0; s < acc_.by_size_span.size(); ++s)
       span_rows_[s] = acc_.by_size_span[s].data();
+    // Level masks, one row per level t: early_ holds the nodes with
+    // asap ≤ t, late_ those with alap ≥ t (prefix ORs over the rows).
+    const auto levels = static_cast<std::size_t>(max_level_) + 1;
+    early_.assign(levels * word_count_, 0);
+    late_.assign(levels * word_count_, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      const Word bit = Word{1} << (v % kWordBits);
+      early_[static_cast<std::size_t>(asap_[v]) * word_count_ + v / kWordBits] |= bit;
+      const auto alap = std::min(static_cast<std::size_t>(alap_[v]), levels - 1);
+      late_[alap * word_count_ + v / kWordBits] |= bit;
+    }
+    for (std::size_t t = 1; t < levels; ++t)
+      for (std::size_t k = 0; k < word_count_; ++k) {
+        early_[t * word_count_ + k] |= early_[(t - 1) * word_count_ + k];
+        late_[(levels - 1 - t) * word_count_ + k] |= late_[(levels - t) * word_count_ + k];
+      }
+    singles_.assign(ctx.dfg.color_count(), nullptr);
+    slots_.resize(ctx.dfg.color_count());
+    touched_.reserve(ctx.dfg.color_count());
   }
 
   /// Enumerates every antichain whose minimum node id is `root`.
   void run_root(NodeId root) {
-    stack_.clear();
-    stack_.push_back(root);
+    stack_.assign(1, root);
+    path_.assign(1, with_color(nullptr, color_of_[root]));
     // Size-1 antichains always have span U(asap - alap) = 0 (asap ≤ alap).
     record(0);
-    extend(pm_of_[root], ctx_.levels.asap[root], ctx_.levels.alap[root]);
+    descend(pm_of_[root], asap_[root], alap_[root]);
   }
 
   /// Publishes the last pending chunk (and trips the limit check if the
@@ -161,115 +170,169 @@ class Walker {
   void finish() { budget_.flush(); }
 
  private:
-  /// Depth-first extension. `compat` is the AND of parallel masks of all
-  /// members (word_count_ words, tail bits zero); only ids greater than
-  /// the last member are probed, so each antichain is produced exactly
-  /// once (as its sorted id sequence). `max_asap`/`min_alap` carry the
-  /// members' span state (SpanTracker's fields, inlined: the span of the
-  /// set plus candidate `j` is max(max_asap, asap[j]) - min(min_alap,
-  /// alap[j]) clamped at 0, monotone in membership — so a span overrun
-  /// prunes the whole subtree).
-  void extend(const Word* compat, int max_asap, int min_alap) {
-    if (stack_.size() >= ctx_.options.max_size) return;
-    const int* asap = ctx_.levels.asap.data();
-    const int* alap = ctx_.levels.alap.data();
+  using Node = Accumulator::Map::value_type;
+
+  /// One leaf color's tally in the running leaf loop.
+  struct LeafSlot {
+    Accumulator::Entry* entry = nullptr;
+    std::uint64_t* freq = nullptr;
+    std::uint64_t count = 0;
+  };
+
+  /// Walks the children of the current antichain `stack_`. `compat` is
+  /// the AND of the parallel masks of all members (word_count_ words, tail
+  /// bits zero); `max_asap`/`min_alap` carry the members' span state
+  /// (SpanTracker's fields, inlined).
+  void descend(const Word* compat, int max_asap, int min_alap) {
+    if (stack_.size() + 1 < max_size_) {
+      extend(compat, max_asap, min_alap);
+    } else if (stack_.size() + 1 == max_size_) {
+      leaves(compat, max_asap, min_alap);
+    }
+  }
+
+  /// Calls fn(node, wi, span) for each candidate above the last member in
+  /// id order; `wi` is the node's word index and `span` the span of the
+  /// set plus the node, max(max_asap, asap) - min(min_alap, alap) clamped
+  /// at 0. Only ids greater than the last member are probed, so each
+  /// antichain is produced exactly once (as its sorted id sequence). The
+  /// span limit L is applied word-parallel: span ≤ L iff asap ≤ min_alap+L
+  /// and alap ≥ max_asap−L (the set itself is within L), and span is
+  /// monotone in membership, so an overrun prunes the whole subtree.
+  template <typename Fn>
+  void for_each_candidate(const Word* compat, int max_asap, int min_alap, Fn&& fn) const {
     const std::size_t from = stack_.back() + 1;
     std::size_t wi = from / kWordBits;
     if (wi >= word_count_) return;
-    Word w = compat[wi] & (~Word{0} << (from % kWordBits));
+    const int early_row = std::min(min_alap + span_limit_, max_level_);
+    const int late_row = std::max(max_asap - span_limit_, 0);
+    const Word* early = early_.data() + static_cast<std::size_t>(early_row) * word_count_;
+    const Word* late = late_.data() + static_cast<std::size_t>(late_row) * word_count_;
+    Word w = compat[wi] & early[wi] & late[wi] & (~Word{0} << (from % kWordBits));
     while (true) {
       while (w != 0) {
         const auto node =
             static_cast<NodeId>(wi * kWordBits +
                                 static_cast<std::size_t>(std::countr_zero(w)));
         w &= w - 1;
-        const int ma = max_asap > asap[node] ? max_asap : asap[node];
-        const int mi = min_alap < alap[node] ? min_alap : alap[node];
-        const int new_span = ma - mi > 0 ? ma - mi : 0;
-        if (new_span > ctx_.effective_span_limit) continue;  // span is monotone: subtree pruned
-        stack_.push_back(node);
-        record(new_span);
-        if (stack_.size() < ctx_.options.max_size) {
-          // Word-wise AND into the next depth's arena slot. Words below wi
-          // are never read deeper in this subtree (every candidate there
-          // has id > node ≥ wi·64), so the suffix suffices.
-          Word* next = masks_.data() + (stack_.size() - 1) * word_count_;
-          const Word* pm = pm_of_[node];
-          for (std::size_t k = wi; k < word_count_; ++k) next[k] = compat[k] & pm[k];
-          extend(next, ma, mi);
-        }
-        stack_.pop_back();
+        const int span = std::max(max_asap, asap_[node]) - std::min(min_alap, alap_[node]);
+        fn(node, wi, span > 0 ? span : 0);
       }
       if (++wi >= word_count_) return;
-      w = compat[wi];
+      w = compat[wi] & early[wi] & late[wi];
     }
   }
 
-  /// Records the current antichain `stack_` into the accumulator.
-  /// Raw-pointer writes throughout: this runs once per antichain and is
-  /// the other half (with extend()) of the enumeration hot path.
+  /// An inner level: each candidate is recorded and extended further.
+  void extend(const Word* compat, int max_asap, int min_alap) {
+    for_each_candidate(compat, max_asap, min_alap, [&](NodeId node, std::size_t wi, int span) {
+      stack_.push_back(node);
+      path_.push_back(with_color(path_.back(), color_of_[node]));
+      record(span);
+      // Word-wise AND into the next depth's arena slot. Words below wi
+      // are never read deeper in this subtree (every candidate there has
+      // id > node ≥ wi·64), so the suffix suffices.
+      Word* next = masks_.data() + (stack_.size() - 1) * word_count_;
+      const Word* pm = pm_of_[node];
+      for (std::size_t k = wi; k < word_count_; ++k) next[k] = compat[k] & pm[k];
+      descend(next, std::max(max_asap, asap_[node]), std::min(min_alap, alap_[node]));
+      stack_.pop_back();
+      path_.pop_back();
+    });
+  }
+
+  /// The leaf level: every candidate completes a size-C antichain.
+  void leaves(const Word* compat, int max_asap, int min_alap) {
+    Node* prefix = path_.back();
+    std::uint64_t* row = span_rows_[max_size_];
+    const bool collect = ctx_.options.collect_members;
+    std::uint64_t found = 0;
+    for_each_candidate(compat, max_asap, min_alap, [&](NodeId leaf, std::size_t, int span) {
+      ++row[span];
+      const ColorId c = color_of_[leaf];
+      LeafSlot& slot = slots_[c];
+      if (slot.count++ == 0) {
+        touched_.push_back(c);
+        slot.entry = &with_color(prefix, c)->second;
+        slot.freq = slot.entry->node_frequency.data();
+      }
+      ++slot.freq[leaf];
+      if (collect) {
+        slot.entry->members.push_back(stack_);
+        slot.entry->members.back().push_back(leaf);
+      }
+      ++found;
+    });
+    for (const ColorId c : touched_) {
+      LeafSlot& slot = slots_[c];
+      slot.entry->count += slot.count;
+      for (const NodeId m : stack_) slot.freq[m] += slot.count;
+      slot.count = 0;
+    }
+    touched_.clear();
+    acc_.total += found;
+    budget_.note(found);
+  }
+
+  /// Records the current inner antichain `stack_`, whose entry is
+  /// path_.back().
   void record(int span) {
     acc_.total += 1;
-    const std::size_t size = stack_.size();
-    span_rows_[size][static_cast<std::size_t>(span)] += 1;
+    span_rows_[stack_.size()][static_cast<std::size_t>(span)] += 1;
+    Accumulator::Entry& entry = path_.back()->second;
+    entry.count += 1;
+    std::uint64_t* freq = entry.node_frequency.data();
+    for (const NodeId m : stack_) freq[m] += 1;
+    if (ctx_.options.collect_members) entry.members.push_back(stack_);
+    budget_.note(1);
+  }
 
-    const NodeId* members = stack_.data();
-    ColorId* colors = colors_.data();
-    for (std::size_t i = 0; i < size; ++i) colors[i] = color_of_[members[i]];
-    // Canonical (sorted) form; insertion sort — the array is at most
-    // max_size (5 for the Montium) elements, below std::sort's overhead.
-    for (std::size_t i = 1; i < size; ++i) {
-      const ColorId c = colors[i];
-      std::size_t k = i;
-      for (; k > 0 && colors[k - 1] > c; --k) colors[k] = colors[k - 1];
-      colors[k] = c;
+  /// The entry of pattern(parent) plus color `c`; a null parent stands
+  /// for the empty pattern. A hit in the parent's table is one load; a
+  /// miss (once per pair and worker) looks the pattern up in the
+  /// accumulator and creates its entry on first sight. Entries never
+  /// dangle: unordered_map references survive rehash, and nothing erases.
+  Node* with_color(Node* parent, ColorId c) {
+    Node*& child = (parent == nullptr ? singles_ : parent->second.plus_color)[c];
+    if (child != nullptr) return child;
+    std::vector<ColorId> colors;
+    if (parent != nullptr) colors = parent->first.colors();
+    colors.push_back(c);
+    const auto [it, created] = acc_.per_pattern.try_emplace(Pattern(std::move(colors)));
+    if (created) {
+      it->second.node_frequency.assign(ctx_.dfg.node_count(), 0);
+      if (it->first.size() < max_size_) it->second.plus_color.assign(singles_.size(), nullptr);
     }
-
-    // DFS sibling antichains repeat patterns constantly; one cached entry
-    // skips the hash probe for those runs. The cache never dangles:
-    // unordered_map references survive rehash, and nothing erases.
-    Accumulator::Entry* entry = last_entry_;
-    if (entry == nullptr || last_size_ != size ||
-        !std::equal(colors, colors + size, last_colors_.data())) {
-      auto it = acc_.per_pattern.find(std::span<const ColorId>(colors, size));
-      if (it == acc_.per_pattern.end())
-        it = acc_.per_pattern
-                 .emplace(Pattern(std::vector<ColorId>(colors, colors + size)),
-                          Accumulator::Entry{})
-                 .first;
-      entry = &it->second;
-      last_entry_ = entry;
-      last_size_ = size;
-      std::copy(colors, colors + size, last_colors_.data());
-    }
-    if (entry->node_frequency.empty()) entry->node_frequency.assign(ctx_.dfg.node_count(), 0);
-    entry->count += 1;
-    std::uint64_t* freq = entry->node_frequency.data();
-    for (std::size_t i = 0; i < size; ++i) freq[members[i]] += 1;
-    if (ctx_.options.collect_members) entry->members.push_back(stack_);
-
-    budget_.note();
+    child = &*it;
+    return child;
   }
 
   const SearchContext& ctx_;
   Accumulator& acc_;
   CountBudget budget_;
   std::size_t word_count_;
+  std::size_t max_size_;
+  int span_limit_;
+  int max_level_;  // ASAPmax: the last row of early_/late_
+  const int* asap_;
+  const int* alap_;
   std::vector<Word> masks_;  // depth-major arena: one compat mask per depth
+  std::vector<Word> early_;  // level-major: nodes with asap ≤ t
+  std::vector<Word> late_;   // level-major: nodes with alap ≥ t
   std::vector<NodeId> stack_;
-  std::vector<ColorId> colors_;  // record() scratch (sorted per antichain)
-  Accumulator::Entry* last_entry_ = nullptr;  // single-entry pattern cache
-  std::size_t last_size_ = 0;
-  std::vector<ColorId> last_colors_;
-  std::vector<ColorId> color_of_;            // dfg color table snapshot
-  std::vector<const Word*> pm_of_;           // parallel-mask word pointers
-  std::vector<std::uint64_t*> span_rows_;    // by_size_span row pointers
+  std::vector<Node*> path_;                // entry of each prefix of stack_
+  std::vector<Node*> singles_;             // size-1 entries by color
+  std::vector<LeafSlot> slots_;            // leaf loop: one slot per color
+  std::vector<ColorId> touched_;           // colors counted in this loop
+  std::vector<ColorId> color_of_;          // dfg color table snapshot
+  std::vector<const Word*> pm_of_;         // parallel-mask word pointers
+  std::vector<std::uint64_t*> span_rows_;  // by_size_span row pointers
 };
 
 // ---------------------------------------------------------------------------
 // Reference enumerator — the original copy-per-node recursion, kept as the
-// validation oracle for the arena kernel (byte-identity tests and the
-// pinned speedup gate in bench_perf_scaling). Strictly sequential.
+// validation oracle for the Walker (byte-identity tests and the pinned
+// speedup gates in bench_perf_scaling). Strictly sequential.
 // ---------------------------------------------------------------------------
 
 void record_reference(const SearchContext& ctx, Accumulator& acc,
@@ -592,16 +655,6 @@ AntichainAnalysis enumerate_antichains(const Dfg& dfg, const EnumerateOptions& o
   const Levels levels = compute_levels(dfg);
   const Reachability reach(dfg);
   return enumerate_antichains(dfg, levels, reach, options);
-}
-
-std::vector<std::vector<std::uint64_t>> count_antichains_by_size_span(
-    const Dfg& dfg, const Levels& levels, const Reachability& reach, std::size_t max_size,
-    bool parallel) {
-  EnumerateOptions options;
-  options.max_size = max_size;
-  options.parallel = parallel;
-  // Classification is cheap relative to the walk; reuse the main path.
-  return enumerate_antichains(dfg, levels, reach, options).count_by_size_span;
 }
 
 }  // namespace mpsched

@@ -11,7 +11,13 @@
 // parallel mask), so testing whether node j can extend the antichain is a
 // single bit probe, and candidate iteration enumerates set bits > max id.
 // Span is monotone non-decreasing as a set grows, so the span limit prunes
-// the subtree, not just the leaf.
+// the subtree, not just the leaf; two per-level masks apply it word-wise.
+// Each depth carries its prefix's pattern entry, and an entry maps a color
+// to the entry of its pattern plus that color, so classification is a
+// table load. The last level (depth C−1) is a leaf loop: a leaf bumps only
+// its span row, its color's count and its own frequency, and the per-color
+// counts reach the pattern counts, the prefix members' frequencies and the
+// max_antichains budget once per loop.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
 // node id; workers claim roots through the shared thread pool and merge
@@ -81,29 +87,25 @@ struct AntichainAnalysis {
 /// The walk runs on arena-style scratch: one preallocated
 /// min(max_size, n) × word_count mask stack per worker (word-wise AND into
 /// the next depth's slot — no allocation per node), a fused word-parallel
-/// candidate probe (DynamicBitset::for_each_set_from), and chunk-batched
-/// accounting against the shared max_antichains counter.
+/// candidate probe with the span limit applied as level masks, a leaf loop
+/// at depth C−1, and chunk-batched accounting against the shared
+/// max_antichains counter.
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const Levels& levels,
                                        const Reachability& reach,
                                        const EnumerateOptions& options = {});
 
 /// Validation oracle: the original copy-a-DynamicBitset-per-node,
-/// bit-at-a-time recursion, strictly sequential (`options.parallel` is
-/// ignored). Kept so tests can gate byte-identity of the arena kernel
-/// against the naive walk and bench_perf_scaling can pin the speedup;
-/// never use it for real workloads.
+/// bit-at-a-time recursion with one full classification per antichain,
+/// strictly sequential (`options.parallel` is ignored). Kept so tests can
+/// gate byte-identity of the kernel against the naive walk and
+/// bench_perf_scaling can pin the speedups; never use it for real
+/// workloads.
 AntichainAnalysis enumerate_antichains_reference(const Dfg& dfg, const Levels& levels,
                                                 const Reachability& reach,
                                                 const EnumerateOptions& options = {});
 
 /// Convenience overload computing levels and reachability internally.
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const EnumerateOptions& options = {});
-
-/// Counts antichains only (no per-pattern classification); cheaper when
-/// only Table-5-style counts are needed.
-std::vector<std::vector<std::uint64_t>> count_antichains_by_size_span(
-    const Dfg& dfg, const Levels& levels, const Reachability& reach,
-    std::size_t max_size, bool parallel = true);
 
 // ---------------------------------------------------------------------------
 // Sharded enumeration — the batch engine's unit of work (src/engine).

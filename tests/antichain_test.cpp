@@ -8,6 +8,8 @@
 #include "graph/closure.hpp"
 #include "graph/levels.hpp"
 #include "test_util.hpp"
+#include "workloads/dft.hpp"
+#include "workloads/kernels.hpp"
 #include "workloads/paper_graphs.hpp"
 #include "workloads/random_dag.hpp"
 
@@ -195,14 +197,19 @@ TEST(AntichainTest, MembersAreSortedAndValid) {
   }
 }
 
-// The scratch-arena enumerator must be byte-identical to the reference
+// The enumeration kernel must be byte-identical to the reference
 // (copy-a-bitset-per-node) implementation across a seeded corpus: the
-// paper graph plus random DAGs, with and without members, serial and
-// parallel, default and tight span limits.
+// paper graph, two many-node kernels and random DAGs, with and without
+// members, serial and parallel, at every size limit up to the engine
+// default (the leaf level sits at depth C−1, so C=1 has none and C=2
+// hangs leaves directly off the root) and at no, tight and default span
+// limits.
 TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
   std::vector<Dfg> corpus;
   corpus.push_back(workloads::paper_3dft());
   corpus.push_back(workloads::small_example());
+  corpus.push_back(workloads::dct8());
+  corpus.push_back(workloads::radix2_fft(8));
   for (const std::uint64_t seed : {5u, 17u, 29u}) {
     workloads::LayeredDagOptions dag_options;
     dag_options.layers = 4;
@@ -214,15 +221,26 @@ TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
   for (const Dfg& g : corpus) {
     const Levels lv = compute_levels(g);
     const Reachability reach(g);
-    for (const bool collect : {false, true})
-      for (const bool parallel : {false, true})
-        for (const std::optional<int> span :
-             {std::optional<int>{}, std::optional<int>{1}}) {
-          const EnumerateOptions o = opts(4, span, collect, parallel);
-          const AntichainAnalysis ref = enumerate_antichains_reference(g, lv, reach, o);
-          const AntichainAnalysis arena = enumerate_antichains(g, lv, reach, o);
-          test::expect_analysis_identical(ref, arena);
+    for (std::size_t max_size = 1; max_size <= 5; ++max_size)
+      for (const std::optional<int> span :
+           {std::optional<int>{}, std::optional<int>{0}, std::optional<int>{1}}) {
+        // One oracle run serves all four kernel runs: the reference is
+        // sequential whatever `parallel` says, and member collection
+        // changes nothing but the member lists.
+        AntichainAnalysis ref =
+            enumerate_antichains_reference(g, lv, reach, opts(max_size, span, true));
+        for (const bool collect : {true, false}) {
+          if (!collect)
+            for (PatternAntichains& pa : ref.per_pattern) pa.members.clear();
+          for (const bool parallel : {false, true}) {
+            SCOPED_TRACE(testing::Message() << g.node_count() << " nodes, C=" << max_size
+                                            << ", span " << span.value_or(-1) << ", members "
+                                            << collect << ", parallel " << parallel);
+            const EnumerateOptions o = opts(max_size, span, collect, parallel);
+            test::expect_analysis_identical(ref, enumerate_antichains(g, lv, reach, o));
+          }
         }
+      }
   }
 }
 

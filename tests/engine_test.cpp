@@ -600,10 +600,33 @@ TEST(Engine, ShardWallTimesAreExemplarCharged) {
   EXPECT_EQ(result_to_json(batch.jobs[3], true).find("shard_ms"), nullptr);
 }
 
+/// A fresh directory named after the running test, under the test's
+/// working directory (the build tree), removed when the test ends. It
+/// removes only its own directory: gtest_discover_tests runs each case as
+/// its own ctest process, so sibling cases share the parent directory
+/// concurrently under `ctest -j`.
+class ScopedTestDir {
+ public:
+  ScopedTestDir()
+      : path_(std::filesystem::path("engine_test.tmp") /
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+  }
+  ~ScopedTestDir() { std::filesystem::remove_all(path_); }
+  ScopedTestDir(const ScopedTestDir&) = delete;
+  ScopedTestDir& operator=(const ScopedTestDir&) = delete;
+
+  const std::filesystem::path& path() const { return path_; }
+
+ private:
+  std::filesystem::path path_;
+};
+
 TEST(Engine, CostSidecarLandsNextToTheCacheEntry) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "cost_sidecar";
-  fs::remove_all(dir);
+  const ScopedTestDir scratch;
+  const fs::path& dir = scratch.path();
 
   Job job = Job::from_workload("paper_3dft");
   EngineOptions options;
@@ -659,14 +682,12 @@ TEST(Engine, CostSidecarLandsNextToTheCacheEntry) {
   trim.max_total_bytes = 1;
   eng.cache().disk_store()->trim(trim);
   EXPECT_FALSE(fs::exists(sidecar));
-
-  fs::remove_all("engine_test.tmp");
 }
 
 TEST(Engine, MeasuredRepackFromWarmSidecarsIsByteIdentical) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "measured_repack";
-  fs::remove_all(dir);
+  const ScopedTestDir scratch;
+  const fs::path& dir = scratch.path();
 
   std::vector<Job> jobs;
   jobs.push_back(Job::from_workload("fir(12)"));
@@ -719,14 +740,12 @@ TEST(Engine, MeasuredRepackFromWarmSidecarsIsByteIdentical) {
   ASSERT_EQ(again.succeeded(), jobs.size());
   EXPECT_EQ(batch_to_json(again).dump(), cold);
   EXPECT_GE(measured_plans.value() - upgraded_before, 2u);
-
-  fs::remove_all("engine_test.tmp");
 }
 
 TEST(Engine, BadSidecarFallsBackToTheEstimate) {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::path("engine_test.tmp") / "bad_sidecar";
-  fs::remove_all(dir);
+  const ScopedTestDir scratch;
+  const fs::path& dir = scratch.path();
 
   const Job job = Job::from_workload("fir(10)");
   std::string cold;
@@ -765,8 +784,6 @@ TEST(Engine, BadSidecarFallsBackToTheEstimate) {
   EXPECT_EQ(warm.analyses_computed, 1u);
   EXPECT_EQ(batch_to_json(warm).dump(), cold);  // fell back, results intact
   EXPECT_GE(fallback_plans.value() - before, 1u);
-
-  fs::remove_all("engine_test.tmp");
 }
 
 TEST(Workloads, SpecRegistry) {

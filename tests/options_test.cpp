@@ -1,25 +1,16 @@
 // Coverage for option knobs and guards not exercised elsewhere: priority
-// parameter overrides, the max_cycles guard, count-only enumeration, and
-// table alignment.
+// parameter overrides, the max_cycles guard, table alignment, and
+// selection detail recording.
 #include <gtest/gtest.h>
 
-#include "antichain/enumerate.hpp"
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
-#include "graph/closure.hpp"
-#include "graph/levels.hpp"
 #include "pattern/parse.hpp"
 #include "util/table.hpp"
 #include "workloads/paper_graphs.hpp"
 
 namespace mpsched {
 namespace {
-
-EnumerateOptions size_only(std::size_t max_size) {
-  EnumerateOptions o;
-  o.max_size = max_size;
-  return o;
-}
 
 TEST(OptionsTest, PriorityParamsOverrideIsUsed) {
   const Dfg g = workloads::paper_3dft();
@@ -63,17 +54,6 @@ TEST(OptionsTest, MaxCyclesGuardTrips) {
   MpScheduleOptions options;
   options.max_cycles = 3;  // the schedule needs 7
   EXPECT_THROW(multi_pattern_schedule(g, patterns, options), std::runtime_error);
-}
-
-TEST(OptionsTest, CountOnlyEnumerationMatchesFullAnalysis) {
-  const Dfg g = workloads::paper_3dft();
-  const Levels lv = compute_levels(g);
-  const Reachability reach(g);
-  const auto counts = count_antichains_by_size_span(g, lv, reach, 4);
-  const AntichainAnalysis analysis = enumerate_antichains(g, size_only(4));
-  ASSERT_EQ(counts.size(), analysis.count_by_size_span.size());
-  for (std::size_t s = 0; s < counts.size(); ++s)
-    EXPECT_EQ(counts[s], analysis.count_by_size_span[s]) << "size " << s;
 }
 
 TEST(OptionsTest, TableAlignmentOverride) {
