@@ -113,9 +113,10 @@ int main() {
   gate.check_eq(static_cast<long long>(jobs.size()),
                 static_cast<long long>(loop_stats.batches),
                 "run() loop pays one dispatch per job");
-  gate.check(stream_stats.batches < jobs.size(),
-             "coalesced stream dispatches (" + std::to_string(stream_stats.batches) +
-                 ") < job count (" + std::to_string(jobs.size()) + ")");
+  // The dispatch count depends on thread timing, so it rides in an info
+  // cell; the gated cell's name must not change from run to run.
+  gate.info("coalesced stream dispatches", static_cast<double>(stream_stats.batches));
+  gate.check(stream_stats.batches < jobs.size(), "coalesced stream dispatches < job count");
   gate.check(stream_stats.coalesced_dispatches >= 1,
              "at least one dispatch carried more than one job");
   gate.check_eq(static_cast<long long>(jobs.size()),

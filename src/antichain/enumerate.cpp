@@ -632,7 +632,8 @@ std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& lev
                                                const EnumerateOptions& options) {
   // Validation runs once, not once per root; each root's estimate is
   // independent and written into its own slot, so the pool fan-out is
-  // byte-deterministic (the shard-policy determinism matrix gates this).
+  // byte-deterministic (gated by engine_test's
+  // RootCostEstimatesAreIdenticalSerialAndParallel).
   const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
   std::vector<std::uint64_t> costs(dfg.node_count());
   const auto eval = [&](std::size_t r) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <filesystem>
 #include <system_error>
 #include <vector>
@@ -37,6 +36,7 @@ bool is_committed_entry(const std::string& name) {
   return name.size() == 36 && name.ends_with(".mpa") && !name.starts_with("tmp-");
 }
 
+/// `.cost.json` temps are left over from older releases' cost files.
 bool is_temp_entry(const std::string& name) {
   return name.starts_with("tmp-") &&
          (name.ends_with(".mpa") || name.ends_with(".cost.json"));
@@ -118,7 +118,7 @@ TrimResult CacheStore::trim(const TrimOptions& options) {
     ++result.entries_removed;
     result.bytes_removed += e.bytes;
     total_bytes -= e.bytes;
-    // An entry's cost sidecar describes that entry alone; it goes with it.
+    // Cache dirs written by older releases hold a `<key>.cost.json` too.
     fs::path sidecar = e.path;
     sidecar.replace_extension();  // "<key>.mpa" -> "<key>"
     sidecar += ".cost.json";
@@ -217,128 +217,6 @@ void CacheStore::store(const CacheKey& key, const AntichainAnalysis& analysis) {
     fs::remove(tmp, ec);
   }
   write_ms.record(timer.millis());
-}
-
-std::string CacheStore::sidecar_filename(const CacheKey& key) {
-  return key.to_string() + ".cost.json";
-}
-
-void CacheStore::store_cost_sidecar(const CacheKey& key, const Json& doc) {
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard lock(mutex_);
-    seq = ++temp_seq_;
-  }
-  const fs::path dir(dir_);
-  const fs::path tmp = dir / ("tmp-" + std::to_string(current_pid()) + "-" +
-                              std::to_string(seq) + "-" + key.to_string() +
-                              ".cost.json");
-  const fs::path final_path = dir / sidecar_filename(key);
-  try {
-    save_json(doc, tmp.string());
-    std::error_code ec;
-    fs::rename(tmp, final_path, ec);
-    if (ec) fs::remove(tmp, ec);
-  } catch (const std::exception&) {
-    // Best-effort, exactly like store(): observed-cost seed data is an
-    // accelerator, never a correctness dependency.
-    std::error_code ec;
-    fs::remove(tmp, ec);
-  }
-}
-
-std::optional<Json> CacheStore::load_cost_sidecar(const CacheKey& key) const {
-  try {
-    return load_json((fs::path(dir_) / sidecar_filename(key)).string());
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<std::vector<std::uint64_t>> CacheStore::measured_root_costs(
-    const Json& doc, std::size_t node_count) {
-  try {
-    if (!doc.is_object() || node_count == 0) return std::nullopt;
-    const Json* format = doc.find("format");
-    if (format == nullptr || !format->is_string() ||
-        format->as_string() != kCostSidecarFormat)
-      return std::nullopt;
-    const Json* nodes = doc.find("nodes");
-    if (nodes == nullptr || !nodes->is_int() ||
-        nodes->as_int() != static_cast<std::int64_t>(node_count))
-      return std::nullopt;
-    const Json* shards = doc.find("shards");
-    if (shards == nullptr || !shards->is_array() || shards->as_array().empty())
-      return std::nullopt;
-
-    std::vector<std::uint64_t> costs(node_count, 0);
-    std::vector<bool> seen(node_count, false);
-    std::size_t covered = 0;
-    for (const Json& shard : shards->as_array()) {
-      if (!shard.is_object()) return std::nullopt;
-      const Json* roots = shard.find("roots");
-      const Json* ms = shard.find("ms");
-      if (roots == nullptr || !roots->is_array() || roots->as_array().empty() ||
-          ms == nullptr || !ms->is_number())
-        return std::nullopt;
-      const double shard_ms = ms->as_double();
-      if (!std::isfinite(shard_ms) || shard_ms < 0) return std::nullopt;
-      // One shard's wall time spread evenly over its roots, as integer
-      // microseconds. The floor of 1 keeps zero-cost roots visible to the
-      // LPT packer; the cap (~11.5 days per root) keeps any sum of loads
-      // far from uint64 overflow.
-      const double scaled =
-          shard_ms / static_cast<double>(roots->as_array().size()) * 1000.0;
-      const std::uint64_t cost =
-          scaled >= 1e12
-              ? static_cast<std::uint64_t>(1e12)
-              : std::max<std::uint64_t>(
-                    1, static_cast<std::uint64_t>(std::llround(scaled)));
-      for (const Json& id : roots->as_array()) {
-        if (!id.is_int()) return std::nullopt;
-        const std::int64_t r = id.as_int();
-        if (r < 0 || r >= static_cast<std::int64_t>(node_count)) return std::nullopt;
-        const std::size_t root = static_cast<std::size_t>(r);
-        if (seen[root]) return std::nullopt;  // duplicate root across shards
-        seen[root] = true;
-        costs[root] = cost;
-        ++covered;
-      }
-    }
-    if (covered != node_count) return std::nullopt;  // roots missing: drift
-    return costs;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
-}
-
-MeasuredCosts CacheStore::load_measured_root_costs(const CacheKey& key,
-                                                   std::size_t node_count) const {
-  MeasuredCosts out;
-  const std::optional<Json> doc = load_cost_sidecar(key);
-  if (!doc) {
-    // Distinguish "no sidecar" (the normal cold case) from "sidecar
-    // present but unreadable" — the latter is corruption and must surface
-    // as Invalid so fallback accounting sees it under every policy.
-    std::error_code ec;
-    if (fs::exists(fs::path(dir_) / sidecar_filename(key), ec) && !ec)
-      out.status = MeasuredCosts::Status::Invalid;
-    return out;
-  }
-  out.status = MeasuredCosts::Status::Invalid;
-  try {
-    const Json* embedded = doc->find("key");
-    if (embedded == nullptr || !embedded->is_string() ||
-        embedded->as_string() != key.to_string())
-      return out;
-    auto costs = measured_root_costs(*doc, node_count);
-    if (!costs) return out;
-    out.status = MeasuredCosts::Status::Ok;
-    out.root_costs = std::move(*costs);
-  } catch (const std::exception&) {
-    out.status = MeasuredCosts::Status::Invalid;
-  }
-  return out;
 }
 
 std::size_t CacheStore::entry_count() const {

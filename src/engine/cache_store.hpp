@@ -31,12 +31,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "antichain/enumerate.hpp"
-#include "io/json.hpp"
 
 namespace mpsched::engine {
 
@@ -70,25 +67,6 @@ struct TrimResult {
   std::uint64_t bytes_kept = 0;
   /// Stale in-flight temp files swept alongside the trim.
   std::size_t temp_swept = 0;
-};
-
-/// Outcome of turning an entry's cost sidecar into per-root packing
-/// costs (load_measured_root_costs): Absent when no parseable sidecar
-/// exists, Invalid when one exists but fails the shape validation, Ok
-/// with one cost per root otherwise. The engine treats Absent as the
-/// normal cold case and both non-Ok states as "pack from the estimate".
-struct MeasuredCosts {
-  /// Absent: no sidecar file — the normal cold case. Invalid: a sidecar
-  /// exists but is unparseable, describes a different key, or fails the
-  /// shape/partition validation — corruption or drift, surfaced so
-  /// fallback accounting can count it under every policy.
-  enum class Status { Absent, Invalid, Ok };
-  Status status = Status::Absent;
-  /// One packing cost per root in [0, node_count); meaningful only when
-  /// ok(): each shard's observed wall time spread evenly over its roots,
-  /// in integer microseconds with a floor of 1.
-  std::vector<std::uint64_t> root_costs;
-  bool ok() const { return status == Status::Ok; }
 };
 
 class CacheStore {
@@ -134,43 +112,8 @@ class CacheStore {
 
   CacheStoreStats stats() const;
 
-  /// Publishes a small JSON sidecar next to the entry for `key` —
-  /// measured per-shard costs (engine) or other observed-cost seed data.
-  /// Same temp-write + atomic-rename discipline and same best-effort
-  /// contract as store(); sidecars are invisible to entry_count() and
-  /// load(), and trim() removes them together with their entry.
-  void store_cost_sidecar(const CacheKey& key, const Json& doc);
-  /// Reads the sidecar for `key`; std::nullopt when absent or unparseable.
-  std::optional<Json> load_cost_sidecar(const CacheKey& key) const;
-
-  /// Format tag of the engine's measured-cost sidecar. v2 records the
-  /// actual root ids of every shard (v1 recorded only counts) — what lets
-  /// a later run convert observed shard wall times back into per-root
-  /// packing costs and verify the plan still fits the graph.
-  static constexpr const char* kCostSidecarFormat = "mpsched.shardcost/v2";
-
-  /// Parses + validates a cost-sidecar document into one packing cost per
-  /// root: each shard's observed `ms` spread evenly over its recorded
-  /// roots, scaled to integer microseconds (floor 1, capped at 1e12 so
-  /// LPT load sums cannot overflow). Returns std::nullopt unless the
-  /// document carries the v2 format tag, `nodes` == node_count, every
-  /// shard has finite ms >= 0, and the shard root ids form an exact
-  /// partition of [0, node_count) — the drift checks that keep a stale or
-  /// foreign sidecar from planning the wrong graph. Pure in `doc`.
-  static std::optional<std::vector<std::uint64_t>> measured_root_costs(
-      const Json& doc, std::size_t node_count);
-
-  /// load_cost_sidecar + measured_root_costs + an embedded-key check (the
-  /// sidecar must describe the entry asked for). Never throws; corrupt or
-  /// mismatched sidecars degrade to Invalid, exactly like a corrupt entry
-  /// degrades to a miss.
-  MeasuredCosts load_measured_root_costs(const CacheKey& key,
-                                         std::size_t node_count) const;
-
   /// "<32 hex digits>.mpa" — exposed so tests and tools can locate entries.
   static std::string entry_filename(const CacheKey& key);
-  /// "<32 hex digits>.cost.json" — the sidecar beside an entry.
-  static std::string sidecar_filename(const CacheKey& key);
 
  private:
   std::string dir_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <tuple>
 #include <unordered_map>
 
 #include "antichain/analytic.hpp"
@@ -24,7 +25,7 @@ struct AnalysisUnit {
   CacheKey key;
   std::size_t exemplar_job = 0;  ///< index whose dfg/options define the unit
   std::vector<std::size_t> consumers;
-  std::vector<std::vector<NodeId>> shard_roots;  ///< empty for LevelAnalytic
+  std::vector<std::vector<NodeId>> shard_roots;  ///< one empty shard for LevelAnalytic
   std::vector<AntichainAnalysis> shard_results;
   std::vector<std::string> shard_errors;
   std::vector<double> shard_ms;
@@ -44,17 +45,6 @@ EnumerateOptions enumerate_options_for(const SelectOptions& select) {
   eo.collect_members = false;  // cached analyses never carry member lists
   eo.parallel = false;         // the engine shards; no nested fan-out
   return eo;
-}
-
-/// Cyclic root partition: shard s takes roots s, s+S, s+2S, … so the
-/// expensive low-id roots (largest search subtrees) spread across shards.
-std::vector<std::vector<NodeId>> partition_roots(std::size_t node_count,
-                                                 std::size_t target_shards) {
-  const std::size_t shards = std::clamp<std::size_t>(target_shards, 1, std::max<std::size_t>(node_count, 1));
-  std::vector<std::vector<NodeId>> roots(shards);
-  for (std::size_t r = 0; r < node_count; ++r)
-    roots[r % shards].push_back(static_cast<NodeId>(r));
-  return roots;
 }
 
 }  // namespace
@@ -92,17 +82,6 @@ std::vector<std::vector<NodeId>> pack_roots_by_cost(
   // contents canonical for a given plan.
   for (auto& shard : roots) std::sort(shard.begin(), shard.end());
   return roots;
-}
-
-BatchResult collect_tickets(const std::vector<Ticket>& tickets) {
-  BatchResult batch;
-  batch.jobs.reserve(tickets.size());
-  for (const Ticket& ticket : tickets) batch.jobs.push_back(ticket.result());
-  for (const JobResult& r : batch.jobs) {
-    if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
-    else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
-  }
-  return batch;
 }
 
 std::size_t BatchResult::succeeded() const {
@@ -216,65 +195,109 @@ JobResult Engine::run(const Job& job) {
 
 BatchResult Engine::run_batch(const std::vector<Job>& jobs) {
   Timer wall;
-  BatchResult batch = collect_tickets(submit_batch(jobs));
+  BatchResult batch = collect(submit_batch(jobs));
   batch.wall_ms = wall.millis();
-  // Cache counters come from the dispatch-boundary snapshot, not a live
-  // cache().stats() read: our dispatch updated stats_.cache under
-  // stats_mutex_ before the tickets resolved, and a live read under
-  // concurrent sessions could tear mid-dispatch (the torn view stats()
-  // was fixed to never return).
-  {
-    std::lock_guard lock(stats_mutex_);
-    batch.cache_stats = stats_.cache;
-  }
   return batch;
 }
 
-BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
-  Timer wall;
-  obs::Span dispatch_span("engine.dispatch",
-                          obs::tracing_enabled()
-                              ? std::to_string(jobs.size()) + " jobs"
-                              : std::string());
+BatchResult Engine::collect(const std::vector<Ticket>& tickets) {
   BatchResult batch;
-  batch.jobs.resize(jobs.size());
+  batch.jobs.reserve(tickets.size());
+  for (const Ticket& ticket : tickets) batch.jobs.push_back(ticket.result());
+  for (const JobResult& r : batch.jobs) {
+    if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
+    else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
+  }
+  // Every dispatch behind these tickets updated stats_.cache under
+  // stats_mutex_ before resolving them, so this snapshot covers their
+  // cache traffic and nothing half-way through another dispatch.
+  std::lock_guard lock(stats_mutex_);
+  batch.cache_stats = stats_.cache;
+  return batch;
+}
 
-  const std::size_t n_jobs = jobs.size();
-  ThreadPool& workers = pool();
-  AnalysisCache& store = cache();
-  const std::size_t worker_count = workers.thread_count() + 1;  // pool + caller
+namespace {
 
-  // ---- Phase 0: resolve pipeline, transform, identify, deduplicate ------
-  std::vector<std::shared_ptr<const PreparedGraph>> prepared(n_jobs);
-  std::vector<std::shared_ptr<const AntichainAnalysis>> analysis(n_jobs);
-  std::vector<CacheKey> keys(n_jobs);
-  // Effective (post-transform) graph per job; every later phase — keys,
-  // levels/closure, enumeration, backend — consumes this, never Job::dfg.
-  std::vector<std::shared_ptr<const Dfg>> graphs(n_jobs);
-  std::vector<const SchedulerBackend*> backends(n_jobs, nullptr);
+/// Groups job indices into sets that share one computation: jobs with
+/// equal keys when `share` is set, one job per group otherwise. Groups
+/// are ordered by their first member.
+std::vector<std::vector<std::size_t>> share_groups(const std::vector<std::size_t>& members,
+                                                   const std::vector<CacheKey>& keys,
+                                                   bool share) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> group_of;
+  for (const std::size_t i : members) {
+    std::size_t g = groups.size();
+    if (share) g = group_of.try_emplace(keys[i], g).first->second;
+    if (g == groups.size()) groups.emplace_back();
+    groups[g].push_back(i);
+  }
+  return groups;
+}
 
-  for (std::size_t i = 0; i < n_jobs; ++i) {
+/// One shared dispatch, phase by phase. Per-job state lives in slots
+/// indexed like `jobs`; each phase reads what earlier phases filled and
+/// skips the jobs an earlier phase failed. With the cache off the same
+/// phases run, and three things differ: the probe never hits, publishing
+/// never stores, and every job is its own unit with its own levels and
+/// closure.
+struct Dispatch {
+  Dispatch(const std::vector<Job>& jobs, const EngineOptions& options,
+           ThreadPool& workers, AnalysisCache& cache)
+      : jobs(jobs), options(options), workers(workers), cache(cache),
+        backends(jobs.size(), nullptr), graphs(jobs.size()), keys(jobs.size()),
+        prepared(jobs.size()), analysis(jobs.size()) {
+    batch.jobs.resize(jobs.size());
+  }
+
+  void resolve_and_transform();
+  void key_and_prepare();
+  void probe_and_group();
+  void plan();
+  void enumerate();
+  void merge_and_publish();
+  void solve();
+
+  bool failed(std::size_t i) const { return !batch.jobs[i].error.empty(); }
+
+  const std::vector<Job>& jobs;
+  const EngineOptions& options;
+  ThreadPool& workers;
+  AnalysisCache& cache;
+  BatchResult batch;
+
+  // -- per job -----------------------------------------------------------
+  std::vector<const SchedulerBackend*> backends;
+  /// The effective (post-transform) graph: every phase after the first —
+  /// keys, levels/closure, enumeration, backend — consumes it, never
+  /// Job::dfg.
+  std::vector<std::shared_ptr<const Dfg>> graphs;
+  std::vector<CacheKey> keys;  ///< analysis keys
+  std::vector<std::shared_ptr<const PreparedGraph>> prepared;
+  std::vector<std::shared_ptr<const AntichainAnalysis>> analysis;
+
+  // -- per analysis to compute, and one task per shard of each -----------
+  struct ShardTask {
+    std::size_t unit;
+    std::size_t shard;
+  };
+  std::vector<AnalysisUnit> units;
+  std::vector<ShardTask> tasks;
+};
+
+/// Resolves each job's backend and transform stack, then runs the
+/// transforms. Unknown names fail only that job. An empty stack aliases
+/// the caller's graph (no copy; `jobs` outlives the dispatch), so the
+/// default pipeline costs nothing here beyond the registry lookup.
+void Dispatch::resolve_and_transform() {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult& r = batch.jobs[i];
     r.job = jobs[i].resolved_name();
     r.workload = jobs[i].workload;
     r.backend = jobs[i].backend;
     r.transforms = jobs[i].transforms;
   }
-
-  // Levels + closure per job. With the cache on, jobs are grouped by graph
-  // content key first so duplicate graphs compute their (expensive,
-  // O(V·E/64)) transitive closure exactly once even on a cold cache —
-  // concurrent misses on the same key would otherwise all recompute.
-  // Content hashing rides in its own fan-out: one canonical serialization
-  // per job yields both the graph and the analysis key; with the cache off
-  // none of it runs.
-  {
-  obs::Span prepare_span("engine.prepare");
-  // Resolve each job's backend and transform stack, then run the
-  // transforms. Unknown names fail only that job. An empty stack aliases
-  // the caller's graph (no copy; `jobs` outlives the dispatch), so the
-  // default pipeline costs nothing here beyond the registry lookup.
-  workers.parallel_for(n_jobs, [&](std::size_t i) {
+  workers.parallel_for(jobs.size(), [&](std::size_t i) {
     JobResult& r = batch.jobs[i];
     Timer t;
     try {
@@ -294,182 +317,141 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     }
     r.timings.prepare_ms = t.millis();
   });
-  if (options_.use_cache) {
-    std::vector<CacheKey> graph_keys(n_jobs);
-    workers.parallel_for(n_jobs, [&](std::size_t i) {
-      if (!batch.jobs[i].error.empty()) return;
+}
+
+/// Content keys, then levels + closure once per group of jobs sharing a
+/// graph. One canonical serialization per job yields both keys. With the
+/// cache on, duplicate graphs form one group, so their (expensive,
+/// O(V·E/64)) closure is computed once even on a cold cache; concurrent
+/// misses on the same key would otherwise all recompute. With it off
+/// nothing is keyed and every job prepares its own graph.
+void Dispatch::key_and_prepare() {
+  std::vector<CacheKey> graph_keys(jobs.size());
+  if (options.use_cache) {
+    workers.parallel_for(jobs.size(), [&](std::size_t i) {
+      if (failed(i)) return;
       Timer t;
       try {
-        const auto [graph_key, job_key] = AnalysisCache::content_keys(
+        std::tie(graph_keys[i], keys[i]) = AnalysisCache::content_keys(
             *graphs[i], jobs[i].select.generation, jobs[i].select.capacity,
             jobs[i].select.span_limit,
             pipeline_cache_tag(jobs[i].transforms, jobs[i].backend));
-        graph_keys[i] = graph_key;
-        keys[i] = job_key;
-      } catch (const std::exception& e) {
-        batch.jobs[i].error = std::string("prepare: ") + e.what();
-      }
-      batch.jobs[i].timings.prepare_ms += t.millis();
-    });
-
-    std::unordered_map<CacheKey, std::vector<std::size_t>, CacheKeyHash> by_graph;
-    for (std::size_t i = 0; i < n_jobs; ++i)
-      if (batch.jobs[i].error.empty()) by_graph[graph_keys[i]].push_back(i);
-    std::vector<std::vector<std::size_t>> graph_groups;
-    graph_groups.reserve(by_graph.size());
-    for (auto& [key, group] : by_graph) graph_groups.push_back(std::move(group));
-
-    workers.parallel_for(graph_groups.size(), [&](std::size_t g) {
-      const std::vector<std::size_t>& group = graph_groups[g];
-      const std::size_t exemplar = group.front();
-      Timer t;
-      std::shared_ptr<const PreparedGraph> graph;
-      std::string error;
-      try {
-        graph = store.prepare_graph(*graphs[exemplar], graph_keys[exemplar]);
-      } catch (const std::exception& e) {
-        error = std::string("prepare: ") + e.what();
-      }
-      const double ms = t.millis();
-      for (const std::size_t i : group) {
-        prepared[i] = graph;
-        if (!error.empty()) batch.jobs[i].error = error;
-      }
-      // Charge the shared computation to the exemplar only, so summing
-      // prepare_ms across a results file reflects work actually done.
-      batch.jobs[exemplar].timings.prepare_ms += ms;
-    });
-  } else {
-    workers.parallel_for(n_jobs, [&](std::size_t i) {
-      if (!batch.jobs[i].error.empty()) return;
-      Timer t;
-      try {
-        prepared[i] = std::make_shared<PreparedGraph>(
-            PreparedGraph{compute_levels(*graphs[i]), Reachability(*graphs[i])});
       } catch (const std::exception& e) {
         batch.jobs[i].error = std::string("prepare: ") + e.what();
       }
       batch.jobs[i].timings.prepare_ms += t.millis();
     });
   }
-  }
 
-  // Group jobs into analysis units. With the cache off, every job is its
-  // own unit — no memoization, no intra-batch sharing. Jobs whose backend
-  // composes its own patterns (needs_analysis() == false) skip enumeration
-  // entirely: no unit, no cache traffic, analysis_source stays None.
-  std::vector<AnalysisUnit> units;
-  if (options_.use_cache) {
-    std::unordered_map<CacheKey, std::size_t, CacheKeyHash> unit_of;
-    for (std::size_t i = 0; i < n_jobs; ++i) {
-      if (!batch.jobs[i].error.empty()) continue;
-      if (!backends[i]->needs_analysis()) continue;
-      if (auto hit = store.find_analysis(keys[i])) {
+  std::vector<std::size_t> live;
+  for (std::size_t i = 0; i < jobs.size(); ++i)
+    if (!failed(i)) live.push_back(i);
+  const std::vector<std::vector<std::size_t>> groups =
+      share_groups(live, graph_keys, options.use_cache);
+  workers.parallel_for(groups.size(), [&](std::size_t g) {
+    const std::vector<std::size_t>& group = groups[g];
+    const std::size_t exemplar = group.front();
+    const Dfg& dfg = *graphs[exemplar];
+    Timer t;
+    std::shared_ptr<const PreparedGraph> graph;
+    std::string error;
+    try {
+      graph = options.use_cache
+                  ? cache.prepare_graph(dfg, graph_keys[exemplar])
+                  : std::make_shared<const PreparedGraph>(
+                        PreparedGraph{compute_levels(dfg), Reachability(dfg)});
+    } catch (const std::exception& e) {
+      error = std::string("prepare: ") + e.what();
+    }
+    const double ms = t.millis();
+    for (const std::size_t i : group) {
+      prepared[i] = graph;
+      if (!error.empty()) batch.jobs[i].error = error;
+    }
+    // Charge the shared computation to the exemplar only, so summing
+    // prepare_ms across a results file reflects work actually done.
+    batch.jobs[exemplar].timings.prepare_ms += ms;
+  });
+}
+
+/// Probes the cache for every job that needs an analysis, then groups the
+/// misses into units, one per analysis to compute: with the cache on, jobs
+/// sharing an analysis key share a unit (intra-batch deduplication).
+/// Jobs whose backend composes its own patterns (needs_analysis() ==
+/// false) skip enumeration entirely: no unit, no cache traffic,
+/// analysis_source stays None.
+void Dispatch::probe_and_group() {
+  std::vector<std::size_t> misses;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (failed(i) || !backends[i]->needs_analysis()) continue;
+    if (options.use_cache) {
+      if (auto hit = cache.find_analysis(keys[i])) {
         analysis[i] = std::move(hit);
         batch.jobs[i].analysis_cache_hit = true;
         batch.jobs[i].analysis_source = AnalysisSource::Reused;
         ++batch.analyses_reused;
         continue;
       }
-      const auto [it, inserted] = unit_of.try_emplace(keys[i], units.size());
-      if (inserted) {
-        units.push_back(AnalysisUnit{});
-        units.back().key = keys[i];
-        units.back().exemplar_job = i;
-        batch.jobs[i].analysis_source = AnalysisSource::Computed;
-      } else {
-        batch.jobs[i].analysis_source = AnalysisSource::Reused;
-        ++batch.analyses_reused;
-      }
-      units[it->second].consumers.push_back(i);
     }
-  } else {
-    for (std::size_t i = 0; i < n_jobs; ++i) {
-      if (!batch.jobs[i].error.empty()) continue;
-      if (!backends[i]->needs_analysis()) continue;
-      AnalysisUnit unit;
-      unit.key = keys[i];
-      unit.exemplar_job = i;
-      unit.consumers.push_back(i);
-      units.push_back(std::move(unit));
-      batch.jobs[i].analysis_source = AnalysisSource::Computed;
+    misses.push_back(i);
+  }
+  for (std::vector<std::size_t>& group : share_groups(misses, keys, options.use_cache)) {
+    AnalysisUnit& unit = units.emplace_back();
+    unit.exemplar_job = group.front();
+    unit.key = keys[unit.exemplar_job];
+    for (const std::size_t i : group) {
+      const bool exemplar = i == unit.exemplar_job;
+      batch.jobs[i].analysis_source =
+          exemplar ? AnalysisSource::Computed : AnalysisSource::Reused;
+      if (!exemplar) ++batch.analyses_reused;
     }
+    unit.consumers = std::move(group);
   }
   batch.analyses_computed = units.size();
+}
 
-  // ---- Phase 1: sharded analysis over one flat task list ----------------
-  struct Task {
-    std::size_t unit;
-    std::size_t shard;
-  };
-  std::vector<Task> tasks;
+/// Splits every unit into root shards and lays all shards of all units
+/// out as one flat task list. An enumerated unit is packed by estimated
+/// root cost into ~shards_per_thread × workers shards; the closed-form
+/// analytic count is one cheap task. The estimate validates the same
+/// options the enumeration would, so bad options (capacity 0, a negative
+/// span limit) fail the unit here, with the enumeration's error text.
+void Dispatch::plan() {
+  const std::size_t worker_count = workers.thread_count() + 1;  // pool + caller
+  const std::size_t target_shards = worker_count * options.shards_per_thread;
   for (std::size_t u = 0; u < units.size(); ++u) {
     AnalysisUnit& unit = units[u];
     const Job& job = jobs[unit.exemplar_job];
-    const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
-      const std::size_t target_shards = worker_count * options_.shards_per_thread;
-      bool planned = false;
-      // Measured-cost packing: on a repeated corpus whose entry must be
-      // recomputed (evicted, torn, or trimmed away) but whose cost
-      // sidecar survived, pack from the previously observed per-shard
-      // wall times instead of the width estimate. Adaptive upgrades
-      // itself whenever a valid sidecar is present; Measured additionally
-      // counts a missing sidecar as a fallback so a caller expecting warm
-      // measurements can see when they are not there.
-      if (options_.shard_policy != ShardPolicy::Uniform && options_.use_cache) {
-        static obs::Counter& measured_plans =
-            obs::Registry::global().counter("engine.shard_plan.measured");
-        static obs::Counter& fallback_plans =
-            obs::Registry::global().counter("engine.shard_plan.fallback");
-        const CacheStore* disk = store.disk_store();
-        MeasuredCosts measured;
-        if (disk != nullptr)
-          measured = disk->load_measured_root_costs(unit.key, unit_dfg.node_count());
-        if (measured.ok()) {
-          unit.shard_roots = pack_roots_by_cost(measured.root_costs, target_shards);
-          planned = true;
-          measured_plans.add();
-        } else if (measured.status == MeasuredCosts::Status::Invalid ||
-                   options_.shard_policy == ShardPolicy::Measured) {
-          fallback_plans.add();
-        }
-      } else if (options_.shard_policy == ShardPolicy::Measured) {
-        static obs::Counter& fallback_plans =
-            obs::Registry::global().counter("engine.shard_plan.fallback");
-        fallback_plans.add();  // no cache, so no sidecar to measure from
+      try {
+        const PreparedGraph& graph = *prepared[unit.exemplar_job];
+        // Estimation runs here on the dispatcher thread, before the shard
+        // fan-out, so it may use the shared pool even though the shard
+        // tasks themselves must not (parallel = false there).
+        EnumerateOptions estimate_options = enumerate_options_for(job.select);
+        estimate_options.parallel = true;
+        unit.shard_roots = pack_roots_by_cost(
+            estimate_root_costs(*graphs[unit.exemplar_job], graph.levels, graph.reach,
+                                estimate_options),
+            target_shards);
+      } catch (const std::exception& e) {
+        unit.error = std::string("analysis: ") + e.what();
+        continue;
       }
-      if (!planned && options_.shard_policy != ShardPolicy::Uniform) {
-        // Cost estimation validates the same options the enumeration will;
-        // on bad options (e.g. capacity 0) fall back to a uniform plan and
-        // let the shard task surface the real error as this job's failure.
-        try {
-          const PreparedGraph& graph = *prepared[unit.exemplar_job];
-          // Estimation runs here on the dispatcher thread, before the
-          // shard fan-out, so it may use the shared pool even though the
-          // shard tasks themselves must not (parallel = false below).
-          EnumerateOptions estimate_options = enumerate_options_for(job.select);
-          estimate_options.parallel = true;
-          unit.shard_roots = pack_roots_by_cost(
-              estimate_root_costs(unit_dfg, graph.levels, graph.reach, estimate_options),
-              target_shards);
-          planned = true;
-        } catch (const std::exception&) {
-          planned = false;
-        }
-      }
-      if (!planned)
-        unit.shard_roots = partition_roots(unit_dfg.node_count(), target_shards);
     } else {
-      unit.shard_roots.resize(1);  // closed-form counting: one cheap task
+      unit.shard_roots.resize(1);
     }
-    unit.shard_results.resize(unit.shard_roots.size());
-    unit.shard_errors.resize(unit.shard_roots.size());
-    unit.shard_ms.resize(unit.shard_roots.size());
+    const std::size_t shards = unit.shard_roots.size();
+    unit.shard_results.resize(shards);
+    unit.shard_errors.resize(shards);
+    unit.shard_ms.resize(shards);
     unit.enumerated = std::make_unique<std::atomic<std::uint64_t>>(0);
-    for (std::size_t s = 0; s < unit.shard_roots.size(); ++s) tasks.push_back({u, s});
+    for (std::size_t s = 0; s < shards; ++s) tasks.push_back({u, s});
   }
+}
 
+/// Runs every shard of every unit in one dynamically balanced fan-out.
+void Dispatch::enumerate() {
   static obs::Histogram& shard_ms_metric =
       obs::Registry::global().histogram("engine.shard_ms");
   workers.parallel_for(tasks.size(), [&](std::size_t t) {
@@ -499,12 +481,15 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     unit.shard_ms[s] = timer.millis();
     shard_ms_metric.record(unit.shard_ms[s]);
   });
+}
 
-  // Merge + publish per unit, in parallel: merging is per-unit CPU work,
-  // and with a disk tier attached store_analysis writes a file — neither
-  // belongs on one thread while the pool idles after the shard phase.
-  // (Publication order across units is irrelevant: keys are distinct, and
-  // consumers read unit.result, not the cache, below.)
+/// Merges and publishes each unit in parallel: merging is per-unit CPU
+/// work, and with a disk tier attached store_analysis writes a file —
+/// neither belongs on one thread while the pool idles after the shard
+/// phase. (Publication order across units is irrelevant: keys are
+/// distinct, and consumers read unit.result, not the cache.) Then hands
+/// every consumer its unit's result or error.
+void Dispatch::merge_and_publish() {
   workers.parallel_for(units.size(), [&](std::size_t u) {
     AnalysisUnit& unit = units[u];
     for (std::size_t s = 0; s < unit.shard_errors.size(); ++s)
@@ -512,43 +497,12 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
         unit.error = "analysis: " + unit.shard_errors[s];
     for (const double ms : unit.shard_ms) unit.total_ms += ms;
     if (!unit.error.empty()) return;
-    const Job& job = jobs[unit.exemplar_job];
-    const Dfg& unit_dfg = *graphs[unit.exemplar_job];
     unit.result = std::make_shared<AntichainAnalysis>(
         unit.shard_results.size() == 1
             ? std::move(unit.shard_results.front())
             : merge_antichain_analyses(std::move(unit.shard_results),
-                                       unit_dfg.node_count()));
-    if (options_.use_cache) {
-      store.store_analysis(unit.key, unit.result);
-      // Measured per-shard wall times ride along as a sidecar next to the
-      // persisted analysis: the seed data for re-packing repeated corpora
-      // from observed (rather than estimated) root costs. Best-effort,
-      // like every disk-tier write.
-      if (CacheStore* disk = store.disk_store(); disk != nullptr) {
-        Json cost = Json::object();
-        cost.set("format", Json(CacheStore::kCostSidecarFormat));
-        cost.set("key", Json(unit.key.to_string()));
-        cost.set("workload", Json(job.workload));
-        cost.set("nodes", Json(unit_dfg.node_count()));
-        Json shards = Json::array();
-        for (std::size_t s = 0; s < unit.shard_roots.size(); ++s) {
-          Json shard = Json::object();
-          // The actual root ids, not just a count: what lets a later run
-          // convert this shard's wall time back into per-root packing
-          // costs and validate the plan still partitions the graph.
-          Json roots = Json::array();
-          for (const NodeId r : unit.shard_roots[s])
-            roots.push_back(Json(static_cast<std::int64_t>(r)));
-          shard.set("roots", std::move(roots));
-          shard.set("ms", Json(unit.shard_ms[s]));
-          shards.push_back(std::move(shard));
-        }
-        cost.set("shards", std::move(shards));
-        cost.set("total_ms", Json(unit.total_ms));
-        disk->store_cost_sidecar(unit.key, cost);
-      }
-    }
+                                       graphs[unit.exemplar_job]->node_count()));
+    if (options.use_cache) cache.store_analysis(unit.key, unit.result);
   });
 
   for (const AnalysisUnit& unit : units) {
@@ -562,9 +516,11 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
       if (!unit.error.empty()) batch.jobs[i].error = unit.error;
     }
   }
+}
 
-  // ---- Phase 2: scheduler backend, one task per job ---------------------
-  workers.parallel_for(n_jobs, [&](std::size_t i) {
+/// Runs each job's scheduler backend, one task per job.
+void Dispatch::solve() {
+  workers.parallel_for(jobs.size(), [&](std::size_t i) {
     JobResult& r = batch.jobs[i];
     if (!r.error.empty()) return;  // earlier phase already failed this job
     const Job& job = jobs[i];
@@ -604,9 +560,36 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
       r.error = e.what();
     }
   });
+}
 
+}  // namespace
+
+BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
+  Timer wall;
+  obs::Span dispatch_span("engine.dispatch",
+                          obs::tracing_enabled()
+                              ? std::to_string(jobs.size()) + " jobs"
+                              : std::string());
+  Dispatch dispatch(jobs, options_, pool(), cache());
+  {
+    obs::Span prepare_span("engine.prepare");
+    dispatch.resolve_and_transform();
+    dispatch.key_and_prepare();
+  }
+  dispatch.probe_and_group();
+  dispatch.plan();
+  dispatch.enumerate();
+  dispatch.merge_and_publish();
+  dispatch.solve();
+
+  BatchResult batch = std::move(dispatch.batch);
   batch.wall_ms = wall.millis();
-  batch.cache_stats = store.stats();
+  account(batch);
+  return batch;
+}
+
+void Engine::account(BatchResult& batch) {
+  batch.cache_stats = cache().stats();
   {
     std::lock_guard lock(stats_mutex_);
     ++stats_.batches;
@@ -619,17 +602,13 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     // this dispatch without the cache traffic it produced.
     stats_.cache = batch.cache_stats;
   }
-  {
-    static obs::Counter& dispatches =
-        obs::Registry::global().counter("engine.dispatches");
-    static obs::Counter& jobs_total = obs::Registry::global().counter("engine.jobs");
-    static obs::Histogram& dispatch_ms =
-        obs::Registry::global().histogram("engine.dispatch_ms");
-    dispatches.add();
-    jobs_total.add(batch.jobs.size());
-    dispatch_ms.record(batch.wall_ms);
-  }
-  return batch;
+  static obs::Counter& dispatches = obs::Registry::global().counter("engine.dispatches");
+  static obs::Counter& jobs_total = obs::Registry::global().counter("engine.jobs");
+  static obs::Histogram& dispatch_ms =
+      obs::Registry::global().histogram("engine.dispatch_ms");
+  dispatches.add();
+  jobs_total.add(batch.jobs.size());
+  dispatch_ms.record(batch.wall_ms);
 }
 
 }  // namespace mpsched::engine

@@ -13,16 +13,16 @@
 //      into one dynamically-balanced parallel_for — work steals across
 //      jobs *and* within a job, so one huge DFG no longer serializes the
 //      tail of the batch the way per-graph fan-out does. Shards are sized
-//      by estimated root cost by default (estimate_root_cost + greedy LPT
-//      packing): heavy roots get their own shards, light roots coalesce,
-//      so a single skewed graph balances instead of leaving the pool idle.
+//      by estimated root cost (estimate_root_costs + greedy LPT packing):
+//      heavy roots get their own shards, light roots coalesce, so a single
+//      skewed graph balances instead of leaving the pool idle.
 //   3. Solve. Selection, scheduling and optional refinement run per job in
 //      a second parallel_for (they are orders of magnitude cheaper than
 //      enumeration and strictly sequential per job).
 //
 // Determinism: shard merging is grouping-insensitive and every phase
 // writes to per-index slots, so results — down to the serialized JSON —
-// are bit-identical for any thread count and any cache state.
+// are bit-identical for any thread count, shard plan and cache state.
 //
 // Submission surface: submit()/submit_batch() enqueue jobs on an internal
 // admission queue (engine/submission_queue.hpp) and return waitable
@@ -48,28 +48,6 @@ class ThreadPool;
 
 namespace mpsched::engine {
 
-/// How enumeration roots are grouped into shards. Every policy produces
-/// byte-identical results (shard merging is grouping-insensitive); they
-/// differ only in load balance.
-enum class ShardPolicy {
-  /// Cyclic uniform-by-root partition (the PR 2 behavior).
-  Uniform,
-  /// Cost-estimated: estimate_root_cost() per root, greedy LPT packing.
-  /// On a repeated corpus with a disk tier attached this upgrades itself
-  /// to measured costs: when the unit's `<key>.cost.json` sidecar (the
-  /// observed per-shard wall times of the previous computation) is
-  /// present and valid, the packer uses those instead of the estimate.
-  Adaptive,
-  /// Measured-first: pack from the cost sidecar's observed wall times,
-  /// falling back to the estimate when the sidecar is missing, corrupt,
-  /// or shape-mismatched (every fallback bumps the
-  /// `engine.shard_plan.fallback` counter; a measured plan bumps
-  /// `engine.shard_plan.measured`). Identical to Adaptive except that
-  /// missing measurements also count as fallbacks — the policy for
-  /// callers who expect a warm sidecar and want to see when it is not.
-  Measured,
-};
-
 struct EngineOptions {
   /// Worker threads for the engine's own pool; 0 = use ThreadPool::shared().
   std::size_t threads = 0;
@@ -86,9 +64,6 @@ struct EngineOptions {
   /// Sharding granularity: target shards ≈ shards_per_thread × workers,
   /// clamped to the node count. Higher = better balance, more merge work.
   std::size_t shards_per_thread = 4;
-  /// How roots are packed into shards; results are identical under every
-  /// policy — only the load balance differs.
-  ShardPolicy shard_policy = ShardPolicy::Adaptive;
   /// When the admission queue behind submit()/run_batch() flushes queued
   /// jobs into one shared dispatch (submission_queue.hpp). The default —
   /// flush-on-idle, no added delay — dispatches a lone submission
@@ -136,16 +111,7 @@ struct EngineStats {
   CacheStats cache{};
 };
 
-/// Waits out a ticket set and reassembles it into a BatchResult: results
-/// in ticket order, per-job AnalysisSource attribution summed back into
-/// analyses_computed / analyses_reused (the invariant that makes
-/// per-request accounting exact even when requests share a coalesced
-/// dispatch). Used by run_batch() and the service layer alike; wall_ms
-/// and cache_stats are left for the caller, who knows what they span.
-/// Rethrows a dispatch-level failure of any ticket.
-BatchResult collect_tickets(const std::vector<Ticket>& tickets);
-
-/// The Adaptive-policy packer: greedy LPT over per-root cost estimates —
+/// The shard planner's packer: greedy LPT over per-root cost estimates —
 /// roots in descending cost, each onto the currently lightest shard, at
 /// most `target_shards` shards (clamped to the root count). The result is
 /// always a partition of [0, costs.size()): every root in exactly one
@@ -179,6 +145,17 @@ class Engine {
   /// they are reported under.
   BatchResult run_batch(const std::vector<Job>& jobs);
 
+  /// Waits out a ticket set and reassembles it into a BatchResult: results
+  /// in ticket order, per-job AnalysisSource attribution summed back into
+  /// analyses_computed / analyses_reused (the invariant that makes
+  /// per-request accounting exact even when requests share a coalesced
+  /// dispatch), and cache_stats from the same dispatch-boundary snapshot
+  /// stats() serves. A live cache read could land between two lookups of
+  /// another caller's dispatch. Used by run_batch() and the service layer
+  /// alike; wall_ms is left to the caller, who knows what it spans.
+  /// Rethrows a dispatch-level failure of any ticket.
+  BatchResult collect(const std::vector<Ticket>& tickets);
+
   /// Drains the admission queue (queued jobs still execute, in one final
   /// flush) and stops the dispatcher. Idempotent; implied by destruction.
   /// submit()/run_batch() afterwards throw std::runtime_error.
@@ -199,8 +176,11 @@ class Engine {
  private:
   ThreadPool& pool();
   SubmissionQueue& queue();  ///< lazily started on first submission
-  /// One shared dispatch: the whole batch pipeline (phases 0–2).
+  /// One shared dispatch: the whole batch pipeline, phase by phase.
   BatchResult execute_batch(const std::vector<Job>& jobs);
+  /// Stamps the dispatch-boundary cache snapshot into `batch`, then folds
+  /// the dispatch into stats_ and the metrics registry.
+  void account(BatchResult& batch);
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;

@@ -230,9 +230,8 @@ Json Server::handle(const Request& request, Session& session) {
         // concurrently share one coalesced dispatch instead of queueing
         // behind a server-side mutex.
         Timer wall;
-        engine::BatchResult batch = engine::collect_tickets(engine_.submit_batch(request.jobs));
+        engine::BatchResult batch = engine_.collect(engine_.submit_batch(request.jobs));
         batch.wall_ms = wall.millis();
-        batch.cache_stats = engine_.cache().stats();
         Json response = make_ok(request);
         if (request.op == Op::Submit)
           response.set("results", batch_to_json(batch, request.diagnostics));
@@ -311,11 +310,10 @@ Json Server::handle(const Request& request, Session& session) {
         // failed jobs, so a cancel never wedges a wait either.
         const Session::PendingRequest consumed = std::move(pending);
         session.pending_.erase(it);
-        engine::BatchResult batch = engine::collect_tickets(consumed.tickets);
+        engine::BatchResult batch = engine_.collect(consumed.tickets);
         batch.wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - consumed.submitted)
                             .count();
-        batch.cache_stats = engine_.cache().stats();
         response.set("results", batch_to_json(batch, consumed.diagnostics));
         response.set("analyses_computed", batch.analyses_computed);
         response.set("analyses_reused", batch.analyses_reused);

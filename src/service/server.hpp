@@ -43,7 +43,7 @@
 namespace mpsched::service {
 
 struct ServerOptions {
-  /// Engine configuration (threads, cache, cache_dir, shard policy,
+  /// Engine configuration (threads, cache, cache_dir, shard granularity,
   /// coalescing policy).
   engine::EngineOptions engine;
   /// Socket path for serve_socket(). Unix-domain socket paths are

@@ -360,125 +360,36 @@ TEST_F(CacheStoreTest, TrimWithNoLimitsOnlySweepsTemps) {
   EXPECT_GT(r.bytes_kept, 0u);
 }
 
-/// A well-formed v2 cost sidecar for `nodes` roots: roots [0, nodes/2)
-/// in one 10ms shard, the rest in one 2ms shard.
-Json valid_cost_doc(const CacheKey& key, std::int64_t nodes) {
-  Json doc = Json::object();
-  doc.set("format", Json(CacheStore::kCostSidecarFormat));
-  doc.set("key", Json(key.to_string()));
-  doc.set("workload", Json("test"));
-  doc.set("nodes", Json(nodes));
-  Json heavy_roots = Json::array();
-  Json light_roots = Json::array();
-  const std::int64_t split = nodes > 1 ? nodes / 2 : 1;
-  for (std::int64_t r = 0; r < nodes; ++r)
-    (r < split ? heavy_roots : light_roots).push_back(Json(r));
-  Json shards = Json::array();
-  Json heavy = Json::object();
-  heavy.set("roots", std::move(heavy_roots));
-  heavy.set("ms", Json(10.0));
-  shards.push_back(std::move(heavy));
-  if (split < nodes) {
-    Json light = Json::object();
-    light.set("roots", std::move(light_roots));
-    light.set("ms", Json(2.0));
-    shards.push_back(std::move(light));
-  }
-  doc.set("shards", std::move(shards));
-  doc.set("total_ms", Json(12.0));
-  return doc;
-}
-
-/// Mutable lookup for tampering with a document in place (Json::at is
-/// const-only by design — production code never edits parsed documents).
-Json& tamper(Json& doc, std::string_view key) {
-  for (auto& [k, v] : doc.as_object())
-    if (k == key) return v;
-  throw std::logic_error("tamper: missing key");
-}
-
-TEST_F(CacheStoreTest, MeasuredCostsRoundTripThroughTheSidecar) {
+TEST_F(CacheStoreTest, TrimRemovesALegacyCostFileWithItsEntry) {
+  // Cache directories written by older releases hold a `<key>.cost.json`
+  // beside each entry, plus the occasional stale temp of one. trim()
+  // removes an entry's cost file together with the entry, keeps a kept
+  // entry's, and sweeps the stale temps like any other.
   CacheStore store(dir());
-  const CacheKey key = AnalysisCache::analysis_key(
-      workloads::paper_3dft(), PatternGeneration::SpanLimitedEnumeration, 5, 1);
+  const CacheKey evicted{7, 1}, kept{7, 2};
+  store.store(evicted, analysis_of(test::random_dag(71)));
+  store.store(kept, analysis_of(test::random_dag(72)));
+  const fs::path entry = fs::path(dir()) / CacheStore::entry_filename(evicted);
+  age_file(entry, 7200);
+  const auto cost_file = [&](const CacheKey& key) {
+    return fs::path(dir()) / (key.to_string() + ".cost.json");
+  };
+  for (const CacheKey& key : {evicted, kept}) std::ofstream(cost_file(key)) << "{}";
+  const fs::path stale_temp =
+      fs::path(dir()) / ("tmp-999-1-" + evicted.to_string() + ".cost.json");
+  std::ofstream(stale_temp) << "{";
+  age_file(stale_temp, 2 * CacheStore::kOrphanTempAgeSeconds);
 
-  // No sidecar at all: Absent, the normal cold case.
-  EXPECT_EQ(store.load_measured_root_costs(key, 6).status,
-            engine::MeasuredCosts::Status::Absent);
-
-  store.store_cost_sidecar(key, valid_cost_doc(key, 6));
-  const engine::MeasuredCosts measured = store.load_measured_root_costs(key, 6);
-  ASSERT_TRUE(measured.ok());
-  ASSERT_EQ(measured.root_costs.size(), 6u);
-  // 10ms over roots {0,1,2} → 3333µs each; 2ms over {3,4,5} → 667µs each.
-  for (std::size_t r = 0; r < 3; ++r) EXPECT_EQ(measured.root_costs[r], 3333u);
-  for (std::size_t r = 3; r < 6; ++r) EXPECT_EQ(measured.root_costs[r], 667u);
-
-  // A zero-ms shard still costs 1 per root — visible to the LPT packer.
-  Json zero = valid_cost_doc(key, 2);
-  for (Json& shard : tamper(zero, "shards").as_array()) shard.set("ms", Json(0.0));
-  const auto costs = CacheStore::measured_root_costs(zero, 2);
-  ASSERT_TRUE(costs.has_value());
-  EXPECT_EQ((*costs)[0], 1u);
-  EXPECT_EQ((*costs)[1], 1u);
-}
-
-TEST_F(CacheStoreTest, MeasuredCostValidationRejectsDriftAndCorruption) {
-  CacheStore store(dir());
-  const CacheKey key = AnalysisCache::analysis_key(
-      workloads::paper_3dft(), PatternGeneration::SpanLimitedEnumeration, 5, 1);
-
-  // Shape drift, checked through the pure validator. Every mutation of a
-  // valid document must be rejected — a stale or foreign sidecar steering
-  // the packer would not break results (packing never can), but it would
-  // silently plan the wrong graph.
-  EXPECT_TRUE(CacheStore::measured_root_costs(valid_cost_doc(key, 6), 6).has_value());
-  {
-    Json doc = valid_cost_doc(key, 6);  // v1 format tag
-    doc.set("format", Json("mpsched.shardcost/v1"));
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-  // Node-count drift: the graph grew since the sidecar was written.
-  EXPECT_FALSE(CacheStore::measured_root_costs(valid_cost_doc(key, 6), 7).has_value());
-  {
-    Json doc = valid_cost_doc(key, 6);  // root 5 missing: not a partition
-    tamper(tamper(doc, "shards").as_array()[1], "roots").as_array().pop_back();
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-  {
-    Json doc = valid_cost_doc(key, 6);  // root 0 in both shards
-    tamper(tamper(doc, "shards").as_array()[1], "roots").as_array()[0] = Json(0);
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-  {
-    Json doc = valid_cost_doc(key, 6);  // root id out of range
-    tamper(tamper(doc, "shards").as_array()[1], "roots").as_array()[0] = Json(6);
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-  {
-    Json doc = valid_cost_doc(key, 6);  // negative wall time
-    tamper(doc, "shards").as_array()[0].set("ms", Json(-1.0));
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-  {
-    Json doc = valid_cost_doc(key, 6);  // no shards at all
-    doc.set("shards", Json::array());
-    EXPECT_FALSE(CacheStore::measured_root_costs(doc, 6).has_value());
-  }
-
-  // A sidecar describing some other entry: Invalid via the key check.
-  const CacheKey other = AnalysisCache::analysis_key(
-      workloads::small_example(), PatternGeneration::SpanLimitedEnumeration, 5, 1);
-  store.store_cost_sidecar(key, valid_cost_doc(other, 6));
-  EXPECT_EQ(store.load_measured_root_costs(key, 6).status,
-            engine::MeasuredCosts::Status::Invalid);
-
-  // A truncated/garbage sidecar file: present but unreadable is Invalid,
-  // never Absent and never a throw.
-  std::ofstream(fs::path(dir()) / CacheStore::sidecar_filename(key), std::ios::trunc)
-      << "{\"format\": \"mpsched.shardcost/v2\", \"nodes\":";
-  EXPECT_EQ(store.load_measured_root_costs(key, 6).status,
-            engine::MeasuredCosts::Status::Invalid);
+  engine::TrimOptions options;
+  options.max_age_seconds = 3600;
+  const engine::TrimResult r = store.trim(options);
+  EXPECT_EQ(r.entries_removed, 1u);
+  EXPECT_EQ(r.temp_swept, 1u);
+  EXPECT_FALSE(fs::exists(entry));
+  EXPECT_FALSE(fs::exists(cost_file(evicted)));
+  EXPECT_TRUE(fs::exists(cost_file(kept)));
+  EXPECT_FALSE(fs::exists(stale_temp));
+  EXPECT_NE(store.load(kept), nullptr);
 }
 
 TEST_F(CacheStoreTest, CacheDirWithCacheDisabledIsAnError) {

@@ -1,24 +1,20 @@
 // The batch engine (src/engine): sharded enumeration equivalence, cache
-// bit-identity, cross-thread-count/cache-setting/shard-policy determinism,
-// cost-estimated shard packing, and the corpus/results JSON round-trip —
-// the contracts ISSUEs 2 and 3 promise.
+// bit-identity, determinism across thread counts, cache settings and shard
+// plans, cost-estimated shard packing, per-job failure of invalid options,
+// and the corpus/results JSON round-trip.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <thread>
 
 #include "antichain/enumerate.hpp"
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
-#include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
-#include "obs/metrics.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -31,7 +27,6 @@ using engine::CacheKey;
 using engine::Engine;
 using engine::EngineOptions;
 using engine::Job;
-using engine::ShardPolicy;
 using test::expect_analysis_identical;
 
 /// A small mixed corpus covering both generation strategies, duplicates,
@@ -234,12 +229,14 @@ TEST(Engine, DeterministicAcrossThreadCountsCacheSettingsAndShardPolicies) {
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     for (const bool use_cache : {true, false}) {
-      for (const ShardPolicy policy :
-           {ShardPolicy::Uniform, ShardPolicy::Adaptive, ShardPolicy::Measured}) {
+      // The shard plan only moves roots between shards: one shard per
+      // worker, the default, and more shards than most graphs have roots.
+      for (const std::size_t shards_per_thread :
+           {std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
         EngineOptions options;
         options.threads = threads;
         options.use_cache = use_cache;
-        options.shard_policy = policy;
+        options.shards_per_thread = shards_per_thread;
         Engine eng(options);
         const engine::BatchResult batch = eng.run_batch(jobs);
         EXPECT_EQ(batch.succeeded(), jobs.size());
@@ -247,7 +244,7 @@ TEST(Engine, DeterministicAcrossThreadCountsCacheSettingsAndShardPolicies) {
         if (reference.empty()) reference = serialized;
         EXPECT_EQ(serialized, reference)
             << "results diverge at threads=" << threads << " cache=" << use_cache
-            << " policy=" << static_cast<int>(policy);
+            << " shards_per_thread=" << shards_per_thread;
       }
     }
   }
@@ -371,10 +368,9 @@ TEST(AdaptiveSharding, PlansAreValidPartitionsAndMergeIdentically) {
   options.max_size = job.select.capacity;
   options.span_limit = job.select.span_limit;
 
-  EngineOptions adaptive;
-  adaptive.shard_policy = ShardPolicy::Adaptive;
-  adaptive.threads = 3;
-  Engine eng(adaptive);
+  EngineOptions threaded;
+  threaded.threads = 3;
+  Engine eng(threaded);
   const engine::JobResult result = eng.run(job);
   ASSERT_TRUE(result.success);
 
@@ -600,190 +596,38 @@ TEST(Engine, ShardWallTimesAreExemplarCharged) {
   EXPECT_EQ(result_to_json(batch.jobs[3], true).find("shard_ms"), nullptr);
 }
 
-/// A fresh directory named after the running test, under the test's
-/// working directory (the build tree), removed when the test ends. It
-/// removes only its own directory: gtest_discover_tests runs each case as
-/// its own ctest process, so sibling cases share the parent directory
-/// concurrently under `ctest -j`.
-class ScopedTestDir {
- public:
-  ScopedTestDir()
-      : path_(std::filesystem::path("engine_test.tmp") /
-              ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~ScopedTestDir() { std::filesystem::remove_all(path_); }
-  ScopedTestDir(const ScopedTestDir&) = delete;
-  ScopedTestDir& operator=(const ScopedTestDir&) = delete;
+TEST(Engine, InvalidOptionsFailOnlyTheirJobWithAnAnalysisError) {
+  // Enumeration options are validated inside the engine, when the shard
+  // planner estimates root costs. An invalid job fails alone, with the
+  // enumeration's own message under the "analysis: " prefix; its valid
+  // neighbour in the same dispatch succeeds, and nothing is cached for
+  // the failure.
+  Job no_capacity = Job::from_workload("fir(8)");
+  no_capacity.select.capacity = 0;
+  Job negative_span = Job::from_workload("dct8");
+  negative_span.select.span_limit = -1;
+  const std::vector<Job> jobs{no_capacity, negative_span,
+                              Job::from_workload("paper_3dft")};
 
-  const std::filesystem::path& path() const { return path_; }
+  Engine eng;
+  const engine::BatchResult batch = eng.run_batch(jobs);
+  ASSERT_EQ(batch.jobs.size(), 3u);
+  const auto expect_analysis_error = [](const engine::JobResult& r,
+                                        const std::string& message) {
+    EXPECT_FALSE(r.success) << r.job;
+    EXPECT_TRUE(r.error.starts_with("analysis: ")) << r.error;
+    EXPECT_NE(r.error.find(message), std::string::npos) << r.error;
+  };
+  expect_analysis_error(batch.jobs[0], "max_size must be at least 1");
+  expect_analysis_error(batch.jobs[1], "span limit must be non-negative");
+  EXPECT_TRUE(batch.jobs[2].success) << batch.jobs[2].error;
 
- private:
-  std::filesystem::path path_;
-};
-
-TEST(Engine, CostSidecarLandsNextToTheCacheEntry) {
-  namespace fs = std::filesystem;
-  const ScopedTestDir scratch;
-  const fs::path& dir = scratch.path();
-
-  Job job = Job::from_workload("paper_3dft");
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  Engine eng(options);
-  const engine::BatchResult batch = eng.run_batch({job});
-  ASSERT_EQ(batch.succeeded(), 1u);
-
-  const CacheKey key = AnalysisCache::analysis_key(
-      job.dfg, job.select.generation, job.select.capacity, job.select.span_limit);
-  const fs::path sidecar = dir / engine::CacheStore::sidecar_filename(key);
-  ASSERT_TRUE(fs::exists(sidecar)) << sidecar;
-
-  const std::optional<Json> doc = eng.cache().disk_store()->load_cost_sidecar(key);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->at("format").as_string(), engine::CacheStore::kCostSidecarFormat);
-  EXPECT_EQ(doc->at("key").as_string(), key.to_string());
-  EXPECT_EQ(doc->at("workload").as_string(), "paper_3dft");
-  EXPECT_EQ(static_cast<std::size_t>(doc->at("nodes").as_int()),
-            job.dfg.node_count());
-  const Json::Array& shards = doc->at("shards").as_array();
-  ASSERT_EQ(shards.size(), batch.jobs[0].shard_ms.size());
-  std::vector<bool> seen(job.dfg.node_count(), false);
-  std::size_t roots = 0;
-  double total = 0.0;
-  for (const Json& shard : shards) {
-    // v2 records the actual root ids, not just a count — the shape that
-    // lets a later run convert shard wall times back into per-root costs.
-    const Json::Array& ids = shard.at("roots").as_array();
-    EXPECT_FALSE(ids.empty());
-    for (const Json& id : ids) {
-      const std::size_t r = static_cast<std::size_t>(id.as_int());
-      ASSERT_LT(r, seen.size());
-      EXPECT_FALSE(seen[r]);  // no root in two shards
-      seen[r] = true;
-    }
-    roots += ids.size();
-    EXPECT_GE(shard.at("ms").as_double(), 0.0);
-    total += shard.at("ms").as_double();
-  }
-  EXPECT_EQ(roots, job.dfg.node_count());  // shards partition the roots
-  EXPECT_DOUBLE_EQ(doc->at("total_ms").as_double(), total);
-
-  // And the measured-cost loader round-trips it: one cost per node, all ≥ 1.
-  const engine::MeasuredCosts measured =
-      eng.cache().disk_store()->load_measured_root_costs(key, job.dfg.node_count());
-  ASSERT_TRUE(measured.ok());
-  ASSERT_EQ(measured.root_costs.size(), job.dfg.node_count());
-  for (const std::uint64_t c : measured.root_costs) EXPECT_GE(c, 1u);
-
-  // Trimming the entry takes its sidecar with it.
-  engine::TrimOptions trim;
-  trim.max_total_bytes = 1;
-  eng.cache().disk_store()->trim(trim);
-  EXPECT_FALSE(fs::exists(sidecar));
-}
-
-TEST(Engine, MeasuredRepackFromWarmSidecarsIsByteIdentical) {
-  namespace fs = std::filesystem;
-  const ScopedTestDir scratch;
-  const fs::path& dir = scratch.path();
-
-  std::vector<Job> jobs;
-  jobs.push_back(Job::from_workload("fir(12)"));
-  jobs.push_back(Job::from_workload("stencil5(3,3)"));
-
-  std::string cold;
-  {
-    EngineOptions options;
-    options.cache_dir = dir.string();
-    Engine eng(options);
-    const engine::BatchResult batch = eng.run_batch(jobs);
-    ASSERT_EQ(batch.succeeded(), jobs.size());
-    cold = batch_to_json(batch).dump();
-  }
-
-  // Evict the cache entries but keep the cost sidecars — the torn-cache
-  // shape measured packing exists for: the next engine must recompute,
-  // and a measured-capable policy packs its shards from the observed
-  // wall times instead of the estimate.
-  std::size_t evicted = 0;
-  for (const fs::directory_entry& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".mpa") {
-      fs::remove(e.path());
-      ++evicted;
-    }
-  ASSERT_EQ(evicted, 2u);
-
-  obs::Counter& measured_plans =
-      obs::Registry::global().counter("engine.shard_plan.measured");
-  const std::uint64_t before = measured_plans.value();
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  options.shard_policy = ShardPolicy::Measured;
-  Engine eng(options);
-  const engine::BatchResult warm = eng.run_batch(jobs);
-  ASSERT_EQ(warm.succeeded(), jobs.size());
-  EXPECT_EQ(warm.analyses_computed, 2u);  // the entries really were evicted
-  // The hard invariant: measured packing only moves roots between shards,
-  // so the results are byte-identical to the estimate-packed cold run.
-  EXPECT_EQ(batch_to_json(warm).dump(), cold);
-  EXPECT_GE(measured_plans.value() - before, 2u);
-
-  // Adaptive self-upgrades from the same sidecars (entries evicted again).
-  for (const fs::directory_entry& e : fs::directory_iterator(dir))
-    if (e.path().extension() == ".mpa") fs::remove(e.path());
-  const std::uint64_t upgraded_before = measured_plans.value();
-  options.shard_policy = ShardPolicy::Adaptive;
-  Engine adaptive(options);
-  const engine::BatchResult again = adaptive.run_batch(jobs);
-  ASSERT_EQ(again.succeeded(), jobs.size());
-  EXPECT_EQ(batch_to_json(again).dump(), cold);
-  EXPECT_GE(measured_plans.value() - upgraded_before, 2u);
-}
-
-TEST(Engine, BadSidecarFallsBackToTheEstimate) {
-  namespace fs = std::filesystem;
-  const ScopedTestDir scratch;
-  const fs::path& dir = scratch.path();
-
-  const Job job = Job::from_workload("fir(10)");
-  std::string cold;
-  {
-    EngineOptions options;
-    options.cache_dir = dir.string();
-    Engine eng(options);
-    const engine::BatchResult batch = eng.run_batch({job});
-    ASSERT_EQ(batch.succeeded(), 1u);
-    cold = batch_to_json(batch).dump();
-  }
-
-  // Evict the entry and replace the sidecar with a well-formed document
-  // whose node count does not match the graph — the "shard roots drifted"
-  // shape that must never steer packing.
-  for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    if (e.path().extension() == ".mpa") {
-      fs::remove(e.path());
-    } else {
-      std::ofstream out(e.path(), std::ios::trunc);
-      out << "{\"format\":\"" << engine::CacheStore::kCostSidecarFormat
-          << "\",\"key\":\"0123\",\"nodes\":1,"
-             "\"shards\":[{\"roots\":[0],\"ms\":1.0}],\"total_ms\":1.0}";
-    }
-  }
-
-  obs::Counter& fallback_plans =
-      obs::Registry::global().counter("engine.shard_plan.fallback");
-  const std::uint64_t before = fallback_plans.value();
-  EngineOptions options;
-  options.cache_dir = dir.string();
-  options.shard_policy = ShardPolicy::Measured;
-  Engine eng(options);
-  const engine::BatchResult warm = eng.run_batch({job});
-  ASSERT_EQ(warm.succeeded(), 1u);
-  EXPECT_EQ(warm.analyses_computed, 1u);
-  EXPECT_EQ(batch_to_json(warm).dump(), cold);  // fell back, results intact
-  EXPECT_GE(fallback_plans.value() - before, 1u);
+  // A failed analysis is never published: the bad job recomputes (and
+  // fails) again, and only the valid job's analysis is held.
+  const engine::JobResult again = eng.run(no_capacity);
+  EXPECT_FALSE(again.analysis_cache_hit);
+  expect_analysis_error(again, "max_size must be at least 1");
+  EXPECT_EQ(eng.cache().analysis_count(), 1u);
 }
 
 TEST(Workloads, SpecRegistry) {

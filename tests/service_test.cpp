@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
@@ -305,6 +306,83 @@ TEST_F(ServiceTest, DiagnosticsCarryRealWallTimeAndCacheCounters) {
   const Json& async_diag = finished.at("results").at("diagnostics");
   EXPECT_GT(async_diag.at("wall_ms").as_double(), 0.0);
   EXPECT_GT(async_diag.at("cache_analysis_hits").as_int(), 0);
+}
+
+TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
+  // Engine.RunBatchCacheStatsAreDispatchBoundaryConsistent through
+  // Server::handle: a response's cache counters must be the engine's
+  // dispatch-boundary snapshot, not a live read that can land between two
+  // lookups of another session's dispatch. Every request carries 2
+  // globally distinct jobs, so each dispatch, coalesced or not, adds an
+  // even number of analysis misses, and every boundary snapshot is even.
+  // Blocking submits alternate with submit_async + wait to cover both.
+  Server server(ServerOptions{});
+  std::atomic<int> violations{0};
+  std::atomic<int> next{0};
+  constexpr int kJobs = 32;  // fir taps 2..33, all distinct
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&] {
+      Server::Session session;
+      for (int round = 0;; ++round) {
+        const int base = next.fetch_add(2, std::memory_order_relaxed);
+        if (base >= kJobs) break;
+        Request submit;
+        submit.op = round % 2 == 0 ? Op::Submit : Op::SubmitAsync;
+        submit.diagnostics = true;
+        submit.jobs.push_back(Job::from_workload("fir(" + std::to_string(2 + base) + ")"));
+        submit.jobs.push_back(Job::from_workload("fir(" + std::to_string(3 + base) + ")"));
+        Json response = server.handle(submit, session);
+        if (submit.op == Op::SubmitAsync && response.at("ok").as_bool()) {
+          Request wait;
+          wait.op = Op::Wait;
+          wait.request = static_cast<std::uint64_t>(response.at("request").as_int());
+          response = server.handle(wait, session);
+        }
+        if (!response.at("ok").as_bool() ||
+            response.at("results").at("diagnostics").at("cache_analysis_misses").as_int() %
+                    2 !=
+                0)
+          violations.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread& th : clients) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(server.engine().stats().cache.analysis_misses,
+            static_cast<std::uint64_t>(kJobs));
+
+  // The same property without a race: on a shared cache, a lookup made
+  // after the dispatch finished but before the wait is exactly what a
+  // live read would pick up, and the response must not include it.
+  engine::AnalysisCache shared;
+  ServerOptions options;
+  options.engine.cache = &shared;
+  Server shared_server(options);
+  Server::Session session;
+  Request async;
+  async.op = Op::SubmitAsync;
+  async.diagnostics = true;
+  async.jobs = {Job::from_workload("fir(2)"), Job::from_workload("fir(3)")};
+  const Json accepted = shared_server.handle(async, session);
+  ASSERT_TRUE(accepted.at("ok").as_bool());
+  Request poll;
+  poll.op = Op::Poll;
+  poll.request = static_cast<std::uint64_t>(accepted.at("request").as_int());
+  Json status;
+  for (int i = 0; i < 1000; ++i) {
+    status = shared_server.handle(poll, session);
+    if (status.at("done").as_bool()) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(status.at("done").as_bool());
+  ASSERT_EQ(shared.find_analysis(engine::CacheKey{1, 2}), nullptr);  // one more miss
+  Request wait;
+  wait.op = Op::Wait;
+  wait.request = poll.request;
+  const Json finished = shared_server.handle(wait, session);
+  ASSERT_TRUE(finished.at("ok").as_bool());
+  EXPECT_EQ(finished.at("results").at("diagnostics").at("cache_analysis_misses").as_int(), 2);
 }
 
 TEST_F(ServiceTest, PingAdvertisesBothProtocols) {

@@ -253,8 +253,10 @@ TEST(SubmissionQueue, DestructorDrainsWithoutExplicitShutdown) {
 
 TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
   // Held queue (flush_on_idle off, long delay): nothing dispatches until
-  // max_jobs accumulate, so 8 rapid submits with max_jobs=4 flush at
-  // most twice — strictly fewer dispatches than jobs.
+  // max_jobs accumulate, so the first 4 of 8 rapid submits with
+  // max_jobs=4 must flush long before the 60 s hold expires. A flush
+  // takes everything queued, so it may take more than 4; whatever is
+  // left over would wait out the hold, so shutdown() drains it instead.
   EngineOptions options;
   options.coalesce.flush_on_idle = false;
   options.coalesce.max_delay_ms = 60000;
@@ -262,7 +264,11 @@ TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
   Engine engine(options);
   std::vector<Ticket> tickets;
   for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
-  for (Ticket& t : tickets) t.wait();
+  for (std::size_t i = 0; i < 4; ++i)
+    ASSERT_TRUE(tickets[i].wait_for(std::chrono::seconds(20)))
+        << "job " << i << " was not flushed by the max_jobs trigger";
+  engine.shutdown();
+  for (const Ticket& t : tickets) EXPECT_TRUE(t.ready());
   const engine::EngineStats stats = engine.stats();
   EXPECT_LT(stats.batches, tickets.size());
   EXPECT_GE(stats.coalesced_dispatches, 1u);

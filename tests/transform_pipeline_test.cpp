@@ -87,10 +87,11 @@ TEST_P(StripCorpusTest, PreservesReachabilityAndLeavesNoRedundantEdge) {
   for (NodeId u = 0; u < reduced.node_count(); ++u)
     for (const NodeId v : reduced.succs(u))
       for (const NodeId w : reduced.succs(u))
-        if (w != v)
+        if (w != v) {
           EXPECT_FALSE(after.reaches(w, v))
               << GetParam() << ": edge " << u << " -> " << v
               << " is still redundant via " << w;
+        }
 
   // Idempotence: a second pass is a no-op.
   EXPECT_EQ(edge_list(strip_redundant_edges(reduced)), edge_list(reduced));

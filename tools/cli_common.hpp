@@ -1,5 +1,5 @@
 // Helpers shared by the mpsched_* CLI tools: bounds-checked numeric
-// flags and common enum flags, with diagnostics that name the flag.
+// flags and the pipeline flags, with diagnostics that name the flag.
 #pragma once
 
 #include <cstddef>
@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/engine.hpp"
 #include "graph/transform.hpp"
 #include "sched/backend.hpp"
 #include "util/strings.hpp"
@@ -62,14 +61,6 @@ inline std::vector<std::string> transforms_flag(const std::string& value) {
 inline std::string backend_flag(const std::string& value) {
   get_backend(value);
   return value;
-}
-
-inline engine::ShardPolicy shard_policy_from(const std::string& s) {
-  if (s == "uniform") return engine::ShardPolicy::Uniform;
-  if (s == "adaptive") return engine::ShardPolicy::Adaptive;
-  if (s == "measured") return engine::ShardPolicy::Measured;
-  throw std::invalid_argument("unknown shard policy '" + s +
-                              "' (expected uniform, adaptive, or measured)");
 }
 
 }  // namespace mpsched::cli

@@ -2,14 +2,14 @@
 //
 // Loads a JSON scenario corpus (job list), executes it on the engine, and
 // writes a JSON results file. The results are deterministic: the same
-// corpus produces byte-identical output at any --threads value, cache on
-// or off (memory or disk), uniform, adaptive, or measured sharding.
+// corpus produces byte-identical output at any --threads value and with
+// the cache on or off (memory or disk).
 //
 // Usage:
 //   mpsched_batch --corpus FILE --out FILE [--threads N] [--no-cache]
 //                 [--cache-dir DIR] [--cache-stats] [--require-full-cache]
-//                 [--shard-policy uniform|adaptive|measured] [--diagnostics]
-//                 [--compact] [--transforms LIST] [--backend NAME]
+//                 [--diagnostics] [--compact] [--transforms LIST]
+//                 [--backend NAME]
 //   mpsched_batch --demo FILE        write the built-in 8-job demo corpus
 //   mpsched_batch --list             list accepted workload specs
 //   mpsched_batch --list-workloads   workload specs + corpus groups
@@ -47,7 +47,6 @@
 #include "workloads/corpus.hpp"
 
 using namespace mpsched;
-using cli::shard_policy_from;
 using cli::size_flag;
 
 namespace {
@@ -57,7 +56,7 @@ int usage(const char* argv0) {
       "usage:\n"
       "  %s --corpus FILE --out FILE [--threads N] [--no-cache]\n"
       "     [--cache-dir DIR] [--cache-stats] [--require-full-cache]\n"
-      "     [--shard-policy uniform|adaptive|measured] [--diagnostics] [--compact]\n"
+      "     [--diagnostics] [--compact]\n"
       "     [--trace-out FILE] [--transforms t1,t2|none] [--backend NAME]\n"
       "  %s --demo FILE\n"
       "  %s --list | --list-workloads | --list-backends | --list-transforms\n"
@@ -124,34 +123,25 @@ int selftest() {
   std::string reference;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     for (const bool use_cache : {true, false}) {
-      for (const engine::ShardPolicy policy :
-           {engine::ShardPolicy::Uniform, engine::ShardPolicy::Adaptive,
-            engine::ShardPolicy::Measured}) {
-        engine::EngineOptions options;
-        options.threads = threads;
-        options.use_cache = use_cache;
-        options.shard_policy = policy;
-        engine::Engine eng(options);
-        const engine::BatchResult batch = eng.run_batch(jobs);
-        const int policy_id = static_cast<int>(policy);
-        if (batch.succeeded() != batch.jobs.size()) {
-          std::printf("FAIL: %zu jobs failed (threads=%zu cache=%d policy=%d)\n",
-                      batch.jobs.size() - batch.succeeded(), threads, use_cache,
-                      policy_id);
-          return 1;
-        }
-        const std::string out = batch_to_json(batch).dump(2);
-        if (reference.empty()) reference = out;
-        if (out != reference) {
-          std::printf("FAIL: results differ at threads=%zu cache=%d policy=%d\n",
-                      threads, use_cache, policy_id);
-          return 1;
-        }
+      engine::EngineOptions options;
+      options.threads = threads;
+      options.use_cache = use_cache;
+      engine::Engine eng(options);
+      const engine::BatchResult batch = eng.run_batch(jobs);
+      if (batch.succeeded() != batch.jobs.size()) {
+        std::printf("FAIL: %zu jobs failed (threads=%zu cache=%d)\n",
+                    batch.jobs.size() - batch.succeeded(), threads, use_cache);
+        return 1;
+      }
+      const std::string out = batch_to_json(batch).dump(2);
+      if (reference.empty()) reference = out;
+      if (out != reference) {
+        std::printf("FAIL: results differ at threads=%zu cache=%d\n", threads, use_cache);
+        return 1;
       }
     }
   }
-  std::printf("determinism: identical results JSON across threads {1,2} x cache {on,off}"
-              " x shards {uniform,adaptive,measured}\n");
+  std::printf("determinism: identical results JSON across threads {1,2} x cache {on,off}\n");
   std::printf("selftest passed\n");
   return 0;
 }
@@ -162,7 +152,6 @@ int main(int argc, char** argv) {
   std::string corpus_path, out_path, demo_path, cache_dir, trace_out, backend;
   std::vector<std::string> transforms;
   std::size_t threads = 0, trim_age = 0, trim_max_bytes = 0;
-  engine::ShardPolicy shard_policy = engine::ShardPolicy::Adaptive;
   bool no_cache = false, diagnostics = false, compact = false, list = false,
        run_selftest = false, cache_stats = false, require_full_cache = false,
        cache_trim = false, have_transforms = false, list_workloads = false,
@@ -185,7 +174,6 @@ int main(int argc, char** argv) {
       else if (arg == "--trim-max-bytes")
         trim_max_bytes = size_flag(arg, value(), cli::kMaxTrimBytes);
       else if (arg == "--require-full-cache") require_full_cache = true;
-      else if (arg == "--shard-policy") shard_policy = shard_policy_from(value());
       else if (arg == "--diagnostics") diagnostics = true;
       else if (arg == "--compact") compact = true;
       else if (arg == "--trace-out") trace_out = value();
@@ -310,7 +298,6 @@ int main(int argc, char** argv) {
     options.threads = threads;
     options.use_cache = !no_cache;
     options.cache_dir = cache_dir;
-    options.shard_policy = shard_policy;
     engine::Engine eng(options);
     const engine::BatchResult batch = eng.run_batch(jobs);
 

@@ -8,9 +8,8 @@
 //
 // Usage:
 //   mpsched_serve --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]
-//                 [--shard-policy uniform|adaptive|measured] [--max-clients N]
-//                 [--coalesce-jobs N] [--coalesce-delay-ms MS] [--hold-queue]
-//                 [--daemonize] [--trace-out FILE]
+//                 [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]
+//                 [--hold-queue] [--adaptive-delay] [--daemonize] [--trace-out FILE]
 //   mpsched_serve --stdio [same engine flags]
 //
 // --trace-out enables structured tracing (src/obs) for the daemon's whole
@@ -52,7 +51,6 @@
 #include "util/thread_pool.hpp"
 
 using namespace mpsched;
-using cli::shard_policy_from;
 using cli::size_flag;
 
 namespace {
@@ -61,10 +59,8 @@ int usage(const char* argv0) {
   std::printf(
       "usage:\n"
       "  %s --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]\n"
-      "     [--shard-policy uniform|adaptive|measured] [--max-clients N]\n"
-      "     [--coalesce-jobs N] [--coalesce-delay-ms MS] [--hold-queue]\n"
-      "     [--adaptive-delay]\n"
-      "     [--daemonize] [--trace-out FILE]\n"
+      "     [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]\n"
+      "     [--hold-queue] [--adaptive-delay] [--daemonize] [--trace-out FILE]\n"
       "  %s --stdio [same engine flags]\n",
       argv0, argv0);
   return 2;
@@ -115,7 +111,6 @@ int flush_trace(const std::string& trace_out) {
 int main(int argc, char** argv) {
   std::string socket_path, cache_dir, trace_out;
   std::size_t threads = 0, max_clients = 16;
-  engine::ShardPolicy shard_policy = engine::ShardPolicy::Adaptive;
   engine::CoalescePolicy coalesce;
   bool coalesce_flags_given = false;
   bool no_cache = false, stdio = false, daemonize = false;
@@ -129,7 +124,6 @@ int main(int argc, char** argv) {
       else if (arg == "--threads") threads = size_flag(arg, value(), ThreadPool::kMaxThreads);
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
-      else if (arg == "--shard-policy") shard_policy = shard_policy_from(value());
       else if (arg == "--max-clients") max_clients = size_flag(arg, value(), 1024);
       else if (arg == "--coalesce-jobs") {
         coalesce.max_jobs = size_flag(arg, value(), 1u << 20);
@@ -195,7 +189,6 @@ int main(int argc, char** argv) {
     options.engine.threads = threads;
     options.engine.use_cache = !no_cache;
     options.engine.cache_dir = cache_dir;
-    options.engine.shard_policy = shard_policy;
     options.engine.coalesce = coalesce;
     options.socket_path = socket_path;
     options.max_sessions = max_clients;
