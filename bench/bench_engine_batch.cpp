@@ -10,14 +10,17 @@
 //   engine/cold engine with the cache disabled (no dedup) — isolates what
 //               sharding alone buys
 //
-// A further comparison rides on the same corpus: a cold run populating a
-// --cache-dir vs. a fresh engine (a second process, effectively) warming
-// from it — the warm run must recompute nothing and byte-match.
+// Two further comparisons ride on the same corpus: a second run on one
+// engine, which the solved-result memo must answer without solving a
+// single job, and a cold run populating a --cache-dir vs. a fresh engine
+// (a second process, effectively) warming from it — the warm run must
+// recompute nothing and byte-match.
 //
 // Hard gates: engine results equal the sequential results job-for-job,
 // engine wall time ≤ sequential wall time (the acceptance criterion),
-// results JSON is byte-identical across thread counts 1/2/8 and cache
-// on/off/disk-warm, and the warm-disk run recomputes zero analyses.
+// results JSON is byte-identical across thread counts 1/2/8, cache
+// on/off/disk-warm and memo hits, the warm engine rerun solves zero jobs,
+// and the warm-disk run recomputes zero analyses.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -148,6 +151,23 @@ int main() {
     const engine::BatchResult run = eng.run_batch(jobs);
     gate.check(batch_to_json(run).dump() == reference,
                "threads=" + std::to_string(threads) + " produces identical results JSON");
+  }
+
+  // ---- solved-result memo: a rerun on one engine solves nothing ---------
+  {
+    engine::Engine eng;
+    eng.run_batch(jobs);
+    const obs::Counter& solves = obs::Registry::global().counter("engine.solve.computed");
+    const std::uint64_t before = solves.value();
+    const engine::BatchResult rerun = eng.run_batch(jobs);
+    const std::uint64_t solved = solves.value() - before;
+    std::printf("warm engine rerun: %.3f ms, %llu jobs solved\n", rerun.wall_ms,
+                static_cast<unsigned long long>(solved));
+    gate.check(batch_to_json(rerun).dump() == reference,
+               "warm engine rerun produces identical results JSON");
+    gate.check_eq(0, static_cast<long long>(solved),
+                  "warm engine rerun solved zero jobs (engine.solve.computed delta)");
+    gate.info("warm engine rerun ms", rerun.wall_ms);
   }
 
   // ---- observability is a spectator: identical JSON with obs toggled ----

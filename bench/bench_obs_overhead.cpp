@@ -9,10 +9,15 @@
 //
 // Gate: metrics-enabled wall time stays within 5% of metrics-disabled
 // wall time (the acceptance criterion for keeping the layer compiled in
-// by default). Passes are interleaved and each configuration takes the
-// best of N, so one noisy scheduling on a loaded single-core CI runner
-// measures neither side.
+// by default). A single dispatch takes a few ms and its wall time is
+// mostly the machine's noise: a heavy tail of stalled dispatches and slow
+// stretches lasting hundreds of ms. So one sample of a configuration is a
+// fixed number of cold dispatches (well over 50 ms of work) valued at
+// their median, a pass takes one sample of every configuration with the
+// three interleaved dispatch by dispatch in an order that rotates every
+// round, and each configuration takes its best sample over N passes.
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,18 +33,28 @@ using namespace mpsched;
 
 namespace {
 
+/// Cold dispatches per sample: the demo corpus takes ~5 ms per dispatch on
+/// a 4-vCPU VM, so one configuration's sample spans ~120 ms of dispatches.
+constexpr int kDispatchesPerSample = 24;
+
 /// One full cold dispatch: fresh engine (shared pool, empty cache) so
-/// every pass pays the same enumeration work.
+/// every dispatch pays the same enumeration work.
 double cold_dispatch_ms(const std::vector<engine::Job>& jobs) {
   engine::Engine eng;
   return eng.run_batch(jobs).wall_ms;
+}
+
+double median(std::vector<double> values) {
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
 }
 
 }  // namespace
 
 int main() {
   bench::banner("Observability overhead — 8-job demo corpus",
-                "metrics off vs. on vs. on+tracing, cold engine dispatch each");
+                "metrics off vs. on vs. on+tracing, 24 cold dispatches per sample");
 
   std::vector<engine::Job> jobs;
   for (const std::string& spec : workloads::demo_corpus_specs())
@@ -50,22 +65,32 @@ int main() {
   // Warm-up: pool spin-up and page faults hit no contestant.
   cold_dispatch_ms(jobs);
 
-  constexpr int kPasses = 5;
-  double off_ms = 0.0, on_ms = 0.0, traced_ms = 0.0;
+  struct Config {
+    bool metrics;
+    bool tracing;
+  };
+  constexpr Config kConfigs[] = {{false, false}, {true, false}, {true, true}};
+  constexpr int kPasses = 6;
+  double best_ms[3] = {};
   for (int pass = 0; pass < kPasses; ++pass) {
-    obs::set_metrics_enabled(false);
-    const double off = cold_dispatch_ms(jobs);
-    obs::set_metrics_enabled(true);
-    const double on = cold_dispatch_ms(jobs);
-    obs::set_tracing_enabled(true);
-    const double traced = cold_dispatch_ms(jobs);
-    obs::set_tracing_enabled(false);
-    off_ms = pass == 0 ? off : std::min(off_ms, off);
-    on_ms = pass == 0 ? on : std::min(on_ms, on);
-    traced_ms = pass == 0 ? traced : std::min(traced_ms, traced);
+    std::vector<double> dispatch_ms[3];
+    for (int round = 0; round < kDispatchesPerSample; ++round) {
+      for (int k = 0; k < 3; ++k) {
+        const int c = (pass + round + k) % 3;
+        obs::set_metrics_enabled(kConfigs[c].metrics);
+        obs::set_tracing_enabled(kConfigs[c].tracing);
+        dispatch_ms[c].push_back(cold_dispatch_ms(jobs));
+      }
+    }
+    for (int c = 0; c < 3; ++c) {
+      const double sample = median(dispatch_ms[c]);
+      best_ms[c] = pass == 0 ? sample : std::min(best_ms[c], sample);
+    }
   }
+  obs::set_tracing_enabled(false);
   obs::set_metrics_enabled(true);
   obs::clear_trace();
+  const double off_ms = best_ms[0], on_ms = best_ms[1], traced_ms = best_ms[2];
 
   TextTable table({"configuration", "wall ms", "vs. metrics off"});
   const auto row = [&](const char* name, double ms) {

@@ -57,6 +57,9 @@ struct MpScheduleOptions {
   NodePriorityParams priority_params{};
   /// Abort guard for malformed inputs.
   std::size_t max_cycles = 1'000'000;
+
+  /// Member-wise (part of the engine's solved-result key).
+  bool operator==(const MpScheduleOptions&) const = default;
 };
 
 /// One cycle of the recorded trace.

@@ -24,6 +24,8 @@ namespace mpsched {
 struct NodePriorityParams {
   std::int64_t s = 0;
   std::int64_t t = 0;
+
+  bool operator==(const NodePriorityParams&) const = default;
 };
 
 struct NodePriorities {

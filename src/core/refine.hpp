@@ -28,6 +28,9 @@ struct RefineOptions {
   std::size_t max_sweeps = 4;
   /// Scheduler settings used for evaluation.
   MpScheduleOptions schedule{};
+
+  /// Member-wise (part of the engine's solved-result key).
+  bool operator==(const RefineOptions&) const = default;
 };
 
 struct RefineResult {

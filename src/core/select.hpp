@@ -63,6 +63,10 @@ struct SelectOptions {
   /// Record per-iteration candidate priorities (Fig. 4 walkthrough /
   /// debugging; memory grows with candidate count × Pdef).
   bool record_details = false;
+
+  /// Member-wise, so a field added later joins the engine's solved-result
+  /// key (engine/analysis_cache.hpp) without anyone listing it there.
+  bool operator==(const SelectOptions&) const = default;
 };
 
 /// One candidate's evaluation within a selection iteration.

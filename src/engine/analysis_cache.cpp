@@ -42,6 +42,15 @@ void feed_graph(Fnv2& h, const Dfg& dfg) {
 
 }  // namespace
 
+std::size_t SolveKeyHash::operator()(const SolveKey& k) const noexcept {
+  std::size_t h = CacheKeyHash{}(k.analysis);
+  for (const std::uint64_t v :
+       {std::uint64_t{k.select.pattern_count}, k.schedule.seed, std::uint64_t{k.refine},
+        std::uint64_t{k.refinement.max_sweeps}})
+    h = (h ^ v) * 0x100000001b3ULL;
+  return h;
+}
+
 std::string CacheKey::to_string() const {
   char buf[36];
   std::snprintf(buf, sizeof buf, "%016llx%016llx", static_cast<unsigned long long>(hi),
@@ -172,6 +181,19 @@ void AnalysisCache::store_analysis(const CacheKey& key,
   if (store != nullptr) store->store(key, *value);
 }
 
+std::shared_ptr<const SolvedResult> AnalysisCache::find_solved(const SolveKey& key) const {
+  std::lock_guard lock(mutex_);
+  const auto it = solved_.find(key);
+  return it != solved_.end() ? it->second : nullptr;
+}
+
+void AnalysisCache::store_solved(const SolveKey& key,
+                                 std::shared_ptr<const SolvedResult> value) {
+  if (!(key == key)) return;  // a NaN option: no lookup could ever match it
+  std::lock_guard lock(mutex_);
+  solved_[key] = std::move(value);
+}
+
 void AnalysisCache::attach_store(std::shared_ptr<CacheStore> store) {
   std::lock_guard lock(mutex_);
   store_ = std::move(store);
@@ -196,6 +218,7 @@ void AnalysisCache::clear() {
   std::lock_guard lock(mutex_);
   graphs_.clear();
   analyses_.clear();
+  solved_.clear();
 }
 
 }  // namespace mpsched::engine

@@ -24,6 +24,16 @@
 // processes. Disk-served lookups are published into the memory tier and
 // count as analysis hits (the disk tier keeps its own counters).
 //
+// Beside the analyses sits a memory-only memo of solved results: pattern
+// selection and scheduling are deterministic in the analysis and the
+// job's options, so
+//
+//   SolvedResult  keyed by  SolveKey (analysis key ‖ every job option)
+//
+// lets a repeated job skip its scheduler backend entirely. The memo never
+// touches the disk tier and keeps no counters here (the engine counts
+// solves in the metrics registry).
+//
 // Thread safety: all methods are safe to call concurrently; values are
 // immutable once published (shared_ptr<const T>).
 #pragma once
@@ -36,7 +46,10 @@
 #include <utility>
 
 #include "antichain/enumerate.hpp"
+#include "core/mp_schedule.hpp"
+#include "core/refine.hpp"
 #include "core/select.hpp"
+#include "engine/job.hpp"
 #include "graph/closure.hpp"
 #include "graph/dfg.hpp"
 #include "graph/levels.hpp"
@@ -59,6 +72,27 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& k) const noexcept {
     return static_cast<std::size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ULL));
   }
+};
+
+/// Key of the solved-result memo: the job's analysis key (graph content,
+/// generation options, transforms, backend) plus every option its backend
+/// reads. The defaulted comparisons of the option structs make a field
+/// added to any of them part of the key automatically.
+struct SolveKey {
+  CacheKey analysis;
+  SelectOptions select;
+  MpScheduleOptions schedule;
+  bool refine = false;
+  RefineOptions refinement;
+
+  bool operator==(const SolveKey&) const = default;
+};
+
+/// Hashes the analysis key and a few integral options. A field it leaves
+/// out only makes keys share a bucket, never a result: lookups compare
+/// with operator==.
+struct SolveKeyHash {
+  std::size_t operator()(const SolveKey& k) const noexcept;
 };
 
 /// Levels + reachability bundle; everything downstream of the bare DFG.
@@ -113,6 +147,12 @@ class AnalysisCache {
   std::shared_ptr<const AntichainAnalysis> find_analysis(const CacheKey& key);
   void store_analysis(const CacheKey& key, std::shared_ptr<const AntichainAnalysis> value);
 
+  /// The solved-result memo (memory only): nullptr on a miss. A key with a
+  /// NaN option never equals itself, so store_solved() drops it rather
+  /// than hold an entry no lookup can reach.
+  std::shared_ptr<const SolvedResult> find_solved(const SolveKey& key) const;
+  void store_solved(const SolveKey& key, std::shared_ptr<const SolvedResult> value);
+
   /// Attaches (or detaches, with nullptr) the disk tier. Replacing an
   /// attached store is allowed; in-memory entries are kept either way.
   void attach_store(std::shared_ptr<CacheStore> store);
@@ -122,7 +162,8 @@ class AnalysisCache {
   CacheStats stats() const;
   /// Number of cached analyses (not graphs) held in memory.
   std::size_t analysis_count() const;
-  /// Drops the in-memory tiers; the attached store (if any) is untouched.
+  /// Drops the in-memory tiers and the solved-result memo; the attached
+  /// store (if any) is untouched.
   void clear();
 
  private:
@@ -131,6 +172,7 @@ class AnalysisCache {
   std::unordered_map<CacheKey, std::shared_ptr<const PreparedGraph>, CacheKeyHash> graphs_;
   std::unordered_map<CacheKey, std::shared_ptr<const AntichainAnalysis>, CacheKeyHash>
       analyses_;
+  std::unordered_map<SolveKey, std::shared_ptr<const SolvedResult>, SolveKeyHash> solved_;
   CacheStats stats_;
 };
 

@@ -221,11 +221,12 @@ namespace {
 /// Groups job indices into sets that share one computation: jobs with
 /// equal keys when `share` is set, one job per group otherwise. Groups
 /// are ordered by their first member.
+template <typename Hash, typename Key>
 std::vector<std::vector<std::size_t>> share_groups(const std::vector<std::size_t>& members,
-                                                   const std::vector<CacheKey>& keys,
+                                                   const std::vector<Key>& keys,
                                                    bool share) {
   std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<CacheKey, std::size_t, CacheKeyHash> group_of;
+  std::unordered_map<Key, std::size_t, Hash> group_of;
   for (const std::size_t i : members) {
     std::size_t g = groups.size();
     if (share) g = group_of.try_emplace(keys[i], g).first->second;
@@ -239,8 +240,8 @@ std::vector<std::vector<std::size_t>> share_groups(const std::vector<std::size_t
 /// indexed like `jobs`; each phase reads what earlier phases filled and
 /// skips the jobs an earlier phase failed. With the cache off the same
 /// phases run, and three things differ: the probe never hits, publishing
-/// never stores, and every job is its own unit with its own levels and
-/// closure.
+/// never stores, and every job is its own unit with its own levels,
+/// closure and backend call.
 struct Dispatch {
   Dispatch(const std::vector<Job>& jobs, const EngineOptions& options,
            ThreadPool& workers, AnalysisCache& cache)
@@ -257,6 +258,7 @@ struct Dispatch {
   void enumerate();
   void merge_and_publish();
   void solve();
+  bool run_backend(std::size_t i, SolvedResult& s);
 
   bool failed(std::size_t i) const { return !batch.jobs[i].error.empty(); }
 
@@ -347,7 +349,7 @@ void Dispatch::key_and_prepare() {
   for (std::size_t i = 0; i < jobs.size(); ++i)
     if (!failed(i)) live.push_back(i);
   const std::vector<std::vector<std::size_t>> groups =
-      share_groups(live, graph_keys, options.use_cache);
+      share_groups<CacheKeyHash>(live, graph_keys, options.use_cache);
   workers.parallel_for(groups.size(), [&](std::size_t g) {
     const std::vector<std::size_t>& group = groups[g];
     const std::size_t exemplar = group.front();
@@ -395,7 +397,8 @@ void Dispatch::probe_and_group() {
     }
     misses.push_back(i);
   }
-  for (std::vector<std::size_t>& group : share_groups(misses, keys, options.use_cache)) {
+  for (std::vector<std::size_t>& group :
+       share_groups<CacheKeyHash>(misses, keys, options.use_cache)) {
     AnalysisUnit& unit = units.emplace_back();
     unit.exemplar_job = group.front();
     unit.key = keys[unit.exemplar_job];
@@ -497,11 +500,16 @@ void Dispatch::merge_and_publish() {
         unit.error = "analysis: " + unit.shard_errors[s];
     for (const double ms : unit.shard_ms) unit.total_ms += ms;
     if (!unit.error.empty()) return;
-    unit.result = std::make_shared<AntichainAnalysis>(
-        unit.shard_results.size() == 1
-            ? std::move(unit.shard_results.front())
-            : merge_antichain_analyses(std::move(unit.shard_results),
-                                       graphs[unit.exemplar_job]->node_count()));
+    {
+      obs::Span merge_span("engine.merge", obs::tracing_enabled()
+                                               ? jobs[unit.exemplar_job].workload
+                                               : std::string());
+      unit.result = std::make_shared<AntichainAnalysis>(
+          unit.shard_results.size() == 1
+              ? std::move(unit.shard_results.front())
+              : merge_antichain_analyses(std::move(unit.shard_results),
+                                         graphs[unit.exemplar_job]->node_count()));
+    }
     if (options.use_cache) cache.store_analysis(unit.key, unit.result);
   });
 
@@ -518,48 +526,93 @@ void Dispatch::merge_and_publish() {
   }
 }
 
-/// Runs each job's scheduler backend, one task per job.
-void Dispatch::solve() {
-  workers.parallel_for(jobs.size(), [&](std::size_t i) {
-    JobResult& r = batch.jobs[i];
-    if (!r.error.empty()) return;  // earlier phase already failed this job
-    const Job& job = jobs[i];
-    const Dfg& dfg = *graphs[i];
-    try {
-      r.critical_path = prepared[i]->levels.critical_path_length();
+/// Runs job i's scheduler backend into `s`, charging its select/schedule/
+/// refine time to job i. Returns false when the backend threw: `s` then
+/// reports the exception as a failure that must not be memoized.
+bool Dispatch::run_backend(std::size_t i, SolvedResult& s) {
+  const Job& job = jobs[i];
+  const Dfg& dfg = *graphs[i];
+  try {
+    s.critical_path = prepared[i]->levels.critical_path_length();
 
-      BackendRequest request;
-      request.dfg = &dfg;
-      request.analysis = analysis[i].get();  // null for self-contained backends
-      request.select = job.select;
-      request.schedule = job.schedule;
-      request.refine = job.refine;
-      request.refinement = job.refinement;
-      request.trace_detail = job.workload;
-      BackendResult out = backends[i]->solve(request);
+    BackendRequest request;
+    request.dfg = &dfg;
+    request.analysis = analysis[i].get();  // null for self-contained backends
+    request.select = job.select;
+    request.schedule = job.schedule;
+    request.refine = job.refine;
+    request.refinement = job.refinement;
+    request.trace_detail = job.workload;
+    BackendResult out = backends[i]->solve(request);
 
-      r.timings.select_ms = out.select_ms;
-      r.timings.schedule_ms = out.schedule_ms;
-      r.timings.refine_ms = out.refine_ms;
-      r.antichains = out.antichains;
-      r.candidate_patterns = out.candidate_patterns;
-      r.refine_swaps = out.refine_swaps;
-      if (!out.success) {
-        r.error = out.error;
-        return;
-      }
-
-      r.success = true;
-      r.cycles = out.cycles;
-      for (const Pattern& p : out.patterns) r.patterns.push_back(p.to_string(dfg));
-      r.node_cycles.resize(dfg.node_count());
-      for (NodeId n = 0; n < dfg.node_count(); ++n)
-        r.node_cycles[n] = out.schedule.cycle_of(n);
-    } catch (const std::exception& e) {
-      r.success = false;
-      r.error = e.what();
+    PhaseTimings& timings = batch.jobs[i].timings;
+    timings.select_ms = out.select_ms;
+    timings.schedule_ms = out.schedule_ms;
+    timings.refine_ms = out.refine_ms;
+    s.antichains = out.antichains;
+    s.candidate_patterns = out.candidate_patterns;
+    s.refine_swaps = out.refine_swaps;
+    if (!out.success) {
+      s.error = out.error;
+      return true;
     }
+
+    s.success = true;
+    s.cycles = out.cycles;
+    for (const Pattern& p : out.patterns) s.patterns.push_back(p.to_string(dfg));
+    s.node_cycles.resize(dfg.node_count());
+    for (NodeId n = 0; n < dfg.node_count(); ++n)
+      s.node_cycles[n] = out.schedule.cycle_of(n);
+    return true;
+  } catch (const std::exception& e) {
+    s.success = false;
+    s.error = e.what();
+    return false;
+  }
+}
+
+/// Solves every live job once per distinct SolveKey. With the cache on,
+/// jobs sharing a key form one group; a group the memo holds is served
+/// from it, and every other group runs its backend once (in parallel) and
+/// memoizes what the backend returned. Every job of a group then gets the
+/// same SolvedResult. With the cache off each job is its own group and
+/// the memo is neither read nor written.
+void Dispatch::solve() {
+  static obs::Counter& computed =
+      obs::Registry::global().counter("engine.solve.computed");
+  static obs::Counter& reused = obs::Registry::global().counter("engine.solve.reused");
+  std::vector<std::size_t> live;
+  std::vector<SolveKey> solve_keys(jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (failed(i)) continue;
+    live.push_back(i);
+    if (options.use_cache)
+      solve_keys[i] = {keys[i], jobs[i].select, jobs[i].schedule, jobs[i].refine,
+                       jobs[i].refinement};
+  }
+  const std::vector<std::vector<std::size_t>> groups =
+      share_groups<SolveKeyHash>(live, solve_keys, options.use_cache);
+
+  std::vector<std::shared_ptr<const SolvedResult>> solved(groups.size());
+  std::vector<std::size_t> misses;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (options.use_cache) solved[g] = cache.find_solved(solve_keys[groups[g].front()]);
+    if (solved[g] == nullptr) misses.push_back(g);
+  }
+  workers.parallel_for(misses.size(), [&](std::size_t m) {
+    const std::size_t g = misses[m];
+    const std::size_t solver = groups[g].front();
+    auto s = std::make_shared<SolvedResult>();
+    if (run_backend(solver, *s) && options.use_cache)
+      cache.store_solved(solve_keys[solver], s);
+    solved[g] = std::move(s);
   });
+
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    for (const std::size_t i : groups[g])
+      static_cast<SolvedResult&>(batch.jobs[i]) = *solved[g];
+  computed.add(misses.size());
+  reused.add(live.size() - misses.size());
 }
 
 }  // namespace

@@ -16,9 +16,11 @@
 //      by estimated root cost (estimate_root_costs + greedy LPT packing):
 //      heavy roots get their own shards, light roots coalesce, so a single
 //      skewed graph balances instead of leaving the pool idle.
-//   3. Solve. Selection, scheduling and optional refinement run per job in
-//      a second parallel_for (they are orders of magnitude cheaper than
-//      enumeration and strictly sequential per job).
+//   3. Solve. Selection, scheduling and optional refinement run once per
+//      distinct (analysis, options) key in a second parallel_for (they are
+//      orders of magnitude cheaper than enumeration and strictly
+//      sequential per job); duplicates share that one solve, and a warm
+//      cache's solved-result memo skips it entirely.
 //
 // Determinism: shard merging is grouping-insensitive and every phase
 // writes to per-index slots, so results — down to the serialized JSON —
@@ -51,9 +53,10 @@ namespace mpsched::engine {
 struct EngineOptions {
   /// Worker threads for the engine's own pool; 0 = use ThreadPool::shared().
   std::size_t threads = 0;
-  /// Memoize analyses (across run_batch calls) and deduplicate identical
-  /// analyses within a batch. Off → every job computes its own analysis,
-  /// the honest baseline for measuring what the cache buys.
+  /// Memoize analyses and solved results (across run_batch calls) and
+  /// deduplicate identical analyses and solves within a batch. Off → every
+  /// job computes its own analysis and runs its own backend, the honest
+  /// baseline for measuring what the cache buys.
   bool use_cache = true;
   /// Shared external cache; nullptr → the engine owns a private one.
   AnalysisCache* cache = nullptr;

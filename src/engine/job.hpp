@@ -59,9 +59,12 @@ std::string pipeline_cache_tag(const std::vector<std::string>& transforms,
 /// Wall-clock milliseconds per pipeline phase. `analysis_ms` is summed
 /// over the job's enumeration shards, so it reads as CPU-ms when the job
 /// was sharded across workers; 0.0 when the analysis came from the cache.
-/// Work shared by duplicate jobs in one batch (prepare and analysis alike)
-/// is charged to the group's first job only, so summing a phase across a
-/// results file reflects work actually done.
+/// Every phase is charged to the job that did its work: work shared by
+/// duplicate jobs in one dispatch (prepare, analysis, select/schedule/
+/// refine alike) lands on the group's first job only, and a job served
+/// by the analysis cache or the solved-result memo reads 0.0 for that
+/// phase. Summing a phase across a results file reflects work actually
+/// done.
 struct PhaseTimings {
   double prepare_ms = 0.0;   ///< levels + transitive closure + hashing
   double analysis_ms = 0.0;  ///< antichain enumeration / analytic counting
@@ -86,17 +89,12 @@ struct PhaseTimings {
 /// share a coalesced dispatch.
 enum class AnalysisSource { None, Computed, Reused };
 
-struct JobResult {
-  std::string job;       ///< Job::resolved_name()
-  std::string workload;  ///< Job::workload (may be empty)
-  std::string backend;   ///< Job::backend echo
-  std::vector<std::string> transforms;  ///< Job::transforms echo
-  /// Node/edge counts of the *effective* graph the backend scheduled
-  /// (after the transform pipeline; identical to the input graph for the
-  /// default pipeline).
-  std::size_t nodes = 0;
-  std::size_t edges = 0;
-
+/// The deterministic outcome of solving a job: what its scheduler backend
+/// returned, plus the graph's critical path. It depends only on the
+/// effective graph, the analysis and the job's options, which is what
+/// lets the engine's solved-result memo (engine/analysis_cache.hpp) hand
+/// one solve to every job with the same key.
+struct SolvedResult {
   bool success = false;
   std::string error;  ///< set when !success
 
@@ -110,6 +108,20 @@ struct JobResult {
   std::uint64_t antichains = 0;         ///< total enumerated (or counted)
   std::size_t candidate_patterns = 0;   ///< distinct patterns found
   std::size_t refine_swaps = 0;         ///< 0 unless Job::refine
+};
+
+/// A job's full outcome. `error` is also where earlier phases (pipeline,
+/// prepare, analysis) report a failure before the job is ever solved.
+struct JobResult : SolvedResult {
+  std::string job;       ///< Job::resolved_name()
+  std::string workload;  ///< Job::workload (may be empty)
+  std::string backend;   ///< Job::backend echo
+  std::vector<std::string> transforms;  ///< Job::transforms echo
+  /// Node/edge counts of the *effective* graph the backend scheduled
+  /// (after the transform pipeline; identical to the input graph for the
+  /// default pipeline).
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
 
   // -- diagnostics (excluded from deterministic serialization) -----------
   bool analysis_cache_hit = false;

@@ -199,12 +199,12 @@ void Server::install_signal_handlers() {
 #endif
 }
 
-Json Server::handle(const Request& request) {
+Json Server::handle(Request request) {
   Session throwaway;
-  return handle(request, throwaway);
+  return handle(std::move(request), throwaway);
 }
 
-Json Server::handle(const Request& request, Session& session) {
+Json Server::handle(Request request, Session& session) {
   try {
     switch (request.op) {
       case Op::Ping: {
@@ -230,8 +230,10 @@ Json Server::handle(const Request& request, Session& session) {
         // concurrently share one coalesced dispatch instead of queueing
         // behind a server-side mutex.
         Timer wall;
-        engine::BatchResult batch = engine_.collect(engine_.submit_batch(request.jobs));
+        engine::BatchResult batch =
+            engine_.collect(engine_.submit_batch(std::move(request.jobs)));
         batch.wall_ms = wall.millis();
+        obs::Span serialize_span("serve.serialize");
         Json response = make_ok(request);
         if (request.op == Op::Submit)
           response.set("results", batch_to_json(batch, request.diagnostics));
@@ -254,7 +256,7 @@ Json Server::handle(const Request& request, Session& session) {
                                     ": an async request with this correlation id is "
                                     "still pending in this session");
         Session::PendingRequest pending;
-        pending.tickets = engine_.submit_batch(request.jobs);
+        pending.tickets = engine_.submit_batch(std::move(request.jobs));
         pending.diagnostics = request.diagnostics;
         pending.client_id = request.id;
         pending.submitted = std::chrono::steady_clock::now();
@@ -314,6 +316,7 @@ Json Server::handle(const Request& request, Session& session) {
         batch.wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - consumed.submitted)
                             .count();
+        obs::Span serialize_span("serve.serialize");
         response.set("results", batch_to_json(batch, consumed.diagnostics));
         response.set("analyses_computed", batch.analyses_computed);
         response.set("analyses_reused", batch.analyses_reused);
@@ -427,22 +430,26 @@ Json Server::handle_line(std::string_view line, Session& session) {
   Timer wall;
   Json response;
   try {
-    const Json doc = Json::parse(line);
     Request request;
-    try {
-      request = request_from_json(doc);
-    } catch (const std::exception& e) {
-      // Malformed request, parseable envelope: echo what we can.
-      std::int64_t id = 0;
-      std::string op = "unknown";
-      if (doc.is_object()) {
-        if (const Json* v = doc.find("id"); v != nullptr && v->is_int()) id = v->as_int();
-        if (const Json* v = doc.find("op"); v != nullptr && v->is_string())
-          op = v->as_string();
+    {
+      // Covers building every job's graph, not just reading the JSON.
+      obs::Span parse_span("serve.parse");
+      const Json doc = Json::parse(line);
+      try {
+        request = request_from_json(doc);
+      } catch (const std::exception& e) {
+        // Malformed request, parseable envelope: echo what we can.
+        std::int64_t id = 0;
+        std::string op = "unknown";
+        if (doc.is_object()) {
+          if (const Json* v = doc.find("id"); v != nullptr && v->is_int()) id = v->as_int();
+          if (const Json* v = doc.find("op"); v != nullptr && v->is_string())
+            op = v->as_string();
+        }
+        response = make_error(id, op, e.what());
       }
-      response = make_error(id, op, e.what());
     }
-    if (response.is_null()) response = handle(request, session);
+    if (response.is_null()) response = handle(std::move(request), session);
   } catch (const std::exception& e) {
     response = make_error(0, "unknown", std::string("bad request line: ") + e.what());
   }
@@ -461,6 +468,14 @@ Json Server::handle_line(std::string_view line, Session& session) {
   return response;
 }
 
+std::string Server::respond(std::string_view line, Session& session) {
+  const Json response = handle_line(line, session);
+  obs::Span span("serve.serialize");
+  std::string wire = response.dump(-1);
+  wire += '\n';
+  return wire;
+}
+
 void Server::serve_stream(std::istream& in, std::ostream& out) {
   {
     std::lock_guard lock(counters_mutex_);
@@ -471,7 +486,7 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
   std::string line;
   while (!stop_requested() && std::getline(in, line)) {
     if (trim(line).empty()) continue;
-    out << handle_line(line, state).dump(-1) << '\n' << std::flush;
+    out << respond(line, state) << std::flush;
   }
 }
 
@@ -540,7 +555,7 @@ void Server::session(int fd, bool single_request) {
     // In-flight guarantee: once a request is being handled it runs to
     // completion and its response is flushed, stop or no stop; the loop
     // condition only gates picking up the *next* request.
-    if (!send_all(fd, handle_line(line, state).dump(-1) + "\n")) break;
+    if (!send_all(fd, respond(line, state))) break;
     if (single_request) break;
   }
   ::close(fd);

@@ -116,11 +116,13 @@ class Server {
   /// Dispatches one parsed request against a session and returns the
   /// response document. Never throws for request-level failures — those
   /// come back as {"ok":false,"error":...} responses. Thread-safe across
-  /// distinct sessions; a Session itself belongs to one thread.
-  Json handle(const Request& request, Session& session);
+  /// distinct sessions; a Session itself belongs to one thread. Taken by
+  /// value: submit ops move the request's jobs (graphs and all) into the
+  /// engine's queue, so pass an rvalue to avoid copying them.
+  Json handle(Request request, Session& session);
   /// Stateless convenience (a throwaway session): fine for every v1 op;
   /// an async request submitted through it can never be polled again.
-  Json handle(const Request& request);
+  Json handle(Request request);
 
   /// Parses one NDJSON line and dispatches it. Malformed lines yield an
   /// error response instead of throwing — one bad request must not kill
@@ -157,6 +159,10 @@ class Server {
   void install_signal_handlers();
 
  private:
+  /// handle_line() plus the response's wire form: one newline-terminated
+  /// line. Building a results payload (inside handle) and this dump are
+  /// both traced as serve.serialize.
+  std::string respond(std::string_view line, Session& session);
   /// One socket session. `single_request` is the at-capacity degraded
   /// mode: serve exactly one request (bounded wait), then close.
   void session(int fd, bool single_request = false);

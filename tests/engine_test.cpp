@@ -1,13 +1,15 @@
 // The batch engine (src/engine): sharded enumeration equivalence, cache
-// bit-identity, determinism across thread counts, cache settings and shard
-// plans, cost-estimated shard packing, per-job failure of invalid options,
-// and the corpus/results JSON round-trip.
+// bit-identity, determinism across thread counts, cache settings, shard
+// plans and solved-result memo hits, the memo key's sensitivity to every
+// job option, cost-estimated shard packing, per-job failure of invalid
+// options, and the corpus/results JSON round-trip.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <numeric>
 #include <thread>
 
@@ -15,6 +17,7 @@
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
 #include "io/result_io.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -45,6 +48,30 @@ std::vector<Job> test_corpus() {
   refined.refinement.max_sweeps = 1;
   jobs.push_back(std::move(refined));
   return jobs;
+}
+
+/// Process-wide solve counters; tests compare deltas around their runs.
+struct SolveCounts {
+  std::uint64_t computed = 0;
+  std::uint64_t reused = 0;
+};
+
+SolveCounts solve_counts() {
+  obs::Registry& registry = obs::Registry::global();
+  return {registry.counter("engine.solve.computed").value(),
+          registry.counter("engine.solve.reused").value()};
+}
+
+SolveCounts solve_delta(const SolveCounts& before) {
+  const SolveCounts now = solve_counts();
+  return {now.computed - before.computed, now.reused - before.reused};
+}
+
+/// The solved part of a result (what the memo holds), serialized.
+std::string solved_json(const engine::JobResult& r) {
+  engine::JobResult solved_only;
+  static_cast<engine::SolvedResult&>(solved_only) = r;
+  return result_to_json(solved_only).dump();
 }
 
 TEST(EnumerateShards, PartitionMergeMatchesMonolithic) {
@@ -245,6 +272,17 @@ TEST(Engine, DeterministicAcrossThreadCountsCacheSettingsAndShardPolicies) {
         EXPECT_EQ(serialized, reference)
             << "results diverge at threads=" << threads << " cache=" << use_cache
             << " shards_per_thread=" << shards_per_thread;
+
+        // A second run on the same engine: with the cache on every job is
+        // a solved-result memo hit, with it off every job solves again.
+        const SolveCounts before = solve_counts();
+        const engine::BatchResult again = eng.run_batch(jobs);
+        const SolveCounts delta = solve_delta(before);
+        EXPECT_EQ(batch_to_json(again).dump(), reference)
+            << "second run diverges at threads=" << threads << " cache=" << use_cache
+            << " shards_per_thread=" << shards_per_thread;
+        EXPECT_EQ(delta.computed, use_cache ? 0u : jobs.size());
+        EXPECT_EQ(delta.reused, use_cache ? jobs.size() : 0u);
       }
     }
   }
@@ -392,17 +430,100 @@ TEST(Engine, CacheOffComputesEveryJob) {
 TEST(Engine, CacheOnDeduplicatesWithinBatch) {
   Engine eng;  // fresh private cache
   const std::vector<Job> jobs = test_corpus();  // contains paper_3dft twice
+  SolveCounts before = solve_counts();
   const engine::BatchResult batch = eng.run_batch(jobs);
+  SolveCounts delta = solve_delta(before);
   EXPECT_EQ(batch.succeeded(), jobs.size());
   EXPECT_EQ(batch.analyses_computed, jobs.size() - 1);
   EXPECT_EQ(batch.analyses_reused, 1u);
+  // The duplicate shares its twin's solve as well as its analysis, and
+  // only the job that solved carries select/schedule time.
+  EXPECT_EQ(delta.computed, jobs.size() - 1);
+  EXPECT_EQ(delta.reused, 1u);
+  EXPECT_EQ(batch.jobs[3].timings.select_ms, 0.0);
+  EXPECT_EQ(batch.jobs[3].timings.schedule_ms, 0.0);
 
-  // A second identical batch is served entirely by the cache.
+  // A second identical batch is served entirely by the cache and the memo.
+  before = solve_counts();
   const engine::BatchResult warm = eng.run_batch(jobs);
+  delta = solve_delta(before);
   EXPECT_EQ(warm.analyses_computed, 0u);
   EXPECT_EQ(warm.analyses_reused, jobs.size());
-  for (const engine::JobResult& r : warm.jobs) EXPECT_TRUE(r.analysis_cache_hit);
+  EXPECT_EQ(delta.computed, 0u);
+  EXPECT_EQ(delta.reused, jobs.size());
+  for (const engine::JobResult& r : warm.jobs) {
+    EXPECT_TRUE(r.analysis_cache_hit);
+    EXPECT_EQ(r.timings.select_ms + r.timings.schedule_ms + r.timings.refine_ms, 0.0);
+  }
   EXPECT_EQ(batch_to_json(warm).dump(), batch_to_json(batch).dump());
+}
+
+TEST(Engine, SolvedResultMemoKeyCoversEveryJobOption) {
+  // Each case memoizes a base job on one warm engine, then runs a job
+  // that differs from it in a single key field. The warm answer must equal
+  // a fresh engine's, and the field must really change the solved result,
+  // so a key that dropped it would hand the variant the base's schedule.
+
+  // Two chains of one color, one with a redundant edge: stripping it
+  // lowers a node's direct-successor count and so its priority. The
+  // workload graphs tried keep their schedules under this transform.
+  Dfg chains("two_chains");
+  for (int i = 0; i < 6; ++i) chains.add_node("a");
+  chains.add_edge(0, 1);
+  chains.add_edge(1, 2);
+  chains.add_edge(3, 4);
+  chains.add_edge(4, 5);
+  chains.add_edge(3, 5);
+  Job chains_job;
+  chains_job.name = "two_chains";
+  chains_job.dfg = chains;
+  chains_job.select.capacity = 1;
+  chains_job.select.pattern_count = 1;
+
+  struct Case {
+    const char* field;
+    Job base;
+    std::function<void(Job&)> vary;
+  };
+  const Job dft = Job::from_workload("paper_3dft");
+  Job dft_refined = dft;
+  dft_refined.refine = true;
+  Job fir_random = Job::from_workload("fir(8)");
+  fir_random.schedule.tie_break = TieBreak::Random;
+  const std::vector<Case> cases = {
+      {"pattern_count", dft, [](Job& j) { j.select.pattern_count = 3; }},
+      {"epsilon", dft, [](Job& j) { j.select.epsilon = 0.01; }},
+      {"alpha", dft, [](Job& j) { j.select.alpha = 0.0; }},
+      {"size_bonus", dft, [](Job& j) { j.select.size_bonus = SizeBonus::None; }},
+      {"rule", dft, [](Job& j) { j.schedule.rule = PatternRule::F1CoverCount; }},
+      {"tie_break", Job::from_workload("fir(8)"),
+       [](Job& j) { j.schedule.tie_break = TieBreak::Random; }},
+      {"seed", fir_random, [](Job& j) { j.schedule.seed = 2; }},
+      {"random_pattern_ties", Job::from_workload("dct8"),
+       [](Job& j) { j.schedule.random_pattern_ties = true; }},
+      {"priority_params", dft, [](Job& j) { j.schedule.priority_params = {1, 1}; }},
+      {"max_cycles", dft, [](Job& j) { j.schedule.max_cycles = 3; }},
+      {"refine", dft, [](Job& j) { j.refine = true; }},
+      {"candidate_pool", dft_refined, [](Job& j) { j.refinement.candidate_pool = 1; }},
+      {"max_sweeps", dft_refined, [](Job& j) { j.refinement.max_sweeps = 0; }},
+      {"backend", dft, [](Job& j) { j.backend = "list"; }},
+      {"transforms", chains_job,
+       [](Job& j) { j.transforms = {"strip_redundant_edges"}; }},
+  };
+
+  Engine warm;
+  for (const Case& c : cases) {
+    const engine::JobResult base = warm.run(c.base);
+    Job variant = c.base;
+    c.vary(variant);
+    const engine::JobResult memo_side = warm.run(variant);
+    Engine fresh;
+    const engine::JobResult reference = fresh.run(variant);
+    EXPECT_EQ(result_to_json(memo_side).dump(), result_to_json(reference).dump())
+        << c.field;
+    EXPECT_NE(solved_json(reference), solved_json(base))
+        << c.field << " does not change the solved result of " << c.base.resolved_name();
+  }
 }
 
 TEST(Engine, SchedulerFailureIsReportedNotThrown) {
@@ -418,6 +539,56 @@ TEST(Engine, SchedulerFailureIsReportedNotThrown) {
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.error.empty());
   EXPECT_TRUE(r.node_cycles.empty());
+
+  // The failure is what the backend returned, so the memo keeps it: the
+  // rerun reports the same error without solving again.
+  const SolveCounts before = solve_counts();
+  const engine::JobResult again = eng.run(job);
+  const SolveCounts delta = solve_delta(before);
+  EXPECT_FALSE(again.success);
+  EXPECT_EQ(again.error, r.error);
+  EXPECT_TRUE(again.node_cycles.empty());
+  EXPECT_EQ(delta.computed, 0u);
+  EXPECT_EQ(delta.reused, 1u);
+
+  // A backend that throws (selection rejects ε = 0) fails its job the same
+  // way, but nothing is memoized: the rerun calls the backend again.
+  Job throwing = Job::from_workload("paper_3dft");
+  throwing.select.epsilon = 0.0;
+  const engine::JobResult thrown = eng.run(throwing);
+  EXPECT_FALSE(thrown.success);
+  EXPECT_NE(thrown.error.find("epsilon"), std::string::npos) << thrown.error;
+  const SolveCounts before_rethrow = solve_counts();
+  EXPECT_EQ(eng.run(throwing).error, thrown.error);
+  EXPECT_EQ(solve_delta(before_rethrow).computed, 1u);
+}
+
+TEST(AnalysisCache, EnginesSharingOneCacheConcurrentlyMatchTheReference) {
+  // Analyses and solved results are published by whichever engine gets
+  // there first; the other engine's concurrent lookups must see either
+  // nothing or a complete entry, never a torn one.
+  const std::vector<Job> jobs = test_corpus();
+  EngineOptions reference_options;
+  reference_options.use_cache = false;
+  const std::string reference =
+      batch_to_json(Engine(reference_options).run_batch(jobs)).dump();
+
+  AnalysisCache shared;
+  EngineOptions options;
+  options.threads = 2;
+  options.cache = &shared;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> runners;
+  for (int e = 0; e < 2; ++e) {
+    runners.emplace_back([&] {
+      Engine eng(options);
+      for (int round = 0; round < 3; ++round)
+        if (batch_to_json(eng.run_batch(jobs)).dump() != reference)
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& t : runners) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(Engine, JobNamesBackFill) {

@@ -106,8 +106,9 @@ void print_cache_stats(engine::Engine& eng) {
 }
 
 /// Corpus → JSON → corpus → JSON fixpoint, plus engine determinism across
-/// thread counts and cache settings. Exercises exactly the properties the
-/// results file promises.
+/// thread counts, cache settings and a rerun on the same engine (served by
+/// the solved-result memo when the cache is on). Exercises exactly the
+/// properties the results file promises.
 int selftest() {
   const std::vector<engine::Job> jobs = demo_jobs();
 
@@ -127,21 +128,26 @@ int selftest() {
       options.threads = threads;
       options.use_cache = use_cache;
       engine::Engine eng(options);
-      const engine::BatchResult batch = eng.run_batch(jobs);
-      if (batch.succeeded() != batch.jobs.size()) {
-        std::printf("FAIL: %zu jobs failed (threads=%zu cache=%d)\n",
-                    batch.jobs.size() - batch.succeeded(), threads, use_cache);
-        return 1;
-      }
-      const std::string out = batch_to_json(batch).dump(2);
-      if (reference.empty()) reference = out;
-      if (out != reference) {
-        std::printf("FAIL: results differ at threads=%zu cache=%d\n", threads, use_cache);
-        return 1;
+      for (const int run : {1, 2}) {
+        const engine::BatchResult batch = eng.run_batch(jobs);
+        if (batch.succeeded() != batch.jobs.size()) {
+          std::printf("FAIL: %zu jobs failed (threads=%zu cache=%d run=%d)\n",
+                      batch.jobs.size() - batch.succeeded(), threads, use_cache, run);
+          return 1;
+        }
+        const std::string out = batch_to_json(batch).dump(2);
+        if (reference.empty()) reference = out;
+        if (out != reference) {
+          std::printf("FAIL: results differ at threads=%zu cache=%d run=%d\n", threads,
+                      use_cache, run);
+          return 1;
+        }
       }
     }
   }
-  std::printf("determinism: identical results JSON across threads {1,2} x cache {on,off}\n");
+  std::printf(
+      "determinism: identical results JSON across threads {1,2} x cache {on,off} x "
+      "runs {1,2}\n");
   std::printf("selftest passed\n");
   return 0;
 }
