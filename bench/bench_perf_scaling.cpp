@@ -162,8 +162,10 @@ double best_seconds(Fn&& fn, int iterations, int reps) {
 }
 
 /// One pinned kernel-vs-reference cell, single shard (parallel off):
-/// byte-identity with member lists, the antichain population, and a
-/// best-of-5 speedup of at least `min_speedup`.
+/// byte-identity with member lists and without them (the configuration
+/// timed below, where the leaf level counts word-parallel; member lists
+/// take its per-leaf path), the antichain population, and a best-of-5
+/// speedup of at least `min_speedup`.
 void pin_speedup(bench::Gate& gate, const Dfg& g, EnumerateOptions options,
                  const std::string& population_metric, long long population,
                  double min_speedup) {
@@ -182,6 +184,9 @@ void pin_speedup(bench::Gate& gate, const Dfg& g, EnumerateOptions options,
                "arena enumerator byte-identical to reference (collect_members)");
     gate.check_eq(population, static_cast<long long>(arena.total), population_metric);
   }
+  gate.check(analyses_identical(enumerate_antichains_reference(g, lv, reach, options),
+                                enumerate_antichains(g, lv, reach, options)),
+             "arena enumerator byte-identical to reference (members off)");
 
   // Calibrate the inner iteration count off the reference walk so one rep
   // lasts ~50ms on any build type (Release and ASan/Debug legs both time
@@ -209,7 +214,8 @@ void pin_speedup(bench::Gate& gate, const Dfg& g, EnumerateOptions options,
 /// The pinned kernel-vs-reference enumeration gates. The Fig. 5 span
 /// workload (3DFT, max_size 4 — the population Theorem 1 is checked over)
 /// is leaf-light; fir(20) at the engine defaults (C=5, span limit 1) is
-/// leaf-heavy, so it is where the leaf loop at depth C−1 shows.
+/// leaf-heavy; fft(16) at C=3, span 1 (188 nodes, three mask words, 97%
+/// leaves, ~37 per prefix) is where the word-parallel leaf level shows.
 int run_enumeration_speedup_gate() {
   bench::Gate gate("perf_scaling");
 
@@ -225,6 +231,13 @@ int run_enumeration_speedup_gate() {
   defaults.span_limit = 1;
   pin_speedup(gate, workloads::make_workload("fir(20)"), defaults,
               "fir(20) antichain population", 113244, 4.0);
+
+  gate.workload("fft16-c3-span1");
+  EnumerateOptions fft16;
+  fft16.max_size = 3;
+  fft16.span_limit = 1;
+  pin_speedup(gate, workloads::make_workload("fft(16)"), fft16,
+              "fft(16) antichain population", 460938, 12.0);
 
   return gate.finish("perf scaling (enumerator identity + pinned speedups)");
 }

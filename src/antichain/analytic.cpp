@@ -52,6 +52,8 @@ void walk_compositions(const std::vector<std::uint64_t>& available, std::size_t 
 AntichainAnalysis analytic_level_analysis(const Dfg& dfg, const Levels& levels,
                                           std::size_t max_size) {
   MPSCHED_REQUIRE(max_size >= 1, "max_size must be at least 1");
+  MPSCHED_REQUIRE(max_size <= kMaxAntichainSize,
+                  "max_size must be at most " + std::to_string(kMaxAntichainSize));
   MPSCHED_REQUIRE(levels.asap.size() == dfg.node_count(),
                   "levels do not belong to this graph");
 

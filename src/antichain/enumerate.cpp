@@ -25,6 +25,12 @@ struct Accumulator {
     /// Walker lookup table: by color c, the entry of this pattern plus c
     /// (null until first needed; sized only for patterns below max_size).
     std::vector<std::pair<const Pattern, Entry>*> plus_color;
+    /// Walker leaf counters of a size-(C−1) pattern: node v's count of
+    /// word-parallel leaves under prefixes of this pattern, bit-sliced
+    /// (word-major, Walker::kCounterStride planes per word); `leaf_adds`
+    /// masks added since the last flush into the children's frequencies.
+    std::vector<Word> leaf_counter;
+    std::uint32_t leaf_adds = 0;
   };
   using Map = std::unordered_map<Pattern, Entry, PatternHash>;
   Map per_pattern;
@@ -92,14 +98,18 @@ class CountBudget {
 /// the span limit. Each depth carries its prefix's accumulator entry, and
 /// an entry maps each color to the entry of its pattern plus that color,
 /// so classifying an antichain is one table load: the colors are gathered,
-/// sorted and hashed only on a (pattern, color) pair's first sight. The
-/// last level, depth C−1, is a leaf loop instead of a record per leaf:
-/// leaves under one prefix differ only in their own color and span, so a
-/// leaf bumps only its span row, its color slot's count and its own
-/// frequency. After the loop each touched color adds its count to its
-/// entry, to the prefix members' frequencies, to the total and to the
-/// budget. The walk allocates only on a (pattern, color) pair's first
-/// sight and for the explicit member lists when collect_members is on.
+/// sorted and hashed only on a (pattern, color) pair's first sight.
+///
+/// The last level, depth C−1, counts a prefix's leaves from its candidate
+/// mask a word at a time: leaves under one prefix differ only in their own
+/// color, span and node. Popcounts of the mask give the total, the span
+/// rows (differencing the counts with span ≤ k) and the per-color counts;
+/// the leaves' own frequencies h(p̄, leaf) go into bit-sliced counters on
+/// the prefix pattern's entry, flushed into the children before a lane can
+/// overflow and at finish(). Member collection and sparse masks take a
+/// per-leaf loop instead. The walk allocates only on a
+/// (pattern, color) pair's first sight, once per leaf-counting prefix
+/// pattern, and for the explicit member lists when collect_members is on.
 class Walker {
  public:
   Walker(const SearchContext& ctx, Accumulator& acc)
@@ -151,9 +161,14 @@ class Walker {
         early_[t * word_count_ + k] |= early_[(t - 1) * word_count_ + k];
         late_[(levels - 1 - t) * word_count_ + k] |= late_[(levels - t) * word_count_ + k];
       }
-    singles_.assign(ctx.dfg.color_count(), nullptr);
-    slots_.resize(ctx.dfg.color_count());
-    touched_.reserve(ctx.dfg.color_count());
+    const std::size_t colors = ctx.dfg.color_count();
+    color_masks_.assign(colors * word_count_, 0);
+    for (NodeId v = 0; v < n; ++v)
+      color_masks_[color_of_[v] * word_count_ + v / kWordBits] |= Word{1} << (v % kWordBits);
+    leaf_mask_.assign(word_count_, 0);
+    singles_.assign(colors, nullptr);
+    slots_.resize(colors);
+    touched_.reserve(colors);
   }
 
   /// Enumerates every antichain whose minimum node id is `root`.
@@ -165,12 +180,32 @@ class Walker {
     descend(pm_of_[root], asap_[root], alap_[root]);
   }
 
-  /// Publishes the last pending chunk (and trips the limit check if the
-  /// total crossed it). Must be called once after the worker's last root.
-  void finish() { budget_.flush(); }
+  /// Flushes the leaf counters and publishes the last pending chunk (and
+  /// trips the limit check if the total crossed it). Must be called once
+  /// after the worker's last root.
+  void finish() {
+    for (Node* prefix : counted_) flush_leaf_counter(prefix);
+    budget_.flush();
+  }
 
  private:
   using Node = Accumulator::Map::value_type;
+
+  /// Leaf counters, per mask word: each add goes branch-free into
+  /// kLowPlanes bit planes, which spill into kHighPlanes planes every
+  /// kLowCapacity adds; the high planes flush into node_frequency every
+  /// kHighCapacity adds. Neither tier's lanes can overflow. (A ripple-carry
+  /// add straight into 16 planes has a data-dependent loop per word, and
+  /// measured slower.)
+  static constexpr std::size_t kLowPlanes = 4;
+  static constexpr std::size_t kHighPlanes = 16;
+  static constexpr std::size_t kCounterStride = kLowPlanes + kHighPlanes;
+  static constexpr std::uint32_t kLowCapacity = (1u << kLowPlanes) - 1;
+  static constexpr std::uint32_t kHighCapacity = (1u << kHighPlanes) - 1;
+  /// Leaf-level path choice (a measured break-even): a prefix with fewer
+  /// than kMinWordLeaves candidates per nonzero mask word runs the
+  /// per-leaf loop.
+  static constexpr std::uint64_t kMinWordLeaves = 4;
 
   /// One leaf color's tally in the running leaf loop.
   struct LeafSlot {
@@ -204,10 +239,8 @@ class Walker {
     const std::size_t from = stack_.back() + 1;
     std::size_t wi = from / kWordBits;
     if (wi >= word_count_) return;
-    const int early_row = std::min(min_alap + span_limit_, max_level_);
-    const int late_row = std::max(max_asap - span_limit_, 0);
-    const Word* early = early_.data() + static_cast<std::size_t>(early_row) * word_count_;
-    const Word* late = late_.data() + static_cast<std::size_t>(late_row) * word_count_;
+    const Word* early = early_row(min_alap + span_limit_);
+    const Word* late = late_row(max_asap - span_limit_);
     Word w = compat[wi] & early[wi] & late[wi] & (~Word{0} << (from % kWordBits));
     while (true) {
       while (w != 0) {
@@ -241,28 +274,72 @@ class Walker {
     });
   }
 
-  /// The leaf level: every candidate completes a size-C antichain.
+  /// early_ row t (nodes with asap ≤ t), t clamped to the last level.
+  const Word* early_row(int t) const {
+    return early_.data() + static_cast<std::size_t>(std::min(t, max_level_)) * word_count_;
+  }
+
+  /// late_ row t (nodes with alap ≥ t), t clamped at 0.
+  const Word* late_row(int t) const {
+    return late_.data() + static_cast<std::size_t>(std::max(t, 0)) * word_count_;
+  }
+
+  /// The leaf level: every candidate completes a size-C antichain. Builds
+  /// the candidate mask (for_each_candidate's words) once, then counts it
+  /// word-parallel or walks it leaf by leaf; both tally identically.
   void leaves(const Word* compat, int max_asap, int min_alap) {
+    const std::size_t from = stack_.back() + 1;
+    const std::size_t first = from / kWordBits;
+    if (first >= word_count_) return;
+    const Word* early = early_row(min_alap + span_limit_);
+    const Word* late = late_row(max_asap - span_limit_);
+    Word* mask = leaf_mask_.data();
+    for (std::size_t k = first; k < word_count_; ++k) mask[k] = compat[k] & early[k] & late[k];
+    mask[first] &= ~Word{0} << (from % kWordBits);
+    std::uint64_t found = 0;
+    for (std::size_t k = first; k < word_count_; ++k)
+      found += static_cast<std::uint64_t>(popcount(mask[k]));
+    if (found == 0) return;
+    // Both paths run over the mask's nonzero words [lo, hi) only.
+    std::size_t lo = first, hi = word_count_;
+    while (mask[lo] == 0) ++lo;
+    while (mask[hi - 1] == 0) --hi;
+    if (ctx_.options.collect_members || found < kMinWordLeaves * (hi - lo)) {
+      leaf_loop(mask, lo, hi, max_asap, min_alap);
+    } else {
+      count_leaves(mask, lo, hi, found, max_asap, min_alap);
+    }
+    acc_.total += found;
+    budget_.note(found);
+  }
+
+  /// Per-leaf tally of the candidate mask: a leaf bumps its span row, its
+  /// color slot's count and its own frequency; each touched color then
+  /// adds its count to its entry and to the prefix members' frequencies.
+  void leaf_loop(const Word* mask, std::size_t lo, std::size_t hi, int max_asap, int min_alap) {
     Node* prefix = path_.back();
     std::uint64_t* row = span_rows_[max_size_];
     const bool collect = ctx_.options.collect_members;
-    std::uint64_t found = 0;
-    for_each_candidate(compat, max_asap, min_alap, [&](NodeId leaf, std::size_t, int span) {
-      ++row[span];
-      const ColorId c = color_of_[leaf];
-      LeafSlot& slot = slots_[c];
-      if (slot.count++ == 0) {
-        touched_.push_back(c);
-        slot.entry = &with_color(prefix, c)->second;
-        slot.freq = slot.entry->node_frequency.data();
+    for (std::size_t wi = lo; wi < hi; ++wi) {
+      for (Word w = mask[wi]; w != 0; w &= w - 1) {
+        const auto leaf =
+            static_cast<NodeId>(wi * kWordBits + static_cast<std::size_t>(std::countr_zero(w)));
+        const int span = std::max(max_asap, asap_[leaf]) - std::min(min_alap, alap_[leaf]);
+        ++row[span > 0 ? span : 0];
+        const ColorId c = color_of_[leaf];
+        LeafSlot& slot = slots_[c];
+        if (slot.count++ == 0) {
+          touched_.push_back(c);
+          slot.entry = &with_color(prefix, c)->second;
+          slot.freq = slot.entry->node_frequency.data();
+        }
+        ++slot.freq[leaf];
+        if (collect) {
+          slot.entry->members.push_back(stack_);
+          slot.entry->members.back().push_back(leaf);
+        }
       }
-      ++slot.freq[leaf];
-      if (collect) {
-        slot.entry->members.push_back(stack_);
-        slot.entry->members.back().push_back(leaf);
-      }
-      ++found;
-    });
+    }
     for (const ColorId c : touched_) {
       LeafSlot& slot = slots_[c];
       slot.entry->count += slot.count;
@@ -270,8 +347,107 @@ class Walker {
       slot.count = 0;
     }
     touched_.clear();
-    acc_.total += found;
-    budget_.note(found);
+  }
+
+  /// Word-parallel tally of the `found` candidates in words [lo, hi) of
+  /// `mask`: a few O(words) passes, however many leaves.
+  void count_leaves(const Word* mask, std::size_t lo, std::size_t hi, std::uint64_t found,
+                    int max_asap, int min_alap) {
+    Node* prefix = path_.back();
+    // Span rows: a leaf has span ≤ k iff asap ≤ min_alap+k and alap ≥
+    // max_asap−k (the probe's identity at k = L); difference the counts.
+    // Spans are monotone, so every leaf's lies in [the prefix's own, L],
+    // and the passes stop once all leaves are placed.
+    std::uint64_t* row = span_rows_[max_size_];
+    std::uint64_t below = 0;
+    for (int k = std::max(max_asap - min_alap, 0); k < span_limit_ && below < found; ++k) {
+      const Word* early = early_row(min_alap + k);
+      const Word* late = late_row(max_asap - k);
+      std::uint64_t at_most = 0;
+      for (std::size_t wi = lo; wi < hi; ++wi)
+        at_most += static_cast<std::uint64_t>(popcount(mask[wi] & early[wi] & late[wi]));
+      row[k] += at_most - below;
+      below = at_most;
+    }
+    row[span_limit_] += found - below;
+
+    // Colors: one popcount pass per color, the last by subtraction. Each
+    // count reaches its child entry and the prefix members' frequencies.
+    const std::size_t colors = singles_.size();
+    std::uint64_t left = found;
+    for (ColorId c = 0; left > 0; ++c) {
+      std::uint64_t k = left;
+      if (static_cast<std::size_t>(c) + 1 < colors) {
+        k = 0;
+        const Word* cm = color_masks_.data() + static_cast<std::size_t>(c) * word_count_;
+        for (std::size_t wi = lo; wi < hi; ++wi)
+          k += static_cast<std::uint64_t>(popcount(mask[wi] & cm[wi]));
+        if (k == 0) continue;
+      }
+      left -= k;
+      Accumulator::Entry& child = with_color(prefix, c)->second;
+      child.count += k;
+      for (const NodeId m : stack_) child.node_frequency[m] += k;
+    }
+
+    // Leaf frequencies: add the mask to the prefix pattern's bit-sliced
+    // counters. A leaf's color is its own, so one counter serves every
+    // child pattern.
+    Accumulator::Entry& entry = prefix->second;
+    if (entry.leaf_counter.empty()) {
+      entry.leaf_counter.assign(word_count_ * kCounterStride, 0);
+      counted_.push_back(prefix);
+    }
+    for (std::size_t wi = lo; wi < hi; ++wi) {
+      Word* low = entry.leaf_counter.data() + wi * kCounterStride;
+      Word carry = mask[wi];
+      for (std::size_t p = 0; p + 1 < kLowPlanes; ++p) {
+        const Word out = low[p] & carry;
+        low[p] ^= carry;
+        carry = out;
+      }
+      low[kLowPlanes - 1] ^= carry;
+    }
+    if (++entry.leaf_adds % kLowCapacity == 0) spill_leaf_counter(entry);
+    if (entry.leaf_adds == kHighCapacity) flush_leaf_counter(prefix);
+  }
+
+  /// Adds each word's low planes into its high planes (a ripple-carry add
+  /// per low plane, stopping once the carry dies) and clears them.
+  void spill_leaf_counter(Accumulator::Entry& entry) {
+    for (std::size_t wi = 0; wi < word_count_; ++wi) {
+      Word* low = entry.leaf_counter.data() + wi * kCounterStride;
+      Word* high = low + kLowPlanes;
+      for (std::size_t b = 0; b < kLowPlanes; ++b) {
+        for (Word* plane = high + b; low[b] != 0; ++plane) {
+          const Word out = *plane & low[b];
+          *plane ^= low[b];
+          low[b] = out;
+        }
+      }
+    }
+  }
+
+  /// Adds each lane of `prefix`'s leaf counters to h(prefix + color(v), v)
+  /// and clears them. Every nonzero lane's child entry already exists:
+  /// count_leaves created it when it counted that leaf.
+  void flush_leaf_counter(Node* prefix) {
+    Accumulator::Entry& entry = prefix->second;
+    spill_leaf_counter(entry);
+    for (std::size_t wi = 0; wi < word_count_; ++wi) {
+      Word* high = entry.leaf_counter.data() + wi * kCounterStride + kLowPlanes;
+      Word any = 0;
+      for (std::size_t p = 0; p < kHighPlanes; ++p) any |= high[p];
+      for (; any != 0; any &= any - 1) {
+        const int bit = std::countr_zero(any);
+        std::uint64_t lane = 0;
+        for (std::size_t p = 0; p < kHighPlanes; ++p) lane |= ((high[p] >> bit) & 1U) << p;
+        const auto leaf = static_cast<NodeId>(wi * kWordBits + static_cast<std::size_t>(bit));
+        with_color(prefix, color_of_[leaf])->second.node_frequency[leaf] += lane;
+      }
+      std::fill(high, high + kHighPlanes, Word{0});
+    }
+    entry.leaf_adds = 0;
   }
 
   /// Records the current inner antichain `stack_`, whose entry is
@@ -319,9 +495,12 @@ class Walker {
   std::vector<Word> masks_;  // depth-major arena: one compat mask per depth
   std::vector<Word> early_;  // level-major: nodes with asap ≤ t
   std::vector<Word> late_;   // level-major: nodes with alap ≥ t
+  std::vector<Word> color_masks_;  // color-major: nodes of color c
+  std::vector<Word> leaf_mask_;    // the current prefix's candidate mask
   std::vector<NodeId> stack_;
   std::vector<Node*> path_;                // entry of each prefix of stack_
   std::vector<Node*> singles_;             // size-1 entries by color
+  std::vector<Node*> counted_;             // entries holding leaf counters
   std::vector<LeafSlot> slots_;            // leaf loop: one slot per color
   std::vector<ColorId> touched_;           // colors counted in this loop
   std::vector<ColorId> color_of_;          // dfg color table snapshot
@@ -401,6 +580,8 @@ void accumulate_entry(Accumulator::Entry& dst, std::uint64_t count,
 int validate_and_clamp_span(const Dfg& dfg, const Levels& levels,
                             const Reachability& reach, const EnumerateOptions& options) {
   MPSCHED_REQUIRE(options.max_size >= 1, "max_size must be at least 1");
+  MPSCHED_REQUIRE(options.max_size <= kMaxAntichainSize,
+                  "max_size must be at most " + std::to_string(kMaxAntichainSize));
   MPSCHED_REQUIRE(levels.asap.size() == dfg.node_count(),
                   "levels do not belong to this graph");
   MPSCHED_REQUIRE(reach.node_count() == dfg.node_count(),

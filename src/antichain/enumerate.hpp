@@ -14,10 +14,12 @@
 // the subtree, not just the leaf; two per-level masks apply it word-wise.
 // Each depth carries its prefix's pattern entry, and an entry maps a color
 // to the entry of its pattern plus that color, so classification is a
-// table load. The last level (depth C−1) is a leaf loop: a leaf bumps only
-// its span row, its color's count and its own frequency, and the per-color
-// counts reach the pattern counts, the prefix members' frequencies and the
-// max_antichains budget once per loop.
+// table load. The last level (depth C−1) is counted a word at a time from
+// the prefix's candidate mask: popcounts give the leaf total, the span rows
+// and the per-color counts, and the leaves' own frequencies go into
+// bit-sliced counters flushed into the pattern entries, so a prefix costs
+// O(words) however many leaves it has. Member collection and sparse
+// prefixes walk their leaves one at a time instead.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
 // node id; workers claim roots through the shared thread pool and merge
@@ -38,8 +40,14 @@
 
 namespace mpsched {
 
+/// Ceiling on EnumerateOptions::max_size (and the analytic analysis's),
+/// far above any ALU count the selection targets (C ≤ 5): a larger C is
+/// rejected up front rather than sizing per-size tables or cost series by
+/// it.
+inline constexpr std::size_t kMaxAntichainSize = 64;
+
 struct EnumerateOptions {
-  /// Maximum antichain size (C; 5 for the Montium).
+  /// Maximum antichain size (C; 5 for the Montium), 1..kMaxAntichainSize.
   std::size_t max_size = 5;
   /// Span limit; nullopt = unlimited (equivalent to limit ASAPmax).
   std::optional<int> span_limit;
@@ -87,9 +95,10 @@ struct AntichainAnalysis {
 /// The walk runs on arena-style scratch: one preallocated
 /// min(max_size, n) × word_count mask stack per worker (word-wise AND into
 /// the next depth's slot — no allocation per node), a fused word-parallel
-/// candidate probe with the span limit applied as level masks, a leaf loop
-/// at depth C−1, and chunk-batched accounting against the shared
-/// max_antichains counter.
+/// candidate probe with the span limit applied as level masks, a
+/// word-parallel leaf level at depth C−1 (popcounts plus bit-sliced
+/// frequency counters, with a per-leaf fallback), and chunk-batched
+/// accounting against the shared max_antichains counter.
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const Levels& levels,
                                        const Reachability& reach,
                                        const EnumerateOptions& options = {});

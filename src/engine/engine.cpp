@@ -457,6 +457,8 @@ void Dispatch::plan() {
 void Dispatch::enumerate() {
   static obs::Histogram& shard_ms_metric =
       obs::Registry::global().histogram("engine.shard_ms");
+  static obs::Histogram& shard_cpu_ms_metric =
+      obs::Registry::global().histogram("engine.shard_cpu_ms");
   workers.parallel_for(tasks.size(), [&](std::size_t t) {
     AnalysisUnit& unit = units[tasks[t].unit];
     const std::size_t s = tasks[t].shard;
@@ -468,6 +470,7 @@ void Dispatch::enumerate() {
                                  ? job.workload + " shard " + std::to_string(s)
                                  : std::string());
     Timer timer;
+    const double cpu_start = thread_cpu_ms();
     try {
       if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
         unit.shard_results[s] =
@@ -483,6 +486,7 @@ void Dispatch::enumerate() {
     }
     unit.shard_ms[s] = timer.millis();
     shard_ms_metric.record(unit.shard_ms[s]);
+    shard_cpu_ms_metric.record(thread_cpu_ms() - cpu_start);
   });
 }
 

@@ -1,5 +1,6 @@
 #include "io/result_io.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "graph/transform.hpp"
@@ -140,19 +141,32 @@ void reject_unknown_keys(const Json& obj, std::initializer_list<const char*> all
 
 namespace {
 
+/// A select integer, range-checked to [0, INT_MAX] before the narrowing
+/// casts below, so a negative or huge value fails the parse instead of
+/// wrapping into a silently different (or unbounded) job.
+int select_int(const Json& v, const std::string& where, const char* key) {
+  const std::int64_t x = v.as_int();
+  if (x < 0 || x > std::numeric_limits<int>::max())
+    throw std::invalid_argument(where + ".select: " + key + " " + std::to_string(x) +
+                                " is out of range");
+  return static_cast<int>(x);
+}
+
 SelectOptions select_from_json(const Json& j, const std::string& where) {
   reject_unknown_keys(j, {"pattern_count", "capacity", "epsilon", "alpha", "size_bonus",
                           "span_limit", "generation"},
                       where + ".select");
   SelectOptions o;
-  if (const Json* v = j.find("pattern_count")) o.pattern_count = static_cast<std::size_t>(v->as_int());
-  if (const Json* v = j.find("capacity")) o.capacity = static_cast<std::size_t>(v->as_int());
+  if (const Json* v = j.find("pattern_count"))
+    o.pattern_count = static_cast<std::size_t>(select_int(*v, where, "pattern_count"));
+  if (const Json* v = j.find("capacity"))
+    o.capacity = static_cast<std::size_t>(select_int(*v, where, "capacity"));
   if (const Json* v = j.find("epsilon")) o.epsilon = v->as_double();
   if (const Json* v = j.find("alpha")) o.alpha = v->as_double();
   if (const Json* v = j.find("size_bonus")) o.size_bonus = size_bonus_from(v->as_string());
   if (const Json* v = j.find("span_limit"))
     o.span_limit = v->is_null() ? std::nullopt
-                                : std::optional<int>(static_cast<int>(v->as_int()));
+                                : std::optional<int>(select_int(*v, where, "span_limit"));
   if (const Json* v = j.find("generation")) o.generation = generation_from(v->as_string());
   return o;
 }

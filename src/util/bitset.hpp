@@ -14,6 +14,21 @@
 
 namespace mpsched {
 
+/// Number of set bits in one word — the codebase's one popcount. Where the
+/// target has a popcount instruction this is std::popcount; on baseline
+/// x86-64 (no -mpopcnt) GCC would lower std::popcount to a libgcc call, so
+/// there it is a branch-free SWAR count instead.
+inline int popcount(std::uint64_t w) noexcept {
+#if defined(__POPCNT__) || defined(__aarch64__)
+  return std::popcount(w);
+#else
+  w -= (w >> 1) & 0x5555555555555555ULL;
+  w = (w & 0x3333333333333333ULL) + ((w >> 2) & 0x3333333333333333ULL);
+  w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return static_cast<int>((w * 0x0101010101010101ULL) >> 56);
+#endif
+}
+
 class DynamicBitset {
  public:
   using Word = std::uint64_t;
@@ -56,7 +71,7 @@ class DynamicBitset {
   /// Number of set bits.
   std::size_t count() const noexcept {
     std::size_t c = 0;
-    for (Word w : words_) c += static_cast<std::size_t>(std::popcount(w));
+    for (Word w : words_) c += static_cast<std::size_t>(popcount(w));
     return c;
   }
 

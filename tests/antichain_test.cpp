@@ -103,7 +103,7 @@ TEST_P(AntichainOracleTest, MatchesSubsetEnumeration) {
   std::uint64_t oracle_total = 0;
   std::vector<std::uint64_t> oracle_by_size(cap + 1, 0);
   for (std::uint64_t mask = 1; mask < (1ULL << g.node_count()); ++mask) {
-    const auto size = static_cast<std::size_t>(__builtin_popcountll(mask));
+    const auto size = static_cast<std::size_t>(popcount(mask));
     if (size > cap) continue;
     std::vector<NodeId> members;
     for (NodeId n = 0; n < g.node_count(); ++n)
@@ -199,48 +199,100 @@ TEST(AntichainTest, MembersAreSortedAndValid) {
 
 // The enumeration kernel must be byte-identical to the reference
 // (copy-a-bitset-per-node) implementation across a seeded corpus: the
-// paper graph, two many-node kernels and random DAGs, with and without
+// paper graph, two one-word kernels and random DAGs, with and without
 // members, serial and parallel, at every size limit up to the engine
 // default (the leaf level sits at depth C−1, so C=1 has none and C=2
-// hangs leaves directly off the root) and at no, tight and default span
-// limits.
+// hangs leaves directly off the root) and at no, tight, default and
+// two-level span limits. Graphs of 65–200 nodes give the leaf level
+// multi-word candidate masks, counted word-parallel; they run C ≤ 3 with
+// member lists off (member collection walks leaves one at a time), and a
+// deep one (iir, 41 levels) gives unlimited span 41 span rows.
+// Every configuration also merges a two-shard root partition, each shard
+// flushing its own walker's leaf counters.
 TEST(AntichainTest, ArenaMatchesReferenceOnSeededCorpus) {
-  std::vector<Dfg> corpus;
-  corpus.push_back(workloads::paper_3dft());
-  corpus.push_back(workloads::small_example());
-  corpus.push_back(workloads::dct8());
-  corpus.push_back(workloads::radix2_fft(8));
+  struct Case {
+    Dfg graph;
+    std::size_t max_size;
+    bool members;
+  };
+  std::vector<Case> corpus;
+  corpus.push_back({workloads::paper_3dft(), 5, true});
+  corpus.push_back({workloads::small_example(), 5, true});
+  corpus.push_back({workloads::dct8(), 5, true});
+  corpus.push_back({workloads::radix2_fft(8), 5, true});
   for (const std::uint64_t seed : {5u, 17u, 29u}) {
     workloads::LayeredDagOptions dag_options;
     dag_options.layers = 4;
     dag_options.min_width = 3;
     dag_options.max_width = 6;
-    corpus.push_back(workloads::random_layered_dag(seed, dag_options));
+    corpus.push_back({workloads::random_layered_dag(seed, dag_options), 5, true});
   }
+  corpus.push_back({workloads::iir_biquad_cascade(8), 3, false});  // 72 nodes
+  corpus.push_back({workloads::bitonic_sort(16), 3, false});       // 160 nodes
+  corpus.push_back({workloads::radix2_fft(16), 3, false});         // 188 nodes
 
-  for (const Dfg& g : corpus) {
+  for (const Case& c : corpus) {
+    const Dfg& g = c.graph;
     const Levels lv = compute_levels(g);
     const Reachability reach(g);
-    for (std::size_t max_size = 1; max_size <= 5; ++max_size)
-      for (const std::optional<int> span :
-           {std::optional<int>{}, std::optional<int>{0}, std::optional<int>{1}}) {
-        // One oracle run serves all four kernel runs: the reference is
+    std::vector<NodeId> even_roots, odd_roots;
+    for (NodeId r = 0; r < g.node_count(); ++r)
+      (r % 2 == 0 ? even_roots : odd_roots).push_back(r);
+    for (std::size_t max_size = 1; max_size <= c.max_size; ++max_size)
+      for (const std::optional<int> span : {std::optional<int>{}, std::optional<int>{0},
+                                            std::optional<int>{1}, std::optional<int>{2}}) {
+        SCOPED_TRACE(testing::Message() << g.node_count() << " nodes, C=" << max_size
+                                        << ", span " << span.value_or(-1));
+        // One oracle run serves every kernel run: the reference is
         // sequential whatever `parallel` says, and member collection
         // changes nothing but the member lists.
         AntichainAnalysis ref =
-            enumerate_antichains_reference(g, lv, reach, opts(max_size, span, true));
+            enumerate_antichains_reference(g, lv, reach, opts(max_size, span, c.members));
         for (const bool collect : {true, false}) {
+          if (collect && !c.members) continue;
           if (!collect)
             for (PatternAntichains& pa : ref.per_pattern) pa.members.clear();
           for (const bool parallel : {false, true}) {
-            SCOPED_TRACE(testing::Message() << g.node_count() << " nodes, C=" << max_size
-                                            << ", span " << span.value_or(-1) << ", members "
-                                            << collect << ", parallel " << parallel);
+            SCOPED_TRACE(testing::Message() << "members " << collect << ", parallel "
+                                            << parallel);
             const EnumerateOptions o = opts(max_size, span, collect, parallel);
             test::expect_analysis_identical(ref, enumerate_antichains(g, lv, reach, o));
           }
         }
+        SCOPED_TRACE("two-shard merge");
+        std::vector<AntichainAnalysis> parts;
+        const EnumerateOptions o = opts(max_size, span);
+        parts.push_back(enumerate_antichain_roots(g, lv, reach, o, even_roots));
+        parts.push_back(enumerate_antichain_roots(g, lv, reach, o, odd_roots));
+        test::expect_analysis_identical(
+            ref, merge_antichain_analyses(std::move(parts), g.node_count()));
       }
+  }
+}
+
+// The leaf level's bit-sliced frequency counters flush into the pattern
+// entries every 65,535 adds, before a 16-bit lane can overflow. An
+// edgeless one-color graph of 90 nodes at C=4 has C(90,3) = 117,480
+// size-3 prefixes of one pattern, more than 65,535 of them dense enough to
+// be counted word-parallel, so one serial walker flushes mid-walk. Every
+// s-set is an antichain: count(s) = C(90,s), and each node lies in
+// C(89,s−1) of them.
+TEST(AntichainTest, LeafCounterFlushMatchesClosedForms) {
+  constexpr std::size_t n = 90;
+  Dfg g("edgeless");
+  for (std::size_t i = 0; i < n; ++i) g.add_node("a");
+  const auto choose = [](std::uint64_t m, std::uint64_t k) {
+    std::uint64_t r = 1;
+    for (std::uint64_t i = 1; i <= k; ++i) r = r * (m - k + i) / i;
+    return r;
+  };
+  const AntichainAnalysis a = enumerate_antichains(g, opts(4, std::nullopt, false, false));
+  ASSERT_EQ(a.per_pattern.size(), 4u);
+  for (std::size_t s = 1; s <= 4; ++s) {
+    const PatternAntichains& pa = a.per_pattern[s - 1];
+    EXPECT_EQ(pa.pattern.size(), s);
+    EXPECT_EQ(pa.antichain_count, choose(n, s));
+    EXPECT_EQ(pa.node_frequency, std::vector<std::uint64_t>(n, choose(n - 1, s - 1)));
   }
 }
 

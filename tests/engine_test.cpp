@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <thread>
 
@@ -670,6 +671,17 @@ TEST(CorpusIo, RejectsMalformedCorpora) {
       corpus_from_json(Json::parse(
           header + R"([{"workload":"dct8","refinement":{"max_sweeps":3}}]})")),
       std::invalid_argument);
+  // Select integers outside [0, INT_MAX] would wrap in the size_t/int
+  // casts (capacity -1 or 1e12 into an unbounded C, pattern_count -1 into
+  // a silently different job); each fails the parse, valid neighbour or not.
+  for (const char* select :
+       {R"({"capacity":-1})", R"({"capacity":1e12})", R"({"pattern_count":-1})",
+        R"({"span_limit":-1})", R"({"span_limit":4294967296})"}) {
+    SCOPED_TRACE(select);
+    EXPECT_THROW(corpus_from_json(Json::parse(header + R"([{"workload":"dct8","select":)" +
+                                              select + R"(},{"workload":"paper_3dft"}]})")),
+                 std::invalid_argument);
+  }
 }
 
 TEST(Engine, StatsCacheCountersAreDispatchBoundaryConsistent) {
@@ -773,16 +785,24 @@ TEST(Engine, InvalidOptionsFailOnlyTheirJobWithAnAnalysisError) {
   // enumeration's own message under the "analysis: " prefix; its valid
   // neighbour in the same dispatch succeeds, and nothing is cached for
   // the failure.
+  // A capacity above the antichain layer's ceiling fails the same way, on
+  // both generation paths, before any per-size table or cost series is
+  // sized by it (SIZE_MAX used to spin the root-cost estimate).
   Job no_capacity = Job::from_workload("fir(8)");
   no_capacity.select.capacity = 0;
   Job negative_span = Job::from_workload("dct8");
   negative_span.select.span_limit = -1;
-  const std::vector<Job> jobs{no_capacity, negative_span,
+  Job huge_capacity = Job::from_workload("dct8");
+  huge_capacity.select.capacity = std::numeric_limits<std::size_t>::max();
+  Job analytic_capacity = Job::from_workload("dct8");
+  analytic_capacity.select.capacity = kMaxAntichainSize + 1;
+  analytic_capacity.select.generation = PatternGeneration::LevelAnalytic;
+  const std::vector<Job> jobs{no_capacity, negative_span, huge_capacity, analytic_capacity,
                               Job::from_workload("paper_3dft")};
 
   Engine eng;
   const engine::BatchResult batch = eng.run_batch(jobs);
-  ASSERT_EQ(batch.jobs.size(), 3u);
+  ASSERT_EQ(batch.jobs.size(), 5u);
   const auto expect_analysis_error = [](const engine::JobResult& r,
                                         const std::string& message) {
     EXPECT_FALSE(r.success) << r.job;
@@ -791,7 +811,9 @@ TEST(Engine, InvalidOptionsFailOnlyTheirJobWithAnAnalysisError) {
   };
   expect_analysis_error(batch.jobs[0], "max_size must be at least 1");
   expect_analysis_error(batch.jobs[1], "span limit must be non-negative");
-  EXPECT_TRUE(batch.jobs[2].success) << batch.jobs[2].error;
+  expect_analysis_error(batch.jobs[2], "max_size must be at most 64");
+  expect_analysis_error(batch.jobs[3], "max_size must be at most 64");
+  EXPECT_TRUE(batch.jobs[4].success) << batch.jobs[4].error;
 
   // A failed analysis is never published: the bad job recomputes (and
   // fails) again, and only the valid job's analysis is held.

@@ -297,6 +297,9 @@ TEST_F(ObsTest, TracedMultiThreadedBatchExportsValidTraceAndIdenticalResults) {
   const Json metrics = Registry::global().to_json();
   EXPECT_GT(metrics.at("counters").at("engine.dispatches").as_int(), 0);
   EXPECT_GT(metrics.at("histograms").at("engine.shard_ms").at("count").as_int(), 0);
+  // Every shard records its thread CPU time beside its wall time.
+  EXPECT_EQ(metrics.at("histograms").at("engine.shard_cpu_ms").at("count").as_int(),
+            metrics.at("histograms").at("engine.shard_ms").at("count").as_int());
   EXPECT_GT(metrics.at("histograms").at("queue.wait_ms").at("count").as_int(), 0);
 }
 
