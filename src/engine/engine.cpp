@@ -272,8 +272,9 @@ struct Dispatch {
   std::vector<const SchedulerBackend*> backends;
   /// The effective (post-transform) graph: every phase after the first —
   /// keys, levels/closure, enumeration, backend — consumes it, never
-  /// Job::dfg.
-  std::vector<std::shared_ptr<const Dfg>> graphs;
+  /// Job::dfg. With no transforms it shares the job's graph (a Dfg copy is
+  /// a pointer copy).
+  std::vector<Dfg> graphs;
   std::vector<CacheKey> keys;  ///< analysis keys
   std::vector<std::shared_ptr<const PreparedGraph>> prepared;
   std::vector<std::shared_ptr<const AntichainAnalysis>> analysis;
@@ -288,9 +289,9 @@ struct Dispatch {
 };
 
 /// Resolves each job's backend and transform stack, then runs the
-/// transforms. Unknown names fail only that job. An empty stack aliases
-/// the caller's graph (no copy; `jobs` outlives the dispatch), so the
-/// default pipeline costs nothing here beyond the registry lookup.
+/// transforms. Unknown names fail only that job. An empty stack shares
+/// the job's graph, so the default pipeline costs nothing here beyond the
+/// registry lookup.
 void Dispatch::resolve_and_transform() {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult& r = batch.jobs[i];
@@ -304,16 +305,11 @@ void Dispatch::resolve_and_transform() {
     Timer t;
     try {
       backends[i] = &get_backend(jobs[i].backend);
-      if (jobs[i].transforms.empty()) {
-        graphs[i] = std::shared_ptr<const Dfg>(std::shared_ptr<const Dfg>{},
-                                               &jobs[i].dfg);
-      } else {
-        const TransformPipeline pipe =
-            TransformPipeline::from_specs(jobs[i].transforms);
-        graphs[i] = std::make_shared<const Dfg>(pipe.apply(jobs[i].dfg));
-      }
-      r.nodes = graphs[i]->node_count();
-      r.edges = graphs[i]->edge_count();
+      graphs[i] = jobs[i].transforms.empty()
+                      ? jobs[i].dfg
+                      : TransformPipeline::from_specs(jobs[i].transforms).apply(jobs[i].dfg);
+      r.nodes = graphs[i].node_count();
+      r.edges = graphs[i].edge_count();
     } catch (const std::exception& e) {
       r.error = std::string("pipeline: ") + e.what();
     }
@@ -335,7 +331,7 @@ void Dispatch::key_and_prepare() {
       Timer t;
       try {
         std::tie(graph_keys[i], keys[i]) = AnalysisCache::content_keys(
-            *graphs[i], jobs[i].select.generation, jobs[i].select.capacity,
+            graphs[i], jobs[i].select.generation, jobs[i].select.capacity,
             jobs[i].select.span_limit,
             pipeline_cache_tag(jobs[i].transforms, jobs[i].backend));
       } catch (const std::exception& e) {
@@ -353,7 +349,7 @@ void Dispatch::key_and_prepare() {
   workers.parallel_for(groups.size(), [&](std::size_t g) {
     const std::vector<std::size_t>& group = groups[g];
     const std::size_t exemplar = group.front();
-    const Dfg& dfg = *graphs[exemplar];
+    const Dfg& dfg = graphs[exemplar];
     Timer t;
     std::shared_ptr<const PreparedGraph> graph;
     std::string error;
@@ -434,7 +430,7 @@ void Dispatch::plan() {
         EnumerateOptions estimate_options = enumerate_options_for(job.select);
         estimate_options.parallel = true;
         unit.shard_roots = pack_roots_by_cost(
-            estimate_root_costs(*graphs[unit.exemplar_job], graph.levels, graph.reach,
+            estimate_root_costs(graphs[unit.exemplar_job], graph.levels, graph.reach,
                                 estimate_options),
             target_shards);
       } catch (const std::exception& e) {
@@ -463,7 +459,7 @@ void Dispatch::enumerate() {
     AnalysisUnit& unit = units[tasks[t].unit];
     const std::size_t s = tasks[t].shard;
     const Job& job = jobs[unit.exemplar_job];
-    const Dfg& unit_dfg = *graphs[unit.exemplar_job];
+    const Dfg& unit_dfg = graphs[unit.exemplar_job];
     const PreparedGraph& graph = *prepared[unit.exemplar_job];
     obs::Span enumerate_span("engine.enumerate",
                              obs::tracing_enabled()
@@ -512,7 +508,7 @@ void Dispatch::merge_and_publish() {
           unit.shard_results.size() == 1
               ? std::move(unit.shard_results.front())
               : merge_antichain_analyses(std::move(unit.shard_results),
-                                         graphs[unit.exemplar_job]->node_count()));
+                                         graphs[unit.exemplar_job].node_count()));
     }
     if (options.use_cache) cache.store_analysis(unit.key, unit.result);
   });
@@ -535,7 +531,7 @@ void Dispatch::merge_and_publish() {
 /// reports the exception as a failure that must not be memoized.
 bool Dispatch::run_backend(std::size_t i, SolvedResult& s) {
   const Job& job = jobs[i];
-  const Dfg& dfg = *graphs[i];
+  const Dfg& dfg = graphs[i];
   try {
     s.critical_path = prepared[i]->levels.critical_path_length();
 

@@ -28,6 +28,8 @@ struct Job {
   /// Workload spec (workloads/corpus.hpp) this graph came from; empty for
   /// graphs supplied directly. Carried through to results and corpus files.
   std::string workload;
+  /// Shares its storage with every copy (graph/dfg.hpp), so copying a job
+  /// never copies its graph.
   Dfg dfg;
   /// Transform pipeline (graph/transform.hpp) applied to `dfg` in the
   /// engine's prepare phase, in order. Empty = run the graph as-is.

@@ -6,20 +6,36 @@
 
 namespace mpsched {
 
+const std::string& Dfg::name() const noexcept {
+  static const std::string kDefaultName = Fields{}.name;
+  return block_ ? block_->name : kDefaultName;
+}
+
+Dfg::Fields& Dfg::edit() {
+  if (!block_)
+    block_ = std::make_shared<Block>();
+  else if (block_->shared.load())
+    block_ = std::make_shared<Block>(static_cast<const Fields&>(*block_));
+  return *block_;
+}
+
+// The mutators validate against the current block before edit(), so a
+// rejected call (or an idempotent intern_color) never clones a shared one.
+
 ColorId Dfg::intern_color(std::string_view color_name) {
   MPSCHED_REQUIRE(!color_name.empty(), "color name must be non-empty");
-  const std::string key(color_name);
-  if (const auto it = color_index_.find(key); it != color_index_.end()) return it->second;
-  MPSCHED_REQUIRE(color_names_.size() < std::numeric_limits<ColorId>::max(),
+  if (const auto id = find_color(color_name)) return *id;
+  MPSCHED_REQUIRE(color_count() < std::numeric_limits<ColorId>::max(),
                   "too many distinct colors");
-  const auto id = static_cast<ColorId>(color_names_.size());
-  color_names_.push_back(key);
-  color_index_.emplace(key, id);
+  const auto id = static_cast<ColorId>(color_count());
+  Fields& f = edit();
+  f.color_names.emplace_back(color_name);
+  f.color_index.emplace(f.color_names.back(), id);
   return id;
 }
 
 NodeId Dfg::add_node(ColorId color, std::string node_name) {
-  MPSCHED_REQUIRE(color < color_names_.size(), "unknown color id");
+  MPSCHED_REQUIRE(color < color_count(), "unknown color id");
   const auto id = static_cast<NodeId>(node_count());
   if (node_name.empty()) {
     // Built as to_string + insert rather than "n" + to_string(id): gcc 12's
@@ -27,42 +43,46 @@ NodeId Dfg::add_node(ColorId color, std::string node_name) {
     node_name = std::to_string(id);
     node_name.insert(node_name.begin(), 'n');
   }
-  MPSCHED_REQUIRE(node_index_.find(node_name) == node_index_.end(),
+  MPSCHED_REQUIRE(!block_ || !block_->node_index.contains(node_name),
                   "duplicate node name '" + node_name + "'");
-  colors_.push_back(color);
-  node_index_.emplace(node_name, id);
-  node_names_.push_back(std::move(node_name));
-  preds_.emplace_back();
-  succs_.emplace_back();
+  Fields& f = edit();
+  f.colors.push_back(color);
+  f.node_index.emplace(node_name, id);
+  f.node_names.push_back(std::move(node_name));
+  f.preds.emplace_back();
+  f.succs.emplace_back();
   return id;
 }
 
 void Dfg::add_edge(NodeId from, NodeId to) {
   MPSCHED_REQUIRE(from < node_count(), "edge source out of range");
   MPSCHED_REQUIRE(to < node_count(), "edge target out of range");
-  MPSCHED_REQUIRE(from != to, "self-loop on node '" + node_names_[from] + "'");
+  MPSCHED_REQUIRE(from != to, "self-loop on node '" + node_name(from) + "'");
   MPSCHED_REQUIRE(!has_edge(from, to),
-                  "duplicate edge " + node_names_[from] + " -> " + node_names_[to]);
-  succs_[from].push_back(to);
-  preds_[to].push_back(from);
-  ++edge_count_;
+                  "duplicate edge " + node_name(from) + " -> " + node_name(to));
+  Fields& f = edit();
+  f.succs[from].push_back(to);
+  f.preds[to].push_back(from);
+  ++f.edge_count;
 }
 
 std::optional<NodeId> Dfg::find_node(std::string_view node_name) const {
-  const auto it = node_index_.find(std::string(node_name));
-  if (it == node_index_.end()) return std::nullopt;
+  if (!block_) return std::nullopt;
+  const auto it = block_->node_index.find(std::string(node_name));
+  if (it == block_->node_index.end()) return std::nullopt;
   return it->second;
 }
 
 std::optional<ColorId> Dfg::find_color(std::string_view color_name) const {
-  const auto it = color_index_.find(std::string(color_name));
-  if (it == color_index_.end()) return std::nullopt;
+  if (!block_) return std::nullopt;
+  const auto it = block_->color_index.find(std::string(color_name));
+  if (it == block_->color_index.end()) return std::nullopt;
   return it->second;
 }
 
 bool Dfg::has_edge(NodeId from, NodeId to) const {
   MPSCHED_ASSERT(from < node_count() && to < node_count());
-  const auto& out = succs_[from];
+  const auto& out = block_->succs[from];
   return std::find(out.begin(), out.end(), to) != out.end();
 }
 
@@ -70,7 +90,7 @@ std::vector<NodeId> Dfg::topo_order() const {
   std::vector<std::size_t> pending(node_count());
   std::deque<NodeId> ready;
   for (NodeId n = 0; n < node_count(); ++n) {
-    pending[n] = preds_[n].size();
+    pending[n] = preds(n).size();
     if (pending[n] == 0) ready.push_back(n);
   }
   std::vector<NodeId> order;
@@ -79,11 +99,11 @@ std::vector<NodeId> Dfg::topo_order() const {
     const NodeId n = ready.front();
     ready.pop_front();
     order.push_back(n);
-    for (const NodeId s : succs_[n]) {
+    for (const NodeId s : succs(n)) {
       if (--pending[s] == 0) ready.push_back(s);
     }
   }
-  MPSCHED_CHECK(order.size() == node_count(), "graph '" + name_ + "' contains a cycle");
+  MPSCHED_CHECK(order.size() == node_count(), "graph '" + name() + "' contains a cycle");
   return order;
 }
 

@@ -16,9 +16,22 @@
 //    (usually single letters) and nodes store a compact ColorId.
 //  * The structure is append-only (nodes and edges can be added, never
 //    removed); algorithms treat a finished graph as immutable.
+//  * Copies share storage. A graph keeps its fields in one heap block, and
+//    copying a Dfg copies a pointer to that block, so a graph can be handed
+//    to many jobs, threads and caches without duplicating it. A block is
+//    never written after its first copy: copying sets an atomic "shared"
+//    flag in the block, and a mutator on a shared block first clones it
+//    into a fresh, unshared one. Builders construct fresh graphs, so they
+//    still edit in place. Sole ownership is never inferred from the
+//    reference count: a relaxed use_count() of 1 does not order this
+//    thread's writes after another thread's reads of a copy it just
+//    dropped. Moves cost nothing, and a default-constructed or moved-from
+//    graph holds no block (it reads as an empty graph named "dfg").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,11 +50,21 @@ inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
 class Dfg {
  public:
-  Dfg() = default;
-  explicit Dfg(std::string name) : name_(std::move(name)) {}
+  Dfg() noexcept = default;
+  explicit Dfg(std::string name) { set_name(std::move(name)); }
 
-  const std::string& name() const noexcept { return name_; }
-  void set_name(std::string name) { name_ = std::move(name); }
+  /// Shares `other`'s block and marks it shared; see the design notes.
+  Dfg(const Dfg& other) noexcept : block_(other.block_) { mark_shared(); }
+  Dfg& operator=(const Dfg& other) noexcept {
+    block_ = other.block_;
+    mark_shared();
+    return *this;
+  }
+  Dfg(Dfg&&) noexcept = default;
+  Dfg& operator=(Dfg&&) noexcept = default;
+
+  const std::string& name() const noexcept;
+  void set_name(std::string name) { edit().name = std::move(name); }
 
   // ------------------------------------------------------------------
   // Construction
@@ -68,35 +91,37 @@ class Dfg {
   // Topology
   // ------------------------------------------------------------------
 
-  std::size_t node_count() const noexcept { return colors_.size(); }
-  std::size_t edge_count() const noexcept { return edge_count_; }
-  std::size_t color_count() const noexcept { return color_names_.size(); }
+  std::size_t node_count() const noexcept { return block_ ? block_->colors.size() : 0; }
+  std::size_t edge_count() const noexcept { return block_ ? block_->edge_count : 0; }
+  std::size_t color_count() const noexcept {
+    return block_ ? block_->color_names.size() : 0;
+  }
 
   ColorId color(NodeId n) const {
     MPSCHED_ASSERT(n < node_count());
-    return colors_[n];
+    return block_->colors[n];
   }
 
   const std::string& color_name(ColorId c) const {
-    MPSCHED_ASSERT(c < color_names_.size());
-    return color_names_[c];
+    MPSCHED_ASSERT(c < color_count());
+    return block_->color_names[c];
   }
 
   const std::string& node_name(NodeId n) const {
     MPSCHED_ASSERT(n < node_count());
-    return node_names_[n];
+    return block_->node_names[n];
   }
 
   /// Predecessors Pred(n) in edge insertion order.
   const std::vector<NodeId>& preds(NodeId n) const {
     MPSCHED_ASSERT(n < node_count());
-    return preds_[n];
+    return block_->preds[n];
   }
 
   /// Successors Succ(n) in edge insertion order.
   const std::vector<NodeId>& succs(NodeId n) const {
     MPSCHED_ASSERT(n < node_count());
-    return succs_[n];
+    return block_->succs[n];
   }
 
   bool is_source(NodeId n) const { return preds(n).empty(); }
@@ -126,15 +151,33 @@ class Dfg {
   std::vector<NodeId> topo_order() const;
 
  private:
-  std::string name_ = "dfg";
-  std::vector<ColorId> colors_;
-  std::vector<std::string> node_names_;
-  std::vector<std::vector<NodeId>> preds_;
-  std::vector<std::vector<NodeId>> succs_;
-  std::vector<std::string> color_names_;
-  std::unordered_map<std::string, ColorId> color_index_;
-  std::unordered_map<std::string, NodeId> node_index_;
-  std::size_t edge_count_ = 0;
+  struct Fields {
+    std::string name = "dfg";
+    std::vector<ColorId> colors;
+    std::vector<std::string> node_names;
+    std::vector<std::vector<NodeId>> preds;
+    std::vector<std::vector<NodeId>> succs;
+    std::vector<std::string> color_names;
+    std::unordered_map<std::string, ColorId> color_index;
+    std::unordered_map<std::string, NodeId> node_index;
+    std::size_t edge_count = 0;
+  };
+  /// The shared heap block: the fields plus the flag the first copy sets.
+  /// A clone copies the fields and starts unshared.
+  struct Block : Fields {
+    Block() = default;
+    explicit Block(const Fields& fields) : Fields(fields) {}
+    std::atomic<bool> shared{false};
+  };
+
+  void mark_shared() noexcept {
+    if (block_) block_->shared.store(true);
+  }
+  /// The block a mutator may write: a new one when there is none, a clone
+  /// when the current one is shared, else the current one.
+  Fields& edit();
+
+  std::shared_ptr<Block> block_;
 };
 
 }  // namespace mpsched

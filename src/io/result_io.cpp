@@ -6,7 +6,6 @@
 #include "graph/transform.hpp"
 #include "io/dfg_io.hpp"
 #include "sched/backend.hpp"
-#include "workloads/corpus.hpp"
 
 namespace mpsched {
 
@@ -141,32 +140,34 @@ void reject_unknown_keys(const Json& obj, std::initializer_list<const char*> all
 
 namespace {
 
-/// A select integer, range-checked to [0, INT_MAX] before the narrowing
-/// casts below, so a negative or huge value fails the parse instead of
-/// wrapping into a silently different (or unbounded) job.
-int select_int(const Json& v, const std::string& where, const char* key) {
+/// A select or refinement integer, range-checked to [0, INT_MAX] before
+/// the narrowing casts below, so a negative or huge value fails the parse
+/// instead of wrapping into a silently different (or unbounded) job.
+/// `where` names the block ("job #0.select").
+int option_int(const Json& v, const std::string& where, const char* key) {
   const std::int64_t x = v.as_int();
   if (x < 0 || x > std::numeric_limits<int>::max())
-    throw std::invalid_argument(where + ".select: " + key + " " + std::to_string(x) +
+    throw std::invalid_argument(where + ": " + key + " " + std::to_string(x) +
                                 " is out of range");
   return static_cast<int>(x);
 }
 
 SelectOptions select_from_json(const Json& j, const std::string& where) {
+  const std::string block = where + ".select";
   reject_unknown_keys(j, {"pattern_count", "capacity", "epsilon", "alpha", "size_bonus",
                           "span_limit", "generation"},
-                      where + ".select");
+                      block);
   SelectOptions o;
   if (const Json* v = j.find("pattern_count"))
-    o.pattern_count = static_cast<std::size_t>(select_int(*v, where, "pattern_count"));
+    o.pattern_count = static_cast<std::size_t>(option_int(*v, block, "pattern_count"));
   if (const Json* v = j.find("capacity"))
-    o.capacity = static_cast<std::size_t>(select_int(*v, where, "capacity"));
+    o.capacity = static_cast<std::size_t>(option_int(*v, block, "capacity"));
   if (const Json* v = j.find("epsilon")) o.epsilon = v->as_double();
   if (const Json* v = j.find("alpha")) o.alpha = v->as_double();
   if (const Json* v = j.find("size_bonus")) o.size_bonus = size_bonus_from(v->as_string());
   if (const Json* v = j.find("span_limit"))
     o.span_limit = v->is_null() ? std::nullopt
-                                : std::optional<int>(select_int(*v, where, "span_limit"));
+                                : std::optional<int>(option_int(*v, block, "span_limit"));
   if (const Json* v = j.find("generation")) o.generation = generation_from(v->as_string());
   return o;
 }
@@ -184,7 +185,7 @@ MpScheduleOptions schedule_from_json(const Json& j, const std::string& where) {
 
 }  // namespace
 
-Job job_from_json(const Json& j, std::size_t index) {
+Job job_from_json(const Json& j, std::size_t index, GraphIntern& graphs) {
   const std::string where =
       "job #" + std::to_string(index) +
       (j.find("name") != nullptr ? " ('" + j.at("name").as_string() + "')" : "");
@@ -201,9 +202,9 @@ Job job_from_json(const Json& j, std::size_t index) {
     throw std::invalid_argument(where + ": exactly one of 'workload' / 'dfg' is required");
   if (workload != nullptr) {
     job.workload = workload->as_string();
-    job.dfg = workloads::make_workload(job.workload);
+    job.dfg = graphs.workload(job.workload);
   } else {
-    job.dfg = dfg_from_text(dfg_text->as_string());
+    job.dfg = graphs.text(dfg_text->as_string());
   }
   if (job.name.empty()) job.name = workload != nullptr ? job.workload : job.dfg.name();
 
@@ -230,13 +231,20 @@ Job job_from_json(const Json& j, std::size_t index) {
     // silently dropped on re-serialization; that is a typo, not a request.
     if (!job.refine)
       throw std::invalid_argument(where + ": 'refinement' requires \"refine\": true");
-    reject_unknown_keys(*v, {"candidate_pool", "max_sweeps"}, where + ".refinement");
+    const std::string block = where + ".refinement";
+    reject_unknown_keys(*v, {"candidate_pool", "max_sweeps"}, block);
     if (const Json* p = v->find("candidate_pool"))
-      job.refinement.candidate_pool = static_cast<std::size_t>(p->as_int());
+      job.refinement.candidate_pool =
+          static_cast<std::size_t>(option_int(*p, block, "candidate_pool"));
     if (const Json* p = v->find("max_sweeps"))
-      job.refinement.max_sweeps = static_cast<std::size_t>(p->as_int());
+      job.refinement.max_sweeps = static_cast<std::size_t>(option_int(*p, block, "max_sweeps"));
   }
   return job;
+}
+
+Job job_from_json(const Json& j, std::size_t index) {
+  GraphIntern graphs;
+  return job_from_json(j, index, graphs);
 }
 
 Json result_to_json(const JobResult& r, bool include_diagnostics) {
@@ -295,7 +303,7 @@ Json corpus_to_json(const std::vector<Job>& jobs) {
   return doc;
 }
 
-std::vector<Job> corpus_from_json(const Json& doc) {
+std::vector<Job> corpus_from_json(const Json& doc, GraphIntern& graphs) {
   if (const Json* schema = doc.find("schema"); schema == nullptr ||
       schema->as_string() != kCorpusSchema)
     throw std::invalid_argument(std::string("corpus: expected schema '") + kCorpusSchema +
@@ -303,8 +311,13 @@ std::vector<Job> corpus_from_json(const Json& doc) {
   std::vector<Job> jobs;
   const Json::Array& arr = doc.at("jobs").as_array();
   jobs.reserve(arr.size());
-  for (std::size_t i = 0; i < arr.size(); ++i) jobs.push_back(job_from_json(arr[i], i));
+  for (std::size_t i = 0; i < arr.size(); ++i) jobs.push_back(job_from_json(arr[i], i, graphs));
   return jobs;
+}
+
+std::vector<Job> corpus_from_json(const Json& doc) {
+  GraphIntern graphs;
+  return corpus_from_json(doc, graphs);
 }
 
 Json batch_to_json(const BatchResult& batch, bool include_diagnostics) {

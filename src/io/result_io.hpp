@@ -19,6 +19,7 @@
 
 #include "engine/engine.hpp"
 #include "engine/job.hpp"
+#include "io/graph_intern.hpp"
 #include "io/json.hpp"
 
 namespace mpsched {
@@ -37,7 +38,10 @@ void reject_unknown_keys(const Json& obj, std::initializer_list<const char*> all
 /// exposed for the service envelope (io/service_io): one corpus entry and
 /// one results entry, with exactly the document semantics described above.
 Json job_to_json(const engine::Job& job);
-/// `index` only labels error messages ("job #3 ...").
+/// `index` only labels error messages ("job #3 ..."). The job's graph
+/// comes from `graphs` (io/graph_intern.hpp); the overload without one
+/// uses a fresh intern.
+engine::Job job_from_json(const Json& doc, std::size_t index, GraphIntern& graphs);
 engine::Job job_from_json(const Json& doc, std::size_t index = 0);
 Json result_to_json(const engine::JobResult& result, bool include_diagnostics = false);
 
@@ -46,9 +50,11 @@ Json result_to_json(const engine::JobResult& result, bool include_diagnostics = 
 Json corpus_to_json(const std::vector<engine::Job>& jobs);
 
 /// Parses a corpus document, instantiating each job's graph (from its
-/// workload spec or embedded dfg text). Unknown keys are rejected; omitted
-/// option keys keep their defaults. Throws std::invalid_argument /
+/// workload spec or embedded dfg text) through `graphs`, or through one
+/// fresh intern per document. Unknown keys are rejected; omitted option
+/// keys keep their defaults. Throws std::invalid_argument /
 /// std::runtime_error with the offending job's name.
+std::vector<engine::Job> corpus_from_json(const Json& doc, GraphIntern& graphs);
 std::vector<engine::Job> corpus_from_json(const Json& doc);
 
 /// Serializes batch results, index-aligned with the corpus.

@@ -85,7 +85,7 @@ Json request_to_json(const Request& request) {
   return doc;
 }
 
-Request request_from_json(const Json& doc) {
+Request request_from_json(const Json& doc, GraphIntern& graphs) {
   if (!doc.is_object()) throw std::invalid_argument("request: expected a JSON object");
   Request request;
   request.op = op_from(doc.at("op").as_string());
@@ -96,13 +96,13 @@ Request request_from_json(const Json& doc) {
     case Op::SubmitAsync: {
       reject_unknown_keys(doc, {"op", "id", "corpus", "diagnostics"},
                           std::string(to_text(request.op)) + " request");
-      request.jobs = corpus_from_json(doc.at("corpus"));
+      request.jobs = corpus_from_json(doc.at("corpus"), graphs);
       if (const Json* d = doc.find("diagnostics")) request.diagnostics = d->as_bool();
       break;
     }
     case Op::SubmitJob: {
       reject_unknown_keys(doc, {"op", "id", "job", "diagnostics"}, "submit_job request");
-      request.jobs.push_back(job_from_json(doc.at("job"), 0));
+      request.jobs.push_back(job_from_json(doc.at("job"), 0, graphs));
       if (const Json* d = doc.find("diagnostics")) request.diagnostics = d->as_bool();
       break;
     }
@@ -131,6 +131,11 @@ Request request_from_json(const Json& doc) {
       break;
   }
   return request;
+}
+
+Request request_from_json(const Json& doc) {
+  GraphIntern graphs;
+  return request_from_json(doc, graphs);
 }
 
 Json make_ok(const Request& request) {

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "engine/job.hpp"
+#include "io/graph_intern.hpp"
 #include "io/json.hpp"
 
 namespace mpsched::service {
@@ -111,7 +112,9 @@ Json request_to_json(const Request& request);
 
 /// Parses and validates a request object; throws std::invalid_argument /
 /// std::runtime_error on unknown ops, unknown keys, or a missing/invalid
-/// payload for the op.
+/// payload for the op. Job graphs come from `graphs`
+/// (io/graph_intern.hpp); the overload without one uses a fresh intern.
+Request request_from_json(const Json& doc, GraphIntern& graphs);
 Request request_from_json(const Json& doc);
 
 /// Parsed response envelope (client side). `body` keeps the whole

@@ -129,7 +129,10 @@ Server::Session::~Session() {
 }
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), engine_(options_.engine) {
+    : options_(std::move(options)),
+      engine_(options_.engine),
+      graphs_(&obs::Registry::global().counter("serve.graphs.built"),
+              &obs::Registry::global().counter("serve.graphs.reused")) {
 #ifndef _WIN32
   if (::pipe(stop_pipe_) != 0)
     throw std::runtime_error("serve: cannot create the stop pipe");
@@ -432,11 +435,12 @@ Json Server::handle_line(std::string_view line, Session& session) {
   try {
     Request request;
     {
-      // Covers building every job's graph, not just reading the JSON.
+      // Covers resolving every job's graph (a workloads.build span per
+      // intern miss), not just reading the JSON.
       obs::Span parse_span("serve.parse");
       const Json doc = Json::parse(line);
       try {
-        request = request_from_json(doc);
+        request = request_from_json(doc, graphs_);
       } catch (const std::exception& e) {
         // Malformed request, parseable envelope: echo what we can.
         std::int64_t id = 0;

@@ -20,6 +20,11 @@
 // determinism contract), so serve-mode results stay byte-identical to a
 // one-shot mpsched_batch run of the same corpus.
 //
+// Warm path: handle_line parses every request through one GraphIntern
+// the server owns for its lifetime, so a workload spec or inline graph
+// the daemon has already built costs a map lookup and a pointer copy,
+// and the serve.graphs.built / serve.graphs.reused counters say which.
+//
 // Shutdown story: a shutdown request, SIGINT or SIGTERM (see
 // install_signal_handlers) sets a stop flag and pokes a self-pipe every
 // blocked poll() watches. In-flight requests finish and their responses
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "io/graph_intern.hpp"
 #include "io/service_io.hpp"
 
 namespace mpsched::service {
@@ -117,8 +123,8 @@ class Server {
   /// response document. Never throws for request-level failures — those
   /// come back as {"ok":false,"error":...} responses. Thread-safe across
   /// distinct sessions; a Session itself belongs to one thread. Taken by
-  /// value: submit ops move the request's jobs (graphs and all) into the
-  /// engine's queue, so pass an rvalue to avoid copying them.
+  /// value: submit ops move the request's jobs into the engine's queue,
+  /// so pass an rvalue to avoid copying them.
   Json handle(Request request, Session& session);
   /// Stateless convenience (a throwaway session): fine for every v1 op;
   /// an async request submitted through it can never be polled again.
@@ -169,6 +175,7 @@ class Server {
 
   ServerOptions options_;
   engine::Engine engine_;
+  GraphIntern graphs_;  ///< handle_line resolves every job graph here
   std::atomic<std::uint64_t> next_request_id_{1};
   mutable std::mutex counters_mutex_;
   ServerCounters counters_;

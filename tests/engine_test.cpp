@@ -671,15 +671,22 @@ TEST(CorpusIo, RejectsMalformedCorpora) {
       corpus_from_json(Json::parse(
           header + R"([{"workload":"dct8","refinement":{"max_sweeps":3}}]})")),
       std::invalid_argument);
-  // Select integers outside [0, INT_MAX] would wrap in the size_t/int
-  // casts (capacity -1 or 1e12 into an unbounded C, pattern_count -1 into
-  // a silently different job); each fails the parse, valid neighbour or not.
-  for (const char* select :
-       {R"({"capacity":-1})", R"({"capacity":1e12})", R"({"pattern_count":-1})",
-        R"({"span_limit":-1})", R"({"span_limit":4294967296})"}) {
-    SCOPED_TRACE(select);
-    EXPECT_THROW(corpus_from_json(Json::parse(header + R"([{"workload":"dct8","select":)" +
-                                              select + R"(},{"workload":"paper_3dft"}]})")),
+  // Select and refinement integers outside [0, INT_MAX] would wrap in the
+  // size_t/int casts (capacity -1 or 1e12 into an unbounded C,
+  // pattern_count -1 into a silently different job, max_sweeps -1 into
+  // SIZE_MAX, which the writer emits as a double that no longer reads
+  // back as an integer); each fails the parse, valid neighbour or not.
+  for (const char* options :
+       {R"("select":{"capacity":-1})", R"("select":{"capacity":1e12})",
+        R"("select":{"pattern_count":-1})", R"("select":{"span_limit":-1})",
+        R"("select":{"span_limit":4294967296})",
+        R"("refine":true,"refinement":{"candidate_pool":-1})",
+        R"("refine":true,"refinement":{"candidate_pool":4294967296})",
+        R"("refine":true,"refinement":{"max_sweeps":-1})",
+        R"("refine":true,"refinement":{"max_sweeps":4294967296})"}) {
+    SCOPED_TRACE(options);
+    EXPECT_THROW(corpus_from_json(Json::parse(header + R"([{"workload":"dct8",)" + options +
+                                              R"(},{"workload":"paper_3dft"}]})")),
                  std::invalid_argument);
   }
 }

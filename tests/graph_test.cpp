@@ -1,8 +1,16 @@
 // Unit tests for the DFG substrate: construction, adjacency order,
-// validation, topological ordering.
+// validation, topological ordering, and shared storage (copies share one
+// block; a mutator on a shared block clones it first).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <thread>
+#include <vector>
+
+#include "engine/analysis_cache.hpp"
 #include "graph/dfg.hpp"
+#include "workloads/corpus.hpp"
 
 namespace mpsched {
 namespace {
@@ -136,6 +144,190 @@ TEST(DfgTest, SourceAndSinkPredicates) {
   EXPECT_FALSE(g.is_sink(u));
   EXPECT_TRUE(g.is_sink(v));
   EXPECT_FALSE(g.is_source(v));
+}
+
+// -- shared storage ---------------------------------------------------------
+
+/// Everything a reader can observe of a graph.
+struct Snapshot {
+  engine::CacheKey key;
+  std::string name;
+  std::vector<std::string> colors;
+  std::vector<std::string> node_names;
+  std::vector<std::vector<NodeId>> preds;
+  std::vector<std::vector<NodeId>> succs;
+
+  bool operator==(const Snapshot&) const = default;
+};
+
+Snapshot snapshot(const Dfg& g) {
+  Snapshot s{engine::AnalysisCache::graph_key(g), g.name(), {}, {}, {}, {}};
+  for (ColorId c = 0; c < g.color_count(); ++c) s.colors.push_back(g.color_name(c));
+  for (NodeId n = 0; n < g.node_count(); ++n) {
+    s.node_names.push_back(g.node_name(n));
+    s.preds.push_back(g.preds(n));
+    s.succs.push_back(g.succs(n));
+  }
+  return s;
+}
+
+/// u → {v, w} → x, with colors a and b.
+Dfg diamond() {
+  Dfg g("diamond");
+  const ColorId a = g.intern_color("a");
+  const ColorId b = g.intern_color("b");
+  const NodeId u = g.add_node(a, "u");
+  const NodeId v = g.add_node(b, "v");
+  const NodeId w = g.add_node(a, "w");
+  const NodeId x = g.add_node(b, "x");
+  g.add_edge(u, v);
+  g.add_edge(u, w);
+  g.add_edge(v, x);
+  g.add_edge(w, x);
+  return g;
+}
+
+/// One call of each mutator, each changing what snapshot() observes.
+std::vector<std::pair<const char*, std::function<void(Dfg&)>>> mutators() {
+  return {
+      {"set_name", [](Dfg& g) { g.set_name("renamed"); }},
+      {"intern_color", [](Dfg& g) { g.intern_color("z"); }},
+      {"add_node", [](Dfg& g) { g.add_node(g.find_color("a").value(), "y"); }},
+      {"add_edge", [](Dfg& g) { g.add_edge(0, 3); }},
+  };
+}
+
+TEST(DfgSharingTest, CopyIsAPointerCopy) {
+  const Dfg original = diamond();
+  const Dfg copy = original;
+  EXPECT_EQ(&copy.succs(0), &original.succs(0));
+  EXPECT_EQ(&copy.name(), &original.name());
+  EXPECT_TRUE(snapshot(copy) == snapshot(original));
+}
+
+TEST(DfgSharingTest, MutatingACopyLeavesTheOriginalIntact) {
+  for (const auto& [name, mutate] : mutators()) {
+    SCOPED_TRACE(name);
+    const Dfg original = diamond();
+    const Snapshot before = snapshot(original);
+    Dfg copy = original;
+    mutate(copy);
+    EXPECT_TRUE(snapshot(original) == before);
+    EXPECT_FALSE(snapshot(copy) == before);
+    EXPECT_NE(&copy.succs(0), &original.succs(0));  // the copy cloned the block
+  }
+}
+
+TEST(DfgSharingTest, MutatingTheOriginalLeavesACopyIntact) {
+  // A block is never written after its first copy, whichever side edits.
+  for (const auto& [name, mutate] : mutators()) {
+    SCOPED_TRACE(name);
+    Dfg original = diamond();
+    const Dfg copy = original;
+    const Snapshot before = snapshot(copy);
+    mutate(original);
+    EXPECT_TRUE(snapshot(copy) == before);
+    EXPECT_FALSE(snapshot(original) == before);
+  }
+}
+
+TEST(DfgSharingTest, InternColorOfAKnownColorDoesNotClone) {
+  const Dfg original = diamond();
+  Dfg copy = original;
+  EXPECT_EQ(copy.intern_color("b"), original.find_color("b").value());
+  EXPECT_EQ(&copy.succs(0), &original.succs(0));
+}
+
+TEST(DfgSharingTest, RejectedMutationLeavesBothGraphsIntact) {
+  const Dfg original = diamond();
+  const Snapshot before = snapshot(original);
+  Dfg copy = original;
+  EXPECT_THROW(copy.add_edge(0, 1), std::invalid_argument);  // duplicate edge
+  EXPECT_THROW(copy.add_node(copy.find_color("a").value(), "u"), std::invalid_argument);
+  EXPECT_TRUE(snapshot(original) == before);
+  EXPECT_TRUE(snapshot(copy) == before);
+}
+
+TEST(DfgSharingTest, MovedFromGraphCanBeAssignedAndReused) {
+  const Snapshot before = snapshot(diamond());
+  Dfg a = diamond();
+  Dfg b = std::move(a);
+  EXPECT_TRUE(snapshot(b) == before);
+
+  // Assigned to, then edited.
+  a = Dfg("again");
+  a.add_node(a.intern_color("c"), "only");
+  EXPECT_EQ(a.name(), "again");
+  EXPECT_EQ(a.node_count(), 1u);
+
+  // Edited directly.
+  Dfg c = std::move(b);
+  b.add_node(b.intern_color("q"), "q0");
+  EXPECT_EQ(b.node_count(), 1u);
+  EXPECT_TRUE(snapshot(c) == before);
+
+  // Copy-assigned from a shared graph, then edited.
+  b = c;
+  b.add_edge(0, 3);
+  EXPECT_TRUE(snapshot(c) == before);
+  EXPECT_EQ(b.edge_count(), c.edge_count() + 1);
+}
+
+TEST(DfgSharingTest, DefaultConstructedGraphIsEmptyAndNamedDfg) {
+  const Dfg g;
+  EXPECT_EQ(g.name(), "dfg");
+  EXPECT_EQ(g.node_count(), 0u);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_EQ(g.color_count(), 0u);
+  EXPECT_TRUE(g.is_dag());
+  EXPECT_TRUE(g.topo_order().empty());
+  EXPECT_FALSE(g.find_node("n0").has_value());
+  EXPECT_FALSE(g.find_color("a").has_value());
+  EXPECT_THROW((void)g.preds(0), std::logic_error);
+  // Reads the same as an explicitly built empty graph, copies included.
+  const Dfg copy = g;
+  EXPECT_EQ(engine::AnalysisCache::graph_key(copy),
+            engine::AnalysisCache::graph_key(Dfg("dfg")));
+}
+
+TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
+  // Four threads copy one graph, edit their copies and read the original,
+  // concurrently. Each thread's edit is fixed, so its expected key is
+  // computed up front on a single thread.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  const Dfg shared = workloads::make_workload("fft(8)");
+  const engine::CacheKey shared_key = engine::AnalysisCache::graph_key(shared);
+  const auto edit = [](Dfg& g, int t) {
+    const NodeId n = g.add_node(g.intern_color("t" + std::to_string(t)),
+                                "extra" + std::to_string(t));
+    g.add_edge(static_cast<NodeId>(t), n);
+  };
+  std::vector<engine::CacheKey> expected(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    Dfg g = shared;
+    edit(g, t);
+    expected[t] = engine::AnalysisCache::graph_key(g);
+    ASSERT_NE(expected[t], shared_key);
+  }
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Dfg mine = shared;
+        const Dfg second = mine;  // a copy of a copy shares the block too
+        edit(mine, t);
+        if (engine::AnalysisCache::graph_key(mine) != expected[t]) ++mismatches;
+        if (engine::AnalysisCache::graph_key(second) != shared_key) ++mismatches;
+        if (engine::AnalysisCache::graph_key(shared) != shared_key) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(engine::AnalysisCache::graph_key(shared), shared_key);
 }
 
 }  // namespace

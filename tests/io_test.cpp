@@ -4,9 +4,13 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "engine/analysis_cache.hpp"
 #include "io/dfg_io.hpp"
+#include "io/graph_intern.hpp"
 #include "io/pattern_io.hpp"
+#include "obs/metrics.hpp"
 #include "pattern/parse.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
 
 namespace mpsched {
@@ -95,6 +99,90 @@ TEST(PatternIoTest, FileRoundTrip) {
   const PatternSet loaded = load_pattern_set(g, path);
   EXPECT_EQ(loaded.size(), 2u);
   std::remove(path.c_str());
+}
+
+// -- graph intern ---------------------------------------------------------
+
+engine::CacheKey key_of(const Dfg& g) { return engine::AnalysisCache::graph_key(g); }
+
+/// What `f` throws, or "" when it does not throw.
+template <typename F>
+std::string thrown_message(F f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(GraphInternTest, HoldsAtMostTheBoundAndMatchesFreshBuilds) {
+  obs::Counter built;
+  obs::Counter reused;
+  GraphIntern intern(&built, &reused);
+  const std::size_t specs = GraphIntern::kMaxGraphs + 100;
+  const auto spec_of = [](std::size_t k) { return "expr_tree(" + std::to_string(k) + ")"; };
+  for (std::size_t k = 0; k < specs; ++k) {
+    const Dfg g = intern.workload(spec_of(k));
+    ASSERT_LE(intern.size(), GraphIntern::kMaxGraphs);
+    ASSERT_EQ(key_of(g), key_of(workloads::make_workload(spec_of(k)))) << spec_of(k);
+  }
+  // Full at kMaxGraphs, so the next insert emptied it first.
+  EXPECT_EQ(intern.size(), specs - GraphIntern::kMaxGraphs);
+  EXPECT_EQ(built.value(), specs);
+  EXPECT_EQ(reused.value(), 0u);
+
+  // A held spec is a hit: no build, and both answers share one block.
+  const Dfg a = intern.workload(spec_of(specs - 1));
+  const Dfg b = intern.workload(spec_of(specs - 1));
+  EXPECT_EQ(&a.succs(0), &b.succs(0));
+  EXPECT_EQ(built.value(), specs);
+  EXPECT_EQ(reused.value(), 2u);
+}
+
+TEST(GraphInternTest, FailedBuildThrowsTheBuildersErrorAndHoldsNothing) {
+  GraphIntern intern;
+  (void)intern.workload("dct8");
+  const std::string unknown = thrown_message([] { (void)workloads::make_workload("nope(3)"); });
+  ASSERT_FALSE(unknown.empty());
+  EXPECT_THROW((void)intern.workload("nope(3)"), std::invalid_argument);
+  EXPECT_EQ(thrown_message([&] { (void)intern.workload("nope(3)"); }), unknown);
+
+  const std::string bad_text = "dfg d\nedge x y\n";
+  const std::string malformed = thrown_message([&] { (void)dfg_from_text(bad_text); });
+  ASSERT_FALSE(malformed.empty());
+  EXPECT_EQ(thrown_message([&] { (void)intern.text(bad_text); }), malformed);
+  EXPECT_EQ(intern.size(), 1u);
+}
+
+TEST(GraphInternTest, InlineTextIsInternedApartFromSpecs) {
+  GraphIntern intern;
+  const std::string text = dfg_to_text(workloads::paper_3dft());
+  const Dfg a = intern.text(text);
+  const Dfg b = intern.text(text);
+  EXPECT_EQ(&a.succs(0), &b.succs(0));
+  EXPECT_EQ(key_of(a), key_of(dfg_from_text(text)));
+  (void)intern.workload("paper_3dft");
+  EXPECT_EQ(intern.size(), 2u);
+}
+
+TEST(GraphInternTest, WeightBoundEmptiesTheInternOrSkipsTheEntry) {
+  // An entry weighs its nodes, its edges and its source bytes, so padding
+  // a text with a comment makes it heavy.
+  const auto padded = [](const std::string& name, std::size_t bytes) {
+    return "# " + std::string(bytes, 'x') + "\ndfg " + name + "\nnode n0 a\n";
+  };
+  GraphIntern intern;
+  const Dfg heavy = intern.text(padded("heavy", GraphIntern::kMaxWeight));
+  EXPECT_EQ(heavy.name(), "heavy");
+  EXPECT_EQ(intern.size(), 0u);  // heavier than the whole bound: not held
+  (void)intern.workload("dct8");
+  (void)intern.text(padded("first", GraphIntern::kMaxWeight / 2));
+  EXPECT_EQ(intern.size(), 2u);
+  // Holding this one too would pass the bound, so the intern empties first.
+  const Dfg second = intern.text(padded("second", GraphIntern::kMaxWeight / 2));
+  EXPECT_EQ(second.name(), "second");
+  EXPECT_EQ(intern.size(), 1u);
 }
 
 }  // namespace

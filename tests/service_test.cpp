@@ -23,9 +23,11 @@
 
 #include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
+#include "obs/metrics.hpp"
 #include "service/client.hpp"
 #include "test_util.hpp"
 #include "util/strings.hpp"
+#include "workloads/corpus.hpp"
 
 namespace mpsched {
 namespace {
@@ -178,6 +180,42 @@ TEST_F(ServiceTest, SubmitMatchesOneShotBatchByteForByte) {
   EXPECT_EQ(stats.batches, 2u);
   EXPECT_EQ(stats.jobs, 2 * jobs.size());
   EXPECT_EQ(stats.jobs_succeeded, 2 * jobs.size());
+}
+
+TEST_F(ServiceTest, RepeatedSubmitLineBuildsEachGraphOnceAndMatchesBatch) {
+  // One submit line twice through handle_line: the first resolves its
+  // graphs through the server's intern as misses, the second as hits.
+  // Both byte-match a one-shot engine over the same jobs, and the intern
+  // counters say each distinct graph was built exactly once.
+  std::vector<Job> jobs = small_corpus();
+  Job inline_job;  // no workload spec: the line carries its .dfg text
+  inline_job.dfg = workloads::make_workload("dct8");
+  jobs.push_back(inline_job);
+  const std::size_t distinct = 3;  // small_example, paper_3dft, the dct8 text
+
+  engine::Engine reference;
+  const std::string expected = batch_to_json(reference.run_batch(jobs)).dump(2);
+  Request submit;
+  submit.op = Op::Submit;
+  submit.id = 1;
+  submit.jobs = jobs;
+  const std::string line = service::request_to_json(submit).dump(-1);
+
+  obs::Counter& built = obs::Registry::global().counter("serve.graphs.built");
+  obs::Counter& reused = obs::Registry::global().counter("serve.graphs.reused");
+  const std::uint64_t built_before = built.value();
+  const std::uint64_t reused_before = reused.value();
+  Server server(ServerOptions{});
+  Server::Session session;
+  const Json miss = server.handle_line(line, session);
+  ASSERT_TRUE(miss.at("ok").as_bool()) << miss.dump(-1);
+  EXPECT_EQ(miss.at("results").dump(2), expected);
+  EXPECT_EQ(built.value() - built_before, distinct);
+  const Json hit = server.handle_line(line, session);
+  ASSERT_TRUE(hit.at("ok").as_bool()) << hit.dump(-1);
+  EXPECT_EQ(hit.at("results").dump(2), expected);
+  EXPECT_EQ(built.value() - built_before, distinct);
+  EXPECT_EQ(reused.value() - reused_before, 2 * jobs.size() - distinct);
 }
 
 TEST_F(ServiceTest, SubmitJobReturnsOneResult) {
