@@ -4,43 +4,10 @@
 
 #include "engine/cache_store.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/fnv.hpp"
 
-
 namespace mpsched::engine {
-
-namespace {
-
-/// util/fnv.hpp's 128-bit FNV-1a, with a CacheKey view of the state.
-struct Fnv2 : Fnv128 {
-  CacheKey key() const { return CacheKey{lo, hi}; }
-};
-
-/// Canonical structural bytes: per-node color names (length-prefixed, in
-/// node-id order) and the edge list (in succ insertion order — it is
-/// semantics-bearing for tie-breaking). Graph and node *names* are display
-/// metadata the analyses never consume, so they stay out of the key: two
-/// structurally identical graphs share cache lines no matter what they or
-/// their nodes are called, and no string content can masquerade as
-/// structure (everything is length-delimited, not line-delimited).
-/// Identical per-node color-name sequences force identical color
-/// interning, so ColorId-typed cached analyses transfer soundly.
-void feed_graph(Fnv2& h, const Dfg& dfg) {
-  h.feed_u64(dfg.node_count());
-  for (NodeId n = 0; n < dfg.node_count(); ++n) {
-    const std::string& color = dfg.color_name(dfg.color(n));
-    h.feed_u64(color.size());
-    h.feed(color);
-  }
-  h.feed_u64(dfg.edge_count());
-  for (NodeId n = 0; n < dfg.node_count(); ++n)
-    for (const NodeId s : dfg.succs(n)) {
-      h.feed_u64(n);
-      h.feed_u64(s);
-    }
-}
-
-}  // namespace
 
 std::size_t SolveKeyHash::operator()(const SolveKey& k) const noexcept {
   std::size_t h = CacheKeyHash{}(k.analysis);
@@ -60,7 +27,11 @@ std::string CacheKey::to_string() const {
 
 namespace {
 
-void feed_options(Fnv2& h, PatternGeneration generation, std::size_t max_size,
+/// A CacheKey view of an FNV-128 state (Dfg::content_hash() and the
+/// streams that extend it).
+CacheKey key_of(const Fnv128& h) { return CacheKey{h.lo, h.hi}; }
+
+void feed_options(Fnv128& h, PatternGeneration generation, std::size_t max_size,
                   std::optional<int> span_limit) {
   h.feed_u64(generation == PatternGeneration::LevelAnalytic ? 2 : 1);
   h.feed_u64(static_cast<std::uint64_t>(max_size));
@@ -74,7 +45,7 @@ void feed_options(Fnv2& h, PatternGeneration generation, std::size_t max_size,
 /// default keys must stay byte-identical to pre-pipeline releases so warm
 /// disk caches carry over. Non-empty tags are length-delimited like every
 /// other variable-width field.
-void feed_pipeline_tag(Fnv2& h, const std::string& pipeline_tag) {
+void feed_pipeline_tag(Fnv128& h, const std::string& pipeline_tag) {
   if (pipeline_tag.empty()) return;
   h.feed_u64(pipeline_tag.size());
   h.feed(pipeline_tag);
@@ -82,20 +53,12 @@ void feed_pipeline_tag(Fnv2& h, const std::string& pipeline_tag) {
 
 }  // namespace
 
-CacheKey AnalysisCache::graph_key(const Dfg& dfg) {
-  Fnv2 h;
-  feed_graph(h, dfg);
-  return h.key();
-}
+CacheKey AnalysisCache::graph_key(const Dfg& dfg) { return key_of(dfg.content_hash()); }
 
 CacheKey AnalysisCache::analysis_key(const Dfg& dfg, PatternGeneration generation,
                                      std::size_t max_size, std::optional<int> span_limit,
                                      const std::string& pipeline_tag) {
-  Fnv2 h;
-  feed_graph(h, dfg);
-  feed_options(h, generation, max_size, span_limit);
-  feed_pipeline_tag(h, pipeline_tag);
-  return h.key();
+  return content_keys(dfg, generation, max_size, span_limit, pipeline_tag).second;
 }
 
 std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
@@ -103,36 +66,28 @@ std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
                                                           std::size_t max_size,
                                                           std::optional<int> span_limit,
                                                           const std::string& pipeline_tag) {
-  Fnv2 h;
-  feed_graph(h, dfg);
-  const CacheKey graph = h.key();
-  feed_options(h, generation, max_size, span_limit);  // extends the same stream
+  Fnv128 h = dfg.content_hash();
+  const CacheKey graph = key_of(h);
+  feed_options(h, generation, max_size, span_limit);  // extends the graph's stream
   feed_pipeline_tag(h, pipeline_tag);
-  return {graph, h.key()};
+  return {graph, key_of(h)};
 }
 
-std::shared_ptr<const PreparedGraph> AnalysisCache::prepare_graph(const Dfg& dfg) {
-  return prepare_graph(dfg, graph_key(dfg));
-}
-
-std::shared_ptr<const PreparedGraph> AnalysisCache::prepare_graph(const Dfg& dfg,
-                                                                  const CacheKey& key) {
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = graphs_.find(key);
-    if (it != graphs_.end()) {
-      ++stats_.graph_hits;
-      return it->second;
-    }
-  }
-  // Compute outside the lock; a racing duplicate is harmless (identical
-  // content, last writer wins).
-  auto prepared = std::make_shared<PreparedGraph>(
-      PreparedGraph{compute_levels(dfg), Reachability(dfg)});
+std::shared_ptr<const PreparedGraph> AnalysisCache::find_graph(const CacheKey& key) {
   std::lock_guard lock(mutex_);
-  ++stats_.graph_misses;
-  graphs_[key] = prepared;
-  return prepared;
+  const auto it = graphs_.find(key);
+  if (it == graphs_.end()) {
+    ++stats_.graph_misses;
+    return nullptr;
+  }
+  ++stats_.graph_hits;
+  return it->second;
+}
+
+void AnalysisCache::store_graph(const CacheKey& key,
+                                std::shared_ptr<const PreparedGraph> value) {
+  std::lock_guard lock(mutex_);
+  graphs_[key] = std::move(value);
 }
 
 std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const CacheKey& key) {
@@ -174,6 +129,7 @@ void AnalysisCache::store_analysis(const CacheKey& key,
                                    std::shared_ptr<const AntichainAnalysis> value) {
   std::shared_ptr<CacheStore> store;
   {
+    obs::Span span("cache.mem.store");
     std::lock_guard lock(mutex_);
     analyses_[key] = value;
     store = store_;

@@ -17,6 +17,9 @@
 // structurally identical graphs share one cache line. Keys are 128-bit
 // (two independent FNV-1a streams over length-delimited fields) so
 // accidental collision is out of the question at any realistic corpus size.
+// The graph part is Dfg::content_hash(), which the graph memoizes, so a
+// graph shared by many jobs is serialized for hashing once; an analysis
+// key extends that hash state with the options.
 //
 // A CacheStore (engine/cache_store.hpp) can be attached as a second tier:
 // analysis lookups that miss in memory fall through to the cache
@@ -126,20 +129,19 @@ class AnalysisCache {
                                std::size_t max_size, std::optional<int> span_limit,
                                const std::string& pipeline_tag = {});
 
-  /// Both keys from ONE canonical serialization of the graph (the
-  /// serialization dominates key cost; the batch engine needs both per
-  /// job). Returns {graph_key, analysis_key}.
+  /// Both keys from one graph hash (the batch engine needs both per job).
+  /// Returns {graph_key, analysis_key}.
   static std::pair<CacheKey, CacheKey> content_keys(const Dfg& dfg,
                                                     PatternGeneration generation,
                                                     std::size_t max_size,
                                                     std::optional<int> span_limit,
                                                     const std::string& pipeline_tag = {});
 
-  /// Memoized levels+closure; computes on miss.
-  std::shared_ptr<const PreparedGraph> prepare_graph(const Dfg& dfg);
-  /// Variant for callers that already hold the graph's content key.
-  std::shared_ptr<const PreparedGraph> prepare_graph(const Dfg& dfg,
-                                                     const CacheKey& key);
+  /// Memoized levels+closure by graph key: nullptr on a miss. Each call
+  /// counts one graph hit or miss. The engine computes a miss itself, off
+  /// the dispatcher thread, and publishes it with store_graph().
+  std::shared_ptr<const PreparedGraph> find_graph(const CacheKey& key);
+  void store_graph(const CacheKey& key, std::shared_ptr<const PreparedGraph> value);
 
   /// Pure lookups — the engine orchestrates the (sharded) computation
   /// itself on a miss, then publishes with store_analysis(). With a store

@@ -288,46 +288,62 @@ struct Dispatch {
   std::vector<ShardTask> tasks;
 };
 
-/// Resolves each job's backend and transform stack, then runs the
-/// transforms. Unknown names fail only that job. An empty stack shares
-/// the job's graph, so the default pipeline costs nothing here beyond the
-/// registry lookup.
+/// Resolves each job's backend and transform stack on the dispatcher
+/// thread; only the jobs with a transform stack go to the pool, to run it.
+/// Unknown names fail only that job. An empty stack shares the job's
+/// graph, so the default pipeline costs a registry lookup here and wakes
+/// no worker.
 void Dispatch::resolve_and_transform() {
+  std::vector<std::size_t> transformed;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult& r = batch.jobs[i];
     r.job = jobs[i].resolved_name();
     r.workload = jobs[i].workload;
     r.backend = jobs[i].backend;
     r.transforms = jobs[i].transforms;
-  }
-  workers.parallel_for(jobs.size(), [&](std::size_t i) {
-    JobResult& r = batch.jobs[i];
     Timer t;
     try {
       backends[i] = &get_backend(jobs[i].backend);
-      graphs[i] = jobs[i].transforms.empty()
-                      ? jobs[i].dfg
-                      : TransformPipeline::from_specs(jobs[i].transforms).apply(jobs[i].dfg);
+      if (jobs[i].transforms.empty()) {
+        graphs[i] = jobs[i].dfg;
+        r.nodes = graphs[i].node_count();
+        r.edges = graphs[i].edge_count();
+      } else {
+        transformed.push_back(i);
+      }
+    } catch (const std::exception& e) {
+      r.error = std::string("pipeline: ") + e.what();
+    }
+    r.timings.prepare_ms = t.millis();
+  }
+  workers.parallel_for(transformed.size(), [&](std::size_t k) {
+    const std::size_t i = transformed[k];
+    JobResult& r = batch.jobs[i];
+    Timer t;
+    try {
+      graphs[i] = TransformPipeline::from_specs(jobs[i].transforms).apply(jobs[i].dfg);
       r.nodes = graphs[i].node_count();
       r.edges = graphs[i].edge_count();
     } catch (const std::exception& e) {
       r.error = std::string("pipeline: ") + e.what();
     }
-    r.timings.prepare_ms = t.millis();
+    r.timings.prepare_ms += t.millis();
   });
 }
 
-/// Content keys, then levels + closure once per group of jobs sharing a
-/// graph. One canonical serialization per job yields both keys. With the
-/// cache on, duplicate graphs form one group, so their (expensive,
-/// O(V·E/64)) closure is computed once even on a cold cache; concurrent
-/// misses on the same key would otherwise all recompute. With it off
-/// nothing is keyed and every job prepares its own graph.
+/// Content keys on the dispatcher thread (a graph hashes once, then its
+/// key is a load: Dfg::content_hash), then levels + closure once per
+/// group of jobs sharing a graph. With the cache on, duplicate graphs form
+/// one group, so their (expensive, O(V·E/64)) closure is computed once
+/// even on a cold cache, and a group the cache holds is served here; only
+/// the misses go to the pool. With it off nothing is keyed and every job
+/// prepares its own graph on the pool.
 void Dispatch::key_and_prepare() {
   std::vector<CacheKey> graph_keys(jobs.size());
   if (options.use_cache) {
-    workers.parallel_for(jobs.size(), [&](std::size_t i) {
-      if (failed(i)) return;
+    obs::Span key_span("engine.key");
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (failed(i)) continue;
       Timer t;
       try {
         std::tie(graph_keys[i], keys[i]) = AnalysisCache::content_keys(
@@ -338,7 +354,7 @@ void Dispatch::key_and_prepare() {
         batch.jobs[i].error = std::string("prepare: ") + e.what();
       }
       batch.jobs[i].timings.prepare_ms += t.millis();
-    });
+    }
   }
 
   std::vector<std::size_t> live;
@@ -346,18 +362,27 @@ void Dispatch::key_and_prepare() {
     if (!failed(i)) live.push_back(i);
   const std::vector<std::vector<std::size_t>> groups =
       share_groups<CacheKeyHash>(live, graph_keys, options.use_cache);
-  workers.parallel_for(groups.size(), [&](std::size_t g) {
-    const std::vector<std::size_t>& group = groups[g];
+  std::vector<std::size_t> misses;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (options.use_cache) {
+      if (auto hit = cache.find_graph(graph_keys[groups[g].front()])) {
+        for (const std::size_t i : groups[g]) prepared[i] = hit;
+        continue;
+      }
+    }
+    misses.push_back(g);
+  }
+  workers.parallel_for(misses.size(), [&](std::size_t m) {
+    const std::vector<std::size_t>& group = groups[misses[m]];
     const std::size_t exemplar = group.front();
     const Dfg& dfg = graphs[exemplar];
     Timer t;
     std::shared_ptr<const PreparedGraph> graph;
     std::string error;
     try {
-      graph = options.use_cache
-                  ? cache.prepare_graph(dfg, graph_keys[exemplar])
-                  : std::make_shared<const PreparedGraph>(
-                        PreparedGraph{compute_levels(dfg), Reachability(dfg)});
+      graph = std::make_shared<const PreparedGraph>(
+          PreparedGraph{compute_levels(dfg), Reachability(dfg)});
+      if (options.use_cache) cache.store_graph(graph_keys[exemplar], graph);
     } catch (const std::exception& e) {
       error = std::string("prepare: ") + e.what();
     }
@@ -629,11 +654,20 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     dispatch.resolve_and_transform();
     dispatch.key_and_prepare();
   }
-  dispatch.probe_and_group();
-  dispatch.plan();
+  {
+    obs::Span probe_span("engine.probe");
+    dispatch.probe_and_group();
+  }
+  {
+    obs::Span plan_span("engine.plan");
+    dispatch.plan();
+  }
   dispatch.enumerate();
   dispatch.merge_and_publish();
-  dispatch.solve();
+  {
+    obs::Span solve_span("engine.solve");
+    dispatch.solve();
+  }
 
   BatchResult batch = std::move(dispatch.batch);
   batch.wall_ms = wall.millis();

@@ -16,7 +16,38 @@ Dfg::Fields& Dfg::edit() {
     block_ = std::make_shared<Block>();
   else if (block_->shared.load())
     block_ = std::make_shared<Block>(static_cast<const Fields&>(*block_));
+  else
+    block_->hash_state.store(Block::kHashNone, std::memory_order_relaxed);
   return *block_;
+}
+
+Fnv128 Dfg::content_hash() const {
+  if (block_ && block_->hash_state.load(std::memory_order_acquire) == Block::kHashReady)
+    return block_->hash;
+  Fnv128 h;
+  h.feed_u64(node_count());
+  for (NodeId n = 0; n < node_count(); ++n) {
+    const std::string& text = color_name(color(n));
+    h.feed_u64(text.size());
+    h.feed(text);
+  }
+  h.feed_u64(edge_count());
+  for (NodeId n = 0; n < node_count(); ++n)
+    for (const NodeId s : succs(n)) {
+      h.feed_u64(n);
+      h.feed_u64(s);
+    }
+  // Publish only from "none": a thread that finds the memo being computed
+  // or already ready keeps its own (identical) copy.
+  if (block_) {
+    std::uint8_t expected = Block::kHashNone;
+    if (block_->hash_state.compare_exchange_strong(expected, Block::kHashComputing,
+                                                   std::memory_order_relaxed)) {
+      block_->hash = h;
+      block_->hash_state.store(Block::kHashReady, std::memory_order_release);
+    }
+  }
+  return h;
 }
 
 // The mutators validate against the current block before edit(), so a

@@ -27,6 +27,15 @@
 //    thread's writes after another thread's reads of a copy it just
 //    dropped. Moves cost nothing, and a default-constructed or moved-from
 //    graph holds no block (it reads as an empty graph named "dfg").
+//  * The block memoizes the graph's content hash (content_hash()), so a
+//    graph shared by many jobs, requests and caches is serialized for
+//    hashing once. The memo may be written after the block is shared, so
+//    it is published through an atomic state, none → computing → ready:
+//    the first thread to claim "computing" stores the hash and then
+//    releases "ready"; a reader that acquires "ready" returns the stored
+//    hash, and a thread that finds another one computing hashes the graph
+//    itself instead of waiting. No lock is taken. A mutator on an unshared
+//    block resets the state to none, and a clone starts at none.
 #pragma once
 
 #include <atomic>
@@ -38,6 +47,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/fnv.hpp"
 #include "util/require.hpp"
 
 namespace mpsched {
@@ -150,6 +160,21 @@ class Dfg {
   /// order is deterministic). Throws if the graph has a cycle.
   std::vector<NodeId> topo_order() const;
 
+  // ------------------------------------------------------------------
+  // Content hash
+  // ------------------------------------------------------------------
+
+  /// The graph's canonical structural hash: util/fnv.hpp's 128-bit state
+  /// after the node count, each node's length-prefixed color name (in node
+  /// id order), the edge count, then every (node, successor) pair in edge
+  /// insertion order (it is semantics-bearing for tie-breaking). Graph and
+  /// node names are display metadata and stay out. Everything is
+  /// length-delimited, so no string content can masquerade as structure,
+  /// and equal per-node color-name sequences force equal color interning.
+  /// The engine's cache keys (engine/analysis_cache) are this state, or
+  /// extend it. Memoized in the block; see the design notes.
+  Fnv128 content_hash() const;
+
  private:
   struct Fields {
     std::string name = "dfg";
@@ -162,19 +187,24 @@ class Dfg {
     std::unordered_map<std::string, NodeId> node_index;
     std::size_t edge_count = 0;
   };
-  /// The shared heap block: the fields plus the flag the first copy sets.
-  /// A clone copies the fields and starts unshared.
+  /// The shared heap block: the fields plus the flag the first copy sets
+  /// and the content-hash memo. A clone copies the fields and starts
+  /// unshared, with no memo.
   struct Block : Fields {
     Block() = default;
     explicit Block(const Fields& fields) : Fields(fields) {}
     std::atomic<bool> shared{false};
+    enum HashState : std::uint8_t { kHashNone, kHashComputing, kHashReady };
+    std::atomic<std::uint8_t> hash_state{kHashNone};
+    Fnv128 hash;  ///< valid once hash_state is kHashReady
   };
 
   void mark_shared() noexcept {
     if (block_) block_->shared.store(true);
   }
   /// The block a mutator may write: a new one when there is none, a clone
-  /// when the current one is shared, else the current one.
+  /// when the current one is shared, else the current one with its hash
+  /// memo cleared.
   Fields& edit();
 
   std::shared_ptr<Block> block_;

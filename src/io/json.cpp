@@ -1,8 +1,8 @@
 #include "io/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -105,96 +105,139 @@ void Json::push_back(Json value) { as_array().push_back(std::move(value)); }
 // Serialization
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void dump_string(const std::string& s, std::string& out) {
-  out += '"';
-  for (const char ch : s) {
-    const auto c = static_cast<unsigned char>(ch);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += ch;  // UTF-8 bytes pass through untouched
-        }
-    }
-  }
-  out += '"';
+void JsonWriter::newline_pad(std::size_t depth) {
+  if (indent_ < 0) return;
+  out_ += '\n';
+  out_.append(static_cast<std::size_t>(indent_) * depth, ' ');
 }
 
-void dump_value(const Json& v, int indent, int depth, std::string& out) {
-  const auto newline_pad = [&](int d) {
-    if (indent < 0) return;
-    out += '\n';
-    out.append(static_cast<std::size_t>(indent) * static_cast<std::size_t>(d), ' ');
-  };
-
-  if (v.is_null()) {
-    out += "null";
-  } else if (v.is_bool()) {
-    out += v.as_bool() ? "true" : "false";
-  } else if (v.is_int()) {
-    out += std::to_string(v.as_int());
-  } else if (v.is_double()) {
-    const double d = v.as_double();
-    if (!std::isfinite(d))
-      throw std::runtime_error("json: cannot serialize a non-finite number");
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", d);
-    out += buf;
-    // Keep the double-ness visible so the value round-trips as a double.
-    if (out.find_first_of(".eE", out.size() - std::strlen(buf)) == std::string::npos)
-      out += ".0";
-  } else if (v.is_string()) {
-    dump_string(v.as_string(), out);
-  } else if (v.is_array()) {
-    const Json::Array& arr = v.as_array();
-    if (arr.empty()) {
-      out += "[]";
-      return;
-    }
-    out += '[';
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      if (i > 0) out += ',';
-      newline_pad(depth + 1);
-      dump_value(arr[i], indent, depth + 1, out);
-    }
-    newline_pad(depth);
-    out += ']';
-  } else {
-    const Json::Object& obj = v.as_object();
-    if (obj.empty()) {
-      out += "{}";
-      return;
-    }
-    out += '{';
-    for (std::size_t i = 0; i < obj.size(); ++i) {
-      if (i > 0) out += ",";
-      newline_pad(depth + 1);
-      dump_string(obj[i].first, out);
-      out += indent < 0 ? ":" : ": ";
-      dump_value(obj[i].second, indent, depth + 1, out);
-    }
-    newline_pad(depth);
-    out += '}';
+void JsonWriter::separate() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
   }
+  if (items_.empty()) return;  // the document's top-level value
+  if (items_.back()++ > 0) out_ += ',';
+  newline_pad(items_.size());
 }
 
-}  // namespace
+JsonWriter& JsonWriter::open(char bracket) {
+  separate();
+  out_ += bracket;
+  items_.push_back(0);
+  return *this;
+}
+
+JsonWriter& JsonWriter::close(char bracket) {
+  const std::size_t items = items_.back();
+  items_.pop_back();
+  if (items > 0) newline_pad(items_.size());
+  out_ += bracket;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  separate();
+  write_string(name);
+  out_ += indent_ < 0 ? ":" : ": ";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  separate();
+  out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(bool b) {
+  separate();
+  out_ += b ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::int64_t i) {
+  separate();
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, i).ptr;
+  out_.append(buf, end);
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::uint64_t u) {
+  if (u > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()))
+    return value(static_cast<double>(u));
+  return value(static_cast<std::int64_t>(u));
+}
+
+JsonWriter& JsonWriter::value(double d) {
+  if (!std::isfinite(d)) throw std::runtime_error("json: cannot serialize a non-finite number");
+  separate();
+  char buf[40];
+  const int n = std::snprintf(buf, sizeof buf, "%.17g", d);
+  out_.append(buf, static_cast<std::size_t>(n));
+  // Keep the double-ness visible so the value round-trips as a double.
+  if (std::string_view(buf, static_cast<std::size_t>(n)).find_first_of(".eE") ==
+      std::string_view::npos)
+    out_ += ".0";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value(std::string_view s) {
+  separate();
+  write_string(s);
+  return *this;
+}
+
+void JsonWriter::write_string(std::string_view s) {
+  out_ += '"';
+  std::size_t run = 0;  // start of the pending run of bytes copied as-is
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;  // UTF-8 bytes pass through
+    out_.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out_ += "\\\""; break;
+      case '\\': out_ += "\\\\"; break;
+      case '\n': out_ += "\\n"; break;
+      case '\t': out_ += "\\t"; break;
+      case '\r': out_ += "\\r"; break;
+      case '\b': out_ += "\\b"; break;
+      case '\f': out_ += "\\f"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out_ += buf;
+      }
+    }
+  }
+  out_.append(s.data() + run, s.size() - run);
+  out_ += '"';
+}
+
+JsonWriter& JsonWriter::value(const Json& v) {
+  if (v.is_null()) return null();
+  if (v.is_bool()) return value(v.as_bool());
+  if (v.is_int()) return value(v.as_int());
+  if (v.is_double()) return value(v.as_double());
+  if (v.is_string()) return value(v.as_string());
+  if (v.is_array()) {
+    begin_array();
+    for (const Json& item : v.as_array()) value(item);
+    return end_array();
+  }
+  begin_object();
+  for (const auto& [k, item] : v.as_object()) {
+    key(k);
+    value(item);
+  }
+  return end_object();
+}
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_value(*this, indent, 0, out);
+  JsonWriter(out, indent).value(*this);
   return out;
 }
 
@@ -475,7 +518,10 @@ void save_json(const Json& doc, const std::string& path, int indent) {
   // Serialize before touching the file: an unserializable document (e.g.
   // one holding a non-finite double) must not leave a truncated or empty
   // file behind.
-  const std::string text = doc.dump(indent);
+  save_json_text(doc.dump(indent), path);
+}
+
+void save_json_text(std::string_view text, const std::string& path) {
   std::ofstream out(path);
   if (!out.good()) throw std::runtime_error("cannot open '" + path + "' for writing");
   out << text << '\n';

@@ -11,6 +11,10 @@
 //  * dump() emits a canonical form (no trailing zeros games: integers as
 //    integers, doubles via shortest round-trip %.17g), parse() accepts
 //    standard JSON and reports the line of the first error.
+//  * JsonWriter is the one emitter of JSON bytes. dump() walks a tree into
+//    it, and documents on a hot path (results files, service responses)
+//    are written straight through it with no tree built first, so both
+//    routes produce the same bytes by construction.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +92,65 @@ class Json {
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> value_;
 };
 
+/// Appends JSON text to a string: compact (indent < 0) or pretty (indent
+/// spaces per level), byte-identical to dump() of the equivalent tree —
+/// integers as integers, an unsigned value above INT64_MAX as a double
+/// (like Json(std::uint64_t)), doubles as %.17g plus ".0" when that reads
+/// as an integer, and the same string escapes. A non-finite double throws
+/// std::runtime_error, leaving a partial document in the string.
+///
+/// Callers pair begin_*/end_* and put key() before every value inside an
+/// object; the writer tracks only where separators and line breaks go and
+/// does not check the sequence.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out, int indent = -1) : out_(out), indent_(indent) {}
+
+  JsonWriter& begin_object() { return open('{'); }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array() { return open('['); }
+  JsonWriter& end_array() { return close(']'); }
+  /// An object key; the next call writes its value.
+  JsonWriter& key(std::string_view name);
+
+  JsonWriter& null();
+  JsonWriter& value(bool b);
+  JsonWriter& value(std::int64_t i);
+  JsonWriter& value(int i) { return value(static_cast<std::int64_t>(i)); }
+  JsonWriter& value(std::uint64_t u);
+  JsonWriter& value(double d);
+  JsonWriter& value(std::string_view s);
+  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
+  JsonWriter& value(const std::string& s) { return value(std::string_view(s)); }
+  /// A whole document tree.
+  JsonWriter& value(const Json& doc);
+
+  /// key(name), then value(v).
+  template <typename T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    key(name);
+    return value(v);
+  }
+
+ private:
+  /// The comma and line break before a key or a value, except a value
+  /// that follows its key.
+  void separate();
+  void newline_pad(std::size_t depth);
+  JsonWriter& open(char bracket);
+  JsonWriter& close(char bracket);
+  void write_string(std::string_view s);
+
+  std::string& out_;
+  int indent_;
+  std::vector<std::size_t> items_;  ///< items written so far, per open container
+  bool after_key_ = false;
+};
+
 /// File convenience wrappers (throw std::runtime_error on IO failure).
 void save_json(const Json& doc, const std::string& path, int indent = 2);
+/// Writes already-serialized JSON text plus a trailing newline to `path`.
+void save_json_text(std::string_view text, const std::string& path);
 Json load_json(const std::string& path);
 
 }  // namespace mpsched

@@ -247,51 +247,58 @@ Job job_from_json(const Json& j, std::size_t index) {
   return job_from_json(j, index, graphs);
 }
 
-Json result_to_json(const JobResult& r, bool include_diagnostics) {
-  Json j = Json::object();
-  j.set("job", r.job);
-  j.set("workload", r.workload);
+void write_result(JsonWriter& out, const JobResult& r, bool include_diagnostics) {
+  out.begin_object();
+  out.field("job", r.job);
+  out.field("workload", r.workload);
   // Pipeline echo, only when non-default: default-pipeline results files
   // stay byte-identical to pre-pipeline releases (a gated property).
-  if (!r.backend.empty() && r.backend != kDefaultBackend) j.set("backend", r.backend);
+  if (!r.backend.empty() && r.backend != kDefaultBackend) out.field("backend", r.backend);
   if (!r.transforms.empty()) {
-    Json transforms = Json::array();
-    for (const std::string& t : r.transforms) transforms.push_back(t);
-    j.set("transforms", std::move(transforms));
+    out.key("transforms").begin_array();
+    for (const std::string& t : r.transforms) out.value(t);
+    out.end_array();
   }
-  j.set("nodes", r.nodes);
-  j.set("edges", r.edges);
-  j.set("success", r.success);
-  if (!r.success) j.set("error", r.error);
-  Json patterns = Json::array();
-  for (const std::string& p : r.patterns) patterns.push_back(p);
-  j.set("patterns", std::move(patterns));
-  j.set("cycles", r.cycles);
-  j.set("critical_path", std::int64_t{r.critical_path});
-  j.set("antichains", r.antichains);
-  j.set("candidate_patterns", r.candidate_patterns);
-  j.set("refine_swaps", r.refine_swaps);
-  Json cycles = Json::array();
-  for (const int c : r.node_cycles) cycles.push_back(std::int64_t{c});
-  j.set("node_cycles", std::move(cycles));
+  out.field("nodes", std::uint64_t{r.nodes});
+  out.field("edges", std::uint64_t{r.edges});
+  out.field("success", r.success);
+  if (!r.success) out.field("error", r.error);
+  out.key("patterns").begin_array();
+  for (const std::string& p : r.patterns) out.value(p);
+  out.end_array();
+  out.field("cycles", std::uint64_t{r.cycles});
+  out.field("critical_path", r.critical_path);
+  out.field("antichains", r.antichains);
+  out.field("candidate_patterns", std::uint64_t{r.candidate_patterns});
+  out.field("refine_swaps", std::uint64_t{r.refine_swaps});
+  out.key("node_cycles").begin_array();
+  for (const int c : r.node_cycles) out.value(c);
+  out.end_array();
   if (include_diagnostics) {
-    j.set("cache_hit", r.analysis_cache_hit);
-    Json t = Json::object();
-    t.set("prepare_ms", r.timings.prepare_ms);
-    t.set("analysis_ms", r.timings.analysis_ms);
-    t.set("select_ms", r.timings.select_ms);
-    t.set("schedule_ms", r.timings.schedule_ms);
-    t.set("refine_ms", r.timings.refine_ms);
-    j.set("timings", std::move(t));
+    out.field("cache_hit", r.analysis_cache_hit);
+    out.key("timings").begin_object();
+    out.field("prepare_ms", r.timings.prepare_ms);
+    out.field("analysis_ms", r.timings.analysis_ms);
+    out.field("select_ms", r.timings.select_ms);
+    out.field("schedule_ms", r.timings.schedule_ms);
+    out.field("refine_ms", r.timings.refine_ms);
+    out.end_object();
     // Measured per-shard wall times (exemplar-charged, like analysis_ms);
     // omitted when empty — cache hits and duplicates ran no shards.
     if (!r.shard_ms.empty()) {
-      Json shards = Json::array();
-      for (const double ms : r.shard_ms) shards.push_back(ms);
-      j.set("shard_ms", std::move(shards));
+      out.key("shard_ms").begin_array();
+      for (const double ms : r.shard_ms) out.value(ms);
+      out.end_array();
     }
   }
-  return j;
+  out.end_object();
+}
+
+Json result_to_json(const JobResult& r, bool include_diagnostics) {
+  std::string text;
+  JsonWriter out(text);
+  write_result(out, r, include_diagnostics);
+  return Json::parse(text);
 }
 
 Json corpus_to_json(const std::vector<Job>& jobs) {
@@ -320,27 +327,34 @@ std::vector<Job> corpus_from_json(const Json& doc) {
   return corpus_from_json(doc, graphs);
 }
 
-Json batch_to_json(const BatchResult& batch, bool include_diagnostics) {
-  Json doc = Json::object();
-  doc.set("schema", kResultsSchema);
-  Json summary = Json::object();
-  summary.set("jobs", batch.jobs.size());
-  summary.set("succeeded", batch.succeeded());
-  doc.set("summary", std::move(summary));
+void write_batch(JsonWriter& out, const BatchResult& batch, bool include_diagnostics) {
+  out.begin_object();
+  out.field("schema", kResultsSchema);
+  out.key("summary").begin_object();
+  out.field("jobs", std::uint64_t{batch.jobs.size()});
+  out.field("succeeded", std::uint64_t{batch.succeeded()});
+  out.end_object();
   if (include_diagnostics) {
-    Json d = Json::object();
-    d.set("wall_ms", batch.wall_ms);
-    d.set("analyses_computed", batch.analyses_computed);
-    d.set("analyses_reused", batch.analyses_reused);
-    d.set("cache_graph_hits", batch.cache_stats.graph_hits);
-    d.set("cache_analysis_hits", batch.cache_stats.analysis_hits);
-    d.set("cache_analysis_misses", batch.cache_stats.analysis_misses);
-    doc.set("diagnostics", std::move(d));
+    out.key("diagnostics").begin_object();
+    out.field("wall_ms", batch.wall_ms);
+    out.field("analyses_computed", std::uint64_t{batch.analyses_computed});
+    out.field("analyses_reused", std::uint64_t{batch.analyses_reused});
+    out.field("cache_graph_hits", batch.cache_stats.graph_hits);
+    out.field("cache_analysis_hits", batch.cache_stats.analysis_hits);
+    out.field("cache_analysis_misses", batch.cache_stats.analysis_misses);
+    out.end_object();
   }
-  Json arr = Json::array();
-  for (const JobResult& r : batch.jobs) arr.push_back(result_to_json(r, include_diagnostics));
-  doc.set("jobs", std::move(arr));
-  return doc;
+  out.key("jobs").begin_array();
+  for (const JobResult& r : batch.jobs) write_result(out, r, include_diagnostics);
+  out.end_array();
+  out.end_object();
+}
+
+Json batch_to_json(const BatchResult& batch, bool include_diagnostics) {
+  std::string text;
+  JsonWriter out(text);
+  write_batch(out, batch, include_diagnostics);
+  return Json::parse(text);
 }
 
 void save_corpus(const std::vector<Job>& jobs, const std::string& path) {
@@ -352,8 +366,12 @@ std::vector<Job> load_corpus(const std::string& path) {
 }
 
 void save_batch_results(const BatchResult& batch, const std::string& path,
-                        bool include_diagnostics) {
-  save_json(batch_to_json(batch, include_diagnostics), path);
+                        bool include_diagnostics, int indent) {
+  // Written in full before the file is opened, like save_json.
+  std::string text;
+  JsonWriter out(text, indent);
+  write_batch(out, batch, include_diagnostics);
+  save_json_text(text, path);
 }
 
 }  // namespace mpsched

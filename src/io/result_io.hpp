@@ -7,10 +7,16 @@
 //    for documents produced by corpus_to_json — every option is emitted
 //    explicitly in a fixed key order, so the fixpoint is reached after one
 //    normalization pass (hand-written corpora may omit defaulted keys).
-//  * batch_to_json is deterministic: diagnostics that legitimately vary
-//    between runs (timings, cache hits) are excluded unless
+//  * The results document is deterministic: diagnostics that legitimately
+//    vary between runs (timings, cache hits) are excluded unless
 //    include_diagnostics is set, so two runs of the same corpus — at any
 //    thread count, cache warm or cold — serialize byte-identically.
+//
+// One layout definition: write_result/write_batch write the results
+// document straight to text through a JsonWriter. Every route to its
+// bytes — results files, service responses, and the Json trees
+// result_to_json/batch_to_json return (the parse of those bytes) — goes
+// through them, so no second builder of the layout exists to drift.
 #pragma once
 
 #include <initializer_list>
@@ -43,6 +49,10 @@ Json job_to_json(const engine::Job& job);
 /// uses a fresh intern.
 engine::Job job_from_json(const Json& doc, std::size_t index, GraphIntern& graphs);
 engine::Job job_from_json(const Json& doc, std::size_t index = 0);
+/// Writes one results entry.
+void write_result(JsonWriter& out, const engine::JobResult& result,
+                  bool include_diagnostics = false);
+/// write_result's bytes, parsed.
 Json result_to_json(const engine::JobResult& result, bool include_diagnostics = false);
 
 /// Serializes a job list. Jobs built from a workload spec store the spec;
@@ -57,13 +67,17 @@ Json corpus_to_json(const std::vector<engine::Job>& jobs);
 std::vector<engine::Job> corpus_from_json(const Json& doc, GraphIntern& graphs);
 std::vector<engine::Job> corpus_from_json(const Json& doc);
 
-/// Serializes batch results, index-aligned with the corpus.
+/// Writes the batch results document, index-aligned with the corpus.
+void write_batch(JsonWriter& out, const engine::BatchResult& batch,
+                 bool include_diagnostics = false);
+/// write_batch's bytes, parsed.
 Json batch_to_json(const engine::BatchResult& batch, bool include_diagnostics = false);
 
 /// File wrappers.
 void save_corpus(const std::vector<engine::Job>& jobs, const std::string& path);
 std::vector<engine::Job> load_corpus(const std::string& path);
+/// Writes the results document with `indent` (JsonWriter) to `path`.
 void save_batch_results(const engine::BatchResult& batch, const std::string& path,
-                        bool include_diagnostics = false);
+                        bool include_diagnostics = false, int indent = 2);
 
 }  // namespace mpsched

@@ -202,12 +202,54 @@ void Server::install_signal_handlers() {
 #endif
 }
 
+namespace {
+
+/// Writes a response tree under the request's one serve.serialize span
+/// and returns its "ok" flag.
+bool write_tree(const Json& response, std::string& out) {
+  obs::Span serialize_span("serve.serialize");
+  JsonWriter(out).value(response);
+  const Json* flag = response.find("ok");
+  return flag != nullptr && flag->as_bool();
+}
+
+/// Writes a results response: `envelope`'s keys, then the batch's results
+/// document (or a submit_job's one result) and its analysis counters,
+/// streamed from the batch with no tree built.
+void write_results(const Json& envelope, const engine::BatchResult& batch, bool one_result,
+                   bool diagnostics, std::string& out) {
+  obs::Span serialize_span("serve.serialize");
+  JsonWriter writer(out);
+  writer.begin_object();
+  for (const auto& [key, value] : envelope.as_object()) writer.field(key, value);
+  if (one_result) {
+    writer.key("result");
+    write_result(writer, batch.jobs.front(), diagnostics);
+  } else {
+    writer.key("results");
+    write_batch(writer, batch, diagnostics);
+  }
+  writer.field("analyses_computed", std::uint64_t{batch.analyses_computed});
+  writer.field("analyses_reused", std::uint64_t{batch.analyses_reused});
+  writer.end_object();
+}
+
+}  // namespace
+
 Json Server::handle(Request request) {
   Session throwaway;
   return handle(std::move(request), throwaway);
 }
 
 Json Server::handle(Request request, Session& session) {
+  std::string text;
+  write_response(std::move(request), session, text);
+  return Json::parse(text);
+}
+
+bool Server::write_response(Request request, Session& session, std::string& out) {
+  const std::size_t start = out.size();
+  const auto reply = [&out](const Json& response) { return write_tree(response, out); };
   try {
     switch (request.op) {
       case Op::Ping: {
@@ -217,7 +259,7 @@ Json Server::handle(Request request, Session& session) {
         protocols.push_back(Json(kProtocolV1));
         protocols.push_back(Json(kProtocol));
         response.set("protocols", std::move(protocols));
-        return response;
+        return reply(response);
       }
 
       case Op::Submit:
@@ -226,8 +268,8 @@ Json Server::handle(Request request, Session& session) {
         // is public — an in-process caller's hand-built submit_job must
         // not reach jobs.front() on an empty batch.
         if (request.op == Op::SubmitJob && request.jobs.size() != 1)
-          return make_error(request.id, to_text(request.op),
-                            "submit_job carries exactly one job");
+          return reply(make_error(request.id, to_text(request.op),
+                                  "submit_job carries exactly one job"));
         // Blocking ops ride the same admission queue as everything else:
         // submit the tickets, wait them out. Two sessions blocking here
         // concurrently share one coalesced dispatch instead of queueing
@@ -236,28 +278,22 @@ Json Server::handle(Request request, Session& session) {
         engine::BatchResult batch =
             engine_.collect(engine_.submit_batch(std::move(request.jobs)));
         batch.wall_ms = wall.millis();
-        obs::Span serialize_span("serve.serialize");
-        Json response = make_ok(request);
-        if (request.op == Op::Submit)
-          response.set("results", batch_to_json(batch, request.diagnostics));
-        else
-          response.set("result", result_to_json(batch.jobs.front(), request.diagnostics));
-        response.set("analyses_computed", batch.analyses_computed);
-        response.set("analyses_reused", batch.analyses_reused);
-        return response;
+        write_results(make_ok(request), batch, request.op == Op::SubmitJob,
+                      request.diagnostics, out);
+        return true;
       }
 
       case Op::SubmitAsync: {
         if (request.jobs.empty())
-          return make_error(request.id, to_text(request.op),
-                            "submit_async carries a non-empty corpus");
+          return reply(make_error(request.id, to_text(request.op),
+                                  "submit_async carries a non-empty corpus"));
         if (request.id != 0)
           for (const auto& [rid, pending] : session.pending_)
             if (pending.client_id == request.id)
-              return make_error(request.id, to_text(request.op),
-                                "duplicate id " + std::to_string(request.id) +
-                                    ": an async request with this correlation id is "
-                                    "still pending in this session");
+              return reply(make_error(request.id, to_text(request.op),
+                                      "duplicate id " + std::to_string(request.id) +
+                                          ": an async request with this correlation id is "
+                                          "still pending in this session"));
         Session::PendingRequest pending;
         pending.tickets = engine_.submit_batch(std::move(request.jobs));
         pending.diagnostics = request.diagnostics;
@@ -275,7 +311,7 @@ Json Server::handle(Request request, Session& session) {
         response.set("request", rid);
         response.set("jobs", n_jobs);
         response.set("queue_depth", engine_.stats().queue_depth);
-        return response;
+        return reply(response);
       }
 
       case Op::Poll:
@@ -283,10 +319,10 @@ Json Server::handle(Request request, Session& session) {
       case Op::Cancel: {
         const auto it = session.pending_.find(request.request);
         if (it == session.pending_.end())
-          return make_error(request.id, to_text(request.op),
-                            "unknown request id " + std::to_string(request.request) +
-                                " (never submitted in this session, or already "
-                                "collected by wait)");
+          return reply(make_error(request.id, to_text(request.op),
+                                  "unknown request id " + std::to_string(request.request) +
+                                      " (never submitted in this session, or already "
+                                      "collected by wait)"));
         Session::PendingRequest& pending = it->second;
         Json response = make_ok(request);
         response.set("request", request.request);
@@ -297,7 +333,7 @@ Json Server::handle(Request request, Session& session) {
           response.set("jobs", pending.tickets.size());
           response.set("completed", completed);
           response.set("done", completed == pending.tickets.size());
-          return response;
+          return reply(response);
         }
         if (request.op == Op::Cancel) {
           std::size_t cancelled = 0;
@@ -305,7 +341,7 @@ Json Server::handle(Request request, Session& session) {
             if (ticket.cancel()) ++cancelled;
           response.set("jobs", pending.tickets.size());
           response.set("cancelled", cancelled);
-          return response;
+          return reply(response);
         }
         // Wait: consume first, then block and assemble. Consuming before
         // collect matters: a dispatch-level exception (rethrown by every
@@ -319,11 +355,8 @@ Json Server::handle(Request request, Session& session) {
         batch.wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - consumed.submitted)
                             .count();
-        obs::Span serialize_span("serve.serialize");
-        response.set("results", batch_to_json(batch, consumed.diagnostics));
-        response.set("analyses_computed", batch.analyses_computed);
-        response.set("analyses_reused", batch.analyses_reused);
-        return response;
+        write_results(response, batch, false, consumed.diagnostics, out);
+        return true;
       }
 
       case Op::Stats: {
@@ -368,7 +401,7 @@ Json Server::handle(Request request, Session& session) {
           response.set("disk", std::move(disk));
         }
         response.set("server", std::move(server));
-        return response;
+        return reply(response);
       }
 
       case Op::Metrics: {
@@ -379,14 +412,15 @@ Json Server::handle(Request request, Session& session) {
         Json response = make_ok(request);
         response.set("metrics", obs::Registry::global().to_json());
         response.set("text", obs::Registry::global().to_prometheus());
-        return response;
+        return reply(response);
       }
 
       case Op::CacheTrim: {
         engine::CacheStore* store = engine_.cache().disk_store();
         if (store == nullptr)
-          return make_error(request.id, to_text(request.op),
-                            "no cache directory attached (start the server with --cache-dir)");
+          return reply(make_error(request.id, to_text(request.op),
+                                  "no cache directory attached (start the server with "
+                                  "--cache-dir)"));
         engine::TrimOptions trim_options;
         trim_options.max_age_seconds = request.trim_max_age_seconds;
         trim_options.max_total_bytes = request.trim_max_total_bytes;
@@ -397,7 +431,7 @@ Json Server::handle(Request request, Session& session) {
         response.set("entries_kept", trimmed.entries_kept);
         response.set("bytes_kept", trimmed.bytes_kept);
         response.set("temp_swept", trimmed.temp_swept);
-        return response;
+        return reply(response);
       }
 
       case Op::Shutdown: {
@@ -406,12 +440,13 @@ Json Server::handle(Request request, Session& session) {
         // every session (including this one) drains.
         Json response = make_ok(request);
         request_stop();
-        return response;
+        return reply(response);
       }
     }
-    return make_error(request.id, "unknown", "unhandled op");
+    return reply(make_error(request.id, "unknown", "unhandled op"));
   } catch (const std::exception& e) {
-    return make_error(request.id, to_text(request.op), e.what());
+    out.resize(start);
+    return reply(make_error(request.id, to_text(request.op), e.what()));
   }
 }
 
@@ -421,6 +456,10 @@ Json Server::handle_line(std::string_view line) {
 }
 
 Json Server::handle_line(std::string_view line, Session& session) {
+  return Json::parse(respond(line, session));
+}
+
+std::string Server::respond(std::string_view line, Session& session) {
   static obs::Counter& request_count =
       obs::Registry::global().counter("serve.requests");
   static obs::Counter& error_count =
@@ -428,12 +467,15 @@ Json Server::handle_line(std::string_view line, Session& session) {
   static obs::Histogram& request_ms =
       obs::Registry::global().histogram("serve.request_ms");
   // The span opens before the parse (the op name is not known yet), so a
-  // malformed line still shows up in the trace as a served request.
+  // malformed line still shows up in the trace as a served request, and it
+  // closes after the response is written.
   obs::Span span("serve.request");
   Timer wall;
-  Json response;
+  std::string wire;
+  bool ok = false;
   try {
     Request request;
+    Json error;
     {
       // Covers resolving every job's graph (a workloads.build span per
       // intern miss), not just reading the JSON.
@@ -450,17 +492,16 @@ Json Server::handle_line(std::string_view line, Session& session) {
           if (const Json* v = doc.find("op"); v != nullptr && v->is_string())
             op = v->as_string();
         }
-        response = make_error(id, op, e.what());
+        error = make_error(id, op, e.what());
       }
     }
-    if (response.is_null()) response = handle(std::move(request), session);
+    ok = error.is_null() ? write_response(std::move(request), session, wire)
+                         : write_tree(error, wire);
   } catch (const std::exception& e) {
-    response = make_error(0, "unknown", std::string("bad request line: ") + e.what());
+    ok = write_tree(make_error(0, "unknown", std::string("bad request line: ") + e.what()),
+                    wire);
   }
-  const bool ok = [&response] {
-    const Json* flag = response.find("ok");
-    return flag != nullptr && flag->as_bool();
-  }();
+  wire += '\n';
   {
     std::lock_guard lock(counters_mutex_);
     ++counters_.requests;
@@ -469,14 +510,6 @@ Json Server::handle_line(std::string_view line, Session& session) {
   request_count.add();
   if (!ok) error_count.add();
   request_ms.record(wall.millis());
-  return response;
-}
-
-std::string Server::respond(std::string_view line, Session& session) {
-  const Json response = handle_line(line, session);
-  obs::Span span("serve.serialize");
-  std::string wire = response.dump(-1);
-  wire += '\n';
   return wire;
 }
 

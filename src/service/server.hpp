@@ -24,6 +24,10 @@
 // the server owns for its lifetime, so a workload spec or inline graph
 // the daemon has already built costs a map lookup and a pointer copy,
 // and the serve.graphs.built / serve.graphs.reused counters say which.
+// Responses are written straight to text through one JsonWriter: a
+// results payload streams from the engine's batch with no Json tree
+// built, and handle()/handle_line() return the parse of those same bytes,
+// so in-process callers see exactly what a socket client receives.
 //
 // Shutdown story: a shutdown request, SIGINT or SIGTERM (see
 // install_signal_handlers) sets a stop flag and pokes a self-pipe every
@@ -120,19 +124,21 @@ class Server {
   ServerCounters counters() const;
 
   /// Dispatches one parsed request against a session and returns the
-  /// response document. Never throws for request-level failures — those
-  /// come back as {"ok":false,"error":...} responses. Thread-safe across
-  /// distinct sessions; a Session itself belongs to one thread. Taken by
-  /// value: submit ops move the request's jobs into the engine's queue,
-  /// so pass an rvalue to avoid copying them.
+  /// response document: the parse of the exact bytes a socket client
+  /// would receive for it. Never throws for request-level failures —
+  /// those come back as {"ok":false,"error":...} responses. Thread-safe
+  /// across distinct sessions; a Session itself belongs to one thread.
+  /// Taken by value: submit ops move the request's jobs into the engine's
+  /// queue, so pass an rvalue to avoid copying them.
   Json handle(Request request, Session& session);
   /// Stateless convenience (a throwaway session): fine for every v1 op;
   /// an async request submitted through it can never be polled again.
   Json handle(Request request);
 
-  /// Parses one NDJSON line and dispatches it. Malformed lines yield an
-  /// error response instead of throwing — one bad request must not kill
-  /// the session.
+  /// Parses one NDJSON line and dispatches it; returns the parse of the
+  /// response line the sessions send. Malformed lines yield an error
+  /// response instead of throwing — one bad request must not kill the
+  /// session.
   Json handle_line(std::string_view line, Session& session);
   Json handle_line(std::string_view line);
 
@@ -165,10 +171,16 @@ class Server {
   void install_signal_handlers();
 
  private:
-  /// handle_line() plus the response's wire form: one newline-terminated
-  /// line. Building a results payload (inside handle) and this dump are
-  /// both traced as serve.serialize.
+  /// Parses one request line, handles it and writes its response: one
+  /// newline-terminated line of compact JSON. The serve.request span and
+  /// the serve.request_ms histogram cover all of it, writing included.
   std::string respond(std::string_view line, Session& session);
+  /// Handles one request and appends its response object to `out`, under
+  /// one serve.serialize span; returns the response's "ok" flag. Submit,
+  /// submit_job and wait stream their results straight from the batch
+  /// (io/result_io write_batch/write_result); every other op writes its
+  /// small response tree. Never throws for request-level failures.
+  bool write_response(Request request, Session& session, std::string& out);
   /// One socket session. `single_request` is the at-capacity degraded
   /// mode: serve exactly one request (bounded wait), then close.
   void session(int fd, bool single_request = false);

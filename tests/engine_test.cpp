@@ -821,6 +821,11 @@ TEST(Engine, InvalidOptionsFailOnlyTheirJobWithAnAnalysisError) {
   expect_analysis_error(batch.jobs[2], "max_size must be at most 64");
   expect_analysis_error(batch.jobs[3], "max_size must be at most 64");
   EXPECT_TRUE(batch.jobs[4].success) << batch.jobs[4].error;
+  // A failed check names its source file relative to the source tree, so
+  // results never carry the checkout path the library was built in.
+  for (const std::size_t i : {2u, 3u})
+    EXPECT_NE(batch.jobs[i].error.find(" at src/antichain/"), std::string::npos)
+        << batch.jobs[i].error;
 
   // A failed analysis is never published: the bad job recomputes (and
   // fails) again, and only the valid job's analysis is held.

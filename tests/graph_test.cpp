@@ -1,6 +1,8 @@
 // Unit tests for the DFG substrate: construction, adjacency order,
-// validation, topological ordering, and shared storage (copies share one
-// block; a mutator on a shared block clones it first).
+// validation, topological ordering, shared storage (copies share one
+// block; a mutator on a shared block clones it first), and the content
+// hash the block memoizes (pinned keys, mutators clear it, racing threads
+// publish it once).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -328,6 +330,107 @@ TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(engine::AnalysisCache::graph_key(shared), shared_key);
+}
+
+// -- content hash -------------------------------------------------------------
+
+TEST(DfgContentHashTest, KeysArePinned) {
+  // Cache keys locate disk-cache entries across releases, so their bytes
+  // are pinned: the graph key, the default analysis key (C = 5, span limit
+  // 1) and an analysis key under a non-default pipeline.
+  struct Pin {
+    const char* spec;
+    const char* graph;
+    const char* analysis;
+    const char* tagged;
+  };
+  const Pin pins[] = {
+      {"paper_3dft", "f0562eeffe13bc3b2a6145a56ea4ec76", "d3ced964d0f826fd2ee0d27d0f295190",
+       "7436fe3107c8b05678a91297c345bdb5"},
+      {"fir(28)", "3be251a8ee40316eb3a8b3a644b1e5b9", "de9a438718052588f0a5f4bd2922483f",
+       "4847dea16c775683472a65285c4a6aae"},
+      {"fft(16)", "dbd1893849917c3b65883284c0f03eae", "d339fc400f9de6fdd7a9fbd427d2a8c8",
+       "5e332917f7547056d2c5bbbe52aa751d"},
+  };
+  const SelectOptions o;
+  ASSERT_EQ(o.capacity, 5u);
+  ASSERT_EQ(o.span_limit, std::optional<int>(1));
+  const std::string tag = engine::pipeline_cache_tag({"strip_redundant_edges"}, "list");
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const Dfg g = workloads::make_workload(pin.spec);
+    // Twice each: the first call computes the memo, the second reads it.
+    for (int pass = 0; pass < 2; ++pass) {
+      EXPECT_EQ(engine::AnalysisCache::graph_key(g).to_string(), pin.graph);
+      EXPECT_EQ(engine::AnalysisCache::analysis_key(g, o.generation, o.capacity, o.span_limit)
+                    .to_string(),
+                pin.analysis);
+      EXPECT_EQ(
+          engine::AnalysisCache::analysis_key(g, o.generation, o.capacity, o.span_limit, tag)
+              .to_string(),
+          pin.tagged);
+      const auto [graph, tagged] =
+          engine::AnalysisCache::content_keys(g, o.generation, o.capacity, o.span_limit, tag);
+      EXPECT_EQ(graph.to_string(), pin.graph);
+      EXPECT_EQ(tagged.to_string(), pin.tagged);
+    }
+  }
+}
+
+TEST(DfgContentHashTest, MutatorsClearTheMemo) {
+  // Keyed, then edited in place (unshared) or through a copy (a clone):
+  // either way the key must be the edited graph's, never the memo's.
+  const engine::CacheKey before = engine::AnalysisCache::graph_key(diamond());
+  for (const auto& [name, mutate] : mutators()) {
+    SCOPED_TRACE(name);
+    Dfg fresh = diamond();
+    mutate(fresh);
+    const engine::CacheKey expected = engine::AnalysisCache::graph_key(fresh);
+
+    Dfg unshared = diamond();
+    EXPECT_EQ(engine::AnalysisCache::graph_key(unshared), before);
+    mutate(unshared);
+    EXPECT_EQ(engine::AnalysisCache::graph_key(unshared), expected);
+
+    const Dfg keyed = diamond();
+    EXPECT_EQ(engine::AnalysisCache::graph_key(keyed), before);
+    Dfg clone = keyed;
+    mutate(clone);
+    EXPECT_EQ(engine::AnalysisCache::graph_key(clone), expected);
+    EXPECT_EQ(engine::AnalysisCache::graph_key(keyed), before);
+  }
+  // The structural mutators do move the key, so the checks above bite.
+  Dfg grown = diamond();
+  grown.add_edge(0, 3);
+  EXPECT_NE(engine::AnalysisCache::graph_key(grown), before);
+}
+
+TEST(DfgContentHashTest, ThreadsKeyOneSharedGraphThatWasNeverKeyed) {
+  // Four threads race to compute and publish one block's memo. Every one
+  // must read the graph's key, whether it published, lost the race and
+  // kept its own copy, or read the published memo.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  const engine::CacheKey expected =
+      engine::AnalysisCache::graph_key(workloads::make_workload("fft(8)"));
+  for (int round = 0; round < kRounds; ++round) {
+    const Dfg shared = workloads::make_workload("fft(8)");
+    const std::vector<Dfg> copies(kThreads, shared);
+    std::vector<engine::CacheKey> keys(kThreads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) {
+        }
+        keys[t] = engine::AnalysisCache::graph_key(copies[t]);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(keys[t], expected) << "thread " << t;
+    EXPECT_EQ(engine::AnalysisCache::graph_key(shared), expected);
+  }
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "service/client.hpp"
 #include "test_util.hpp"
 #include "util/strings.hpp"
@@ -232,6 +235,51 @@ TEST_F(ServiceTest, SubmitJobReturnsOneResult) {
   const Json response = server.handle(request);
   ASSERT_TRUE(response.at("ok").as_bool());
   EXPECT_EQ(response.at("result").dump(-1), expected);
+}
+
+TEST_F(ServiceTest, EachResponseIsWrittenInsideItsRequestSpan) {
+  // One traced respond() round per line through a stream session: every
+  // request records exactly one serve.serialize span (writing its
+  // response), nested inside its serve.request span on the same thread,
+  // so serve.request and serve.request_ms cover the write.
+  Server server(ServerOptions{});
+  Request submit;
+  submit.op = Op::Submit;
+  submit.id = 2;
+  submit.jobs = small_corpus();
+  std::istringstream in("{\"op\":\"ping\",\"id\":1}\n" +
+                        service::request_to_json(submit).dump(-1) + "\nnot json\n");
+  std::ostringstream out;
+  obs::clear_trace();
+  obs::set_tracing_enabled(true);
+  server.serve_stream(in, out);
+  obs::set_tracing_enabled(false);
+  const Json trace = obs::trace_to_json();
+  obs::clear_trace();
+
+  std::map<std::int64_t, std::vector<std::string>> open;
+  std::size_t requests = 0;
+  std::size_t serializes = 0;
+  for (const Json& e : trace.at("traceEvents").as_array()) {
+    const std::string phase = e.at("ph").as_string();
+    if (phase != "B" && phase != "E") continue;
+    std::vector<std::string>& stack = open[e.at("tid").as_int()];
+    if (phase == "E") {
+      ASSERT_FALSE(stack.empty());
+      stack.pop_back();
+      continue;
+    }
+    const std::string name = e.at("name").as_string();
+    if (name == "serve.request") ++requests;
+    if (name == "serve.serialize") {
+      ++serializes;
+      EXPECT_NE(std::find(stack.begin(), stack.end(), "serve.request"), stack.end())
+          << "serve.serialize outside serve.request";
+    }
+    stack.push_back(name);
+  }
+  EXPECT_EQ(requests, 3u);
+  EXPECT_EQ(serializes, requests);
 }
 
 TEST_F(ServiceTest, StreamSessionServesPingSubmitStatsShutdown) {

@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
 
     print_summary(batch);
     if (cache_stats) print_cache_stats(eng);
-    save_json(batch_to_json(batch, diagnostics), out_path, compact ? -1 : 2);
+    save_batch_results(batch, out_path, diagnostics, compact ? -1 : 2);
     std::printf("results written to %s\n", out_path.c_str());
     if (!trace_out.empty()) {
       if (!obs::write_trace(trace_out)) {
