@@ -74,13 +74,15 @@ std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
 }
 
 std::shared_ptr<const PreparedGraph> AnalysisCache::find_graph(const CacheKey& key) {
+  static obs::Counter& hits = obs::Registry::global().counter("cache.graph.hits");
+  static obs::Counter& misses = obs::Registry::global().counter("cache.graph.misses");
   std::lock_guard lock(mutex_);
   const auto it = graphs_.find(key);
   if (it == graphs_.end()) {
-    ++stats_.graph_misses;
+    misses.add();
     return nullptr;
   }
-  ++stats_.graph_hits;
+  hits.add();
   return it->second;
 }
 
@@ -91,8 +93,8 @@ void AnalysisCache::store_graph(const CacheKey& key,
 }
 
 std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const CacheKey& key) {
-  // Memory-tier counters only (the disk tier keeps its own): a probe this
-  // cheap gets a pair of relaxed increments, never a trace span.
+  // Memory-tier counters only (the disk tier counts its own): a probe this
+  // cheap gets a relaxed increment, never a trace span.
   static obs::Counter& mem_hits =
       obs::Registry::global().counter("cache.mem.hits");
   static obs::Counter& mem_misses =
@@ -102,7 +104,6 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
     std::lock_guard lock(mutex_);
     const auto it = analyses_.find(key);
     if (it != analyses_.end()) {
-      ++stats_.analysis_hits;
       mem_hits.add();
       return it->second;
     }
@@ -112,17 +113,13 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
   // Memory miss: fall through to the disk tier outside the lock (file IO
   // must not serialize concurrent memory hits). A racing duplicate load is
   // harmless — identical content, last writer wins.
-  if (store != nullptr) {
-    if (auto loaded = store->load(key)) {
-      std::lock_guard lock(mutex_);
-      ++stats_.analysis_hits;
-      analyses_[key] = loaded;
-      return loaded;
-    }
+  if (store == nullptr) return nullptr;
+  auto loaded = store->load(key);
+  if (loaded != nullptr) {
+    std::lock_guard lock(mutex_);
+    analyses_[key] = loaded;
   }
-  std::lock_guard lock(mutex_);
-  ++stats_.analysis_misses;
-  return nullptr;
+  return loaded;
 }
 
 void AnalysisCache::store_analysis(const CacheKey& key,
@@ -158,11 +155,6 @@ void AnalysisCache::attach_store(std::shared_ptr<CacheStore> store) {
 CacheStore* AnalysisCache::disk_store() const {
   std::lock_guard lock(mutex_);
   return store_.get();
-}
-
-CacheStats AnalysisCache::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 std::size_t AnalysisCache::analysis_count() const {

@@ -24,8 +24,7 @@
 // A CacheStore (engine/cache_store.hpp) can be attached as a second tier:
 // analysis lookups that miss in memory fall through to the cache
 // directory, and stores write through to it, so analyses persist across
-// processes. Disk-served lookups are published into the memory tier and
-// count as analysis hits (the disk tier keeps its own counters).
+// processes. Disk-served lookups are published into the memory tier.
 //
 // Beside the analyses sits a memory-only memo of solved results: pattern
 // selection and scheduling are deterministic in the analysis and the
@@ -34,8 +33,12 @@
 //   SolvedResult  keyed by  SolveKey (analysis key ‖ every job option)
 //
 // lets a repeated job skip its scheduler backend entirely. The memo never
-// touches the disk tier and keeps no counters here (the engine counts
-// solves in the metrics registry).
+// touches the disk tier.
+//
+// Counters: the cache holds no counts of its own. Lookups are counted in
+// the metrics registry (cache.graph.hits/misses, cache.mem.hits/misses;
+// the disk tier counts cache.disk.*), and the engine's CacheStats
+// snapshot is read from there (engine/engine.hpp).
 //
 // Thread safety: all methods are safe to call concurrently; values are
 // immutable once published (shared_ptr<const T>).
@@ -104,14 +107,6 @@ struct PreparedGraph {
   Reachability reach;
 };
 
-/// Hit/miss counters (monotone; snapshot via stats()).
-struct CacheStats {
-  std::uint64_t graph_hits = 0;
-  std::uint64_t graph_misses = 0;
-  std::uint64_t analysis_hits = 0;
-  std::uint64_t analysis_misses = 0;
-};
-
 class AnalysisCache {
  public:
   /// Content key of the graph alone.
@@ -138,7 +133,7 @@ class AnalysisCache {
                                                     const std::string& pipeline_tag = {});
 
   /// Memoized levels+closure by graph key: nullptr on a miss. Each call
-  /// counts one graph hit or miss. The engine computes a miss itself, off
+  /// counts one cache.graph.hits or cache.graph.misses. The engine computes a miss itself, off
   /// the dispatcher thread, and publishes it with store_graph().
   std::shared_ptr<const PreparedGraph> find_graph(const CacheKey& key);
   void store_graph(const CacheKey& key, std::shared_ptr<const PreparedGraph> value);
@@ -161,7 +156,6 @@ class AnalysisCache {
   /// The attached disk tier; nullptr when the cache is memory-only.
   CacheStore* disk_store() const;
 
-  CacheStats stats() const;
   /// Number of cached analyses (not graphs) held in memory.
   std::size_t analysis_count() const;
   /// Drops the in-memory tiers and the solved-result memo; the attached
@@ -175,7 +169,6 @@ class AnalysisCache {
   std::unordered_map<CacheKey, std::shared_ptr<const AntichainAnalysis>, CacheKeyHash>
       analyses_;
   std::unordered_map<SolveKey, std::shared_ptr<const SolvedResult>, SolveKeyHash> solved_;
-  CacheStats stats_;
 };
 
 }  // namespace mpsched::engine

@@ -68,6 +68,7 @@ CacheStore::CacheStore(std::string directory) : dir_(std::move(directory)) {
 }
 
 std::size_t CacheStore::sweep_temp_files(std::uint64_t min_age_seconds) {
+  static obs::Counter& swept = obs::Registry::global().counter("cache.disk.temp_swept");
   std::size_t removed = 0;
   std::error_code ec;
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end; it.increment(ec)) {
@@ -77,10 +78,7 @@ std::size_t CacheStore::sweep_temp_files(std::uint64_t min_age_seconds) {
     std::error_code rm;
     if (fs::remove(path, rm) && !rm) ++removed;
   }
-  if (removed > 0) {
-    std::lock_guard lock(mutex_);
-    stats_.temp_swept += removed;
-  }
+  swept.add(removed);
   return removed;
 }
 
@@ -160,31 +158,27 @@ std::shared_ptr<const AntichainAnalysis> CacheStore::load(const CacheKey& key) {
   if (!fs::exists(path, ec) || ec) {
     miss_count.add();
     read_ms.record(timer.millis());
-    std::lock_guard lock(mutex_);
-    ++stats_.disk_misses;
     return nullptr;
   }
   std::string error;
   std::optional<AntichainAnalysis> loaded = load_analysis(path.string(), &error);
   read_ms.record(timer.millis());
-  std::lock_guard lock(mutex_);
   if (!loaded) {
     // Present but invalid: torn write from a crashed copy, bit rot, or a
     // format bump. A miss either way; the recompute's store() overwrites.
     corrupt_count.add();
     miss_count.add();
-    ++stats_.disk_corrupt;
-    ++stats_.disk_misses;
     return nullptr;
   }
   hit_count.add();
-  ++stats_.disk_hits;
   return std::make_shared<AntichainAnalysis>(std::move(*loaded));
 }
 
 void CacheStore::store(const CacheKey& key, const AntichainAnalysis& analysis) {
   static obs::Counter& store_count =
       obs::Registry::global().counter("cache.disk.stores");
+  static obs::Counter& failure_count =
+      obs::Registry::global().counter("cache.disk.store_failures");
   static obs::Histogram& write_ms =
       obs::Registry::global().histogram("cache.disk.write_ms");
   obs::Span span("cache.disk.store",
@@ -192,27 +186,27 @@ void CacheStore::store(const CacheKey& key, const AntichainAnalysis& analysis) {
   Timer timer;
   store_count.add();
 
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard lock(mutex_);
-    ++stats_.disk_stores;
-    seq = ++temp_seq_;
-  }
   // Unique temp name per (process, store, write): concurrent writers —
   // threads or whole processes — never collide on the temp file, and the
   // rename is atomic within one directory, so readers see only absent or
   // complete entries.
+  const std::uint64_t seq = temp_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   const fs::path dir(dir_);
   const fs::path tmp = dir / ("tmp-" + std::to_string(current_pid()) + "-" +
                               std::to_string(seq) + "-" + key.to_string() + ".mpa");
   const fs::path final_path = dir / entry_filename(key);
+  bool stored = false;
   try {
     save_analysis(analysis, tmp.string());
     std::error_code ec;
     fs::rename(tmp, final_path, ec);
-    if (ec) fs::remove(tmp, ec);
+    stored = !ec;
   } catch (const std::exception&) {
-    // Disk full / permissions: drop the entry, keep the batch running.
+  }
+  if (!stored) {
+    // Disk full / permissions / directory gone: drop the entry, keep the
+    // batch running, and leave a trace in the registry.
+    failure_count.add();
     std::error_code ec;
     fs::remove(tmp, ec);
   }
@@ -225,11 +219,6 @@ std::size_t CacheStore::entry_count() const {
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end; it.increment(ec))
     if (is_committed_entry(it->path().filename().string())) ++n;
   return n;
-}
-
-CacheStoreStats CacheStore::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 }  // namespace mpsched::engine

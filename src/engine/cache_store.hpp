@@ -25,12 +25,18 @@
 // are immutable and content-addressed, so a cache directory is trimmed by
 // deleting files (or the whole directory) at any time, even mid-run.
 //
+// Counters: the store keeps none of its own. It counts into the metrics
+// registry — cache.disk.hits / misses / corrupt (an entry that existed but
+// failed validation, on top of the miss it degrades to) / stores /
+// store_failures (a store whose write or rename failed) / temp_swept —
+// which the serve `stats` op and `mpsched_batch --cache-stats` read.
+//
 // Thread safety: all methods are safe to call concurrently.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "antichain/enumerate.hpp"
@@ -38,18 +44,6 @@
 namespace mpsched::engine {
 
 struct CacheKey;
-
-/// Monotone counters for the disk tier (snapshot via stats()).
-struct CacheStoreStats {
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;
-  /// Entries that existed but failed validation (counted on top of the
-  /// miss they degrade to).
-  std::uint64_t disk_corrupt = 0;
-  std::uint64_t disk_stores = 0;
-  /// Orphaned in-flight temp files removed (open-time sweep + trims).
-  std::uint64_t temp_swept = 0;
-};
 
 /// Age/size limits for trim(); 0 disables the respective limit.
 struct TrimOptions {
@@ -83,9 +77,9 @@ class CacheStore {
   std::shared_ptr<const AntichainAnalysis> load(const CacheKey& key);
 
   /// Publishes the entry for `key` (write temp + atomic rename).
-  /// IO failures are swallowed after updating no counters beyond
-  /// disk_stores — the disk tier is an accelerator, never a correctness
-  /// dependency, so a full disk must not fail the batch.
+  /// IO failures are swallowed and counted as cache.disk.store_failures —
+  /// the disk tier is an accelerator, never a correctness dependency, so
+  /// a full disk must not fail the batch.
   void store(const CacheKey& key, const AntichainAnalysis& analysis);
 
   /// Number of committed entries currently in the directory.
@@ -99,7 +93,7 @@ class CacheStore {
   /// Removes in-flight temp files older than `min_age_seconds`. Safe
   /// while other processes write to the directory — their temp files are
   /// seconds old, the sweep only touches cold ones. Returns the number
-  /// removed. The constructor runs this with kOrphanTempAgeSeconds so a
+  /// removed (also counted as cache.disk.temp_swept). The constructor runs this with kOrphanTempAgeSeconds so a
   /// process killed between temp write and rename cannot leave debris
   /// behind forever.
   std::size_t sweep_temp_files(std::uint64_t min_age_seconds);
@@ -110,16 +104,12 @@ class CacheStore {
   /// recomputes. Also sweeps stale temp files (kOrphanTempAgeSeconds).
   TrimResult trim(const TrimOptions& options);
 
-  CacheStoreStats stats() const;
-
   /// "<32 hex digits>.mpa" — exposed so tests and tools can locate entries.
   static std::string entry_filename(const CacheKey& key);
 
  private:
   std::string dir_;
-  mutable std::mutex mutex_;
-  CacheStoreStats stats_;
-  std::uint64_t temp_seq_ = 0;
+  std::atomic<std::uint64_t> temp_seq_{0};
 };
 
 }  // namespace mpsched::engine

@@ -47,6 +47,48 @@ EnumerateOptions enumerate_options_for(const SelectOptions& select) {
   return eo;
 }
 
+/// The registry instruments EngineStats reads. The engine.* ones are
+/// counted by Engine::account(); the rest where their events happen.
+struct StatsInstruments {
+  obs::Registry& registry = obs::Registry::global();
+  obs::Counter& dispatches = registry.counter("engine.dispatches");
+  obs::Counter& jobs = registry.counter("engine.jobs");
+  obs::Counter& jobs_succeeded = registry.counter("engine.jobs_succeeded");
+  obs::Counter& analyses_computed = registry.counter("engine.analyses.computed");
+  obs::Counter& analyses_reused = registry.counter("engine.analyses.reused");
+  obs::Histogram& dispatch_ms = registry.histogram("engine.dispatch_ms");
+  obs::Counter& graph_hits = registry.counter("cache.graph.hits");
+  obs::Counter& graph_misses = registry.counter("cache.graph.misses");
+  obs::Counter& mem_hits = registry.counter("cache.mem.hits");
+  obs::Counter& mem_misses = registry.counter("cache.mem.misses");
+  obs::Counter& disk_hits = registry.counter("cache.disk.hits");
+  obs::Counter& disk_misses = registry.counter("cache.disk.misses");
+  obs::Counter& submitted = registry.counter("queue.submitted");
+  obs::Counter& cancelled = registry.counter("queue.cancelled");
+  obs::Gauge& max_queue_depth = registry.gauge("queue.max_depth");
+};
+
+const StatsInstruments& instruments() {
+  static const StatsInstruments instance;
+  return instance;
+}
+
+/// Copies the dispatch and cache fields of EngineStats from the registry.
+/// Sums only, no differences, so no field can underflow (even when a
+/// caller reads a CacheStore directly).
+void read_boundary_counters(EngineStats& stats, bool disk_tier) {
+  const StatsInstruments& m = instruments();
+  stats.batches = m.dispatches.value();
+  stats.jobs = m.jobs.value();
+  stats.jobs_succeeded = m.jobs_succeeded.value();
+  stats.analyses_computed = m.analyses_computed.value();
+  stats.analyses_reused = m.analyses_reused.value();
+  stats.cache.graph_hits = m.graph_hits.value();
+  stats.cache.graph_misses = m.graph_misses.value();
+  stats.cache.analysis_hits = m.mem_hits.value() + m.disk_hits.value();
+  stats.cache.analysis_misses = disk_tier ? m.disk_misses.value() : m.mem_misses.value();
+}
+
 }  // namespace
 
 /// Greedy LPT — roots in descending estimated cost, each onto the
@@ -119,6 +161,7 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
   if (options_.cache == nullptr) owned_cache_ = std::make_unique<AnalysisCache>();
   if (!options_.cache_dir.empty())
     cache().attach_store(std::make_shared<CacheStore>(options_.cache_dir));
+  read_boundary_counters(stats_, cache().disk_store() != nullptr);
 }
 
 Engine::~Engine() { shutdown(); }
@@ -160,26 +203,22 @@ void Engine::shutdown() {
 }
 
 EngineStats Engine::stats() {
-  // The whole snapshot is assembled under stats_mutex_ — the same lock
-  // execute_batch's end-of-dispatch update takes — so a reader never sees
-  // a dispatch counted without the cache counters that dispatch produced.
-  // (stats_.cache is written there too, at the dispatch boundary; reading
-  // the cache live here would reintroduce exactly that torn view.)
-  // Lock order stats_mutex_ -> queue_mutex_ is safe: no path acquires
-  // them in the opposite order.
-  std::lock_guard lock(stats_mutex_);
-  EngineStats snapshot = stats_;
+  // The dispatch and cache fields come from the copy account() made at the
+  // last dispatch boundary; reading them live here could land between two
+  // lookups of a running dispatch.
+  EngineStats snapshot;
   {
-    std::lock_guard queue_lock(queue_mutex_);
-    if (queue_ != nullptr) {
-      const SubmissionStats q = queue_->stats();
-      snapshot.jobs_submitted = q.submitted;
-      snapshot.jobs_cancelled = q.cancelled;
-      snapshot.coalesced_dispatches = q.coalesced_dispatches;
-      snapshot.queue_depth = q.queue_depth;
-      snapshot.max_queue_depth = q.max_queue_depth;
-    }
+    std::lock_guard lock(stats_mutex_);
+    snapshot = stats_;
   }
+  const StatsInstruments& m = instruments();
+  snapshot.jobs_submitted = m.submitted.value();
+  snapshot.jobs_cancelled = m.cancelled.value();
+  snapshot.coalesced_dispatches = coalesced_dispatches();
+  snapshot.max_queue_depth =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(0, m.max_queue_depth.value()));
+  std::lock_guard queue_lock(queue_mutex_);
+  if (queue_ != nullptr) snapshot.queue_depth = queue_->depth();
   return snapshot;
 }
 
@@ -208,7 +247,7 @@ BatchResult Engine::collect(const std::vector<Ticket>& tickets) {
     if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
     else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
   }
-  // Every dispatch behind these tickets updated stats_.cache under
+  // Every dispatch behind these tickets copied stats_.cache under
   // stats_mutex_ before resolving them, so this snapshot covers their
   // cache traffic and nothing half-way through another dispatch.
   std::lock_guard lock(stats_mutex_);
@@ -402,13 +441,23 @@ void Dispatch::key_and_prepare() {
 /// sharing an analysis key share a unit (intra-batch deduplication).
 /// Jobs whose backend composes its own patterns (needs_analysis() ==
 /// false) skip enumeration entirely: no unit, no cache traffic,
-/// analysis_source stays None.
+/// analysis_source stays None. With a disk tier attached a memory miss
+/// reads a file, so each probe is timed and charged to its job's
+/// analysis_ms; a memory-only probe is a map lookup and reads no clock.
 void Dispatch::probe_and_group() {
+  const bool disk_tier = options.use_cache && cache.disk_store() != nullptr;
+  const auto probe = [&](std::size_t i) {
+    if (!disk_tier) return cache.find_analysis(keys[i]);
+    const Timer timer;
+    auto found = cache.find_analysis(keys[i]);
+    batch.jobs[i].timings.analysis_ms += timer.millis();
+    return found;
+  };
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (failed(i) || !backends[i]->needs_analysis()) continue;
     if (options.use_cache) {
-      if (auto hit = cache.find_analysis(keys[i])) {
+      if (auto hit = probe(i)) {
         analysis[i] = std::move(hit);
         batch.jobs[i].analysis_cache_hit = true;
         batch.jobs[i].analysis_source = AnalysisSource::Reused;
@@ -544,8 +593,10 @@ void Dispatch::merge_and_publish() {
       // Same convention as prepare_ms: shared work is charged to the
       // exemplar only, so summing timings over a results file reflects
       // work actually done.
-      batch.jobs[i].timings.analysis_ms = i == unit.exemplar_job ? unit.total_ms : 0.0;
-      if (i == unit.exemplar_job) batch.jobs[i].shard_ms = unit.shard_ms;
+      if (i == unit.exemplar_job) {
+        batch.jobs[i].timings.analysis_ms += unit.total_ms;
+        batch.jobs[i].shard_ms = unit.shard_ms;
+      }
       if (!unit.error.empty()) batch.jobs[i].error = unit.error;
     }
   }
@@ -676,26 +727,21 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
 }
 
 void Engine::account(BatchResult& batch) {
-  batch.cache_stats = cache().stats();
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.batches;
-    stats_.jobs += batch.jobs.size();
-    stats_.jobs_succeeded += batch.succeeded();
-    stats_.analyses_computed += batch.analyses_computed;
-    stats_.analyses_reused += batch.analyses_reused;
-    // Cache counters are captured at the dispatch boundary, under the
-    // same lock as the dispatch counters, so stats() can never report
-    // this dispatch without the cache traffic it produced.
-    stats_.cache = batch.cache_stats;
-  }
-  static obs::Counter& dispatches = obs::Registry::global().counter("engine.dispatches");
-  static obs::Counter& jobs_total = obs::Registry::global().counter("engine.jobs");
-  static obs::Histogram& dispatch_ms =
-      obs::Registry::global().histogram("engine.dispatch_ms");
-  dispatches.add();
-  jobs_total.add(batch.jobs.size());
-  dispatch_ms.record(batch.wall_ms);
+  const StatsInstruments& m = instruments();
+  m.dispatches.add();
+  m.jobs.add(batch.jobs.size());
+  m.jobs_succeeded.add(batch.succeeded());
+  m.analyses_computed.add(batch.analyses_computed);
+  m.analyses_reused.add(batch.analyses_reused);
+  m.dispatch_ms.record(batch.wall_ms);
+  // Every count of this dispatch has landed (its lookups ran on this
+  // thread, its stores inside joined fan-outs), so the copy made under
+  // the lock stats() and collect() read under never reports the dispatch
+  // without the cache traffic it produced.
+  const bool disk_tier = cache().disk_store() != nullptr;
+  std::lock_guard lock(stats_mutex_);
+  read_boundary_counters(stats_, disk_tier);
+  batch.cache_stats = stats_.cache;
 }
 
 }  // namespace mpsched::engine

@@ -33,6 +33,14 @@
 // as a thin synchronous wrapper — submit the batch, wait the tickets —
 // so every existing caller keeps working, and because a JobResult depends
 // only on its Job, coalescing never changes what any caller gets back.
+//
+// Counters: every event is counted once, in the process's metrics
+// registry (obs/metrics.hpp), where the engine, cache, disk tier and
+// queue record it. EngineStats and CacheStats are snapshots read from
+// there, so `stats` and `metrics` cannot disagree. The numbers are
+// process-wide: with one engine per process (mpsched_serve, mpsched_batch)
+// they are that engine's; a process running several engines reads
+// before/after deltas.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +83,16 @@ struct EngineOptions {
   CoalescePolicy coalesce{};
 };
 
+/// Cache lookup counts, read from the registry.
+struct CacheStats {
+  std::uint64_t graph_hits = 0;     ///< cache.graph.hits
+  std::uint64_t graph_misses = 0;   ///< cache.graph.misses
+  std::uint64_t analysis_hits = 0;  ///< cache.mem.hits + cache.disk.hits
+  /// Lookups neither tier served: cache.disk.misses with a disk tier
+  /// (every memory miss falls through to it), else cache.mem.misses.
+  std::uint64_t analysis_misses = 0;
+};
+
 struct BatchResult {
   std::vector<JobResult> jobs;
 
@@ -84,33 +102,33 @@ struct BatchResult {
   std::size_t analyses_computed = 0;
   /// Jobs served by the cache or by intra-batch deduplication.
   std::size_t analyses_reused = 0;
-  /// Cache counter snapshot after the batch (cumulative for shared caches).
+  /// The engine's dispatch-boundary cache snapshot (EngineStats::cache)
+  /// after the batch: cumulative, and process-wide.
   CacheStats cache_stats{};
 
   std::size_t succeeded() const;
 };
 
-/// Cumulative counters over every dispatch of one engine plus cache and
-/// admission-queue snapshots — the "how warm is this engine" surface a
-/// long-running front end (src/service) reports without poking engine
-/// internals. Counters only grow (queue_depth is the instantaneous
-/// exception); `cache` is the AnalysisCache's counter snapshot captured
-/// at this engine's last completed dispatch — never mid-dispatch — so a
-/// stats() read always pairs dispatch counters with the cache traffic
-/// those dispatches produced. With an external shared cache it can
-/// include other engines' traffic up to that boundary.
+/// The "how warm is this engine" surface a long-running front end
+/// (src/service) reports without poking engine internals: registry
+/// counters plus the queue's depth. Counters only grow (queue_depth is
+/// the instantaneous exception). The dispatch and cache fields are copied
+/// at the end of this engine's last completed dispatch — never
+/// mid-dispatch — so a stats() read always pairs dispatch counters with
+/// the cache traffic those dispatches produced; the queue fields are live.
 struct EngineStats {
-  std::uint64_t batches = 0;  ///< dispatches executed (shared or singleton)
-  std::uint64_t jobs = 0;
-  std::uint64_t jobs_succeeded = 0;
-  std::uint64_t analyses_computed = 0;
-  std::uint64_t analyses_reused = 0;
+  std::uint64_t batches = 0;  ///< engine.dispatches (shared or singleton)
+  std::uint64_t jobs = 0;     ///< engine.jobs
+  std::uint64_t jobs_succeeded = 0;     ///< engine.jobs_succeeded
+  std::uint64_t analyses_computed = 0;  ///< engine.analyses.computed
+  std::uint64_t analyses_reused = 0;    ///< engine.analyses.reused
   // -- admission queue (submission_queue.hpp) ----------------------------
-  std::uint64_t jobs_submitted = 0;  ///< tickets ever issued
-  std::uint64_t jobs_cancelled = 0;  ///< tickets cancelled before dispatch
-  std::uint64_t coalesced_dispatches = 0;  ///< dispatches carrying > 1 job
-  std::uint64_t queue_depth = 0;           ///< currently queued
-  std::uint64_t max_queue_depth = 0;       ///< queue-depth high-water mark
+  std::uint64_t jobs_submitted = 0;  ///< queue.submitted: tickets ever issued
+  std::uint64_t jobs_cancelled = 0;  ///< queue.cancelled: before dispatch
+  /// Flushes carrying > 1 job (engine::coalesced_dispatches()).
+  std::uint64_t coalesced_dispatches = 0;
+  std::uint64_t queue_depth = 0;      ///< this engine's queue, right now
+  std::uint64_t max_queue_depth = 0;  ///< queue.max_depth high-water mark
   CacheStats cache{};
 };
 
@@ -153,9 +171,9 @@ class Engine {
   /// analyses_computed / analyses_reused (the invariant that makes
   /// per-request accounting exact even when requests share a coalesced
   /// dispatch), and cache_stats from the same dispatch-boundary snapshot
-  /// stats() serves. A live cache read could land between two lookups of
-  /// another caller's dispatch. Used by run_batch() and the service layer
-  /// alike; wall_ms is left to the caller, who knows what it spans.
+  /// stats() serves. A live registry read could land between two lookups
+  /// of another caller's dispatch. Used by run_batch() and the service
+  /// layer alike; wall_ms is left to the caller, who knows what it spans.
   /// Rethrows a dispatch-level failure of any ticket.
   BatchResult collect(const std::vector<Ticket>& tickets);
 
@@ -168,12 +186,10 @@ class Engine {
   /// The cache in use (owned or external).
   AnalysisCache& cache();
 
-  /// Snapshot of the cumulative counters (thread-safe; dispatches may be
-  /// executing concurrently — the snapshot is simply the last completed
-  /// state). Dispatch-boundary consistent: the dispatch counters and
-  /// `cache` are read under one lock and updated under the same lock at
-  /// the end of every dispatch, so no snapshot can report a dispatch
-  /// without its cache hits (queue_depth stays instantaneous).
+  /// The registry snapshot described at EngineStats (thread-safe;
+  /// dispatches may be executing concurrently — the dispatch and cache
+  /// fields are simply the last completed state). Before the first
+  /// dispatch they read the registry as the engine found it.
   EngineStats stats();
 
  private:
@@ -181,15 +197,15 @@ class Engine {
   SubmissionQueue& queue();  ///< lazily started on first submission
   /// One shared dispatch: the whole batch pipeline, phase by phase.
   BatchResult execute_batch(const std::vector<Job>& jobs);
-  /// Stamps the dispatch-boundary cache snapshot into `batch`, then folds
-  /// the dispatch into stats_ and the metrics registry.
+  /// Counts the dispatch into the registry, then copies the dispatch and
+  /// cache counters into stats_ and `batch.cache_stats` under stats_mutex_.
   void account(BatchResult& batch);
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
   std::unique_ptr<AnalysisCache> owned_cache_;
   std::mutex stats_mutex_;
-  EngineStats stats_;
+  EngineStats stats_;  ///< dispatch and cache fields at the last boundary
   std::mutex queue_mutex_;  ///< guards lazy queue_ construction + shut_down_
   std::unique_ptr<SubmissionQueue> queue_;
   bool shut_down_ = false;

@@ -60,7 +60,9 @@ std::string pipeline_cache_tag(const std::vector<std::string>& transforms,
 
 /// Wall-clock milliseconds per pipeline phase. `analysis_ms` is summed
 /// over the job's enumeration shards, so it reads as CPU-ms when the job
-/// was sharded across workers; 0.0 when the analysis came from the cache.
+/// was sharded across workers; 0.0 when the analysis came from the memory
+/// cache. With a disk tier attached, every job's cache probe (a file read
+/// on a memory miss) is added to it too.
 /// Every phase is charged to the job that did its work: work shared by
 /// duplicate jobs in one dispatch (prepare, analysis, select/schedule/
 /// refine alike) lands on the group's first job only, and a job served

@@ -24,7 +24,25 @@ JobResult cancelled_result(const Job& job) {
   return r;
 }
 
+obs::Gauge& depth_gauge() {
+  static obs::Gauge& gauge = obs::Registry::global().gauge("queue.depth");
+  return gauge;
+}
+
+obs::Histogram& coalesce_jobs_histogram() {
+  static obs::Histogram& histogram = obs::Registry::global().histogram(
+      "queue.coalesce_jobs", {1, 2, 4, 8, 16, 32, 64, 128});
+  return histogram;
+}
+
 }  // namespace
+
+std::uint64_t coalesced_dispatches() {
+  const obs::Histogram& flushes = coalesce_jobs_histogram();
+  std::uint64_t coalesced = 0;
+  for (std::size_t i = 1; i <= flushes.bounds().size(); ++i) coalesced += flushes.bucket(i);
+  return coalesced;
+}
 
 std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms) {
   if (ewma_gap_ms < 0) return 0;  // no arrival gap observed yet
@@ -63,6 +81,7 @@ bool Ticket::wait_for(std::chrono::milliseconds timeout) const {
 const JobResult& Ticket::result() const { return checked().future.get(); }
 
 bool Ticket::cancel() {
+  static obs::Counter& cancelled = obs::Registry::global().counter("queue.cancelled");
   checked();
   // The queue lock decides the race against a concurrent flush: the
   // dispatcher marks entries Dispatched under the same lock, so exactly
@@ -76,12 +95,8 @@ bool Ticket::cancel() {
       core_->pending.erase(it);
       break;
     }
-  ++core_->stats.cancelled;
-  core_->stats.queue_depth = core_->pending.size();
-  {
-    static obs::Gauge& depth = obs::Registry::global().gauge("queue.depth");
-    depth.set(static_cast<std::int64_t>(core_->stats.queue_depth));
-  }
+  cancelled.add();
+  depth_gauge().set(static_cast<std::int64_t>(core_->pending.size()));
   lock.unlock();
   entry_->promise.set_value(cancelled_result(entry_->job));
   return true;
@@ -119,6 +134,8 @@ Ticket SubmissionQueue::submit(Job job) {
 }
 
 std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
+  static obs::Counter& submitted = obs::Registry::global().counter("queue.submitted");
+  static obs::Gauge& max_depth = obs::Registry::global().gauge("queue.max_depth");
   std::vector<Ticket> tickets;
   tickets.reserve(jobs.size());
   if (jobs.empty()) return tickets;
@@ -155,15 +172,11 @@ std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
       core_->last_submit = now;
       core_->has_last_submit = true;
     }
-    for (auto& entry : entries) {
-      core_->pending.push_back(entry);
-      ++core_->stats.submitted;
-    }
-    core_->stats.queue_depth = core_->pending.size();
-    if (core_->stats.queue_depth > core_->stats.max_queue_depth)
-      core_->stats.max_queue_depth = core_->stats.queue_depth;
-    static obs::Gauge& depth = obs::Registry::global().gauge("queue.depth");
-    depth.set(static_cast<std::int64_t>(core_->stats.queue_depth));
+    for (auto& entry : entries) core_->pending.push_back(entry);
+    submitted.add(entries.size());
+    const auto depth = static_cast<std::int64_t>(core_->pending.size());
+    depth_gauge().set(depth);
+    max_depth.set_max(depth);
   }
   core_->cv.notify_all();
 
@@ -183,9 +196,9 @@ void SubmissionQueue::shutdown() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
-SubmissionStats SubmissionQueue::stats() const {
+std::size_t SubmissionQueue::depth() const {
   std::lock_guard lock(core_->mutex);
-  return core_->stats;
+  return core_->pending.size();
 }
 
 void SubmissionQueue::dispatcher_loop() {
@@ -233,10 +246,7 @@ void SubmissionQueue::dispatcher_loop() {
     core.pending.clear();
     for (auto& entry : batch)
       entry->state.store(TicketState::Dispatched, std::memory_order_release);
-    ++core.stats.dispatches;
-    if (batch.size() > 1) ++core.stats.coalesced_dispatches;
-    core.stats.jobs_dispatched += batch.size();
-    core.stats.queue_depth = 0;
+    depth_gauge().set(0);
     lock.unlock();
 
     // Admission telemetry: how long each job sat queued (recorded
@@ -244,13 +254,9 @@ void SubmissionQueue::dispatcher_loop() {
     // span goes onto the exporter's synthetic queue tracks) and how many
     // jobs this flush coalesced.
     if (obs::metrics_enabled() || obs::tracing_enabled()) {
-      static obs::Gauge& depth = obs::Registry::global().gauge("queue.depth");
       static obs::Histogram& wait_ms =
           obs::Registry::global().histogram("queue.wait_ms");
-      static obs::Histogram& coalesce_jobs = obs::Registry::global().histogram(
-          "queue.coalesce_jobs", {1, 2, 4, 8, 16, 32, 64, 128});
-      depth.set(0);
-      coalesce_jobs.record(static_cast<double>(batch.size()));
+      coalesce_jobs_histogram().record(static_cast<double>(batch.size()));
       const auto flushed = std::chrono::steady_clock::now();
       const std::int64_t flush_ns = obs::trace_now_ns();
       for (const auto& entry : batch) {

@@ -35,6 +35,12 @@
 // in one final flush — then joins the dispatcher; submitting afterwards
 // throws. Tickets are value handles (shared state) and stay valid after
 // the queue, or the whole engine, is gone.
+//
+// Counters: the queue counts into the metrics registry and keeps no
+// copies — queue.submitted, queue.cancelled, the queue.depth and
+// queue.max_depth gauges, and per flush the queue.coalesce_jobs histogram
+// (jobs per flush) and queue.wait_ms. Only its state, depth(), is read
+// from the queue itself.
 #pragma once
 
 #include <atomic>
@@ -93,19 +99,12 @@ inline constexpr double kAdaptiveGapMultiplier = 8.0;
 /// holds zero — the first submission ever is never taxed on speculation.
 std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms);
 
-enum class TicketState { Queued, Dispatched, Done, Cancelled };
+/// Flushes that carried more than one job, summed over every queue in the
+/// process: the queue.coalesce_jobs histogram's buckets above its first
+/// (one-job) bucket.
+std::uint64_t coalesced_dispatches();
 
-/// Monotone counters of the admission queue (snapshot via stats();
-/// queue_depth is the instantaneous exception).
-struct SubmissionStats {
-  std::uint64_t submitted = 0;   ///< tickets ever issued
-  std::uint64_t cancelled = 0;   ///< tickets cancelled before dispatch
-  std::uint64_t dispatches = 0;  ///< shared batch executions
-  std::uint64_t coalesced_dispatches = 0;  ///< dispatches carrying > 1 job
-  std::uint64_t jobs_dispatched = 0;       ///< jobs across all dispatches
-  std::uint64_t queue_depth = 0;           ///< currently queued (not monotone)
-  std::uint64_t max_queue_depth = 0;       ///< high-water mark of queue_depth
-};
+enum class TicketState { Queued, Dispatched, Done, Cancelled };
 
 class SubmissionQueue;
 
@@ -129,7 +128,6 @@ struct QueueCore {
   std::mutex mutex;
   std::condition_variable cv;
   std::deque<std::shared_ptr<TicketEntry>> pending;
-  SubmissionStats stats;
   bool stop = false;
   /// Arrival-rate estimate for CoalescePolicy::adaptive_delay, maintained
   /// under `mutex` by submit_batch(): EWMA of the gaps between successive
@@ -184,7 +182,7 @@ class Ticket {
 };
 
 /// The admission queue itself. One dispatcher thread; thread-safe
-/// submit/cancel/stats from any number of callers.
+/// submit/cancel/depth from any number of callers.
 class SubmissionQueue {
  public:
   /// `dispatch` executes one shared batch and returns results aligned
@@ -208,8 +206,8 @@ class SubmissionQueue {
   /// flush, the dispatcher joins, later submits throw. Idempotent.
   void shutdown();
 
-  SubmissionStats stats() const;
-  const CoalescePolicy& policy() const noexcept { return policy_; }
+  /// Jobs queued right now (not yet flushed or cancelled).
+  std::size_t depth() const;
 
  private:
   void dispatcher_loop();

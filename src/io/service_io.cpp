@@ -213,10 +213,11 @@ std::string format_stats(const Json& body) {
     // the trailing counters for deep cache-dir paths.
     out += "disk:    " + directory;
     std::snprintf(line, sizeof line,
-                  " — %lld entries, %lld hits, %lld misses, %lld stores, "
-                  "%lld corrupt, %lld temp swept\n",
+                  " — %lld entries, %lld hits, %lld misses, %lld stores (%lld "
+                  "failed), %lld corrupt, %lld temp swept\n",
                   i64(disk, "entries"), i64(disk, "hits"), i64(disk, "misses"),
-                  i64(disk, "stores"), i64(disk, "corrupt"), i64(disk, "temp_swept"));
+                  i64(disk, "stores"), i64(disk, "store_failures"), i64(disk, "corrupt"),
+                  i64(disk, "temp_swept"));
     emit();
   }
   if (const Json* server = body.find("server")) {

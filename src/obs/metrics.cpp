@@ -178,11 +178,4 @@ std::string Registry::to_prometheus() const {
   return page;
 }
 
-void Registry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->reset();
-  for (auto& [name, gauge] : gauges_) gauge->reset();
-  for (auto& [name, histogram] : histograms_) histogram->reset();
-}
-
 }  // namespace mpsched::obs

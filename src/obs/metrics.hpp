@@ -11,10 +11,10 @@
 //   static obs::Counter& hits = obs::Registry::global().counter("cache.mem.hits");
 //   hits.add();
 //
-// Compiling with -DMPSCHED_OBS_DISABLED folds every record body away
-// entirely (the compiled-in no-op sink); the registry itself still links
-// so exporters degrade to empty pages instead of #ifdef soup at call
-// sites.
+// The registry is the one place the engine, cache, queue and server count
+// their events: Engine::stats() and the serve `stats` op read it (see
+// engine/engine.hpp), so `stats` and `metrics` report the same numbers,
+// and set_metrics_enabled(false) pauses both.
 #pragma once
 
 #include <atomic>
@@ -28,12 +28,6 @@
 #include "io/json.hpp"
 
 namespace mpsched::obs {
-
-#ifdef MPSCHED_OBS_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
 
 namespace detail {
 inline std::atomic<bool> g_metrics_enabled{true};
@@ -50,8 +44,9 @@ inline void atomic_add(std::atomic<double>& target, double delta) {
 
 /// Runtime master switch for metric recording (export always works).
 /// Defaults to on; the disabled path costs one relaxed load + branch.
+/// While off, nothing is counted, so Engine::stats() stands still too.
 inline bool metrics_enabled() {
-  return kCompiledIn && detail::g_metrics_enabled.load(std::memory_order_relaxed);
+  return detail::g_metrics_enabled.load(std::memory_order_relaxed);
 }
 inline void set_metrics_enabled(bool on) {
   detail::g_metrics_enabled.store(on, std::memory_order_relaxed);
@@ -61,11 +56,7 @@ inline void set_metrics_enabled(bool on) {
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if constexpr (kCompiledIn) {
-      if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
-    } else {
-      (void)n;
-    }
+    if (metrics_enabled()) value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -78,17 +69,17 @@ class Counter {
 class Gauge {
  public:
   void set(std::int64_t v) {
-    if constexpr (kCompiledIn) {
-      if (metrics_enabled()) value_.store(v, std::memory_order_relaxed);
-    } else {
-      (void)v;
-    }
+    if (metrics_enabled()) value_.store(v, std::memory_order_relaxed);
   }
   void add(std::int64_t delta) {
-    if constexpr (kCompiledIn) {
-      if (metrics_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
-    } else {
-      (void)delta;
+    if (metrics_enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  /// Raises the level to `v` if it is below (a high-water mark).
+  void set_max(std::int64_t v) {
+    if (!metrics_enabled()) return;
+    std::int64_t seen = value_.load(std::memory_order_relaxed);
+    while (seen < v &&
+           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
     }
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
@@ -110,14 +101,10 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void record(double value) {
-    if constexpr (kCompiledIn) {
-      if (!metrics_enabled()) return;
-      buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      detail::atomic_add(sum_, value);
-    } else {
-      (void)value;
-    }
+    if (!metrics_enabled()) return;
+    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    detail::atomic_add(sum_, value);
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
@@ -165,9 +152,6 @@ class Registry {
   /// Prometheus text exposition: metric names are `mpsched_` + the
   /// registered name with dots replaced by underscores.
   std::string to_prometheus() const;
-  /// Zeroes every instrument (tests and benches; instruments stay
-  /// registered so cached references remain valid).
-  void reset();
 
  private:
   mutable std::mutex mutex_;

@@ -30,17 +30,11 @@
 namespace mpsched::obs {
 
 namespace detail {
-#ifdef MPSCHED_OBS_DISABLED
-inline constexpr bool kTraceCompiledIn = false;
-#else
-inline constexpr bool kTraceCompiledIn = true;
-#endif
 inline std::atomic<bool> g_tracing_enabled{false};
 }  // namespace detail
 
 inline bool tracing_enabled() {
-  return detail::kTraceCompiledIn &&
-         detail::g_tracing_enabled.load(std::memory_order_relaxed);
+  return detail::g_tracing_enabled.load(std::memory_order_relaxed);
 }
 void set_tracing_enabled(bool on);
 

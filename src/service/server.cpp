@@ -170,11 +170,6 @@ Server::~Server() {
 #endif
 }
 
-ServerCounters Server::counters() const {
-  std::lock_guard lock(counters_mutex_);
-  return counters_;
-}
-
 void Server::request_stop() noexcept {
   stop_.store(true, std::memory_order_release);
 #ifndef _WIN32
@@ -303,10 +298,9 @@ bool Server::write_response(Request request, Session& session, std::string& out)
             next_request_id_.fetch_add(1, std::memory_order_relaxed);
         const std::size_t n_jobs = pending.tickets.size();
         session.pending_.emplace(rid, std::move(pending));
-        {
-          std::lock_guard lock(counters_mutex_);
-          ++counters_.async_requests;
-        }
+        static obs::Counter& async_requests =
+            obs::Registry::global().counter("serve.async_requests");
+        async_requests.add();
         Json response = make_ok(request);
         response.set("request", rid);
         response.set("jobs", n_jobs);
@@ -360,6 +354,12 @@ bool Server::write_response(Request request, Session& session, std::string& out)
       }
 
       case Op::Stats: {
+        // Every counter is a registry read (the engine's at its last
+        // dispatch boundary); only the state beside them is asked of its
+        // owner.
+        const auto count = [](const char* name) {
+          return obs::Registry::global().counter(name).value();
+        };
         const engine::EngineStats stats = engine_.stats();
         Json eng = Json::object();
         eng.set("batches", stats.batches);
@@ -378,26 +378,25 @@ bool Server::write_response(Request request, Session& session, std::string& out)
         cache.set("analysis_hits", stats.cache.analysis_hits);
         cache.set("analysis_misses", stats.cache.analysis_misses);
         cache.set("analyses_in_memory", engine_.cache().analysis_count());
-        const ServerCounters server_counters = counters();
         Json server = Json::object();
-        server.set("requests", server_counters.requests);
-        server.set("errors", server_counters.errors);
-        server.set("sessions", server_counters.sessions);
-        server.set("async_requests", server_counters.async_requests);
+        server.set("requests", count("serve.requests"));
+        server.set("errors", count("serve.errors"));
+        server.set("sessions", count("serve.sessions"));
+        server.set("async_requests", count("serve.async_requests"));
 
         Json response = make_ok(request);
         response.set("engine", std::move(eng));
         response.set("cache", std::move(cache));
         if (const engine::CacheStore* store = engine_.cache().disk_store()) {
-          const engine::CacheStoreStats disk_stats = store->stats();
           Json disk = Json::object();
           disk.set("directory", store->directory());
           disk.set("entries", store->entry_count());
-          disk.set("hits", disk_stats.disk_hits);
-          disk.set("misses", disk_stats.disk_misses);
-          disk.set("corrupt", disk_stats.disk_corrupt);
-          disk.set("stores", disk_stats.disk_stores);
-          disk.set("temp_swept", disk_stats.temp_swept);
+          disk.set("hits", count("cache.disk.hits"));
+          disk.set("misses", count("cache.disk.misses"));
+          disk.set("corrupt", count("cache.disk.corrupt"));
+          disk.set("stores", count("cache.disk.stores"));
+          disk.set("store_failures", count("cache.disk.store_failures"));
+          disk.set("temp_swept", count("cache.disk.temp_swept"));
           response.set("disk", std::move(disk));
         }
         response.set("server", std::move(server));
@@ -502,11 +501,6 @@ std::string Server::respond(std::string_view line, Session& session) {
                     wire);
   }
   wire += '\n';
-  {
-    std::lock_guard lock(counters_mutex_);
-    ++counters_.requests;
-    if (!ok) ++counters_.errors;
-  }
   request_count.add();
   if (!ok) error_count.add();
   request_ms.record(wall.millis());
@@ -514,10 +508,6 @@ std::string Server::respond(std::string_view line, Session& session) {
 }
 
 void Server::serve_stream(std::istream& in, std::ostream& out) {
-  {
-    std::lock_guard lock(counters_mutex_);
-    ++counters_.sessions;
-  }
   SessionScope scope;
   Session state;
   std::string line;
@@ -635,10 +625,6 @@ void Server::serve_socket() {
       break;
     }
     ::fcntl(client, F_SETFD, FD_CLOEXEC);
-    {
-      std::lock_guard lock(counters_mutex_);
-      ++counters_.sessions;
-    }
     auto done = std::make_shared<std::atomic<bool>>(false);
     sessions.push_back({std::thread([this, client, done] {
                           session(client);
@@ -660,10 +646,6 @@ void Server::serve_socket() {
         const int extra = ::accept(listen_fd_, nullptr, nullptr);
         if (extra >= 0) {
           ::fcntl(extra, F_SETFD, FD_CLOEXEC);
-          {
-            std::lock_guard lock(counters_mutex_);
-            ++counters_.sessions;
-          }
           session(extra, /*single_request=*/true);
         }
       }

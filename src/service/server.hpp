@@ -29,6 +29,14 @@
 // built, and handle()/handle_line() return the parse of those same bytes,
 // so in-process callers see exactly what a socket client receives.
 //
+// Counters: requests, errors, sessions and async requests are counted in
+// the metrics registry (serve.*), like every engine, cache and queue
+// event. The `stats` op renders a snapshot of that registry — the
+// engine's dispatch-boundary EngineStats plus the serve.* and cache.disk.*
+// counters — so it reports the same numbers as `metrics`, and the state
+// beside them (queue depth, analyses in memory, disk entries) is read
+// from its owner.
+//
 // Shutdown story: a shutdown request, SIGINT or SIGTERM (see
 // install_signal_handlers) sets a stop flag and pokes a self-pipe every
 // blocked poll() watches. In-flight requests finish and their responses
@@ -41,7 +49,6 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,14 +72,6 @@ struct ServerOptions {
   /// ops (ping, stats, shutdown) stay reachable even when every slot is
   /// held by an idle client.
   std::size_t max_sessions = 16;
-};
-
-/// Monotone service-level counters (snapshot via counters()).
-struct ServerCounters {
-  std::uint64_t requests = 0;  ///< lines dispatched (including failed ones)
-  std::uint64_t errors = 0;    ///< responses with ok=false
-  std::uint64_t sessions = 0;  ///< sessions ever started (stream or socket)
-  std::uint64_t async_requests = 0;  ///< submit_async requests accepted
 };
 
 /// Creates, binds and listens on a Unix-domain socket, replacing a stale
@@ -121,7 +120,6 @@ class Server {
 
   engine::Engine& engine() { return engine_; }
   const ServerOptions& options() const noexcept { return options_; }
-  ServerCounters counters() const;
 
   /// Dispatches one parsed request against a session and returns the
   /// response document: the parse of the exact bytes a socket client
@@ -189,8 +187,6 @@ class Server {
   engine::Engine engine_;
   GraphIntern graphs_;  ///< handle_line resolves every job graph here
   std::atomic<std::uint64_t> next_request_id_{1};
-  mutable std::mutex counters_mutex_;
-  ServerCounters counters_;
   std::atomic<bool> stop_{false};
   int stop_pipe_[2] = {-1, -1};  ///< [read, write]; write side never drained
   int listen_fd_ = -1;

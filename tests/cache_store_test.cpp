@@ -1,8 +1,10 @@
 // The disk cache tier (io/analysis_io + engine/cache_store): serialized
 // round-trips are bit-identical, corrupt/truncated/version-mismatched
-// entries degrade to misses (never crash), and a second engine on the
-// same cache directory — a stand-in for a second process — reproduces
-// byte-identical results with zero recomputed analyses.
+// entries degrade to misses (never crash), failed writes are counted and
+// change no result, and a second engine on the same cache directory — a
+// stand-in for a second process — reproduces byte-identical results with
+// zero recomputed analyses. The tier counts into the process-wide metrics
+// registry, so every count here is a before/after delta.
 #include "engine/cache_store.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "engine/engine.hpp"
 #include "io/analysis_io.hpp"
 #include "io/result_io.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -51,6 +54,23 @@ class CacheStoreTest : public ::testing::Test {
   std::string dir() const { return dir_.string(); }
 
   fs::path dir_;
+};
+
+/// A cache.disk.* registry counter.
+obs::Counter& disk_counter(const std::string& name) {
+  return obs::Registry::global().counter("cache.disk." + name);
+}
+
+/// Before/after reader of one registry counter.
+class Delta {
+ public:
+  explicit Delta(const std::string& name)
+      : counter_(disk_counter(name)), start_(counter_.value()) {}
+  std::uint64_t operator()() const { return counter_.value() - start_; }
+
+ private:
+  obs::Counter& counter_;
+  std::uint64_t start_;
 };
 
 AntichainAnalysis analysis_of(const Dfg& dfg, bool collect_members = false) {
@@ -161,20 +181,30 @@ TEST_F(CacheStoreTest, VersionAndMagicMismatchesAreMisses) {
 
 TEST_F(CacheStoreTest, StoreRoundTripsAndCountsTiers) {
   CacheStore store(dir());
+  const Delta hits("hits"), misses("misses"), corrupt("corrupt"), stores("stores");
   const Dfg dfg = workloads::paper_3dft();
   const CacheKey key = AnalysisCache::analysis_key(
       dfg, PatternGeneration::SpanLimitedEnumeration, 5, 1);
   EXPECT_EQ(store.load(key), nullptr);  // absent
-  EXPECT_EQ(store.stats().disk_misses, 1u);
+  EXPECT_EQ(misses(), 1u);
 
   const AntichainAnalysis analysis = analysis_of(dfg);
   store.store(key, analysis);
+  EXPECT_EQ(stores(), 1u);
   EXPECT_EQ(store.entry_count(), 1u);
   const auto loaded = store.load(key);
   ASSERT_NE(loaded, nullptr);
   expect_analysis_identical(analysis, *loaded);
-  EXPECT_EQ(store.stats().disk_hits, 1u);
-  EXPECT_EQ(store.stats().disk_corrupt, 0u);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(corrupt(), 0u);
+
+  // These loads counted disk hits and misses no memory lookup preceded.
+  // An engine's derived cache fields are sums of registry counters, never
+  // differences, so they cannot wrap around here.
+  const engine::CacheStats derived = Engine().stats().cache;
+  EXPECT_EQ(derived.analysis_misses,
+            obs::Registry::global().counter("cache.mem.misses").value());
+  EXPECT_GE(derived.analysis_hits, hits());
 
   // Re-storing the same key overwrites in place; still one entry.
   store.store(key, analysis);
@@ -194,17 +224,19 @@ TEST_F(CacheStoreTest, CorruptEntriesDegradeToMissesAndAreOverwritten) {
 
   const fs::path entry = fs::path(dir()) / CacheStore::entry_filename(key);
   ASSERT_TRUE(fs::exists(entry));
+  const Delta corrupt("corrupt"), misses("misses");
 
   // Truncate to half: a torn write.
   const auto full_size = fs::file_size(entry);
   fs::resize_file(entry, full_size / 2);
   EXPECT_EQ(store.load(key), nullptr);
-  EXPECT_EQ(store.stats().disk_corrupt, 1u);
+  EXPECT_EQ(corrupt(), 1u);
 
   // Overwrite with garbage.
   std::ofstream(entry, std::ios::binary) << "not an analysis";
   EXPECT_EQ(store.load(key), nullptr);
-  EXPECT_EQ(store.stats().disk_corrupt, 2u);
+  EXPECT_EQ(corrupt(), 2u);
+  EXPECT_EQ(misses(), 2u);  // each corrupt entry is a miss too
 
   // The next store repairs the entry.
   store.store(key, analysis);
@@ -228,18 +260,21 @@ TEST_F(CacheStoreTest, SecondEngineOnSharedDirRecomputesNothing) {
   const std::string reference = batch_to_json(cold).dump();
 
   // Second process (fresh engine, empty memory tier): everything must come
-  // off the shared directory, byte-identically.
+  // off the shared directory, byte-identically, and the load time is
+  // charged to the jobs (analysis_ms, a diagnostics field).
   Engine second(options);
+  const Delta hits("hits"), corrupt("corrupt");
   const engine::BatchResult warm = second.run_batch(jobs);
   EXPECT_EQ(warm.succeeded(), jobs.size());
   EXPECT_EQ(warm.analyses_computed, 0u);
   EXPECT_EQ(warm.analyses_reused, jobs.size());
-  for (const engine::JobResult& r : warm.jobs) EXPECT_TRUE(r.analysis_cache_hit);
+  for (const engine::JobResult& r : warm.jobs) {
+    EXPECT_TRUE(r.analysis_cache_hit);
+    EXPECT_GT(r.timings.analysis_ms, 0.0) << r.job;
+  }
   EXPECT_EQ(batch_to_json(warm).dump(), reference);
-
-  const engine::CacheStoreStats disk = second.cache().disk_store()->stats();
-  EXPECT_GT(disk.disk_hits, 0u);
-  EXPECT_EQ(disk.disk_corrupt, 0u);
+  EXPECT_GT(hits(), 0u);
+  EXPECT_EQ(corrupt(), 0u);
 
   // Third process over a vandalized directory: corrupt entries degrade to
   // misses, get recomputed and overwritten, and results stay identical.
@@ -250,13 +285,44 @@ TEST_F(CacheStoreTest, SecondEngineOnSharedDirRecomputesNothing) {
   EXPECT_EQ(repaired.succeeded(), jobs.size());
   EXPECT_GT(repaired.analyses_computed, 0u);
   EXPECT_EQ(batch_to_json(repaired).dump(), reference);
-  EXPECT_GT(third.cache().disk_store()->stats().disk_corrupt, 0u);
+  EXPECT_GT(corrupt(), 0u);
 
   // And a fourth over the repaired directory is fully warm again.
   Engine fourth(options);
   const engine::BatchResult rewarmed = fourth.run_batch(jobs);
   EXPECT_EQ(rewarmed.analyses_computed, 0u);
   EXPECT_EQ(batch_to_json(rewarmed).dump(), reference);
+}
+
+TEST_F(CacheStoreTest, FailedStoresAreCountedAndChangeNoResult) {
+  // A store whose directory is removed underneath it (as a full disk
+  // would) drops each write, counting one failure per store() call.
+  CacheStore store(dir());
+  fs::remove_all(dir());
+  const Delta stores("stores"), failures("store_failures");
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    store.store(CacheKey{i, 8}, analysis_of(test::random_dag(81)));
+    EXPECT_EQ(failures(), i);
+  }
+  EXPECT_EQ(stores(), 3u);
+
+  // An engine on such a directory fails every store and still answers
+  // byte-identically to a memory-only engine.
+  const std::vector<Job> jobs = seeded_jobs();
+  Engine memory_only;
+  const std::string reference = batch_to_json(memory_only.run_batch(jobs)).dump();
+  EngineOptions options;
+  options.threads = 2;
+  options.cache_dir = dir();
+  Engine eng(options);
+  fs::remove_all(dir());
+  const Delta engine_stores("stores"), engine_failures("store_failures");
+  const engine::BatchResult run = eng.run_batch(jobs);
+  EXPECT_EQ(run.succeeded(), jobs.size());
+  EXPECT_EQ(batch_to_json(run).dump(), reference);
+  EXPECT_GT(engine_stores(), 0u);
+  EXPECT_EQ(engine_failures(), engine_stores());
+  EXPECT_FALSE(fs::exists(dir()));
 }
 
 TEST_F(CacheStoreTest, UnusableDirectoryIsAnError) {
@@ -293,12 +359,13 @@ TEST_F(CacheStoreTest, OrphanTempFilesAreSweptOnOpen) {
   age_file(stale1, 2 * CacheStore::kOrphanTempAgeSeconds);
   age_file(stale2, CacheStore::kOrphanTempAgeSeconds + 60);
 
+  const Delta swept("temp_swept");
   CacheStore reopened(dir());
   EXPECT_FALSE(fs::exists(stale1));
   EXPECT_FALSE(fs::exists(stale2));
   EXPECT_TRUE(fs::exists(fresh));
   EXPECT_EQ(reopened.entry_count(), 1u);
-  EXPECT_EQ(reopened.stats().temp_swept, 2u);
+  EXPECT_EQ(swept(), 2u);
   EXPECT_NE(reopened.load(key), nullptr);
 }
 

@@ -203,6 +203,7 @@ TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
   options.threads = 2;
   options.cache = &cache;
   Engine eng(options);
+  const engine::CacheStats before = eng.stats().cache;
 
   Job job = Job::from_workload("paper_3dft");
   const engine::JobResult first = eng.run(job);
@@ -227,8 +228,9 @@ TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
   EXPECT_EQ(cache.find_analysis(key).get(), cached.get());
 
   // Exactly one analysis was ever computed for the two runs.
-  EXPECT_EQ(cache.stats().analysis_misses, 1u);
-  EXPECT_GE(cache.stats().analysis_hits, 1u);
+  const engine::CacheStats after = eng.stats().cache;
+  EXPECT_EQ(after.analysis_misses - before.analysis_misses, 1u);
+  EXPECT_GE(after.analysis_hits - before.analysis_hits, 1u);
 }
 
 TEST(Engine, MatchesHandWiredPipeline) {
@@ -698,14 +700,23 @@ TEST(Engine, StatsCacheCountersAreDispatchBoundaryConsistent) {
   // snapshot can report a dispatch without the cache traffic that
   // dispatch caused. With a private cache and all-distinct jobs, every
   // computed analysis is exactly one analysis miss — a reader racing the
-  // dispatch tail would see computed > misses under the old live read.
+  // dispatch tail would see computed > misses under a live read. The
+  // counters are process-wide, so the invariant holds for deltas from
+  // the engine's starting snapshot.
   Engine eng;
+  const engine::EngineStats base = eng.stats();
+  const auto misses = [&](const engine::CacheStats& c) {
+    return c.analysis_misses - base.cache.analysis_misses;
+  };
+  const auto computed = [&](const engine::EngineStats& s) {
+    return s.analyses_computed - base.analyses_computed;
+  };
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> inconsistent{0};
   std::thread hammer([&] {
     while (!done.load(std::memory_order_acquire)) {
       const engine::EngineStats snapshot = eng.stats();
-      if (snapshot.cache.analysis_misses != snapshot.analyses_computed)
+      if (misses(snapshot.cache) != computed(snapshot))
         inconsistent.fetch_add(1, std::memory_order_relaxed);
     }
   });
@@ -719,15 +730,14 @@ TEST(Engine, StatsCacheCountersAreDispatchBoundaryConsistent) {
     ASSERT_EQ(result.succeeded(), jobs.size());
     // run_batch reports the same dispatch-boundary snapshot stats() does —
     // exact here because the batches are sequential and all-distinct.
-    EXPECT_EQ(result.cache_stats.analysis_misses,
-              2u * static_cast<std::uint64_t>(batch + 1));
+    EXPECT_EQ(misses(result.cache_stats), 2u * static_cast<std::uint64_t>(batch + 1));
   }
   done.store(true, std::memory_order_release);
   hammer.join();
   EXPECT_EQ(inconsistent.load(), 0u);
   const engine::EngineStats final_stats = eng.stats();
-  EXPECT_EQ(final_stats.analyses_computed, 16u);
-  EXPECT_EQ(final_stats.cache.analysis_misses, 16u);
+  EXPECT_EQ(computed(final_stats), 16u);
+  EXPECT_EQ(misses(final_stats.cache), 16u);
 }
 
 TEST(Engine, RunBatchCacheStatsAreDispatchBoundaryConsistent) {
@@ -736,8 +746,10 @@ TEST(Engine, RunBatchCacheStatsAreDispatchBoundaryConsistent) {
   // land mid-way through a concurrent dispatch's lookups and tear the
   // invariant below. Every batch holds 2 globally-distinct jobs, so each
   // dispatch — coalesced or not — adds an even number of analysis misses,
-  // and every boundary snapshot reports an even count.
+  // and every boundary snapshot reports an even count (counted from the
+  // engine's starting snapshot: the counters are process-wide).
   Engine eng;
+  const std::uint64_t misses_before = eng.stats().cache.analysis_misses;
   std::atomic<int> violations{0};
   std::atomic<int> next{0};
   constexpr int kJobs = 32;  // fir taps 2..33, all distinct
@@ -752,14 +764,15 @@ TEST(Engine, RunBatchCacheStatsAreDispatchBoundaryConsistent) {
         jobs.push_back(Job::from_workload("fir(" + std::to_string(3 + base) + ")"));
         const engine::BatchResult result = eng.run_batch(jobs);
         if (result.succeeded() != jobs.size() ||
-            result.cache_stats.analysis_misses % 2 != 0)
+            (result.cache_stats.analysis_misses - misses_before) % 2 != 0)
           violations.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& th : workers) th.join();
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(eng.stats().cache.analysis_misses, static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(eng.stats().cache.analysis_misses - misses_before,
+            static_cast<std::uint64_t>(kJobs));
 }
 
 TEST(Engine, ShardWallTimesAreExemplarCharged) {

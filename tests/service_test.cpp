@@ -45,6 +45,12 @@ using service::Response;
 using service::Server;
 using service::ServerOptions;
 
+/// A registry counter's value; the registry is process-wide, so tests
+/// compare values before and after their runs.
+std::uint64_t count(const std::string& name) {
+  return obs::Registry::global().counter(name).value();
+}
+
 /// Small mixed corpus with a duplicate, so reuse counters move.
 std::vector<Job> small_corpus() {
   std::vector<Job> jobs;
@@ -162,6 +168,7 @@ TEST_F(ServiceTest, SubmitMatchesOneShotBatchByteForByte) {
   const std::string expected = batch_to_json(reference.run_batch(jobs)).dump(2);
 
   Server server(ServerOptions{});
+  const engine::EngineStats base = server.engine().stats();
   Request request;
   request.op = Op::Submit;
   request.id = 1;
@@ -180,9 +187,9 @@ TEST_F(ServiceTest, SubmitMatchesOneShotBatchByteForByte) {
   EXPECT_EQ(second.at("results").dump(2), expected);
 
   const engine::EngineStats stats = server.engine().stats();
-  EXPECT_EQ(stats.batches, 2u);
-  EXPECT_EQ(stats.jobs, 2 * jobs.size());
-  EXPECT_EQ(stats.jobs_succeeded, 2 * jobs.size());
+  EXPECT_EQ(stats.batches - base.batches, 2u);
+  EXPECT_EQ(stats.jobs - base.jobs, 2 * jobs.size());
+  EXPECT_EQ(stats.jobs_succeeded - base.jobs_succeeded, 2 * jobs.size());
 }
 
 TEST_F(ServiceTest, RepeatedSubmitLineBuildsEachGraphOnceAndMatchesBatch) {
@@ -301,6 +308,10 @@ TEST_F(ServiceTest, StreamSessionServesPingSubmitStatsShutdown) {
   requests << "{\"op\":\"shutdown\",\"id\":4}\n";
   requests << "{\"op\":\"ping\",\"id\":5}\n";  // after shutdown: not served
 
+  const std::uint64_t batches_before = server.engine().stats().batches;
+  const std::uint64_t requests_before = count("serve.requests");
+  const std::uint64_t errors_before = count("serve.errors");
+  const std::uint64_t sessions_before = count("serve.sessions");
   std::istringstream in(requests.str());
   std::ostringstream out;
   server.serve_stream(in, out);
@@ -318,14 +329,14 @@ TEST_F(ServiceTest, StreamSessionServesPingSubmitStatsShutdown) {
   EXPECT_TRUE(responses[2].ok);
   EXPECT_EQ(responses[2].id, 2);
   EXPECT_TRUE(responses[3].ok);
-  EXPECT_EQ(responses[3].body.at("engine").at("batches").as_int(), 1);
+  EXPECT_EQ(static_cast<std::uint64_t>(responses[3].body.at("engine").at("batches").as_int()),
+            batches_before + 1);
   EXPECT_TRUE(responses[4].ok);
   EXPECT_EQ(responses[4].op, "shutdown");
 
-  const service::ServerCounters counters = server.counters();
-  EXPECT_EQ(counters.requests, 5u);
-  EXPECT_EQ(counters.errors, 1u);
-  EXPECT_EQ(counters.sessions, 1u);
+  EXPECT_EQ(count("serve.requests") - requests_before, 5u);
+  EXPECT_EQ(count("serve.errors") - errors_before, 1u);
+  EXPECT_EQ(count("serve.sessions") - sessions_before, 1u);
 }
 
 TEST_F(ServiceTest, CacheTrimOverTheProtocol) {
@@ -400,9 +411,13 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
   // dispatch-boundary snapshot, not a live read that can land between two
   // lookups of another session's dispatch. Every request carries 2
   // globally distinct jobs, so each dispatch, coalesced or not, adds an
-  // even number of analysis misses, and every boundary snapshot is even.
-  // Blocking submits alternate with submit_async + wait to cover both.
+  // even number of analysis misses, and every boundary snapshot is even
+  // (counted from the engine's starting snapshot: the counters are
+  // process-wide). Blocking submits alternate with submit_async + wait to
+  // cover both.
   Server server(ServerOptions{});
+  const std::int64_t misses_before =
+      static_cast<std::int64_t>(server.engine().stats().cache.analysis_misses);
   std::atomic<int> violations{0};
   std::atomic<int> next{0};
   constexpr int kJobs = 32;  // fir taps 2..33, all distinct
@@ -426,17 +441,17 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
           response = server.handle(wait, session);
         }
         if (!response.at("ok").as_bool() ||
-            response.at("results").at("diagnostics").at("cache_analysis_misses").as_int() %
-                    2 !=
-                0)
+            (response.at("results").at("diagnostics").at("cache_analysis_misses").as_int() -
+             misses_before) % 2 != 0)
           violations.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (std::thread& th : clients) th.join();
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(server.engine().stats().cache.analysis_misses,
-            static_cast<std::uint64_t>(kJobs));
+  EXPECT_EQ(
+      static_cast<std::int64_t>(server.engine().stats().cache.analysis_misses) - misses_before,
+      kJobs);
 
   // The same property without a race: on a shared cache, a lookup made
   // after the dispatch finished but before the wait is exactly what a
@@ -445,6 +460,8 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
   ServerOptions options;
   options.engine.cache = &shared;
   Server shared_server(options);
+  const std::int64_t shared_base =
+      static_cast<std::int64_t>(shared_server.engine().stats().cache.analysis_misses);
   Server::Session session;
   Request async;
   async.op = Op::SubmitAsync;
@@ -468,7 +485,10 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
   wait.request = poll.request;
   const Json finished = shared_server.handle(wait, session);
   ASSERT_TRUE(finished.at("ok").as_bool());
-  EXPECT_EQ(finished.at("results").at("diagnostics").at("cache_analysis_misses").as_int(), 2);
+  EXPECT_EQ(
+      finished.at("results").at("diagnostics").at("cache_analysis_misses").as_int() -
+          shared_base,
+      2);
 }
 
 TEST_F(ServiceTest, PingAdvertisesBothProtocols) {
@@ -593,6 +613,7 @@ TEST_F(ServiceTest, CancelStopsQueuedJobsAndWaitStillCollects) {
   options.engine.coalesce.max_jobs = 1u << 16;
   Server server(options);
   Server::Session session;
+  const std::uint64_t cancelled_before = server.engine().stats().jobs_cancelled;
 
   Request submit;
   submit.op = Op::SubmitAsync;
@@ -619,7 +640,7 @@ TEST_F(ServiceTest, CancelStopsQueuedJobsAndWaitStillCollects) {
   EXPECT_EQ(results.at("summary").at("succeeded").as_int(), 0);
   for (const Json& job : results.at("jobs").as_array())
     EXPECT_NE(job.at("error").as_string().find("cancelled"), std::string::npos);
-  EXPECT_EQ(server.engine().stats().jobs_cancelled, 3u);
+  EXPECT_EQ(server.engine().stats().jobs_cancelled - cancelled_before, 3u);
 }
 
 TEST_F(ServiceTest, TwoPipelinedSessionsAreByteIdentical) {
@@ -665,29 +686,34 @@ TEST_F(ServiceTest, TwoPipelinedSessionsAreByteIdentical) {
 
 TEST_F(ServiceTest, StatsReportQueueCountersAndFormat) {
   Server server(ServerOptions{});
+  Request stats;
+  stats.op = Op::Stats;
+  const Json before = server.handle(stats);
+  const auto grew = [&before](const Json& body, const char* section, const char* key) {
+    return body.at(section).at(key).as_int() - before.at(section).at(key).as_int();
+  };
   Request submit;
   submit.op = Op::Submit;
   submit.jobs = small_corpus();
   ASSERT_TRUE(server.handle(submit).at("ok").as_bool());
 
-  Request stats;
-  stats.op = Op::Stats;
   const Json body = server.handle(stats);
   ASSERT_TRUE(body.at("ok").as_bool());
   const Json& eng = body.at("engine");
-  EXPECT_EQ(eng.at("jobs_submitted").as_int(), 3);
-  EXPECT_EQ(eng.at("jobs_cancelled").as_int(), 0);
+  EXPECT_EQ(grew(body, "engine", "jobs_submitted"), 3);
+  EXPECT_EQ(grew(body, "engine", "jobs_cancelled"), 0);
   EXPECT_EQ(eng.at("queue_depth").as_int(), 0);
   EXPECT_GE(eng.at("max_queue_depth").as_int(), 1);
   EXPECT_GE(eng.at("coalesced_dispatches").as_int(), 0);
-  EXPECT_EQ(body.at("server").at("async_requests").as_int(), 0);
+  EXPECT_EQ(grew(body, "server", "async_requests"), 0);
 
   // The pretty-printer renders every section with the new counters.
   const std::string text = service::format_stats(body);
   EXPECT_NE(text.find("engine:"), std::string::npos);
   EXPECT_NE(text.find("dispatches"), std::string::npos);
   EXPECT_NE(text.find("queue:     depth 0"), std::string::npos);
-  EXPECT_NE(text.find("3 submitted"), std::string::npos);
+  EXPECT_NE(text.find(std::to_string(eng.at("jobs_submitted").as_int()) + " submitted"),
+            std::string::npos);
   EXPECT_NE(text.find("cache:"), std::string::npos);
   EXPECT_NE(text.find("server:"), std::string::npos);
   EXPECT_NE(text.find("async requests"), std::string::npos);
@@ -702,6 +728,7 @@ TEST_F(ServiceTest, StatsReportQueueCountersAndFormat) {
       service::format_stats(disk_server.handle(stats));
   EXPECT_NE(disk_text.find("disk:"), std::string::npos);
   EXPECT_NE(disk_text.find("entries"), std::string::npos);
+  EXPECT_NE(disk_text.find("failed)"), std::string::npos);
 
   // The formatter is total: an empty body renders to an empty string
   // rather than throwing — older servers simply print less.
@@ -734,6 +761,101 @@ TEST_F(ServiceTest, MetricsOpReturnsRegistrySnapshotAndPrometheusPage) {
   EXPECT_NE(text.find("mpsched_engine_dispatch_ms_bucket{le=\"+Inf\"}"),
             std::string::npos);
   EXPECT_NE(text.find("mpsched_serve_requests"), std::string::npos);
+}
+
+TEST_F(ServiceTest, StatsAndMetricsAgree) {
+  // Every stats counter is read from the registry the metrics op exports
+  // (or derived from it), so with nothing in flight the two responses
+  // agree field for field. The server runs over a directory another
+  // server warmed, so analyses come off disk and out of memory, and its
+  // held queue (flush at 3 jobs) lets a cancel land on a queued job.
+  ServerOptions options;
+  options.engine.cache_dir = cache_dir();
+  Request submit;
+  submit.op = Op::Submit;
+  submit.jobs = small_corpus();
+  ASSERT_TRUE(Server(options).handle(submit).at("ok").as_bool());
+
+  options.engine.coalesce.flush_on_idle = false;
+  options.engine.coalesce.max_delay_ms = 60000;
+  options.engine.coalesce.max_jobs = 3;
+  Server server(options);
+  Request async = submit;
+  async.op = Op::SubmitAsync;
+  Request lone = async;
+  lone.jobs = {Job::from_workload("small_example")};
+  const auto ref = [](Op op, std::uint64_t request) {
+    Request r;
+    r.op = op;
+    r.request = request;
+    return service::request_to_json(r).dump(-1) + "\n";
+  };
+  std::istringstream in(service::request_to_json(submit).dump(-1) + "\n" +
+                        service::request_to_json(async).dump(-1) + "\n" +
+                        ref(Op::Wait, 1) + service::request_to_json(lone).dump(-1) + "\n" +
+                        ref(Op::Cancel, 2) + ref(Op::Wait, 2) + "not json\n");
+  std::ostringstream out;
+  server.serve_stream(in, out);
+  std::vector<Response> responses;
+  for (const std::string& line : split(out.str(), '\n'))
+    if (!trim(line).empty())
+      responses.push_back(service::response_from_json(Json::parse(line)));
+  ASSERT_EQ(responses.size(), 7u);
+  for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(responses[i].ok) << i;
+  EXPECT_EQ(responses[4].body.at("cancelled").as_int(), 1);
+  EXPECT_FALSE(responses[6].ok);
+
+  // handle() counts no serve.* request, so nothing moves between the two.
+  Request stats;
+  stats.op = Op::Stats;
+  const Json body = server.handle(stats);
+  Request metrics;
+  metrics.op = Op::Metrics;
+  const Json registry = server.handle(metrics).at("metrics");
+  const auto counter = [&registry](const std::string& name) {
+    return registry.at("counters").at(name).as_int();
+  };
+  const auto field = [&body](const char* section, const char* key) {
+    return body.at(section).at(key).as_int();
+  };
+
+  EXPECT_EQ(field("engine", "batches"), counter("engine.dispatches"));
+  EXPECT_EQ(field("engine", "jobs"), counter("engine.jobs"));
+  EXPECT_EQ(field("engine", "jobs_succeeded"), counter("engine.jobs_succeeded"));
+  EXPECT_EQ(field("engine", "analyses_computed"), counter("engine.analyses.computed"));
+  EXPECT_EQ(field("engine", "analyses_reused"), counter("engine.analyses.reused"));
+  EXPECT_EQ(field("engine", "jobs_submitted"), counter("queue.submitted"));
+  EXPECT_EQ(field("engine", "jobs_cancelled"), counter("queue.cancelled"));
+  EXPECT_EQ(field("engine", "queue_depth"), registry.at("gauges").at("queue.depth").as_int());
+  EXPECT_EQ(field("engine", "max_queue_depth"),
+            registry.at("gauges").at("queue.max_depth").as_int());
+  std::int64_t coalesced = 0;  // flushes above the one-job bucket
+  const Json::Array& flushes =
+      registry.at("histograms").at("queue.coalesce_jobs").at("buckets").as_array();
+  for (std::size_t i = 1; i < flushes.size(); ++i) coalesced += flushes[i].at("count").as_int();
+  EXPECT_EQ(field("engine", "coalesced_dispatches"), coalesced);
+
+  EXPECT_EQ(field("cache", "graph_hits"), counter("cache.graph.hits"));
+  EXPECT_EQ(field("cache", "graph_misses"), counter("cache.graph.misses"));
+  EXPECT_EQ(field("cache", "analysis_hits"),
+            counter("cache.mem.hits") + counter("cache.disk.hits"));
+  EXPECT_EQ(field("cache", "analysis_misses"), counter("cache.disk.misses"));  // disk tier
+
+  for (const char* key : {"hits", "misses", "corrupt", "stores", "store_failures", "temp_swept"})
+    EXPECT_EQ(field("disk", key), counter(std::string("cache.disk.") + key)) << key;
+
+  EXPECT_EQ(field("server", "requests"), counter("serve.requests"));
+  EXPECT_EQ(field("server", "errors"), counter("serve.errors"));
+  EXPECT_EQ(field("server", "sessions"), counter("serve.sessions"));
+  EXPECT_EQ(field("server", "async_requests"), counter("serve.async_requests"));
+
+  // The run moved what it should, so the equalities above are not 0 == 0.
+  EXPECT_GT(counter("cache.disk.hits"), 0);
+  EXPECT_GT(counter("cache.mem.hits"), 0);
+  EXPECT_GT(counter("queue.cancelled"), 0);
+  EXPECT_GT(coalesced, 0);
+  EXPECT_GT(counter("serve.errors"), 0);
+  EXPECT_GT(counter("serve.async_requests"), 0);
 }
 
 TEST_F(ServiceTest, CacheTrimWithoutDiskTierIsAProtocolError) {
@@ -831,6 +953,7 @@ TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
   options.engine.coalesce.max_delay_ms = 60000;
   options.engine.coalesce.max_jobs = 3;
   Server server(options);
+  const engine::EngineStats base = server.engine().stats();
   server.adopt_socket(service::open_listen_socket(socket_));
   std::thread serving([&] { server.serve_socket(); });
 
@@ -851,13 +974,13 @@ TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(results[c], results[0]);
 
   const engine::EngineStats stats = server.engine().stats();
-  EXPECT_EQ(stats.batches, 1u);
-  EXPECT_EQ(stats.coalesced_dispatches, 1u);
-  EXPECT_EQ(stats.jobs, 3u);
+  EXPECT_EQ(stats.batches - base.batches, 1u);
+  EXPECT_EQ(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
+  EXPECT_EQ(stats.jobs - base.jobs, 3u);
   // One client's job computed the analysis; the other two reused it
   // within the same dispatch.
-  EXPECT_EQ(stats.analyses_computed, 1u);
-  EXPECT_EQ(stats.analyses_reused, 2u);
+  EXPECT_EQ(stats.analyses_computed - base.analyses_computed, 1u);
+  EXPECT_EQ(stats.analyses_reused - base.analyses_reused, 2u);
 
   Client(socket_).call([] {
     Request r;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,6 +20,7 @@
 
 #include "engine/engine.hpp"
 #include "io/result_io.hpp"
+#include "obs/metrics.hpp"
 #include "test_util.hpp"
 
 namespace mpsched {
@@ -63,6 +65,12 @@ std::string results_fingerprint(const std::vector<JobResult>& results) {
   std::string out;
   for (const JobResult& r : results) out += result_to_json(r).dump(-1) + "\n";
   return out;
+}
+
+/// Counts the dispatches in a recorded size list that carried > 1 job.
+std::size_t coalesced(const std::vector<std::size_t>& sizes) {
+  return static_cast<std::size_t>(
+      std::count_if(sizes.begin(), sizes.end(), [](std::size_t n) { return n > 1; }));
 }
 
 /// Dispatch function that executes nothing: echoes per-job successes and
@@ -158,9 +166,13 @@ TEST(SubmissionQueue, FanInDeterminism) {
   }
 
   // (c) forced coalescing: the queue holds until all jobs are queued,
-  // then dispatches them as one shared batch.
+  // then dispatches them as one shared batch. The counters are
+  // process-wide, so they are read as deltas; the high-water mark cannot
+  // be, so it starts from zero here.
   {
+    obs::Registry::global().gauge("queue.max_depth").reset();
     Engine engine(held_queue_options(jobs.size()));
+    const engine::EngineStats base = engine.stats();
     std::vector<Ticket> tickets;
     for (const Job& job : jobs) tickets.push_back(engine.submit(job));
     std::vector<JobResult> results;
@@ -168,9 +180,9 @@ TEST(SubmissionQueue, FanInDeterminism) {
     EXPECT_EQ(results_fingerprint(results), expected);
 
     const engine::EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.batches, 1u);  // every submit shared one dispatch
-    EXPECT_EQ(stats.coalesced_dispatches, 1u);
-    EXPECT_EQ(stats.jobs_submitted, jobs.size());
+    EXPECT_EQ(stats.batches - base.batches, 1u);  // every submit shared one dispatch
+    EXPECT_EQ(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
+    EXPECT_EQ(stats.jobs_submitted - base.jobs_submitted, jobs.size());
     EXPECT_EQ(stats.max_queue_depth, jobs.size());
   }
 }
@@ -192,6 +204,7 @@ TEST(SubmissionQueue, PerJobAttributionMatchesBatchCounters) {
 
 TEST(SubmissionQueue, CancelQueuedTicket) {
   Engine engine(held_queue_options());
+  const engine::EngineStats base = engine.stats();
   Ticket doomed = engine.submit(Job::from_workload("small_example"));
   Ticket survivor = engine.submit(Job::from_workload("paper_3dft"));
 
@@ -207,8 +220,8 @@ TEST(SubmissionQueue, CancelQueuedTicket) {
   engine.shutdown();  // drain executes only the survivor
   EXPECT_TRUE(survivor.result().success);
   const engine::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.jobs_cancelled, 1u);
-  EXPECT_EQ(stats.jobs, 1u);  // the cancelled job never dispatched
+  EXPECT_EQ(stats.jobs_cancelled - base.jobs_cancelled, 1u);
+  EXPECT_EQ(stats.jobs - base.jobs, 1u);  // the cancelled job never dispatched
 }
 
 TEST(SubmissionQueue, CancelAfterCompletionFails) {
@@ -262,6 +275,7 @@ TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
   options.coalesce.max_delay_ms = 60000;
   options.coalesce.max_jobs = 4;
   Engine engine(options);
+  const engine::EngineStats base = engine.stats();
   std::vector<Ticket> tickets;
   for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
   for (std::size_t i = 0; i < 4; ++i)
@@ -270,8 +284,8 @@ TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
   engine.shutdown();
   for (const Ticket& t : tickets) EXPECT_TRUE(t.ready());
   const engine::EngineStats stats = engine.stats();
-  EXPECT_LT(stats.batches, tickets.size());
-  EXPECT_GE(stats.coalesced_dispatches, 1u);
+  EXPECT_LT(stats.batches - base.batches, tickets.size());
+  EXPECT_GE(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
 }
 
 TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
@@ -283,13 +297,13 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   // timing accident.
   std::mutex mutex;
   std::condition_variable cv;
-  int dispatches_entered = 0;
+  std::vector<std::size_t> sizes;  // one entry per dispatch
   bool release = false;
   engine::SubmissionQueue queue(
       [&](std::vector<Job> jobs) {
         {
           std::unique_lock lock(mutex);
-          ++dispatches_entered;
+          sizes.push_back(jobs.size());
           cv.notify_all();
           cv.wait(lock, [&] { return release; });
         }
@@ -308,14 +322,14 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   {
     // The first job flushed alone, immediately — the dispatcher was idle.
     std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return dispatches_entered == 1; });
+    cv.wait(lock, [&] { return sizes.size() == 1; });
   }
   EXPECT_EQ(first.state(), TicketState::Dispatched);
 
   std::vector<Ticket> rest;
   for (int i = 0; i < 4; ++i)
     rest.push_back(queue.submit(Job::from_workload("small_example")));
-  EXPECT_EQ(queue.stats().queue_depth, 4u);  // queued behind the in-flight dispatch
+  EXPECT_EQ(queue.depth(), 4u);  // queued behind the in-flight dispatch
 
   {
     std::lock_guard lock(mutex);
@@ -325,10 +339,10 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   first.wait();
   for (Ticket& t : rest) t.wait();
 
-  const engine::SubmissionStats stats = queue.stats();
-  EXPECT_EQ(stats.dispatches, 2u);  // 1 solo + 1 shared, never 5
-  EXPECT_EQ(stats.coalesced_dispatches, 1u);
-  EXPECT_EQ(stats.jobs_dispatched, 5u);
+  {
+    std::lock_guard lock(mutex);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 4}));  // 1 solo + 1 shared, never 5
+  }
   for (Ticket& t : rest) EXPECT_EQ(t.result().job, "small_example");
 }
 
@@ -344,6 +358,8 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   std::mutex mutex;
   std::vector<std::size_t> sizes;
   engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
+  obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
+  const std::uint64_t cancelled_before = cancellations.value();
 
   const auto start = std::chrono::steady_clock::now();
   Ticket doomed = queue.submit(Job::from_workload("small_example"));
@@ -363,7 +379,7 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   std::lock_guard lock(mutex);
   ASSERT_EQ(sizes.size(), 1u) << "premature flush after cancelling the front";
   EXPECT_EQ(sizes[0], 2u);
-  EXPECT_EQ(queue.stats().cancelled, 1u);
+  EXPECT_EQ(cancellations.value() - cancelled_before, 1u);
 }
 
 TEST(AdaptiveDelay, HoldWindowTracksTheArrivalRate) {
@@ -419,9 +435,9 @@ TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
     for (int i = 0; i < 6; ++i)
       tickets.push_back(queue.submit(Job::from_workload("small_example")));
     for (Ticket& t : tickets) t.wait();
-    const engine::SubmissionStats stats = queue.stats();
-    EXPECT_LT(stats.dispatches, 6u);
-    EXPECT_GE(stats.coalesced_dispatches, 1u);
+    std::lock_guard lock(mutex);
+    EXPECT_LT(sizes.size(), 6u);
+    EXPECT_GE(coalesced(sizes), 1u);
   }
 
   // Sparse: every observed gap (≥ 120ms) pushes the EWMA far past
@@ -437,9 +453,9 @@ TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
       tickets.push_back(queue.submit(Job::from_workload("small_example")));
     }
     for (Ticket& t : tickets) t.wait();
-    const engine::SubmissionStats stats = queue.stats();
-    EXPECT_EQ(stats.dispatches, 4u);
-    EXPECT_EQ(stats.coalesced_dispatches, 0u);
+    std::lock_guard lock(mutex);
+    EXPECT_EQ(sizes.size(), 4u);
+    EXPECT_EQ(coalesced(sizes), 0u);
   }
 }
 
@@ -466,6 +482,7 @@ TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
   // A run_batch() issued while async tickets are queued must not disturb
   // them — everyone resolves, everyone is correct.
   Engine engine(held_queue_options(/*max_jobs=*/3));
+  const std::uint64_t batches_before = engine.stats().batches;
   Ticket async1 = engine.submit(Job::from_workload("paper_3dft"));
   Ticket async2 = engine.submit(Job::from_workload("dct8"));
   const engine::BatchResult batch =
@@ -474,7 +491,7 @@ TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
   EXPECT_TRUE(batch.jobs.front().success);
   EXPECT_TRUE(async1.result().success);
   EXPECT_TRUE(async2.result().success);
-  EXPECT_EQ(engine.stats().batches, 1u);  // all three shared one dispatch
+  EXPECT_EQ(engine.stats().batches - batches_before, 1u);  // all three shared one dispatch
 }
 
 TEST(SubmissionQueue, InvalidCoalescePolicyIsRejected) {
@@ -502,8 +519,9 @@ TEST(SubmissionQueue, ShutdownBeforeFirstSubmitStillLatches) {
 
 TEST(SubmissionQueue, EmptySubmitBatchYieldsNoTickets) {
   Engine engine;
+  const std::uint64_t submitted_before = engine.stats().jobs_submitted;
   EXPECT_TRUE(engine.submit_batch({}).empty());
-  EXPECT_EQ(engine.stats().jobs_submitted, 0u);
+  EXPECT_EQ(engine.stats().jobs_submitted, submitted_before);
 }
 
 }  // namespace

@@ -40,6 +40,7 @@
 #include "engine/cache_store.hpp"
 #include "engine/engine.hpp"
 #include "io/result_io.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -85,22 +86,26 @@ void print_summary(const engine::BatchResult& batch) {
               batch.analyses_computed, batch.analyses_reused);
 }
 
+/// A registry counter's value (the process runs one engine, so these are
+/// its counts).
+unsigned long long count(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
 void print_cache_stats(engine::Engine& eng) {
-  const engine::CacheStats m = eng.cache().stats();
-  std::printf("cache: memory analyses %llu hits / %llu misses, graphs %llu hits / %llu "
+  const engine::CacheStats m = eng.stats().cache;
+  std::printf("cache: analyses %llu hits / %llu misses, graphs %llu hits / %llu "
               "misses\n",
               static_cast<unsigned long long>(m.analysis_hits),
               static_cast<unsigned long long>(m.analysis_misses),
               static_cast<unsigned long long>(m.graph_hits),
               static_cast<unsigned long long>(m.graph_misses));
   if (const engine::CacheStore* store = eng.cache().disk_store()) {
-    const engine::CacheStoreStats d = store->stats();
-    std::printf("cache: disk %llu hits / %llu misses (%llu corrupt), %llu stores, "
-                "%zu entries in %s\n",
-                static_cast<unsigned long long>(d.disk_hits),
-                static_cast<unsigned long long>(d.disk_misses),
-                static_cast<unsigned long long>(d.disk_corrupt),
-                static_cast<unsigned long long>(d.disk_stores), store->entry_count(),
+    std::printf("cache: disk %llu hits / %llu misses (%llu corrupt), %llu stores "
+                "(%llu failed), %zu entries in %s\n",
+                count("cache.disk.hits"), count("cache.disk.misses"),
+                count("cache.disk.corrupt"), count("cache.disk.stores"),
+                count("cache.disk.store_failures"), store->entry_count(),
                 store->directory().c_str());
   }
 }
@@ -265,15 +270,14 @@ int main(int argc, char** argv) {
       trim_options.max_age_seconds = trim_age;
       trim_options.max_total_bytes = trim_max_bytes;
       const engine::TrimResult r = store.trim(trim_options);
-      // Report the store's cumulative sweep counter, not r.temp_swept:
-      // the open-time sweep already ran in the constructor above, so
-      // trim()'s own sweep usually finds nothing left.
+      // Report the cumulative sweep counter, not r.temp_swept: the
+      // open-time sweep already ran in the constructor above, so trim()'s
+      // own sweep usually finds nothing left.
       std::printf("cache-trim: removed %zu entries (%llu bytes), kept %zu (%llu bytes), "
                   "swept %llu stale temp files in %s\n",
                   r.entries_removed, static_cast<unsigned long long>(r.bytes_removed),
                   r.entries_kept, static_cast<unsigned long long>(r.bytes_kept),
-                  static_cast<unsigned long long>(store.stats().temp_swept),
-                  cache_dir.c_str());
+                  count("cache.disk.temp_swept"), cache_dir.c_str());
       return 0;
     }
 
