@@ -104,17 +104,15 @@ int main() {
   }
 
   // ---- B: submit() stream on a coalescing engine ------------------------
-  // Hold the queue (no flush-on-idle, generous delay) and flush whenever
-  // 4 jobs are pending: the stream of 8 single submits shares dispatches
-  // instead of paying 8.
+  // Hold the queue (a generous window) and flush whenever 4 jobs are
+  // pending: the stream of 8 single submits shares dispatches instead of
+  // paying 8.
   std::vector<engine::JobResult> stream_results;
   double stream_ms = 0.0;
   engine::EngineStats stream_stats;
   {
     engine::EngineOptions options;
-    options.coalesce.flush_on_idle = false;
-    options.coalesce.max_delay_ms = 5000;
-    options.coalesce.max_jobs = 4;
+    options.coalesce = engine::CoalescePolicy::hold(5000, 4);
     engine::Engine eng(options);
     const engine::EngineStats before = eng.stats();
     Timer t;
@@ -178,10 +176,7 @@ int main() {
   // (gaps >> window/8) should dispatch every job alone with ~zero added
   // latency. A raw SubmissionQueue with a trivial dispatch function keeps
   // the measurement about queue behavior, not engine execution time.
-  engine::CoalescePolicy adaptive;
-  adaptive.flush_on_idle = false;
-  adaptive.max_delay_ms = 120;
-  adaptive.adaptive_delay = true;
+  const engine::CoalescePolicy adaptive = engine::CoalescePolicy::adaptive(120);
 
   {
     std::vector<std::size_t> sizes;  // written by the dispatcher, read after every wait
@@ -221,7 +216,7 @@ int main() {
     gate.info("adaptive sparse mean wait ms", mean_wait_ms);
     gate.check_eq(static_cast<long long>(sparse_jobs), static_cast<long long>(sizes.size()),
                   "sparse stream under adaptive hold dispatches every job alone");
-    gate.check(mean_wait_ms < adaptive.max_delay_ms / 2.0,
+    gate.check(mean_wait_ms < adaptive.window_ms() / 2.0,
                "sparse stream pays no hold-window latency tax (mean wait < half "
                "the ceiling)");
   }

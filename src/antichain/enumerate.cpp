@@ -16,7 +16,7 @@ namespace {
 using Word = DynamicBitset::Word;
 constexpr std::size_t kWordBits = DynamicBitset::kWordBits;
 
-/// Per-thread accumulator; merged deterministically after the fan-out.
+/// One walk's per-pattern tallies, emitted in canonical order at the end.
 struct Accumulator {
   struct Entry {
     std::uint64_t count = 0;
@@ -636,52 +636,28 @@ const PatternAntichains* AntichainAnalysis::find(const Pattern& p) const {
 AntichainAnalysis enumerate_antichains(const Dfg& dfg, const Levels& levels,
                                        const Reachability& reach,
                                        const EnumerateOptions& options) {
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-  const int span_cap = levels.asap_max;
-
-  std::atomic<std::uint64_t> global_count{0};
-  SearchContext ctx{dfg, levels, reach, options, effective_limit, &global_count};
-
+  validate_and_clamp_span(dfg, levels, reach, options);
   const std::size_t n = dfg.node_count();
-  const auto span_hist_size = static_cast<std::size_t>(span_cap);
-
-  std::vector<Accumulator> accumulators;
-  if (options.parallel && n >= 2) {
-    ThreadPool& pool = ThreadPool::shared();
-    const std::size_t n_workers = pool.thread_count() + 1;  // pool + caller
-    accumulators.assign(n_workers, Accumulator(options.max_size, span_hist_size));
-    // Cyclic root assignment: worker w handles roots w, w+W, w+2W, ... so
-    // the expensive low-id roots (largest subtrees) spread across workers.
-    pool.parallel_for(n_workers, [&](std::size_t w) {
-      Walker walker(ctx, accumulators[w]);
-      for (NodeId root = static_cast<NodeId>(w); root < n;
-           root = static_cast<NodeId>(root + n_workers))
-        walker.run_root(root);
-      walker.finish();
-    });
-  } else {
-    accumulators.assign(1, Accumulator(options.max_size, span_hist_size));
-    Walker walker(ctx, accumulators[0]);
-    for (NodeId root = 0; root < n; ++root) walker.run_root(root);
-    walker.finish();
+  // The pool's threads plus the calling one.
+  const std::size_t n_workers =
+      options.parallel && n >= 2 ? ThreadPool::shared().thread_count() + 1 : 1;
+  // Cyclic root assignment: worker w handles roots w, w+W, w+2W, ... so the
+  // expensive low-id roots (largest subtrees) spread across workers. One
+  // shared count keeps the max_antichains valve global.
+  std::atomic<std::uint64_t> count{0};
+  std::vector<AntichainAnalysis> parts(n_workers);
+  const auto run = [&](std::size_t w) {
+    std::vector<NodeId> roots;
+    for (std::size_t root = w; root < n; root += n_workers)
+      roots.push_back(static_cast<NodeId>(root));
+    parts[w] = enumerate_antichain_roots(dfg, levels, reach, options, roots, &count);
+  };
+  if (n_workers == 1) {
+    run(0);
+    return std::move(parts[0]);
   }
-
-  // Deterministic merge: ordered map keyed by canonical pattern ordering.
-  std::map<Pattern, Accumulator::Entry> merged;
-  AntichainAnalysis out;
-  out.count_by_size_span.assign(options.max_size + 1,
-                                std::vector<std::uint64_t>(span_hist_size + 1, 0));
-  for (Accumulator& acc : accumulators) {
-    out.total += acc.total;
-    for (std::size_t s = 0; s < acc.by_size_span.size(); ++s)
-      for (std::size_t k = 0; k < acc.by_size_span[s].size(); ++k)
-        out.count_by_size_span[s][k] += acc.by_size_span[s][k];
-    for (auto& [pattern, entry] : acc.per_pattern)
-      accumulate_entry(merged[pattern], entry.count, entry.node_frequency,
-                       std::move(entry.members), dfg.node_count());
-  }
-  out.per_pattern = emit_per_pattern(std::move(merged), options.collect_members);
-  return out;
+  ThreadPool::shared().parallel_for(n_workers, run);
+  return merge_antichain_analyses(std::move(parts), n);
 }
 
 AntichainAnalysis enumerate_antichains_reference(const Dfg& dfg, const Levels& levels,

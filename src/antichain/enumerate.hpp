@@ -22,9 +22,10 @@
 // prefixes walk their leaves one at a time instead.
 //
 // Parallelism: the search forest is partitioned by the antichain's minimum
-// node id; workers claim roots through the shared thread pool and merge
-// per-thread accumulators at the end. Results are canonically sorted, so
-// output is identical for any thread count.
+// node id; each worker on the shared thread pool walks its roots with
+// enumerate_antichain_roots, and merge_antichain_analyses joins the parts.
+// Results are canonically sorted, so output is identical for any thread
+// count.
 #pragma once
 
 #include <atomic>

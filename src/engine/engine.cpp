@@ -143,25 +143,14 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
     throw std::invalid_argument(
         "EngineOptions: cache_dir requires use_cache (a disk tier on a disabled "
         "cache would never be read or written)");
-  if (options_.coalesce.max_jobs == 0)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.max_jobs must be >= 1 (a zero trigger would "
-        "never flush the admission queue)");
-  if (!options_.coalesce.flush_on_idle && options_.coalesce.max_delay_ms == 0)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.flush_on_idle=false requires max_delay_ms >= 1 "
-        "(a zero hold expires instantly, silently disabling the coalescing the "
-        "caller asked for)");
-  if (options_.coalesce.adaptive_delay && options_.coalesce.flush_on_idle)
-    throw std::invalid_argument(
-        "EngineOptions: coalesce.adaptive_delay requires flush_on_idle=false "
-        "(with flush-on-idle there is no hold window to adapt, so the knob "
-        "would be silently inert)");
   if (options_.threads > 0) owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
   if (options_.cache == nullptr) owned_cache_ = std::make_unique<AnalysisCache>();
   if (!options_.cache_dir.empty())
     cache().attach_store(std::make_shared<CacheStore>(options_.cache_dir));
   read_boundary_counters(stats_, cache().disk_store() != nullptr);
+  queue_ = std::make_unique<SubmissionQueue>(
+      [this](std::vector<Job> jobs) { return std::move(execute_batch(jobs).jobs); },
+      options_.coalesce);
 }
 
 Engine::~Engine() { shutdown(); }
@@ -174,33 +163,7 @@ AnalysisCache& Engine::cache() {
   return options_.cache != nullptr ? *options_.cache : *owned_cache_;
 }
 
-SubmissionQueue& Engine::queue() {
-  // Lazy: an engine used only once and thrown away does not pay for a
-  // dispatcher thread it never needed.
-  std::lock_guard lock(queue_mutex_);
-  if (shut_down_)
-    throw std::runtime_error("Engine: submit after shutdown (the queue is drained)");
-  if (queue_ == nullptr)
-    queue_ = std::make_unique<SubmissionQueue>(
-        [this](std::vector<Job> jobs) {
-          return std::move(execute_batch(jobs).jobs);
-        },
-        options_.coalesce);
-  return *queue_;
-}
-
-void Engine::shutdown() {
-  std::unique_lock lock(queue_mutex_);
-  // The latch is set under the same lock that guards lazy construction,
-  // so a shutdown() on a never-used engine still makes later submits
-  // throw (and a racing first submit either beats the latch and is
-  // drained below, or loses and throws).
-  shut_down_ = true;
-  if (queue_ == nullptr) return;
-  SubmissionQueue& q = *queue_;
-  lock.unlock();  // shutdown executes a final flush; don't hold the lock
-  q.shutdown();
-}
+void Engine::shutdown() { queue_->shutdown(); }
 
 EngineStats Engine::stats() {
   // The dispatch and cache fields come from the copy account() made at the
@@ -217,15 +180,14 @@ EngineStats Engine::stats() {
   snapshot.coalesced_dispatches = coalesced_dispatches();
   snapshot.max_queue_depth =
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, m.max_queue_depth.value()));
-  std::lock_guard queue_lock(queue_mutex_);
-  if (queue_ != nullptr) snapshot.queue_depth = queue_->depth();
+  snapshot.queue_depth = queue_->depth();
   return snapshot;
 }
 
-Ticket Engine::submit(Job job) { return queue().submit(std::move(job)); }
+Ticket Engine::submit(Job job) { return queue_->submit(std::move(job)); }
 
 std::vector<Ticket> Engine::submit_batch(std::vector<Job> jobs) {
-  return queue().submit_batch(std::move(jobs));
+  return queue_->submit_batch(std::move(jobs));
 }
 
 JobResult Engine::run(const Job& job) {

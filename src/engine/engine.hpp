@@ -29,10 +29,12 @@
 // Submission surface: submit()/submit_batch() enqueue jobs on an internal
 // admission queue (engine/submission_queue.hpp) and return waitable
 // Tickets; a dispatcher thread micro-batches everything queued into
-// shared dispatches under EngineOptions::coalesce. run_batch() survives
-// as a thin synchronous wrapper — submit the batch, wait the tickets —
-// so every existing caller keeps working, and because a JobResult depends
-// only on its Job, coalescing never changes what any caller gets back.
+// shared dispatches under EngineOptions::coalesce. The queue and its
+// dispatcher start with the engine and stop at shutdown(). run_batch()
+// survives as a thin synchronous wrapper — submit the batch, wait the
+// tickets — so every existing caller keeps working, and because a
+// JobResult depends only on its Job, coalescing never changes what any
+// caller gets back.
 //
 // Counters: every event is counted once, in the process's metrics
 // registry (obs/metrics.hpp), where the engine, cache, disk tier and
@@ -76,10 +78,10 @@ struct EngineOptions {
   /// clamped to the node count. Higher = better balance, more merge work.
   std::size_t shards_per_thread = 4;
   /// When the admission queue behind submit()/run_batch() flushes queued
-  /// jobs into one shared dispatch (submission_queue.hpp). The default —
-  /// flush-on-idle, no added delay — dispatches a lone submission
-  /// immediately; coalescing then happens only while a dispatch is
-  /// already executing, so latency is never traded away silently.
+  /// jobs into one shared dispatch (submission_queue.hpp). The default,
+  /// CoalescePolicy::immediate(), dispatches a lone submission at once;
+  /// coalescing then happens only while a dispatch is already executing,
+  /// so latency is never traded away silently.
   CoalescePolicy coalesce{};
 };
 
@@ -194,7 +196,6 @@ class Engine {
 
  private:
   ThreadPool& pool();
-  SubmissionQueue& queue();  ///< lazily started on first submission
   /// One shared dispatch: the whole batch pipeline, phase by phase.
   BatchResult execute_batch(const std::vector<Job>& jobs);
   /// Counts the dispatch into the registry, then copies the dispatch and
@@ -206,9 +207,9 @@ class Engine {
   std::unique_ptr<AnalysisCache> owned_cache_;
   std::mutex stats_mutex_;
   EngineStats stats_;  ///< dispatch and cache fields at the last boundary
-  std::mutex queue_mutex_;  ///< guards lazy queue_ construction + shut_down_
+  /// Built last in the constructor and never reset, so every member the
+  /// dispatcher uses exists before its thread starts.
   std::unique_ptr<SubmissionQueue> queue_;
-  bool shut_down_ = false;
 };
 
 }  // namespace mpsched::engine

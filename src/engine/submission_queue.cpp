@@ -44,12 +44,34 @@ std::uint64_t coalesced_dispatches() {
   return coalesced;
 }
 
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms) {
+std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t ceiling_ms) {
   if (ewma_gap_ms < 0) return 0;  // no arrival gap observed yet
   const double hold =
-      static_cast<double>(max_delay_ms) - kAdaptiveGapMultiplier * ewma_gap_ms;
+      static_cast<double>(ceiling_ms) - kAdaptiveGapMultiplier * ewma_gap_ms;
   if (hold <= 0) return 0;
   return static_cast<std::uint64_t>(hold);
+}
+
+// ---------------------------------------------------------------------------
+// CoalescePolicy
+// ---------------------------------------------------------------------------
+
+CoalescePolicy::CoalescePolicy(Mode mode, std::uint64_t window_ms, std::size_t max_jobs)
+    : mode_(mode), window_ms_(window_ms), max_jobs_(max_jobs) {
+  // Either zero would silently give the caller no coalescing: a zero
+  // window expires at once, and a zero trigger is met by any queue.
+  if (window_ms == 0)
+    throw std::invalid_argument("CoalescePolicy: the window must be at least 1 ms");
+  if (max_jobs == 0)
+    throw std::invalid_argument("CoalescePolicy: max_jobs must be at least 1");
+}
+
+CoalescePolicy CoalescePolicy::hold(std::uint64_t window_ms, std::size_t max_jobs) {
+  return {Mode::Hold, window_ms, max_jobs};
+}
+
+CoalescePolicy CoalescePolicy::adaptive(std::uint64_t ceiling_ms, std::size_t max_jobs) {
+  return {Mode::Adaptive, ceiling_ms, max_jobs};
 }
 
 // ---------------------------------------------------------------------------
@@ -112,14 +134,6 @@ SubmissionQueue::SubmissionQueue(
     : dispatch_(std::move(dispatch)),
       policy_(policy),
       core_(std::make_shared<detail::QueueCore>()) {
-  if (policy_.max_jobs == 0)
-    throw std::invalid_argument(
-        "CoalescePolicy: max_jobs must be >= 1 (a zero trigger would never flush)");
-  if (policy_.adaptive_delay && policy_.flush_on_idle)
-    throw std::invalid_argument(
-        "CoalescePolicy: adaptive_delay requires flush_on_idle=false (with "
-        "flush-on-idle there is no hold window to adapt, so the knob would be "
-        "silently inert)");
   if (dispatch_ == nullptr)
     throw std::invalid_argument("SubmissionQueue: a dispatch function is required");
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -156,7 +170,7 @@ std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
     std::lock_guard lock(core_->mutex);
     if (core_->stop)
       throw std::runtime_error("Engine: submit after shutdown (the queue is drained)");
-    if (policy_.adaptive_delay) {
+    if (policy_.mode() == CoalescePolicy::Mode::Adaptive) {
       // One arrival event per submit call (a submit_batch lands whole):
       // the gap stream the dispatcher's hold window adapts to.
       if (core_->has_last_submit) {
@@ -203,6 +217,7 @@ std::size_t SubmissionQueue::depth() const {
 
 void SubmissionQueue::dispatcher_loop() {
   detail::QueueCore& core = *core_;
+  const bool adaptive = policy_.mode() == CoalescePolicy::Mode::Adaptive;
   std::unique_lock lock(core.mutex);
   for (;;) {
     core.cv.wait(lock, [&] { return core.stop || !core.pending.empty(); });
@@ -211,32 +226,27 @@ void SubmissionQueue::dispatcher_loop() {
       continue;
     }
 
-    // Coalescing hold: with flush_on_idle the dispatcher is by definition
-    // idle here, so it flushes at once; otherwise it holds until max_jobs
-    // accumulate, the oldest job's hold window expires, or shutdown. The
-    // deadline is recomputed on every wait iteration: the front entry can
-    // be cancelled mid-hold (a dead entry's timestamp must not cut the
-    // survivors' window short), and under adaptive_delay the window
-    // itself moves as new submissions update the arrival-rate EWMA.
-    if (!policy_.flush_on_idle) {
-      std::uint64_t hold_ms = policy_.max_delay_ms;
-      for (;;) {
-        if (core.stop || core.pending.empty() ||
-            core.pending.size() >= policy_.max_jobs)
-          break;
-        if (policy_.adaptive_delay)
-          hold_ms = adaptive_hold_ms(core.ewma_gap_ms, policy_.max_delay_ms);
-        const auto deadline =
-            core.pending.front()->enqueued + std::chrono::milliseconds(hold_ms);
-        if (std::chrono::steady_clock::now() >= deadline) break;
-        core.cv.wait_until(lock, deadline);
-      }
-      if (core.pending.empty()) continue;  // everything got cancelled meanwhile
-      if (policy_.adaptive_delay && obs::metrics_enabled()) {
-        static obs::Histogram& adaptive_delay_metric =
-            obs::Registry::global().histogram("queue.adaptive_delay_ms");
-        adaptive_delay_metric.record(static_cast<double>(hold_ms));
-      }
+    // Coalescing hold: until max_jobs are queued (immediate's trigger is
+    // one job, so it flushes at once), the oldest job's window expires, or
+    // shutdown. The deadline is recomputed on every wait iteration: the
+    // front entry can be cancelled mid-hold (a dead entry's timestamp must
+    // not cut the survivors' window short), and an adaptive window itself
+    // moves as new submissions update the arrival-rate EWMA.
+    std::uint64_t hold_ms = policy_.window_ms();
+    for (;;) {
+      if (core.stop || core.pending.empty() || core.pending.size() >= policy_.max_jobs())
+        break;
+      if (adaptive) hold_ms = adaptive_hold_ms(core.ewma_gap_ms, policy_.window_ms());
+      const auto deadline =
+          core.pending.front()->enqueued + std::chrono::milliseconds(hold_ms);
+      if (std::chrono::steady_clock::now() >= deadline) break;
+      core.cv.wait_until(lock, deadline);
+    }
+    if (core.pending.empty()) continue;  // everything got cancelled meanwhile
+    if (adaptive && obs::metrics_enabled()) {
+      static obs::Histogram& hold_ms_metric =
+          obs::Registry::global().histogram("queue.adaptive_delay_ms");
+      hold_ms_metric.record(static_cast<double>(hold_ms));
     }
 
     // Flush: take everything queued. Entries are marked Dispatched under

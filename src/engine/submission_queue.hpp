@@ -12,14 +12,14 @@
 // warm dispatch (content-addressed dedup and root sharding then work
 // across all of them).
 //
-// Coalescing policy (CoalescePolicy): a flush happens when max_jobs are
-// queued, when the oldest queued job has waited out the hold window, or —
-// with flush_on_idle (the default) — immediately whenever the dispatcher
-// is free. The hold window is max_delay_ms, or, with adaptive_delay,
-// derived per flush from an EWMA of inter-submit gaps (adaptive_hold_ms)
-// so bursts coalesce hard and sparse traffic holds ~0. max_jobs is a
-// flush *trigger*, not a dispatch size cap: a flush always takes
-// everything queued, so one submit_batch() is never split.
+// Coalescing policy (CoalescePolicy): one mode plus its window.
+// immediate() (the default) flushes whenever the dispatcher is free;
+// hold(window_ms) flushes when max_jobs are queued or the oldest queued
+// job has waited out the window; adaptive(ceiling_ms) does the same with
+// a window derived per flush from an EWMA of inter-submit gaps
+// (adaptive_hold_ms), so bursts coalesce hard and sparse traffic holds ~0.
+// max_jobs is a flush *trigger*, not a dispatch size cap: a flush always
+// takes everything queued, so one submit_batch() is never split.
 //
 // Determinism: a JobResult depends only on its Job — never on what it was
 // coalesced with. This falls out of the engine's execution contract
@@ -59,45 +59,65 @@
 
 namespace mpsched::engine {
 
-/// When the admission queue flushes queued jobs into one shared dispatch.
-struct CoalescePolicy {
-  /// Flush as soon as this many jobs are queued (>= 1). A flush always
-  /// dispatches *everything* queued, so this is a trigger, not a cap.
-  std::size_t max_jobs = 64;
-  /// Longest a queued job may wait for companions before a flush.
-  std::uint64_t max_delay_ms = 0;
-  /// Flush immediately whenever the dispatcher is free (lowest latency;
-  /// coalescing then only happens while a dispatch is executing). With
-  /// this off the queue always holds jobs for max_delay_ms / max_jobs —
-  /// maximal coalescing at the price of added latency — and max_delay_ms
-  /// must be >= 1 (a zero hold would expire instantly, silently behaving
-  /// like flush_on_idle; the Engine rejects the combination).
-  bool flush_on_idle = true;
-  /// Derive the hold window from the observed arrival rate instead of
-  /// holding for the full max_delay_ms: the queue keeps an EWMA of
-  /// inter-submit gaps and holds adaptive_hold_ms(ewma, max_delay_ms) —
-  /// bursty fan-in (tiny gaps) coalesces for up to max_delay_ms, sparse
-  /// traffic (gaps that make companions unlikely within the window)
-  /// holds for ~0 and pays no latency tax. Requires flush_on_idle ==
-  /// false (with flush-on-idle there is no hold to adapt; the Engine and
-  /// the queue both reject the inert combination). max_delay_ms stays
-  /// the hard ceiling either way.
-  bool adaptive_delay = false;
+/// When the admission queue flushes queued jobs into one shared dispatch:
+/// one mode plus its window. The three factories below are the only way to
+/// build one, and they reject a zero window or trigger, so every value is
+/// a valid policy.
+class CoalescePolicy {
+ public:
+  enum class Mode { Immediate, Hold, Adaptive };
+
+  /// The trigger hold() and adaptive() use unless given one.
+  static constexpr std::size_t kDefaultMaxJobs = 64;
+
+  /// The default: flush whenever the dispatcher is free (a trigger of one
+  /// job, no window). A lone submission dispatches at once and coalescing
+  /// only happens while a dispatch is executing, so latency is never
+  /// traded away silently.
+  static CoalescePolicy immediate() noexcept { return {}; }
+  /// Holds every flush until `max_jobs` are queued or the oldest queued
+  /// job has waited `window_ms`: maximal coalescing at the price of added
+  /// latency. Throws std::invalid_argument on a zero window or trigger.
+  static CoalescePolicy hold(std::uint64_t window_ms,
+                             std::size_t max_jobs = kDefaultMaxJobs);
+  /// hold() with a window derived per flush from the arrival rate:
+  /// adaptive_hold_ms(EWMA of inter-submit gaps, ceiling_ms). Bursty
+  /// fan-in holds near the ceiling; sparse traffic holds ~0 and pays no
+  /// latency tax. Throws std::invalid_argument on a zero ceiling or
+  /// trigger.
+  static CoalescePolicy adaptive(std::uint64_t ceiling_ms,
+                                 std::size_t max_jobs = kDefaultMaxJobs);
+
+  CoalescePolicy() noexcept = default;  ///< immediate()
+
+  Mode mode() const noexcept { return mode_; }
+  /// The hold window, or adaptive's ceiling; 0 for immediate.
+  std::uint64_t window_ms() const noexcept { return window_ms_; }
+  /// Flush as soon as this many jobs are queued; 1 for immediate.
+  std::size_t max_jobs() const noexcept { return max_jobs_; }
+
+ private:
+  CoalescePolicy(Mode mode, std::uint64_t window_ms, std::size_t max_jobs);
+
+  Mode mode_ = Mode::Immediate;
+  std::uint64_t window_ms_ = 0;
+  std::size_t max_jobs_ = 1;
 };
 
 /// EWMA smoothing factor for the observed inter-submit gap (weight of the
-/// newest gap), and how many expected gaps must fit inside max_delay_ms
-/// before holding is worthwhile. Exposed for tests and documentation.
+/// newest gap), and how many expected gaps must fit inside the adaptive
+/// ceiling before holding is worthwhile. Exposed for tests and
+/// documentation.
 inline constexpr double kAdaptiveEwmaAlpha = 0.5;
 inline constexpr double kAdaptiveGapMultiplier = 8.0;
 
-/// The adaptive hold window: max_delay_ms - kAdaptiveGapMultiplier * the
-/// EWMA gap, clamped to [0, max_delay_ms]. Tiny gaps (a burst) hold for
+/// The adaptive hold window: ceiling_ms - kAdaptiveGapMultiplier * the
+/// EWMA gap, clamped to [0, ceiling_ms]. Tiny gaps (a burst) hold for
 /// nearly the whole window; once the expected gap is so large that fewer
 /// than kAdaptiveGapMultiplier arrivals would fit, the hold collapses to
 /// zero. A negative ewma_gap_ms means "no gap observed yet" and also
 /// holds zero — the first submission ever is never taxed on speculation.
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t max_delay_ms);
+std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t ceiling_ms);
 
 /// Flushes that carried more than one job, summed over every queue in the
 /// process: the queue.coalesce_jobs histogram's buckets above its first
@@ -129,7 +149,7 @@ struct QueueCore {
   std::condition_variable cv;
   std::deque<std::shared_ptr<TicketEntry>> pending;
   bool stop = false;
-  /// Arrival-rate estimate for CoalescePolicy::adaptive_delay, maintained
+  /// Arrival-rate estimate for CoalescePolicy::adaptive(), maintained
   /// under `mutex` by submit_batch(): EWMA of the gaps between successive
   /// submit calls (< 0 until two submissions have been seen).
   double ewma_gap_ms = -1.0;
@@ -186,9 +206,8 @@ class Ticket {
 class SubmissionQueue {
  public:
   /// `dispatch` executes one shared batch and returns results aligned
-  /// with its argument (the Engine passes its batch executor). Throws
-  /// std::invalid_argument on a bad policy (max_jobs == 0, or
-  /// adaptive_delay combined with flush_on_idle).
+  /// with its argument (the Engine passes its batch executor). Starts
+  /// the dispatcher thread.
   SubmissionQueue(std::function<std::vector<JobResult>(std::vector<Job>)> dispatch,
                   CoalescePolicy policy);
   ~SubmissionQueue();

@@ -4,31 +4,30 @@
 // the mpsched_client tool, and the service tests, so both ends agree on
 // one schema.
 //
-// Protocol v2 (mpsched.serve/v2) — v1 requests are a strict subset and
-// are still accepted unchanged:
+// Protocol mpsched.serve/v2:
 //
 // Requests ({"op": ..., "id": ...}):
-//   ping                       liveness + protocol tags
+//   ping                       liveness + protocol tag
 //   submit                     run a whole corpus, blocking ("corpus":
 //                              corpus doc, optional "diagnostics": bool)
 //   submit_job                 run a single job, blocking ("job": one
 //                              corpus entry)
-//   submit_async     (v2)      enqueue a corpus on the engine's admission
+//   submit_async               enqueue a corpus on the engine's admission
 //                              queue and return immediately with a
 //                              server-assigned "request" id; the jobs may
 //                              share a coalesced dispatch with any other
 //                              session's
-//   poll             (v2)      non-blocking status of an async request
+//   poll                       non-blocking status of an async request
 //                              ("request": id) — done flag + completion
 //                              count
-//   wait             (v2)      block until an async request finishes and
+//   wait                       block until an async request finishes and
 //                              return its results document; consumes the
 //                              request (a second wait is an error)
-//   cancel           (v2)      cancel the not-yet-dispatched jobs of an
+//   cancel                     cancel the not-yet-dispatched jobs of an
 //                              async request (dispatched jobs finish;
 //                              wait still collects every result)
 //   stats                      engine/cache/queue/server counter snapshot
-//   metrics          (v2)      process-wide observability registry: the
+//   metrics                    process-wide observability registry: the
 //                              full metrics document ("metrics") plus a
 //                              Prometheus-style text page ("text")
 //   cache_trim                 age/size-based disk-cache maintenance
@@ -67,9 +66,6 @@ namespace mpsched::service {
 
 /// Protocol tag answered by ping (bump on breaking envelope changes).
 inline constexpr const char* kProtocol = "mpsched.serve/v2";
-/// The previous tag; v1 requests are still served unchanged, and ping
-/// lists both under "protocols".
-inline constexpr const char* kProtocolV1 = "mpsched.serve/v1";
 
 enum class Op {
   Ping,

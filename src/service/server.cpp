@@ -250,10 +250,6 @@ bool Server::write_response(Request request, Session& session, std::string& out)
       case Op::Ping: {
         Json response = make_ok(request);
         response.set("protocol", kProtocol);
-        Json protocols = Json::array();
-        protocols.push_back(Json(kProtocolV1));
-        protocols.push_back(Json(kProtocol));
-        response.set("protocols", std::move(protocols));
         return reply(response);
       }
 
@@ -659,7 +655,7 @@ void Server::serve_socket() {
   request_stop();
   // Then drain the admission queue before joining: with a held queue
   // (--hold-queue) sessions can be blocked in submit/wait on tickets the
-  // dispatcher is still deliberately sitting on — up to max_delay_ms
+  // dispatcher is still deliberately sitting on — up to a hold window
   // away — and nothing below would wake it sooner. shutdown() runs the
   // final flush now, so every blocked session resolves immediately; a
   // session that races one more submission in gets an error response,

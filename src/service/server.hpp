@@ -129,8 +129,8 @@ class Server {
   /// Taken by value: submit ops move the request's jobs into the engine's
   /// queue, so pass an rvalue to avoid copying them.
   Json handle(Request request, Session& session);
-  /// Stateless convenience (a throwaway session): fine for every v1 op;
-  /// an async request submitted through it can never be polled again.
+  /// Stateless convenience (a throwaway session): an async request
+  /// submitted through it can never be polled again.
   Json handle(Request request);
 
   /// Parses one NDJSON line and dispatches it; returns the parse of the

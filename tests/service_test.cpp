@@ -491,16 +491,13 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
       2);
 }
 
-TEST_F(ServiceTest, PingAdvertisesBothProtocols) {
+TEST_F(ServiceTest, PingAdvertisesTheProtocol) {
   Server server(ServerOptions{});
   Request ping;
   const Json response = server.handle(ping);
   ASSERT_TRUE(response.at("ok").as_bool());
   EXPECT_EQ(response.at("protocol").as_string(), service::kProtocol);
-  const auto& protocols = response.at("protocols").as_array();
-  ASSERT_EQ(protocols.size(), 2u);
-  EXPECT_EQ(protocols[0].as_string(), service::kProtocolV1);
-  EXPECT_EQ(protocols[1].as_string(), service::kProtocol);
+  EXPECT_EQ(response.find("protocols"), nullptr);
 }
 
 TEST_F(ServiceTest, AsyncSubmitPollWaitLifecycle) {
@@ -608,9 +605,7 @@ TEST_F(ServiceTest, CancelStopsQueuedJobsAndWaitStillCollects) {
   // Hold the queue open so the async jobs are still queued when the
   // cancel arrives.
   ServerOptions options;
-  options.engine.coalesce.flush_on_idle = false;
-  options.engine.coalesce.max_delay_ms = 60000;
-  options.engine.coalesce.max_jobs = 1u << 16;
+  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 1u << 16);
   Server server(options);
   Server::Session session;
   const std::uint64_t cancelled_before = server.engine().stats().jobs_cancelled;
@@ -776,9 +771,7 @@ TEST_F(ServiceTest, StatsAndMetricsAgree) {
   submit.jobs = small_corpus();
   ASSERT_TRUE(Server(options).handle(submit).at("ok").as_bool());
 
-  options.engine.coalesce.flush_on_idle = false;
-  options.engine.coalesce.max_delay_ms = 60000;
-  options.engine.coalesce.max_jobs = 3;
+  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 3);
   Server server(options);
   Request async = submit;
   async.op = Op::SubmitAsync;
@@ -944,14 +937,12 @@ TEST_F(ServiceTest, ConcurrentClientsGetIdenticalResults) {
 TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
   // Three clients, each submitting one single-job corpus over its own
   // socket session. The engine holds its queue until all three jobs are
-  // queued (flush_on_idle off, max_jobs = 3), so the three sessions'
+  // queued (a held queue with max_jobs = 3), so the three sessions'
   // jobs MUST share exactly one coalesced dispatch — the "N clients, one
   // warm dispatch" scenario the admission queue exists for.
   ServerOptions options;
   options.socket_path = socket_;
-  options.engine.coalesce.flush_on_idle = false;
-  options.engine.coalesce.max_delay_ms = 60000;
-  options.engine.coalesce.max_jobs = 3;
+  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 3);
   Server server(options);
   const engine::EngineStats base = server.engine().stats();
   server.adopt_socket(service::open_listen_socket(socket_));
@@ -995,12 +986,10 @@ TEST_F(ServiceTest, ShutdownDrainsAHeldQueueWithoutWaitingOutTheDelay) {
   // the dispatcher deliberately waiting out a long coalescing delay)
   // must not stall graceful shutdown: the server's stop path drains the
   // engine queue before joining sessions, so the blocked submit resolves
-  // immediately instead of after max_delay_ms.
+  // immediately instead of after the hold window.
   ServerOptions options;
   options.socket_path = socket_;
-  options.engine.coalesce.flush_on_idle = false;
-  options.engine.coalesce.max_delay_ms = 30000;
-  options.engine.coalesce.max_jobs = 1u << 16;
+  options.engine.coalesce = engine::CoalescePolicy::hold(30000, 1u << 16);
   Server server(options);
   server.adopt_socket(service::open_listen_socket(socket_));
   std::thread serving([&] { server.serve_socket(); });

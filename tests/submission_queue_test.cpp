@@ -54,9 +54,7 @@ std::vector<Job> fanin_corpus() {
 /// a wide-open window for cancellation tests.
 EngineOptions held_queue_options(std::size_t max_jobs = 1u << 16) {
   EngineOptions options;
-  options.coalesce.flush_on_idle = false;
-  options.coalesce.max_delay_ms = 60000;
-  options.coalesce.max_jobs = max_jobs;
+  options.coalesce = CoalescePolicy::hold(60000, max_jobs);
   return options;
 }
 
@@ -265,16 +263,12 @@ TEST(SubmissionQueue, DestructorDrainsWithoutExplicitShutdown) {
 }
 
 TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
-  // Held queue (flush_on_idle off, long delay): nothing dispatches until
-  // max_jobs accumulate, so the first 4 of 8 rapid submits with
-  // max_jobs=4 must flush long before the 60 s hold expires. A flush
-  // takes everything queued, so it may take more than 4; whatever is
-  // left over would wait out the hold, so shutdown() drains it instead.
-  EngineOptions options;
-  options.coalesce.flush_on_idle = false;
-  options.coalesce.max_delay_ms = 60000;
-  options.coalesce.max_jobs = 4;
-  Engine engine(options);
+  // Held queue (long window): nothing dispatches until max_jobs
+  // accumulate, so the first 4 of 8 rapid submits with max_jobs=4 must
+  // flush long before the 60 s hold expires. A flush takes everything
+  // queued, so it may take more than 4; whatever is left over would wait
+  // out the hold, so shutdown() drains it instead.
+  Engine engine(held_queue_options(/*max_jobs=*/4));
   const engine::EngineStats base = engine.stats();
   std::vector<Ticket> tickets;
   for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
@@ -316,7 +310,7 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
         }
         return results;
       },
-      engine::CoalescePolicy{});  // the defaults: flush_on_idle
+      CoalescePolicy::immediate());
 
   Ticket first = queue.submit(Job::from_workload("small_example"));
   {
@@ -352,9 +346,7 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   // that front mid-hold left the stale deadline in place, flushing the
   // surviving jobs up to a full window early. The deadline must track the
   // *current* front on every wait iteration.
-  engine::CoalescePolicy policy;
-  policy.flush_on_idle = false;
-  policy.max_delay_ms = 1500;
+  const CoalescePolicy policy = CoalescePolicy::hold(1500);
   std::mutex mutex;
   std::vector<std::size_t> sizes;
   engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
@@ -405,25 +397,8 @@ TEST(AdaptiveDelay, HoldWindowTracksTheArrivalRate) {
   }
 }
 
-TEST(AdaptiveDelay, RejectedWithoutAHeldQueue) {
-  // adaptive_delay under flush_on_idle would be silently inert — both the
-  // raw queue and the Engine refuse the combination loudly.
-  engine::CoalescePolicy policy;  // flush_on_idle defaults on
-  policy.adaptive_delay = true;
-  policy.max_delay_ms = 100;
-  EXPECT_THROW(engine::SubmissionQueue(
-                   [](std::vector<Job>) { return std::vector<JobResult>{}; }, policy),
-               std::invalid_argument);
-  EngineOptions options;
-  options.coalesce = policy;
-  EXPECT_THROW(Engine{options}, std::invalid_argument);
-}
-
 TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
-  engine::CoalescePolicy policy;
-  policy.flush_on_idle = false;
-  policy.max_delay_ms = 250;
-  policy.adaptive_delay = true;
+  const CoalescePolicy policy = CoalescePolicy::adaptive(250);
 
   // Bursty: back-to-back submissions keep the EWMA gap near zero, so the
   // hold stays near the ceiling and the burst rides few shared dispatches.
@@ -441,7 +416,7 @@ TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
   }
 
   // Sparse: every observed gap (≥ 120ms) pushes the EWMA far past
-  // max_delay_ms / kAdaptiveGapMultiplier (31.25ms), so the hold is 0 and
+  // the ceiling / kAdaptiveGapMultiplier (31.25ms), so the hold is 0 and
   // each job flushes alone, immediately — no latency tax on lone traffic.
   {
     std::mutex mutex;
@@ -467,9 +442,7 @@ TEST(AdaptiveDelay, ResultsAreByteIdenticalToRunBatch) {
   const std::string expected = results_fingerprint(reference.run_batch(jobs).jobs);
 
   EngineOptions options;
-  options.coalesce.flush_on_idle = false;
-  options.coalesce.max_delay_ms = 250;
-  options.coalesce.adaptive_delay = true;
+  options.coalesce = CoalescePolicy::adaptive(250);
   Engine engine(options);
   std::vector<Ticket> tickets;
   for (const Job& job : jobs) tickets.push_back(engine.submit(job));
@@ -495,16 +468,12 @@ TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
 }
 
 TEST(SubmissionQueue, InvalidCoalescePolicyIsRejected) {
-  EngineOptions options;
-  options.coalesce.max_jobs = 0;
-  EXPECT_THROW(Engine{options}, std::invalid_argument);
-
-  // Holding the queue with a zero delay would expire instantly — the
-  // caller asked for coalescing and would silently get none.
-  EngineOptions hold;
-  hold.coalesce.flush_on_idle = false;
-  hold.coalesce.max_delay_ms = 0;
-  EXPECT_THROW(Engine{hold}, std::invalid_argument);
+  // A zero window expires at once and a zero trigger is met by any queue:
+  // the caller asked for coalescing and would silently get none.
+  EXPECT_THROW(CoalescePolicy::hold(0), std::invalid_argument);
+  EXPECT_THROW(CoalescePolicy::hold(100, 0), std::invalid_argument);
+  EXPECT_THROW(CoalescePolicy::adaptive(0), std::invalid_argument);
+  EXPECT_THROW(CoalescePolicy::adaptive(100, 0), std::invalid_argument);
 }
 
 TEST(SubmissionQueue, ShutdownBeforeFirstSubmitStillLatches) {

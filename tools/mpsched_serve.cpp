@@ -8,8 +8,8 @@
 //
 // Usage:
 //   mpsched_serve --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]
-//                 [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]
-//                 [--hold-queue] [--adaptive-delay] [--daemonize] [--trace-out FILE]
+//                 [--max-clients N] [--hold-queue MS | --adaptive-queue MS]
+//                 [--coalesce-jobs N] [--daemonize] [--trace-out FILE]
 //   mpsched_serve --stdio [same engine flags]
 //
 // --trace-out enables structured tracing (src/obs) for the daemon's whole
@@ -21,9 +21,11 @@
 // Coalescing: every submission (blocking or async, any session) rides the
 // engine's admission queue. By default a lone job dispatches immediately
 // and coalescing only happens while a dispatch is already executing;
-// --hold-queue makes the queue wait --coalesce-delay-ms (or until
-// --coalesce-jobs are queued) before every dispatch — maximal batching
-// for fan-in traffic at the price of added latency per request.
+// --hold-queue MS makes the queue wait MS (or until --coalesce-jobs are
+// queued, 64 by default) before every dispatch — maximal batching for
+// fan-in traffic at the price of added latency per request — and
+// --adaptive-queue MS holds for a window sized from the observed arrival
+// rate, at most MS.
 //
 // --socket serves concurrent clients on a Unix-domain socket
 // (mpsched_client is the matching CLI); --stdio serves a single session
@@ -36,6 +38,7 @@
 // and the cache directory is left with no orphaned temp files.
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -59,8 +62,8 @@ int usage(const char* argv0) {
   std::printf(
       "usage:\n"
       "  %s --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]\n"
-      "     [--max-clients N] [--coalesce-jobs N] [--coalesce-delay-ms MS]\n"
-      "     [--hold-queue] [--adaptive-delay] [--daemonize] [--trace-out FILE]\n"
+      "     [--max-clients N] [--hold-queue MS | --adaptive-queue MS]\n"
+      "     [--coalesce-jobs N] [--daemonize] [--trace-out FILE]\n"
       "  %s --stdio [same engine flags]\n",
       argv0, argv0);
   return 2;
@@ -111,8 +114,7 @@ int flush_trace(const std::string& trace_out) {
 int main(int argc, char** argv) {
   std::string socket_path, cache_dir, trace_out;
   std::size_t threads = 0, max_clients = 16;
-  engine::CoalescePolicy coalesce;
-  bool coalesce_flags_given = false;
+  std::optional<std::size_t> hold_ms, adaptive_ms, coalesce_jobs;
   bool no_cache = false, stdio = false, daemonize = false;
 
   try {
@@ -125,14 +127,9 @@ int main(int argc, char** argv) {
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--max-clients") max_clients = size_flag(arg, value(), 1024);
-      else if (arg == "--coalesce-jobs") {
-        coalesce.max_jobs = size_flag(arg, value(), 1u << 20);
-        coalesce_flags_given = true;
-      } else if (arg == "--coalesce-delay-ms") {
-        coalesce.max_delay_ms = size_flag(arg, value(), 60000);
-        coalesce_flags_given = true;
-      } else if (arg == "--hold-queue") coalesce.flush_on_idle = false;
-      else if (arg == "--adaptive-delay") coalesce.adaptive_delay = true;
+      else if (arg == "--hold-queue") hold_ms = size_flag(arg, value(), 60000);
+      else if (arg == "--adaptive-queue") adaptive_ms = size_flag(arg, value(), 60000);
+      else if (arg == "--coalesce-jobs") coalesce_jobs = size_flag(arg, value(), 1u << 20);
       else if (arg == "--daemonize") daemonize = true;
       else if (arg == "--trace-out") trace_out = value();
       else if (arg == "--help" || arg == "-h") return usage(argv[0]);
@@ -158,25 +155,13 @@ int main(int argc, char** argv) {
       std::printf("error: --daemonize requires --socket\n");
       return 2;
     }
-    if (coalesce.max_jobs == 0) {
-      std::printf("error: --coalesce-jobs must be at least 1\n");
+    if (hold_ms && adaptive_ms) {
+      std::printf("error: --hold-queue and --adaptive-queue are mutually exclusive\n");
       return 2;
     }
-    if (!coalesce.flush_on_idle && coalesce.max_delay_ms == 0) {
-      std::printf("error: --hold-queue requires --coalesce-delay-ms (a zero hold "
-                  "expires instantly, disabling the coalescing you asked for)\n");
-      return 2;
-    }
-    if (coalesce.flush_on_idle && coalesce_flags_given) {
-      std::printf("error: --coalesce-jobs/--coalesce-delay-ms require --hold-queue "
-                  "(without it the queue never holds, so the knobs would be "
-                  "silently inert)\n");
-      return 2;
-    }
-    if (coalesce.flush_on_idle && coalesce.adaptive_delay) {
-      std::printf("error: --adaptive-delay requires --hold-queue (without a hold "
-                  "window there is no delay to adapt; --coalesce-delay-ms sets "
-                  "the adaptive ceiling)\n");
+    if (coalesce_jobs && !hold_ms && !adaptive_ms) {
+      std::printf("error: --coalesce-jobs requires --hold-queue or --adaptive-queue "
+                  "(without a held queue the trigger would be silently inert)\n");
       return 2;
     }
 
@@ -189,7 +174,12 @@ int main(int argc, char** argv) {
     options.engine.threads = threads;
     options.engine.use_cache = !no_cache;
     options.engine.cache_dir = cache_dir;
-    options.engine.coalesce = coalesce;
+    // The policy factories reject a zero window or trigger.
+    const std::size_t trigger =
+        coalesce_jobs.value_or(engine::CoalescePolicy::kDefaultMaxJobs);
+    if (hold_ms) options.engine.coalesce = engine::CoalescePolicy::hold(*hold_ms, trigger);
+    if (adaptive_ms)
+      options.engine.coalesce = engine::CoalescePolicy::adaptive(*adaptive_ms, trigger);
     options.socket_path = socket_path;
     options.max_sessions = max_clients;
 
