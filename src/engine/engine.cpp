@@ -190,27 +190,35 @@ std::vector<Ticket> Engine::submit_batch(std::vector<Job> jobs) {
   return queue_->submit_batch(std::move(jobs));
 }
 
-JobResult Engine::run(const Job& job) {
-  return run_batch({job}).jobs.front();
+JobResult Engine::run(Job job) {
+  std::vector<Job> one;
+  one.push_back(std::move(job));
+  return std::move(run_batch(std::move(one)).jobs.front());
 }
 
-BatchResult Engine::run_batch(const std::vector<Job>& jobs) {
+BatchResult Engine::run_batch(std::vector<Job> jobs) {
   Timer wall;
-  BatchResult batch = collect(submit_batch(jobs));
+  BatchResult batch = summarize(queue_->run(std::move(jobs)));
   batch.wall_ms = wall.millis();
   return batch;
 }
 
 BatchResult Engine::collect(const std::vector<Ticket>& tickets) {
+  std::vector<JobResult> results;
+  results.reserve(tickets.size());
+  for (const Ticket& ticket : tickets) results.push_back(ticket.result());
+  return summarize(std::move(results));
+}
+
+BatchResult Engine::summarize(std::vector<JobResult> results) {
   BatchResult batch;
-  batch.jobs.reserve(tickets.size());
-  for (const Ticket& ticket : tickets) batch.jobs.push_back(ticket.result());
+  batch.jobs = std::move(results);
   for (const JobResult& r : batch.jobs) {
     if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
     else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
   }
-  // Every dispatch behind these tickets copied stats_.cache under
-  // stats_mutex_ before resolving them, so this snapshot covers their
+  // Every dispatch behind these results copied stats_.cache under
+  // stats_mutex_ before handing them back, so this snapshot covers their
   // cache traffic and nothing half-way through another dispatch.
   std::lock_guard lock(stats_mutex_);
   batch.cache_stats = stats_.cache;

@@ -31,9 +31,11 @@
 // Tickets; a dispatcher thread micro-batches everything queued into
 // shared dispatches under EngineOptions::coalesce. The queue and its
 // dispatcher start with the engine and stop at shutdown(). run_batch()
-// survives as a thin synchronous wrapper — submit the batch, wait the
-// tickets — so every existing caller keeps working, and because a
-// JobResult depends only on its Job, coalescing never changes what any
+// and run() block on the queue's run(): on an idle queue whose flush
+// trigger the batch meets alone, the calling thread runs the dispatch
+// itself and no thread hop is paid; otherwise the jobs queue like any
+// submit and may share a dispatch. Because a JobResult depends only on
+// its Job, neither who runs the dispatch nor coalescing changes what any
 // caller gets back.
 //
 // Counters: every event is counted once, in the process's metrics
@@ -158,25 +160,26 @@ class Engine {
   /// so intra-batch deduplication is never lost to coalescing splits.
   std::vector<Ticket> submit_batch(std::vector<Job> jobs);
 
-  /// Executes one job synchronously (submit + wait).
-  JobResult run(const Job& job);
+  /// Executes one job synchronously: run_batch() of that one job.
+  JobResult run(Job job);
 
   /// Executes a batch synchronously; results are index-aligned with
-  /// `jobs`. A thin wrapper over submit_batch(): the jobs ride the same
-  /// admission queue as every async caller (and may share a dispatch with
-  /// them), which changes nothing about the results — only the counters
-  /// they are reported under.
-  BatchResult run_batch(const std::vector<Job>& jobs);
+  /// `jobs`, and wall_ms spans the call. Goes through the admission
+  /// queue's blocking SubmissionQueue::run(): when no dispatch is in
+  /// flight, nothing is queued and the batch meets the coalescing
+  /// trigger alone (always, under the default immediate policy), this
+  /// thread runs the dispatch; otherwise the jobs ride the queue with
+  /// every async caller and may share a dispatch with them. Neither
+  /// changes the results — only the thread and the counters they are
+  /// reported under. Take `jobs` by move where the caller is done with
+  /// them. Rethrows a dispatch-level failure.
+  BatchResult run_batch(std::vector<Job> jobs);
 
-  /// Waits out a ticket set and reassembles it into a BatchResult: results
-  /// in ticket order, per-job AnalysisSource attribution summed back into
-  /// analyses_computed / analyses_reused (the invariant that makes
-  /// per-request accounting exact even when requests share a coalesced
-  /// dispatch), and cache_stats from the same dispatch-boundary snapshot
-  /// stats() serves. A live registry read could land between two lookups
-  /// of another caller's dispatch. Used by run_batch() and the service
-  /// layer alike; wall_ms is left to the caller, who knows what it spans.
-  /// Rethrows a dispatch-level failure of any ticket.
+  /// Waits out a ticket set and reassembles it into a BatchResult like
+  /// run_batch() does: results in ticket order, attribution and
+  /// cache_stats as documented at summarize(). Used by the service
+  /// layer's async wait; wall_ms is left to the caller, who knows what it
+  /// spans. Rethrows a dispatch-level failure of any ticket.
   BatchResult collect(const std::vector<Ticket>& tickets);
 
   /// Drains the admission queue (queued jobs still execute, in one final
@@ -196,6 +199,13 @@ class Engine {
 
  private:
   ThreadPool& pool();
+  /// Wraps results into a BatchResult: per-job AnalysisSource attribution
+  /// summed back into analyses_computed / analyses_reused (the invariant
+  /// that makes per-request accounting exact even when requests share a
+  /// coalesced dispatch), and cache_stats from the same dispatch-boundary
+  /// snapshot stats() serves — a live registry read could land between
+  /// two lookups of another caller's dispatch.
+  BatchResult summarize(std::vector<JobResult> results);
   /// One shared dispatch: the whole batch pipeline, phase by phase.
   BatchResult execute_batch(const std::vector<Job>& jobs);
   /// Counts the dispatch into the registry, then copies the dispatch and

@@ -1,6 +1,7 @@
 #include "engine/submission_queue.hpp"
 
 #include <chrono>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +34,70 @@ obs::Histogram& coalesce_jobs_histogram() {
   static obs::Histogram& histogram = obs::Registry::global().histogram(
       "queue.coalesce_jobs", {1, 2, 4, 8, 16, 32, 64, 128});
   return histogram;
+}
+
+constexpr const char* kStoppedError =
+    "Engine: submit after shutdown (the queue is drained)";
+
+void record_adaptive_hold(std::uint64_t hold_ms) {
+  static obs::Histogram& histogram =
+      obs::Registry::global().histogram("queue.adaptive_delay_ms");
+  histogram.record(static_cast<double>(hold_ms));
+}
+
+/// Flush telemetry shared by the dispatcher's flushes and run()'s
+/// caller-run ones: the flush's size, and per job how long it sat queued
+/// — queue.wait_ms and a retroactive queue.wait span (the wait happened
+/// off the flushing thread's stack, so the span goes onto the exporter's
+/// synthetic queue tracks). `enqueued_at(i)` is job i's admission stamp;
+/// a caller-run flush passes `flushed` itself, so its waits are zero.
+template <typename EnqueuedAt>
+void record_flush(const std::vector<Job>& jobs, std::chrono::steady_clock::time_point flushed,
+                  EnqueuedAt enqueued_at) {
+  const bool tracing = obs::tracing_enabled();
+  if (!obs::metrics_enabled() && !tracing) return;
+  static obs::Histogram& wait_ms = obs::Registry::global().histogram("queue.wait_ms");
+  coalesce_jobs_histogram().record(static_cast<double>(jobs.size()));
+  const std::int64_t flush_ns = obs::trace_ns_of(flushed);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const std::chrono::steady_clock::time_point enqueued = enqueued_at(i);
+    wait_ms.record(std::chrono::duration<double, std::milli>(flushed - enqueued).count());
+    if (!tracing) continue;
+    // The span start comes from the enqueue stamp converted to trace
+    // nanoseconds directly — a round-trip through the fractional-ms
+    // double above would lose sub-microsecond precision and could put a
+    // near-zero wait's start past its end. Clamped so the span length
+    // stays >= 0 even across clock-read jitter.
+    std::int64_t start_ns = obs::trace_ns_of(enqueued);
+    if (start_ns > flush_ns) start_ns = flush_ns;
+    obs::record_span("queue.wait", start_ns, flush_ns, jobs[i].workload);
+  }
+}
+
+/// Marks a caller-run dispatch finished, on return or throw, and wakes
+/// the dispatcher when it has work: jobs queued meanwhile, or a shutdown.
+/// Notifies under the lock, so the queue cannot be torn down between the
+/// flag and the wake-up.
+class CallerDispatch {
+ public:
+  explicit CallerDispatch(detail::QueueCore& core) : core_(core) {}
+  ~CallerDispatch() {
+    std::lock_guard lock(core_.mutex);
+    core_.dispatching = false;
+    if (core_.stop || !core_.pending.empty()) core_.cv.notify_all();
+  }
+  CallerDispatch(const CallerDispatch&) = delete;
+  CallerDispatch& operator=(const CallerDispatch&) = delete;
+
+ private:
+  detail::QueueCore& core_;
+};
+
+/// Dispatch output is checked against its input before anyone sees it.
+void check_result_count(std::size_t results, std::size_t jobs) {
+  if (results != jobs)
+    throw std::logic_error("SubmissionQueue: dispatch returned " + std::to_string(results) +
+                           " results for " + std::to_string(jobs) + " jobs");
 }
 
 }  // namespace
@@ -147,9 +212,30 @@ Ticket SubmissionQueue::submit(Job job) {
   return submit_batch(std::move(one)).front();
 }
 
-std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
+void SubmissionQueue::admit(std::chrono::steady_clock::time_point now, std::size_t jobs,
+                            std::size_t depth) {
   static obs::Counter& submitted = obs::Registry::global().counter("queue.submitted");
   static obs::Gauge& max_depth = obs::Registry::global().gauge("queue.max_depth");
+  detail::QueueCore& core = *core_;
+  if (policy_.mode() == CoalescePolicy::Mode::Adaptive) {
+    // One arrival event per submit call (a batch lands whole): the gap
+    // stream the hold window adapts to.
+    if (core.has_last_submit) {
+      const double gap_ms =
+          std::chrono::duration<double, std::milli>(now - core.last_submit).count();
+      core.ewma_gap_ms = core.ewma_gap_ms < 0
+                             ? gap_ms
+                             : kAdaptiveEwmaAlpha * gap_ms +
+                                   (1.0 - kAdaptiveEwmaAlpha) * core.ewma_gap_ms;
+    }
+    core.last_submit = now;
+    core.has_last_submit = true;
+  }
+  submitted.add(jobs);
+  max_depth.set_max(static_cast<std::int64_t>(depth));
+}
+
+std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
   std::vector<Ticket> tickets;
   tickets.reserve(jobs.size());
   if (jobs.empty()) return tickets;
@@ -168,34 +254,55 @@ std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
 
   {
     std::lock_guard lock(core_->mutex);
-    if (core_->stop)
-      throw std::runtime_error("Engine: submit after shutdown (the queue is drained)");
-    if (policy_.mode() == CoalescePolicy::Mode::Adaptive) {
-      // One arrival event per submit call (a submit_batch lands whole):
-      // the gap stream the dispatcher's hold window adapts to.
-      if (core_->has_last_submit) {
-        const double gap_ms =
-            std::chrono::duration<double, std::milli>(now - core_->last_submit)
-                .count();
-        core_->ewma_gap_ms =
-            core_->ewma_gap_ms < 0
-                ? gap_ms
-                : kAdaptiveEwmaAlpha * gap_ms +
-                      (1.0 - kAdaptiveEwmaAlpha) * core_->ewma_gap_ms;
-      }
-      core_->last_submit = now;
-      core_->has_last_submit = true;
-    }
+    if (core_->stop) throw std::runtime_error(kStoppedError);
     for (auto& entry : entries) core_->pending.push_back(entry);
-    submitted.add(entries.size());
-    const auto depth = static_cast<std::int64_t>(core_->pending.size());
-    depth_gauge().set(depth);
-    max_depth.set_max(depth);
+    admit(now, entries.size(), core_->pending.size());
+    depth_gauge().set(static_cast<std::int64_t>(core_->pending.size()));
   }
   core_->cv.notify_all();
 
   for (auto& entry : entries) tickets.push_back(Ticket(std::move(entry), core_));
   return tickets;
+}
+
+std::vector<JobResult> SubmissionQueue::run(std::vector<Job> jobs) {
+  static obs::Counter& caller_dispatches =
+      obs::Registry::global().counter("queue.caller_dispatches");
+  if (jobs.empty()) return {};
+
+  const auto now = std::chrono::steady_clock::now();
+  bool caller_runs = false;
+  {
+    std::lock_guard lock(core_->mutex);
+    if (core_->stop) throw std::runtime_error(kStoppedError);
+    // Exactly the flush the dispatcher would make at once: it is free,
+    // nothing would share the flush, and no hold would start.
+    caller_runs = !core_->dispatching && core_->pending.empty() &&
+                  jobs.size() >= policy_.max_jobs();
+    if (caller_runs) {
+      admit(now, jobs.size(), jobs.size());
+      core_->dispatching = true;
+    }
+  }
+
+  if (!caller_runs) {
+    std::vector<JobResult> results;
+    results.reserve(jobs.size());
+    for (const Ticket& ticket : submit_batch(std::move(jobs)))
+      results.push_back(ticket.result());
+    return results;
+  }
+
+  const CallerDispatch busy(*core_);
+  // What the dispatcher records for a flush whose trigger is met on arrival.
+  if (policy_.mode() == CoalescePolicy::Mode::Adaptive)
+    record_adaptive_hold(policy_.window_ms());
+  record_flush(jobs, now, [now](std::size_t) { return now; });
+  caller_dispatches.add();
+  const std::size_t count = jobs.size();
+  std::vector<JobResult> results = dispatch_(std::move(jobs));
+  check_result_count(results.size(), count);
+  return results;
 }
 
 void SubmissionQueue::shutdown() {
@@ -220,11 +327,12 @@ void SubmissionQueue::dispatcher_loop() {
   const bool adaptive = policy_.mode() == CoalescePolicy::Mode::Adaptive;
   std::unique_lock lock(core.mutex);
   for (;;) {
-    core.cv.wait(lock, [&] { return core.stop || !core.pending.empty(); });
-    if (core.pending.empty()) {
-      if (core.stop) return;
-      continue;
-    }
+    // A caller-run dispatch (run()) keeps the queue busy; the next flush
+    // waits for it, and so does the exit after a shutdown.
+    core.cv.wait(lock, [&] {
+      return !core.dispatching && (core.stop || !core.pending.empty());
+    });
+    if (core.pending.empty()) return;  // stopped, and nothing left to drain
 
     // Coalescing hold: until max_jobs are queued (immediate's trigger is
     // one job, so it flushes at once), the oldest job's window expires, or
@@ -242,69 +350,48 @@ void SubmissionQueue::dispatcher_loop() {
       if (std::chrono::steady_clock::now() >= deadline) break;
       core.cv.wait_until(lock, deadline);
     }
-    if (core.pending.empty()) continue;  // everything got cancelled meanwhile
-    if (adaptive && obs::metrics_enabled()) {
-      static obs::Histogram& hold_ms_metric =
-          obs::Registry::global().histogram("queue.adaptive_delay_ms");
-      hold_ms_metric.record(static_cast<double>(hold_ms));
-    }
+    // Everything got cancelled meanwhile — which also lets a run() caller
+    // start its own dispatch, and this flush then waits for it.
+    if (core.pending.empty() || core.dispatching) continue;
+    if (adaptive) record_adaptive_hold(hold_ms);
 
     // Flush: take everything queued. Entries are marked Dispatched under
     // the lock, so cancel() can no longer win on them.
     std::vector<std::shared_ptr<detail::TicketEntry>> batch(
         core.pending.begin(), core.pending.end());
     core.pending.clear();
+    core.dispatching = true;
     for (auto& entry : batch)
       entry->state.store(TicketState::Dispatched, std::memory_order_release);
     depth_gauge().set(0);
     lock.unlock();
 
-    // Admission telemetry: how long each job sat queued (recorded
-    // retroactively — the wait happened off this thread's stack, so the
-    // span goes onto the exporter's synthetic queue tracks) and how many
-    // jobs this flush coalesced.
-    if (obs::metrics_enabled() || obs::tracing_enabled()) {
-      static obs::Histogram& wait_ms =
-          obs::Registry::global().histogram("queue.wait_ms");
-      coalesce_jobs_histogram().record(static_cast<double>(batch.size()));
-      const auto flushed = std::chrono::steady_clock::now();
-      const std::int64_t flush_ns = obs::trace_now_ns();
-      for (const auto& entry : batch) {
-        const double waited_ms =
-            std::chrono::duration<double, std::milli>(flushed - entry->enqueued)
-                .count();
-        wait_ms.record(waited_ms);
-        // The span start comes from the enqueue stamp converted to trace
-        // nanoseconds directly — a round-trip through the fractional-ms
-        // double above would lose sub-microsecond precision and could put
-        // a near-zero wait's start past its end. Clamped so the span
-        // length stays >= 0 even across clock-read jitter.
-        std::int64_t start_ns = obs::trace_ns_of(entry->enqueued);
-        if (start_ns > flush_ns) start_ns = flush_ns;
-        obs::record_span("queue.wait", start_ns, flush_ns, entry->job.workload);
-      }
-    }
-
     std::vector<Job> jobs;
     jobs.reserve(batch.size());
     for (auto& entry : batch) jobs.push_back(std::move(entry->job));
+    record_flush(jobs, std::chrono::steady_clock::now(),
+                 [&batch](std::size_t i) { return batch[i]->enqueued; });
+    std::vector<JobResult> results;
+    std::exception_ptr failure;
     try {
-      std::vector<JobResult> results = dispatch_(std::move(jobs));
-      if (results.size() != batch.size())
-        throw std::logic_error("SubmissionQueue: dispatch returned " +
-                               std::to_string(results.size()) + " results for " +
-                               std::to_string(batch.size()) + " jobs");
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i]->state.store(TicketState::Done, std::memory_order_release);
-        batch[i]->promise.set_value(std::move(results[i]));
-      }
+      results = dispatch_(std::move(jobs));
+      check_result_count(results.size(), batch.size());
     } catch (...) {
       // A dispatch-level failure (not a per-job error — those come back as
       // failed JobResults) fails every ticket of the dispatch.
-      for (auto& entry : batch) {
-        entry->state.store(TicketState::Done, std::memory_order_release);
-        entry->promise.set_exception(std::current_exception());
-      }
+      failure = std::current_exception();
+    }
+    // The queue is free before any ticket resolves, so a caller woken by
+    // its results may run its next batch itself.
+    lock.lock();
+    core.dispatching = false;
+    lock.unlock();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i]->state.store(TicketState::Done, std::memory_order_release);
+      if (failure)
+        batch[i]->promise.set_exception(failure);
+      else
+        batch[i]->promise.set_value(std::move(results[i]));
     }
 
     lock.lock();

@@ -1,5 +1,5 @@
-// Asynchronous admission queue of the batch engine — the machinery behind
-// Engine::submit().
+// Admission queue of the batch engine — the machinery behind
+// Engine::submit() and Engine::run_batch().
 //
 // The blocking run_batch() API forces every caller to assemble its whole
 // batch up front; a long-running front end (src/service) serving many
@@ -11,6 +11,17 @@
 // batch execution, so N clients each submitting one small job share one
 // warm dispatch (content-addressed dedup and root sharding then work
 // across all of them).
+//
+// Who runs a dispatch: the blocking run() skips the queue when nothing
+// would share its flush — no dispatch in flight, nothing pending, and
+// the batch alone meets the policy's flush trigger. The caller then runs
+// the dispatch on its own thread and takes the results by move, with no
+// ticket, promise or thread hop; the dispatch is exactly the flush the
+// dispatcher would have made at once. Otherwise run() queues its jobs
+// and waits on tickets like any submit. The dispatcher serves async
+// submits, hold windows and jobs that arrive during a dispatch, and waits
+// while a caller-run dispatch is in flight, so at most one dispatch runs
+// at a time and a flush still takes everything queued.
 //
 // Coalescing policy (CoalescePolicy): one mode plus its window.
 // immediate() (the default) flushes whenever the dispatcher is free;
@@ -39,8 +50,10 @@
 // Counters: the queue counts into the metrics registry and keeps no
 // copies — queue.submitted, queue.cancelled, the queue.depth and
 // queue.max_depth gauges, and per flush the queue.coalesce_jobs histogram
-// (jobs per flush) and queue.wait_ms. Only its state, depth(), is read
-// from the queue itself.
+// (jobs per flush) and queue.wait_ms. Both kinds of flush count alike (a
+// caller-run flush waited zero); queue.caller_dispatches counts the
+// flushes run() ran on its caller's thread. Only its state, depth(), is
+// read from the queue itself.
 #pragma once
 
 #include <atomic>
@@ -149,6 +162,8 @@ struct QueueCore {
   std::condition_variable cv;
   std::deque<std::shared_ptr<TicketEntry>> pending;
   bool stop = false;
+  /// A dispatch is executing, on the dispatcher or on a run() caller.
+  bool dispatching = false;
   /// Arrival-rate estimate for CoalescePolicy::adaptive(), maintained
   /// under `mutex` by submit_batch(): EWMA of the gaps between successive
   /// submit calls (< 0 until two submissions have been seen).
@@ -202,7 +217,7 @@ class Ticket {
 };
 
 /// The admission queue itself. One dispatcher thread; thread-safe
-/// submit/cancel/depth from any number of callers.
+/// submit/run/cancel/depth from any number of callers.
 class SubmissionQueue {
  public:
   /// `dispatch` executes one shared batch and returns results aligned
@@ -221,8 +236,17 @@ class SubmissionQueue {
   /// one lock, so a flush can never split them across dispatches.
   std::vector<Ticket> submit_batch(std::vector<Job> jobs);
 
+  /// Executes a batch and blocks until its results, aligned with `jobs`,
+  /// are back. On an idle queue whose flush trigger the batch meets alone
+  /// the dispatch runs on this thread (see the file comment); otherwise
+  /// the jobs go through submit_batch() and may share a flush. Either way
+  /// the results are the same. Rethrows a dispatch-level failure; throws
+  /// std::runtime_error after shutdown(), like submit_batch().
+  std::vector<JobResult> run(std::vector<Job> jobs);
+
   /// Drain-and-stop: everything still queued is dispatched in one final
-  /// flush, the dispatcher joins, later submits throw. Idempotent.
+  /// flush, the dispatcher joins, later submits throw. Waits out a
+  /// caller-run dispatch in flight. Idempotent.
   void shutdown();
 
   /// Jobs queued right now (not yet flushed or cancelled).
@@ -230,6 +254,11 @@ class SubmissionQueue {
 
  private:
   void dispatcher_loop();
+  /// Admission accounting shared by submit_batch() and run(), under the
+  /// queue mutex: one arrival for the adaptive EWMA, queue.submitted, and
+  /// queue.max_depth at `depth` (the queue with these jobs admitted).
+  void admit(std::chrono::steady_clock::time_point now, std::size_t jobs,
+             std::size_t depth);
 
   std::function<std::vector<JobResult>(std::vector<Job>)> dispatch_;
   CoalescePolicy policy_;

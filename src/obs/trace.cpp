@@ -154,9 +154,19 @@ struct Event {
   char phase;              // 'B' or 'E'
   std::uint32_t tid;
   std::int64_t ts_ns;
-  // Sort keys so ties keep B/E pairs nested: the partner timestamp.
+  // Sort keys so ties keep B/E pairs nested: the partner timestamp, and
+  // the span's index (pairs a zero-length span's B with its own E).
   std::int64_t other_ns;
+  std::size_t span;
 };
+
+/// Where an event goes among the events at its ts: 0 for the E of a span
+/// that started earlier, 1 for the B of a span that ends later, 2 for
+/// either event of a zero-length span.
+int tie_rank(const Event& e) {
+  if (e.other_ns == e.ts_ns) return 2;
+  return e.phase == 'E' ? 0 : 1;
+}
 
 }  // namespace
 
@@ -190,18 +200,24 @@ Json trace_to_json() {
 
   std::vector<Event> events;
   events.reserve(spans.size() * 2);
-  for (const SpanRecord& s : spans) {
-    events.push_back({s.name, &s.arg, 'B', s.tid, s.start_ns, s.end_ns});
-    events.push_back({s.name, nullptr, 'E', s.tid, s.end_ns, s.start_ns});
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    const SpanRecord& s = spans[i];
+    events.push_back({s.name, &s.arg, 'B', s.tid, s.start_ns, s.end_ns, i});
+    events.push_back({s.name, nullptr, 'E', s.tid, s.end_ns, s.start_ns, i});
   }
-  // Global non-decreasing ts. Ties: E before B (a span that ends where
-  // another begins closes first); among Es the latest-started (innermost)
-  // closes first; among Bs the latest-ending (outermost) opens first.
+  // Global non-decreasing ts. Ties (tie_rank): first the Es of spans that
+  // started earlier, the latest-started (innermost) closing first; then
+  // the Bs of spans that end later, the latest-ending (outermost) opening
+  // first; then each zero-length span's B and its own E. So a span that
+  // ends where another begins closes first, and a zero-length span opens
+  // before it closes.
   std::stable_sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
-    if (a.phase != b.phase) return a.phase == 'E';
-    if (a.phase == 'E') return a.other_ns > b.other_ns;
-    return a.other_ns > b.other_ns;
+    const int rank = tie_rank(a);
+    if (rank != tie_rank(b)) return rank < tie_rank(b);
+    if (rank < 2) return a.other_ns > b.other_ns;
+    if (a.span != b.span) return a.span < b.span;
+    return a.phase == 'B' && b.phase == 'E';
   });
 
   Json trace_events = Json::array();

@@ -261,14 +261,11 @@ bool Server::write_response(Request request, Session& session, std::string& out)
         if (request.op == Op::SubmitJob && request.jobs.size() != 1)
           return reply(make_error(request.id, to_text(request.op),
                                   "submit_job carries exactly one job"));
-        // Blocking ops ride the same admission queue as everything else:
-        // submit the tickets, wait them out. Two sessions blocking here
-        // concurrently share one coalesced dispatch instead of queueing
-        // behind a server-side mutex.
-        Timer wall;
-        engine::BatchResult batch =
-            engine_.collect(engine_.submit_batch(std::move(request.jobs)));
-        batch.wall_ms = wall.millis();
+        // Blocking ops ride the same admission queue as everything else.
+        // On an idle queue this session's thread runs the dispatch itself;
+        // two sessions blocking here concurrently share one coalesced
+        // dispatch instead of queueing behind a server-side mutex.
+        const engine::BatchResult batch = engine_.run_batch(std::move(request.jobs));
         write_results(make_ok(request), batch, request.op == Op::SubmitJob,
                       request.diagnostics, out);
         return true;

@@ -9,13 +9,15 @@
 // (stdin/stdout for `mpsched_serve --stdio`, stringstreams in tests) or
 // on a Unix-domain socket with one thread per connected client.
 //
-// Concurrency story (protocol v2): the server is written on the engine's
-// ticket API. Blocking ops (submit, submit_job) submit tickets and wait;
-// async ops (submit_async / poll / wait / cancel) give every session a
-// pipeline of server-assigned request ids it can keep in flight. All
-// submissions — across every session — funnel into the engine's one
-// admission queue, so N clients each submitting one small job share one
-// coalesced warm dispatch, and nothing about coalescing changes any
+// Concurrency story (protocol v2): blocking ops (submit, submit_job) call
+// Engine::run_batch, which runs the dispatch on the session's own thread
+// when the admission queue is idle and otherwise queues and waits; async
+// ops (submit_async / poll / wait / cancel) are written on the engine's
+// ticket API and give every session a pipeline of server-assigned request
+// ids it can keep in flight. All submissions — across every session —
+// funnel into the engine's one admission queue, so N clients each
+// submitting one small job share one coalesced warm dispatch, and
+// nothing about coalescing or about who runs a dispatch changes any
 // result: a JobResult depends only on its Job (the engine's gated
 // determinism contract), so serve-mode results stay byte-identical to a
 // one-shot mpsched_batch run of the same corpus.

@@ -241,6 +241,25 @@ TEST_F(ObsTest, RetroactiveSpansLandOnNonOverlappingTracks) {
   EXPECT_EQ(tids.size(), 3u);  // greedy layout: 3 tracks cover 4 spans
 }
 
+TEST_F(ObsTest, ZeroLengthSpansExportTheirBeginFirst) {
+  obs::set_tracing_enabled(true);
+  // Two zero-length spans (a caller-run flush's queue waits) at the instant
+  // one span ends and another starts. At one ts the ended span closes, the
+  // starting one opens, then each zero-length span opens and closes.
+  obs::record_span("before", 0, 1000);
+  obs::record_span("zero", 1000, 1000);
+  obs::record_span("zero", 1000, 1000);
+  obs::record_span("after", 1000, 2000);
+  const Json doc = obs::trace_to_json();
+  valid_trace_names(doc);
+  std::vector<std::string> order;
+  for (const Json& e : doc.at("traceEvents").as_array())
+    if (e.at("ph").as_string() != "M")
+      order.push_back(e.at("ph").as_string() + " " + e.at("name").as_string());
+  EXPECT_EQ(order, (std::vector<std::string>{"B before", "E before", "B after", "B zero",
+                                             "E zero", "B zero", "E zero", "E after"}));
+}
+
 TEST_F(ObsTest, DisabledTracingRecordsNothing) {
   obs::record_span("never", 0, 100);
   { obs::Span span("also_never"); }

@@ -2,8 +2,10 @@
 // Engine::submit): ticket lifecycle, fan-in determinism (the same corpus
 // submitted singly from concurrent threads, pre-batched, or
 // force-coalesced serializes byte-identically to one run_batch), per-job
-// analysis attribution, cancellation of queued tickets, and
-// queue-draining shutdown — the contracts ISSUE 5's tentpole promises.
+// analysis attribution, cancellation of queued tickets, queue-draining
+// shutdown, and the blocking run(): which thread runs its dispatch, that
+// caller-run and dispatcher-run dispatches never overlap, and that nothing
+// queued or shut down around a caller-run dispatch is lost.
 #include "engine/submission_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -71,15 +73,43 @@ std::size_t coalesced(const std::vector<std::size_t>& sizes) {
       std::count_if(sizes.begin(), sizes.end(), [](std::size_t n) { return n > 1; }));
 }
 
-/// Dispatch function that executes nothing: echoes per-job successes and
-/// records the size of every dispatch, so coalescing shape is observable.
-std::function<std::vector<JobResult>(std::vector<Job>)> counting_dispatch(
-    std::mutex& mutex, std::vector<std::size_t>& sizes) {
-  return [&mutex, &sizes](std::vector<Job> jobs) {
-    {
-      std::lock_guard lock(mutex);
-      sizes.push_back(jobs.size());
+/// A dispatch function for raw queues that executes nothing: echoes
+/// per-job successes, records each dispatch's size (so coalescing shape
+/// is observable) and the thread that ran it, tracks how many dispatches
+/// are in flight at once, can hold every dispatch at its start until the
+/// test opens the gate, and can fail the first dispatch instead.
+struct ProbeDispatch {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::vector<std::thread::id> threads;
+  std::vector<std::size_t> sizes;
+  bool gate_closed = false;
+  bool fail_first = false;
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+  std::chrono::microseconds work{0};  ///< time each dispatch stays in flight
+
+  std::function<std::vector<JobResult>(std::vector<Job>)> fn() {
+    return [this](std::vector<Job> jobs) { return run(std::move(jobs)); };
+  }
+
+  std::vector<JobResult> run(std::vector<Job> jobs) {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (seen < now && !max_in_flight.compare_exchange_weak(seen, now)) {
     }
+    bool throw_now = false;
+    {
+      std::unique_lock lock(mutex);
+      throw_now = fail_first && sizes.empty();
+      threads.push_back(std::this_thread::get_id());
+      sizes.push_back(jobs.size());
+      cv.notify_all();
+      cv.wait(lock, [&] { return !gate_closed; });
+    }
+    std::this_thread::sleep_for(work);
+    in_flight.fetch_sub(1);
+    if (throw_now) throw std::runtime_error("probe dispatch failed");
     std::vector<JobResult> results;
     for (const Job& job : jobs) {
       JobResult r;
@@ -88,7 +118,42 @@ std::function<std::vector<JobResult>(std::vector<Job>)> counting_dispatch(
       results.push_back(std::move(r));
     }
     return results;
-  };
+  }
+
+  void close_gate() {
+    std::lock_guard lock(mutex);
+    gate_closed = true;
+  }
+  void open_gate() {
+    {
+      std::lock_guard lock(mutex);
+      gate_closed = false;
+    }
+    cv.notify_all();
+  }
+  /// Blocks until `n` dispatches have started.
+  void await_dispatches(std::size_t n) {
+    std::unique_lock lock(mutex);
+    cv.wait(lock, [&] { return sizes.size() >= n; });
+  }
+  std::thread::id thread_of(std::size_t dispatch) {
+    std::lock_guard lock(mutex);
+    return threads.at(dispatch);
+  }
+};
+
+std::vector<Job> small_jobs(std::size_t n) {
+  return std::vector<Job>(n, Job::from_workload("small_example"));
+}
+
+/// Polls until the queue holds `n` jobs; false after a generous timeout.
+bool await_depth(const engine::SubmissionQueue& queue, std::size_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (queue.depth() != n) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 TEST(Ticket, DefaultConstructedIsInvalid) {
@@ -289,35 +354,13 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   // SubmissionQueue whose dispatch function blocks on a test-controlled
   // gate, so "while the dispatch is in flight" is deterministic, not a
   // timing accident.
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::vector<std::size_t> sizes;  // one entry per dispatch
-  bool release = false;
-  engine::SubmissionQueue queue(
-      [&](std::vector<Job> jobs) {
-        {
-          std::unique_lock lock(mutex);
-          sizes.push_back(jobs.size());
-          cv.notify_all();
-          cv.wait(lock, [&] { return release; });
-        }
-        std::vector<JobResult> results;
-        for (const Job& job : jobs) {
-          JobResult r;
-          r.job = job.resolved_name();
-          r.success = true;
-          results.push_back(std::move(r));
-        }
-        return results;
-      },
-      CoalescePolicy::immediate());
+  ProbeDispatch probe;
+  probe.close_gate();
+  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
 
   Ticket first = queue.submit(Job::from_workload("small_example"));
-  {
-    // The first job flushed alone, immediately — the dispatcher was idle.
-    std::unique_lock lock(mutex);
-    cv.wait(lock, [&] { return sizes.size() == 1; });
-  }
+  // The first job flushed alone, immediately — the dispatcher was idle.
+  probe.await_dispatches(1);
   EXPECT_EQ(first.state(), TicketState::Dispatched);
 
   std::vector<Ticket> rest;
@@ -325,17 +368,13 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
     rest.push_back(queue.submit(Job::from_workload("small_example")));
   EXPECT_EQ(queue.depth(), 4u);  // queued behind the in-flight dispatch
 
-  {
-    std::lock_guard lock(mutex);
-    release = true;
-  }
-  cv.notify_all();
+  probe.open_gate();
   first.wait();
   for (Ticket& t : rest) t.wait();
 
   {
-    std::lock_guard lock(mutex);
-    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 4}));  // 1 solo + 1 shared, never 5
+    std::lock_guard lock(probe.mutex);
+    EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 4}));  // 1 solo + 1 shared, never 5
   }
   for (Ticket& t : rest) EXPECT_EQ(t.result().job, "small_example");
 }
@@ -347,9 +386,8 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   // surviving jobs up to a full window early. The deadline must track the
   // *current* front on every wait iteration.
   const CoalescePolicy policy = CoalescePolicy::hold(1500);
-  std::mutex mutex;
-  std::vector<std::size_t> sizes;
-  engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
+  ProbeDispatch probe;
+  engine::SubmissionQueue queue(probe.fn(), policy);
   obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
   const std::uint64_t cancelled_before = cancellations.value();
 
@@ -368,9 +406,9 @@ TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
   survivor.wait();
   late.wait();
 
-  std::lock_guard lock(mutex);
-  ASSERT_EQ(sizes.size(), 1u) << "premature flush after cancelling the front";
-  EXPECT_EQ(sizes[0], 2u);
+  std::lock_guard lock(probe.mutex);
+  ASSERT_EQ(probe.sizes.size(), 1u) << "premature flush after cancelling the front";
+  EXPECT_EQ(probe.sizes[0], 2u);
   EXPECT_EQ(cancellations.value() - cancelled_before, 1u);
 }
 
@@ -403,34 +441,32 @@ TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
   // Bursty: back-to-back submissions keep the EWMA gap near zero, so the
   // hold stays near the ceiling and the burst rides few shared dispatches.
   {
-    std::mutex mutex;
-    std::vector<std::size_t> sizes;
-    engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
+    ProbeDispatch probe;
+    engine::SubmissionQueue queue(probe.fn(), policy);
     std::vector<Ticket> tickets;
     for (int i = 0; i < 6; ++i)
       tickets.push_back(queue.submit(Job::from_workload("small_example")));
     for (Ticket& t : tickets) t.wait();
-    std::lock_guard lock(mutex);
-    EXPECT_LT(sizes.size(), 6u);
-    EXPECT_GE(coalesced(sizes), 1u);
+    std::lock_guard lock(probe.mutex);
+    EXPECT_LT(probe.sizes.size(), 6u);
+    EXPECT_GE(coalesced(probe.sizes), 1u);
   }
 
   // Sparse: every observed gap (≥ 120ms) pushes the EWMA far past
   // the ceiling / kAdaptiveGapMultiplier (31.25ms), so the hold is 0 and
   // each job flushes alone, immediately — no latency tax on lone traffic.
   {
-    std::mutex mutex;
-    std::vector<std::size_t> sizes;
-    engine::SubmissionQueue queue(counting_dispatch(mutex, sizes), policy);
+    ProbeDispatch probe;
+    engine::SubmissionQueue queue(probe.fn(), policy);
     std::vector<Ticket> tickets;
     for (int i = 0; i < 4; ++i) {
       if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(120));
       tickets.push_back(queue.submit(Job::from_workload("small_example")));
     }
     for (Ticket& t : tickets) t.wait();
-    std::lock_guard lock(mutex);
-    EXPECT_EQ(sizes.size(), 4u);
-    EXPECT_EQ(coalesced(sizes), 0u);
+    std::lock_guard lock(probe.mutex);
+    EXPECT_EQ(probe.sizes.size(), 4u);
+    EXPECT_EQ(coalesced(probe.sizes), 0u);
   }
 }
 
@@ -491,6 +527,199 @@ TEST(SubmissionQueue, EmptySubmitBatchYieldsNoTickets) {
   const std::uint64_t submitted_before = engine.stats().jobs_submitted;
   EXPECT_TRUE(engine.submit_batch({}).empty());
   EXPECT_EQ(engine.stats().jobs_submitted, submitted_before);
+}
+
+TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
+  obs::Counter& caller_dispatches =
+      obs::Registry::global().counter("queue.caller_dispatches");
+
+  // Idle immediate queue: the caller runs the dispatch itself.
+  {
+    ProbeDispatch probe;
+    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+    const std::uint64_t before = caller_dispatches.value();
+    const std::vector<JobResult> results = queue.run(small_jobs(3));
+    ASSERT_EQ(results.size(), 3u);
+    EXPECT_EQ(results.front().job, "small_example");
+    EXPECT_EQ(probe.thread_of(0), std::this_thread::get_id());
+    EXPECT_EQ(caller_dispatches.value() - before, 1u);
+  }
+
+  // Busy queue: a blocking batch arriving during a dispatch queues behind
+  // it and is flushed by the dispatcher, like any submit.
+  {
+    ProbeDispatch probe;
+    probe.close_gate();
+    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+    const std::uint64_t before = caller_dispatches.value();
+    Ticket async = queue.submit(Job::from_workload("small_example"));
+    probe.await_dispatches(1);
+    const std::thread::id dispatcher = probe.thread_of(0);
+    std::thread::id runner;
+    std::size_t returned = 0;
+    std::thread blocking([&] {
+      runner = std::this_thread::get_id();
+      returned = queue.run(small_jobs(2)).size();
+    });
+    const bool queued = await_depth(queue, 2u);
+    probe.open_gate();
+    blocking.join();
+    EXPECT_TRUE(queued);
+    EXPECT_EQ(returned, 2u);
+    EXPECT_TRUE(async.result().success);
+    EXPECT_EQ(probe.thread_of(1), dispatcher);
+    EXPECT_NE(probe.thread_of(1), runner);
+    EXPECT_EQ(caller_dispatches.value() - before, 0u);
+  }
+
+  // Hold queue: below the trigger the batch waits out the window on the
+  // queue; a batch that meets the trigger alone is flushed at once, so its
+  // caller runs it — also right after a dispatcher-run flush, which frees
+  // the queue before it hands back any result.
+  {
+    ProbeDispatch probe;
+    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::hold(20, 4));
+    const std::uint64_t before = caller_dispatches.value();
+    EXPECT_EQ(queue.run(small_jobs(3)).size(), 3u);
+    EXPECT_NE(probe.thread_of(0), std::this_thread::get_id());
+    EXPECT_EQ(queue.run(small_jobs(4)).size(), 4u);
+    EXPECT_EQ(probe.thread_of(1), std::this_thread::get_id());
+    EXPECT_EQ(caller_dispatches.value() - before, 1u);
+  }
+}
+
+TEST(CallerDispatch, MixedCallersNeverOverlapDispatches) {
+  // Four threads mixing blocking run(), submit_batch() and cancel() on one
+  // queue: caller-run and dispatcher-run dispatches take turns, so at most
+  // one is ever in flight, and every ticket and every run() resolves. The
+  // threads pause between calls at different paces, so the queue is
+  // sometimes idle (run() dispatches itself) and sometimes busy.
+  ProbeDispatch probe;
+  probe.work = std::chrono::microseconds(100);
+  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 30;
+  std::mutex mutex;
+  std::vector<Ticket> tickets;
+  std::atomic<std::size_t> run_results{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::this_thread::sleep_for(std::chrono::microseconds(150 * (t + 1)));
+        switch ((t + round) % 3) {
+          case 0:
+            run_results += queue.run(small_jobs(1 + round % 3)).size();
+            break;
+          case 1: {
+            std::vector<Ticket> batch = queue.submit_batch(small_jobs(2));
+            batch.back().cancel();  // may lose to the flush; resolves either way
+            std::lock_guard lock(mutex);
+            tickets.insert(tickets.end(), batch.begin(), batch.end());
+            break;
+          }
+          default: {
+            Ticket ticket = queue.submit(Job::from_workload("small_example"));
+            std::lock_guard lock(mutex);
+            tickets.push_back(ticket);
+          }
+        }
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  for (const Ticket& ticket : tickets)
+    ASSERT_TRUE(ticket.wait_for(std::chrono::seconds(20))) << "ticket never resolved";
+  EXPECT_EQ(probe.max_in_flight.load(), 1);
+  std::size_t expected_run_jobs = 0;
+  for (int t = 0; t < kThreads; ++t)
+    for (int round = 0; round < kRounds; ++round)
+      if ((t + round) % 3 == 0) expected_run_jobs += 1 + round % 3;
+  EXPECT_EQ(run_results.load(), expected_run_jobs);
+}
+
+TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
+  // Jobs queued while a caller runs a dispatch, and a shutdown() issued
+  // during one, must both be served once it ends — whether it returns or
+  // throws. The dispatcher sleeps through the caller's dispatch, so only
+  // the caller's hand-back can wake it.
+  for (const bool fail : {false, true}) {
+    SCOPED_TRACE(fail ? "dispatch throws" : "dispatch returns");
+    for (const bool shut_down : {false, true}) {
+      SCOPED_TRACE(shut_down ? "shutdown during it" : "jobs queued during it");
+      ProbeDispatch probe;
+      probe.close_gate();
+      probe.fail_first = fail;
+      engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+      bool threw = false;
+      std::thread caller([&] {
+        try {
+          queue.run(small_jobs(1));
+        } catch (const std::runtime_error&) {
+          threw = true;
+        }
+      });
+      probe.await_dispatches(1);
+      std::vector<Ticket> queued = queue.submit_batch(small_jobs(2));
+      EXPECT_EQ(queue.depth(), 2u);  // no second dispatch while the caller's runs
+
+      std::atomic<bool> stopped{false};
+      std::thread stopper;
+      if (shut_down) {
+        stopper = std::thread([&] {
+          queue.shutdown();
+          stopped = true;
+        });
+        // Wait until shutdown() has latched: the queue then refuses work.
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+        bool refused = false;
+        while (!refused && std::chrono::steady_clock::now() < deadline) {
+          try {
+            queue.submit(Job::from_workload("small_example")).cancel();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          } catch (const std::runtime_error&) {
+            refused = true;
+          }
+        }
+        EXPECT_TRUE(refused);
+        EXPECT_FALSE(stopped.load());  // still waiting on the caller's dispatch
+      }
+      {
+        std::lock_guard lock(probe.mutex);
+        EXPECT_EQ(probe.sizes.size(), 1u);
+      }
+
+      probe.open_gate();
+      caller.join();
+      if (stopper.joinable()) stopper.join();
+      EXPECT_EQ(threw, fail);
+      for (const Ticket& ticket : queued) {
+        ASSERT_TRUE(ticket.wait_for(std::chrono::seconds(20))) << "lost wake-up";
+        EXPECT_TRUE(ticket.result().success);
+      }
+      EXPECT_EQ(probe.max_in_flight.load(), 1);
+    }
+  }
+}
+
+TEST(CallerDispatch, RunAfterShutdownThrowsLikeSubmit) {
+  ProbeDispatch probe;
+  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+  queue.shutdown();
+  std::string submit_error, run_error;
+  try {
+    queue.submit_batch(small_jobs(1));
+  } catch (const std::runtime_error& e) {
+    submit_error = e.what();
+  }
+  try {
+    queue.run(small_jobs(1));
+  } catch (const std::runtime_error& e) {
+    run_error = e.what();
+  }
+  EXPECT_FALSE(submit_error.empty());
+  EXPECT_EQ(run_error, submit_error);
+  EXPECT_TRUE(probe.sizes.empty());
 }
 
 }  // namespace

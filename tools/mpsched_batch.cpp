@@ -309,7 +309,7 @@ int main(int argc, char** argv) {
     options.use_cache = !no_cache;
     options.cache_dir = cache_dir;
     engine::Engine eng(options);
-    const engine::BatchResult batch = eng.run_batch(jobs);
+    const engine::BatchResult batch = eng.run_batch(std::move(jobs));
 
     print_summary(batch);
     if (cache_stats) print_cache_stats(eng);

@@ -1,7 +1,7 @@
 // mpsched_trace_check — schema gate for exported Chrome trace-event JSON.
 //
 // Usage:
-//   mpsched_trace_check FILE [--require NAME]...
+//   mpsched_trace_check FILE [--require NAME]... [--require-nested OUTER INNER]...
 //
 // Validates what chrome://tracing / Perfetto require of a trace produced
 // by --trace-out (mpsched_serve / mpsched_batch): a traceEvents array
@@ -11,7 +11,9 @@
 // stays open at the end. --require NAME asserts that at least one B event
 // with that span name is present, so the ctest flow can insist the trace
 // actually covers queue waits, dispatches, shard enumeration, and cache
-// access rather than merely parsing.
+// access rather than merely parsing. --require-nested OUTER INNER asserts
+// that at least one INNER span opens while an OUTER span is open on the
+// same tid — e.g. a dispatch run on a session's thread inside its request.
 //
 // Exit status: 0 valid, 1 invalid (first violation printed), 2 usage.
 #include <cstdio>
@@ -37,6 +39,14 @@ int fail(const std::string& message) {
 int main(int argc, char** argv) {
   std::string path;
   std::vector<std::string> required;
+  // (outer, inner) pairs, and whether each was seen nested.
+  std::vector<std::pair<std::string, std::string>> nested;
+  std::vector<bool> nested_seen;
+  const auto usage = [&] {
+    std::printf("usage: %s FILE [--require NAME]... [--require-nested OUTER INNER]...\n",
+                argv[0]);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--require") {
@@ -45,17 +55,21 @@ int main(int argc, char** argv) {
         return 2;
       }
       required.push_back(argv[++i]);
+    } else if (arg == "--require-nested") {
+      if (i + 2 >= argc) {
+        std::printf("trace-check: --require-nested needs two span names\n");
+        return 2;
+      }
+      nested.emplace_back(argv[i + 1], argv[i + 2]);
+      i += 2;
     } else if (arg == "--help" || arg == "-h" || !path.empty()) {
-      std::printf("usage: %s FILE [--require NAME]...\n", argv[0]);
-      return 2;
+      return usage();
     } else {
       path = arg;
     }
   }
-  if (path.empty()) {
-    std::printf("usage: %s FILE [--require NAME]...\n", argv[0]);
-    return 2;
-  }
+  if (path.empty()) return usage();
+  nested_seen.assign(nested.size(), false);
 
   try {
     const Json doc = load_json(path);
@@ -101,6 +115,10 @@ int main(int argc, char** argv) {
       const std::int64_t tid = e.at("tid").as_int();
       std::vector<std::string>& stack = open[tid];
       if (phase == "B") {
+        for (std::size_t n = 0; n < nested.size(); ++n)
+          if (!nested_seen[n] && nested[n].second == name->as_string())
+            for (const std::string& outer : stack)
+              if (outer == nested[n].first) nested_seen[n] = true;
         stack.push_back(name->as_string());
         ++begins_by_name[name->as_string()];
       } else {
@@ -123,6 +141,10 @@ int main(int argc, char** argv) {
     for (const std::string& name : required)
       if (begins_by_name.find(name) == begins_by_name.end())
         return fail("required span '" + name + "' is absent");
+    for (std::size_t n = 0; n < nested.size(); ++n)
+      if (!nested_seen[n])
+        return fail("no '" + nested[n].second + "' span opens inside '" +
+                    nested[n].first + "' on one tid");
 
     std::printf("trace-check: %s ok (%zu duration events, %zu span names)\n",
                 path.c_str(), duration_events, begins_by_name.size());
