@@ -1,31 +1,26 @@
 // Asynchronous submission vs. the per-job blocking loop, on the demo
-// corpus — what the admission queue (ISSUE 5) buys a stream of small
-// independent submissions:
+// corpus — what the admission queue buys a stream of small independent
+// submissions:
 //
 //   run() loop    one blocking run() per job: every job pays its own
 //                 dispatch (8 jobs -> 8 dispatches), the status quo for a
 //                 caller without batches.
-//   submit stream submit() per job on a coalescing engine (hold the
-//                 queue, flush at 4 jobs): the same stream shares
-//                 dispatches — dedup and root-sharding work *across* the
-//                 callers' jobs again.
+//   submit stream submit() per job on a default engine: the first job
+//                 dispatches at once, and the rest queue behind that
+//                 dispatch and share the next flush — dedup and root
+//                 sharding work *across* the callers' jobs again.
 //
-// Hard gates: the coalesced stream executes strictly fewer dispatches
-// than jobs (with at least one genuinely shared dispatch), its results
-// are byte-identical to both the run() loop's and a plain run_batch() —
-// the determinism contract that makes coalescing safe to apply to
-// anyone's traffic — and per-ticket attribution sums reproduce the
-// engine's analysis counters. The per-job latency delta is reported but
-// not gated (it is machine noise on a loaded CI box; the dispatch-count
-// reduction is the structural claim). The engine counters are
-// process-wide (the metrics registry), so each section reads what its run
-// added; a raw queue's section counts its own dispatch calls.
-#include <algorithm>
-#include <chrono>
+// Hard gates: the stream executes strictly fewer dispatches than jobs
+// (with at least one genuinely shared dispatch), its results are
+// byte-identical to both the run() loop's and a plain run_batch() — the
+// determinism contract that makes coalescing safe to apply to anyone's
+// traffic — and per-ticket attribution sums reproduce the engine's
+// analysis counters. The per-job latency delta is reported but not gated
+// (it is machine noise on a loaded CI box; the dispatch-count reduction
+// is the structural claim). The engine counters are process-wide (the
+// metrics registry), so each section reads what its run added.
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -54,23 +49,6 @@ engine::EngineStats added(const engine::EngineStats& after, const engine::Engine
   d.analyses_computed = after.analyses_computed - before.analyses_computed;
   d.analyses_reused = after.analyses_reused - before.analyses_reused;
   return d;
-}
-
-/// A raw queue's dispatch function that executes nothing: it echoes a
-/// success per job and records each dispatch's size in `sizes`.
-std::function<std::vector<engine::JobResult>(std::vector<engine::Job>)> echo_dispatch(
-    std::vector<std::size_t>& sizes) {
-  return [&sizes](std::vector<engine::Job> stream_jobs) {
-    sizes.push_back(stream_jobs.size());
-    std::vector<engine::JobResult> results;
-    for (const engine::Job& job : stream_jobs) {
-      engine::JobResult r;
-      r.job = job.resolved_name();
-      r.success = true;
-      results.push_back(std::move(r));
-    }
-    return results;
-  };
 }
 
 }  // namespace
@@ -103,17 +81,15 @@ int main() {
     loop_stats = added(eng.stats(), before);
   }
 
-  // ---- B: submit() stream on a coalescing engine ------------------------
-  // Hold the queue (a generous window) and flush whenever 4 jobs are
-  // pending: the stream of 8 single submits shares dispatches instead of
-  // paying 8.
+  // ---- B: submit() stream on a default engine ---------------------------
+  // The first submit dispatches at once; the other 7 arrive while that
+  // cold dispatch runs and queue behind it, so the stream of 8 single
+  // submits shares dispatches instead of paying 8.
   std::vector<engine::JobResult> stream_results;
   double stream_ms = 0.0;
   engine::EngineStats stream_stats;
   {
-    engine::EngineOptions options;
-    options.coalesce = engine::CoalescePolicy::hold(5000, 4);
-    engine::Engine eng(options);
+    engine::Engine eng;
     const engine::EngineStats before = eng.stats();
     Timer t;
     std::vector<engine::Ticket> tickets;
@@ -169,75 +145,6 @@ int main() {
   gate.check_eq(static_cast<long long>(stream_stats.analyses_reused),
                 static_cast<long long>(reused),
                 "per-ticket 'reused' attribution sums to the engine counter");
-
-  // ---- C: adaptive hold window on synthetic traffic ----------------------
-  // The adaptive-delay policy derives the hold from the observed arrival
-  // rate: a burst (near-zero gaps) should coalesce hard, a sparse stream
-  // (gaps >> window/8) should dispatch every job alone with ~zero added
-  // latency. A raw SubmissionQueue with a trivial dispatch function keeps
-  // the measurement about queue behavior, not engine execution time.
-  const engine::CoalescePolicy adaptive = engine::CoalescePolicy::adaptive(120);
-
-  {
-    std::vector<std::size_t> sizes;  // written by the dispatcher, read after every wait
-    engine::SubmissionQueue queue(echo_dispatch(sizes), adaptive);
-    std::vector<engine::Ticket> tickets;
-    for (int i = 0; i < 16; ++i)
-      tickets.push_back(queue.submit(engine::Job::from_workload("small_example")));
-    for (engine::Ticket& t : tickets) t.wait();
-    const std::size_t coalesced = static_cast<std::size_t>(
-        std::count_if(sizes.begin(), sizes.end(), [](std::size_t n) { return n > 1; }));
-    std::printf("\nadaptive hold, bursty stream: 16 back-to-back submits -> %zu "
-                "dispatches (%zu coalesced)\n",
-                sizes.size(), coalesced);
-    gate.info("adaptive bursty dispatches", static_cast<double>(sizes.size()));
-    gate.check(sizes.size() < 16,
-               "adaptive hold coalesces a bursty stream (dispatches < jobs)");
-    gate.check(coalesced >= 1, "adaptive bursty stream shared at least one dispatch");
-  }
-
-  {
-    std::vector<std::size_t> sizes;
-    engine::SubmissionQueue queue(echo_dispatch(sizes), adaptive);
-    double total_wait_ms = 0.0;
-    const int sparse_jobs = 8;
-    for (int i = 0; i < sparse_jobs; ++i) {
-      if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(40));
-      Timer t;
-      engine::Ticket ticket =
-          queue.submit(engine::Job::from_workload("small_example"));
-      ticket.wait();
-      total_wait_ms += t.millis();
-    }
-    const double mean_wait_ms = total_wait_ms / sparse_jobs;
-    std::printf("adaptive hold, sparse stream: %d submits at 40 ms gaps -> %zu "
-                "dispatches, %.2f ms mean submit-to-result\n",
-                sparse_jobs, sizes.size(), mean_wait_ms);
-    gate.info("adaptive sparse mean wait ms", mean_wait_ms);
-    gate.check_eq(static_cast<long long>(sparse_jobs), static_cast<long long>(sizes.size()),
-                  "sparse stream under adaptive hold dispatches every job alone");
-    gate.check(mean_wait_ms < adaptive.window_ms() / 2.0,
-               "sparse stream pays no hold-window latency tax (mean wait < half "
-               "the ceiling)");
-  }
-
-  // ---- D: adaptive engine end-to-end — determinism stands ----------------
-  {
-    engine::EngineOptions options;
-    options.coalesce = adaptive;
-    engine::Engine eng(options);
-    const engine::EngineStats before = eng.stats();
-    std::vector<engine::Ticket> tickets;
-    for (const engine::Job& job : jobs) tickets.push_back(eng.submit(job));
-    std::vector<engine::JobResult> adaptive_results;
-    for (engine::Ticket& ticket : tickets) adaptive_results.push_back(ticket.result());
-    const engine::EngineStats s = added(eng.stats(), before);
-    gate.check(fingerprint(adaptive_results) == expected,
-               "adaptive-delay engine stream results byte-match run_batch()");
-    gate.check(s.batches < jobs.size(),
-               "adaptive-delay engine coalesced the burst (dispatches < jobs)");
-    gate.info("adaptive engine dispatches", static_cast<double>(s.batches));
-  }
 
   return gate.finish("engine submit stream coalescing");
 }

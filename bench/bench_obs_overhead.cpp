@@ -7,15 +7,21 @@
 //   metrics on    the shipping default: counters/gauges/histograms live
 //   + tracing     metrics plus span capture into the ring buffer
 //
-// Gate: metrics-enabled wall time stays within 5% of metrics-disabled
-// wall time (the acceptance criterion for keeping the layer compiled in
-// by default). A single dispatch takes a few ms and its wall time is
-// mostly the machine's noise: a heavy tail of stalled dispatches and slow
-// stretches lasting hundreds of ms. So one sample of a configuration is a
-// fixed number of cold dispatches (well over 50 ms of work) valued at
-// their median, a pass takes one sample of every configuration with the
-// three interleaved dispatch by dispatch in an order that rotates every
-// round, and each configuration takes its best sample over N passes.
+// Gate: metrics-enabled CPU time stays within 5% of metrics-disabled CPU
+// time (the acceptance criterion for keeping the layer compiled in by
+// default). A dispatch's cost is the process CPU time its run_batch uses
+// (CLOCK_PROCESS_CPUTIME_ID: the dispatching thread and every pool worker
+// it wakes). The metrics hot path is lock-free, so whatever it costs is
+// CPU work, while wall time also grows whenever another process takes the
+// cores — on a shared host that noise exceeded the 5% bound by itself.
+// Wall times are still reported, ungated. A single dispatch takes a few
+// ms, so one sample of a configuration is a fixed number of cold
+// dispatches (well over 50 ms of work) valued at their median, a pass
+// takes one sample of every configuration with the three interleaved
+// dispatch by dispatch in an order that rotates every round, and each
+// configuration takes its best sample over N passes.
+#include <time.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
@@ -37,11 +43,26 @@ namespace {
 /// a 4-vCPU VM, so one configuration's sample spans ~120 ms of dispatches.
 constexpr int kDispatchesPerSample = 24;
 
+/// CPU time every thread of this process has used, in milliseconds.
+double process_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+struct DispatchCost {
+  double cpu_ms = 0.0;
+  double wall_ms = 0.0;
+};
+
 /// One full cold dispatch: fresh engine (shared pool, empty cache) so
-/// every dispatch pays the same enumeration work.
-double cold_dispatch_ms(const std::vector<engine::Job>& jobs) {
+/// every dispatch pays the same enumeration work. Both clocks span the
+/// run_batch alone, not the engine's construction or teardown.
+DispatchCost cold_dispatch(const std::vector<engine::Job>& jobs) {
   engine::Engine eng;
-  return eng.run_batch(jobs).wall_ms;
+  const double cpu_start = process_cpu_ms();
+  const double wall_ms = eng.run_batch(jobs).wall_ms;
+  return {process_cpu_ms() - cpu_start, wall_ms};
 }
 
 double median(std::vector<double> values) {
@@ -54,7 +75,8 @@ double median(std::vector<double> values) {
 
 int main() {
   bench::banner("Observability overhead — 8-job demo corpus",
-                "metrics off vs. on vs. on+tracing, 24 cold dispatches per sample");
+                "metrics off vs. on vs. on+tracing, process CPU time of 24 cold dispatches "
+                "per sample");
 
   std::vector<engine::Job> jobs;
   for (const std::string& spec : workloads::demo_corpus_specs())
@@ -63,7 +85,7 @@ int main() {
   bench::Gate gate("obs_overhead");
 
   // Warm-up: pool spin-up and page faults hit no contestant.
-  cold_dispatch_ms(jobs);
+  cold_dispatch(jobs);
 
   struct Config {
     bool metrics;
@@ -71,43 +93,48 @@ int main() {
   };
   constexpr Config kConfigs[] = {{false, false}, {true, false}, {true, true}};
   constexpr int kPasses = 6;
-  double best_ms[3] = {};
+  double best_cpu_ms[3] = {}, best_wall_ms[3] = {};
   for (int pass = 0; pass < kPasses; ++pass) {
-    std::vector<double> dispatch_ms[3];
+    std::vector<double> cpu_ms[3], wall_ms[3];
     for (int round = 0; round < kDispatchesPerSample; ++round) {
       for (int k = 0; k < 3; ++k) {
         const int c = (pass + round + k) % 3;
         obs::set_metrics_enabled(kConfigs[c].metrics);
         obs::set_tracing_enabled(kConfigs[c].tracing);
-        dispatch_ms[c].push_back(cold_dispatch_ms(jobs));
+        const DispatchCost cost = cold_dispatch(jobs);
+        cpu_ms[c].push_back(cost.cpu_ms);
+        wall_ms[c].push_back(cost.wall_ms);
       }
     }
     for (int c = 0; c < 3; ++c) {
-      const double sample = median(dispatch_ms[c]);
-      best_ms[c] = pass == 0 ? sample : std::min(best_ms[c], sample);
+      const double cpu = median(cpu_ms[c]), wall = median(wall_ms[c]);
+      best_cpu_ms[c] = pass == 0 ? cpu : std::min(best_cpu_ms[c], cpu);
+      best_wall_ms[c] = pass == 0 ? wall : std::min(best_wall_ms[c], wall);
     }
   }
   obs::set_tracing_enabled(false);
   obs::set_metrics_enabled(true);
   obs::clear_trace();
-  const double off_ms = best_ms[0], on_ms = best_ms[1], traced_ms = best_ms[2];
+  const double off_ms = best_cpu_ms[0], on_ms = best_cpu_ms[1];
 
-  TextTable table({"configuration", "wall ms", "vs. metrics off"});
-  const auto row = [&](const char* name, double ms) {
-    char wall[32], delta[32];
-    std::snprintf(wall, sizeof wall, "%.2f", ms);
+  TextTable table({"configuration", "cpu ms", "vs. metrics off", "wall ms"});
+  const char* const names[] = {"metrics off", "metrics on", "metrics + tracing"};
+  for (int c = 0; c < 3; ++c) {
+    char cpu[32], delta[32], wall[32];
+    std::snprintf(cpu, sizeof cpu, "%.2f", best_cpu_ms[c]);
     std::snprintf(delta, sizeof delta, "%+.1f%%",
-                  off_ms > 0 ? 100.0 * (ms - off_ms) / off_ms : 0.0);
-    table.add(name, wall, delta);
-  };
-  row("metrics off", off_ms);
-  row("metrics on", on_ms);
-  row("metrics + tracing", traced_ms);
+                  off_ms > 0 ? 100.0 * (best_cpu_ms[c] - off_ms) / off_ms : 0.0);
+    std::snprintf(wall, sizeof wall, "%.2f", best_wall_ms[c]);
+    table.add(names[c], cpu, delta, wall);
+  }
   std::fputs(table.to_string().c_str(), stdout);
 
-  gate.info("metrics off ms", off_ms);
-  gate.info("metrics on ms", on_ms);
-  gate.info("metrics+tracing ms", traced_ms);
+  gate.info("metrics off ms", best_wall_ms[0]);
+  gate.info("metrics on ms", best_wall_ms[1]);
+  gate.info("metrics+tracing ms", best_wall_ms[2]);
+  gate.info("metrics off cpu ms", best_cpu_ms[0]);
+  gate.info("metrics on cpu ms", best_cpu_ms[1]);
+  gate.info("metrics+tracing cpu ms", best_cpu_ms[2]);
   gate.check(on_ms <= off_ms * 1.05,
              "metrics-enabled overhead is at most 5% of the dark run");
 

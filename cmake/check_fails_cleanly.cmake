@@ -6,7 +6,10 @@
 #      leg this turns "no UB on hostile flags" into a hard gate).
 # Plain WILL_FAIL or PASS_REGULAR_EXPRESSION each check only one of these.
 #
-# Usage: cmake -DTOOL=<binary> "-DARGS=a;b;c" -P check_fails_cleanly.cmake
+# An optional -DEXPECT=<regex> must also match the output (a removed flag
+# must fail as an unknown argument, not on its value).
+#
+# Usage: cmake -DTOOL=<binary> "-DARGS=a;b;c" [-DEXPECT=regex] -P check_fails_cleanly.cmake
 if(NOT DEFINED TOOL OR NOT DEFINED ARGS)
   message(FATAL_ERROR "check_fails_cleanly: TOOL and ARGS are required")
 endif()
@@ -27,4 +30,7 @@ if(NOT combined MATCHES "error: ")
 endif()
 if(combined MATCHES "Sanitizer|runtime error")
   message(FATAL_ERROR "sanitizer fired on a hostile flag; output:\n${combined}")
+endif()
+if(DEFINED EXPECT AND NOT combined MATCHES "${EXPECT}")
+  message(FATAL_ERROR "output does not match '${EXPECT}'; exit ${rc}, output:\n${combined}")
 endif()

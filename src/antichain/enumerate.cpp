@@ -786,7 +786,8 @@ std::uint64_t estimate_root_cost(const Dfg& dfg, const Levels& levels,
 
 std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& levels,
                                                const Reachability& reach,
-                                               const EnumerateOptions& options) {
+                                               const EnumerateOptions& options,
+                                               ThreadPool* pool) {
   // Validation runs once, not once per root; each root's estimate is
   // independent and written into its own slot, so the pool fan-out is
   // byte-deterministic (gated by engine_test's
@@ -798,11 +799,12 @@ std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& lev
                                             static_cast<NodeId>(r));
   };
   // Pool fan-out only when it can pay for itself. Must not be entered
-  // from inside another pool task (parallel_for waits for the whole
-  // pool); every current caller estimates from a dispatcher thread.
+  // from inside a task of the same pool (parallel_for waits for the whole
+  // pool); the engine estimates on the thread running its dispatch, its
+  // dispatcher or a blocking caller, outside any task of its own pool.
   constexpr std::size_t kParallelThreshold = 256;
   if (options.parallel && dfg.node_count() >= kParallelThreshold) {
-    ThreadPool::shared().parallel_for(dfg.node_count(), eval);
+    (pool != nullptr ? *pool : ThreadPool::shared()).parallel_for(dfg.node_count(), eval);
   } else {
     for (std::size_t r = 0; r < dfg.node_count(); ++r) eval(r);
   }

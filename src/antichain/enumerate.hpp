@@ -41,6 +41,8 @@
 
 namespace mpsched {
 
+class ThreadPool;
+
 /// Ceiling on EnumerateOptions::max_size (and the analytic analysis's),
 /// far above any ALU count the selection targets (C ≤ 5): a larger C is
 /// rejected up front rather than sizing per-size tables or cost series by
@@ -164,11 +166,12 @@ std::uint64_t estimate_root_cost(const Dfg& dfg, const Levels& levels,
 
 /// All roots at once, indexed by NodeId. Validates once (not per root)
 /// and, when `options.parallel` and the graph is large enough, fans the
-/// independent per-root estimates out on the shared pool — each root
-/// writes its own slot, so the vector is byte-identical to the serial
-/// path. Must not be called from inside a ThreadPool task.
+/// independent per-root estimates out on `pool` (nullptr: the shared
+/// pool) — each root writes its own slot, so the vector is byte-identical
+/// to the serial path. Must not be called from inside a task of that pool.
 std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& levels,
                                                const Reachability& reach,
-                                               const EnumerateOptions& options);
+                                               const EnumerateOptions& options,
+                                               ThreadPool* pool = nullptr);
 
 }  // namespace mpsched

@@ -149,8 +149,7 @@ Engine::Engine(EngineOptions options) : options_(std::move(options)) {
     cache().attach_store(std::make_shared<CacheStore>(options_.cache_dir));
   read_boundary_counters(stats_, cache().disk_store() != nullptr);
   queue_ = std::make_unique<SubmissionQueue>(
-      [this](std::vector<Job> jobs) { return std::move(execute_batch(jobs).jobs); },
-      options_.coalesce);
+      [this](std::vector<Job> jobs) { return std::move(execute_batch(jobs).jobs); });
 }
 
 Engine::~Engine() { shutdown(); }
@@ -297,11 +296,11 @@ struct Dispatch {
   std::vector<ShardTask> tasks;
 };
 
-/// Resolves each job's backend and transform stack on the dispatcher
-/// thread; only the jobs with a transform stack go to the pool, to run it.
-/// Unknown names fail only that job. An empty stack shares the job's
-/// graph, so the default pipeline costs a registry lookup here and wakes
-/// no worker.
+/// Resolves each job's backend and transform stack on the thread running
+/// the dispatch; only the jobs with a transform stack go to the pool, to
+/// run it. Unknown names fail only that job. An empty stack shares the
+/// job's graph, so the default pipeline costs a registry lookup here and
+/// wakes no worker.
 void Dispatch::resolve_and_transform() {
   std::vector<std::size_t> transformed;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -340,12 +339,12 @@ void Dispatch::resolve_and_transform() {
   });
 }
 
-/// Content keys on the dispatcher thread (a graph hashes once, then its
-/// key is a load: Dfg::content_hash), then levels + closure once per
-/// group of jobs sharing a graph. With the cache on, duplicate graphs form
-/// one group, so their (expensive, O(V·E/64)) closure is computed once
-/// even on a cold cache, and a group the cache holds is served here; only
-/// the misses go to the pool. With it off nothing is keyed and every job
+/// Content keys on the thread running the dispatch (a graph hashes once,
+/// then its key is a load: Dfg::content_hash), then levels + closure once
+/// per group of jobs sharing a graph. With the cache on, duplicate graphs
+/// form one group, so their (expensive, O(V·E/64)) closure is computed
+/// once even on a cold cache, and a group the cache holds is served here;
+/// only the misses go to the pool. With it off nothing is keyed and every job
 /// prepares its own graph on the pool.
 void Dispatch::key_and_prepare() {
   std::vector<CacheKey> graph_keys(jobs.size());
@@ -468,14 +467,16 @@ void Dispatch::plan() {
     if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
       try {
         const PreparedGraph& graph = *prepared[unit.exemplar_job];
-        // Estimation runs here on the dispatcher thread, before the shard
-        // fan-out, so it may use the shared pool even though the shard
-        // tasks themselves must not (parallel = false there).
+        // Estimation runs on the thread running this dispatch (the
+        // dispatcher or a blocking caller), before the shard fan-out and
+        // outside any pool task, so it may fan out on the engine's own
+        // pool; the shard tasks themselves must not (parallel = false
+        // there).
         EnumerateOptions estimate_options = enumerate_options_for(job.select);
         estimate_options.parallel = true;
         unit.shard_roots = pack_roots_by_cost(
             estimate_root_costs(graphs[unit.exemplar_job], graph.levels, graph.reach,
-                                estimate_options),
+                                estimate_options, &workers),
             target_shards);
       } catch (const std::exception& e) {
         unit.error = std::string("analysis: ") + e.what();

@@ -28,15 +28,14 @@
 //
 // Submission surface: submit()/submit_batch() enqueue jobs on an internal
 // admission queue (engine/submission_queue.hpp) and return waitable
-// Tickets; a dispatcher thread micro-batches everything queued into
-// shared dispatches under EngineOptions::coalesce. The queue and its
-// dispatcher start with the engine and stop at shutdown(). run_batch()
-// and run() block on the queue's run(): on an idle queue whose flush
-// trigger the batch meets alone, the calling thread runs the dispatch
-// itself and no thread hop is paid; otherwise the jobs queue like any
-// submit and may share a dispatch. Because a JobResult depends only on
-// its Job, neither who runs the dispatch nor coalescing changes what any
-// caller gets back.
+// Tickets; a dispatcher thread flushes everything queued into one shared
+// dispatch whenever it is free, so jobs that arrive while a dispatch runs
+// share the next one. The queue and its dispatcher start with the engine
+// and stop at shutdown(). run_batch() and run() block on the queue's
+// run(): on an idle queue the calling thread runs the dispatch itself and
+// no thread hop is paid; otherwise the jobs queue like any submit and may
+// share a dispatch. Because a JobResult depends only on its Job, neither
+// who runs the dispatch nor coalescing changes what any caller gets back.
 //
 // Counters: every event is counted once, in the process's metrics
 // registry (obs/metrics.hpp), where the engine, cache, disk tier and
@@ -79,12 +78,6 @@ struct EngineOptions {
   /// Sharding granularity: target shards ≈ shards_per_thread × workers,
   /// clamped to the node count. Higher = better balance, more merge work.
   std::size_t shards_per_thread = 4;
-  /// When the admission queue behind submit()/run_batch() flushes queued
-  /// jobs into one shared dispatch (submission_queue.hpp). The default,
-  /// CoalescePolicy::immediate(), dispatches a lone submission at once;
-  /// coalescing then happens only while a dispatch is already executing,
-  /// so latency is never traded away silently.
-  CoalescePolicy coalesce{};
 };
 
 /// Cache lookup counts, read from the registry.
@@ -166,13 +159,12 @@ class Engine {
   /// Executes a batch synchronously; results are index-aligned with
   /// `jobs`, and wall_ms spans the call. Goes through the admission
   /// queue's blocking SubmissionQueue::run(): when no dispatch is in
-  /// flight, nothing is queued and the batch meets the coalescing
-  /// trigger alone (always, under the default immediate policy), this
-  /// thread runs the dispatch; otherwise the jobs ride the queue with
-  /// every async caller and may share a dispatch with them. Neither
-  /// changes the results — only the thread and the counters they are
-  /// reported under. Take `jobs` by move where the caller is done with
-  /// them. Rethrows a dispatch-level failure.
+  /// flight and nothing is queued, this thread runs the dispatch;
+  /// otherwise the jobs queue behind the running dispatch with every
+  /// async caller and may share the next one with them. Neither changes
+  /// the results — only the thread and the counters they are reported
+  /// under. Take `jobs` by move where the caller is done with them.
+  /// Rethrows a dispatch-level failure.
   BatchResult run_batch(std::vector<Job> jobs);
 
   /// Waits out a ticket set and reassembles it into a BatchResult like

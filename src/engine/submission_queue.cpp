@@ -39,10 +39,14 @@ obs::Histogram& coalesce_jobs_histogram() {
 constexpr const char* kStoppedError =
     "Engine: submit after shutdown (the queue is drained)";
 
-void record_adaptive_hold(std::uint64_t hold_ms) {
-  static obs::Histogram& histogram =
-      obs::Registry::global().histogram("queue.adaptive_delay_ms");
-  histogram.record(static_cast<double>(hold_ms));
+/// Admission accounting shared by submit_batch() and run(), under the
+/// queue mutex: queue.submitted, and queue.max_depth at `depth` (the queue
+/// with these jobs admitted).
+void admit(std::size_t jobs, std::size_t depth) {
+  static obs::Counter& submitted = obs::Registry::global().counter("queue.submitted");
+  static obs::Gauge& max_depth = obs::Registry::global().gauge("queue.max_depth");
+  submitted.add(jobs);
+  max_depth.set_max(static_cast<std::int64_t>(depth));
 }
 
 /// Flush telemetry shared by the dispatcher's flushes and run()'s
@@ -109,36 +113,6 @@ std::uint64_t coalesced_dispatches() {
   return coalesced;
 }
 
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t ceiling_ms) {
-  if (ewma_gap_ms < 0) return 0;  // no arrival gap observed yet
-  const double hold =
-      static_cast<double>(ceiling_ms) - kAdaptiveGapMultiplier * ewma_gap_ms;
-  if (hold <= 0) return 0;
-  return static_cast<std::uint64_t>(hold);
-}
-
-// ---------------------------------------------------------------------------
-// CoalescePolicy
-// ---------------------------------------------------------------------------
-
-CoalescePolicy::CoalescePolicy(Mode mode, std::uint64_t window_ms, std::size_t max_jobs)
-    : mode_(mode), window_ms_(window_ms), max_jobs_(max_jobs) {
-  // Either zero would silently give the caller no coalescing: a zero
-  // window expires at once, and a zero trigger is met by any queue.
-  if (window_ms == 0)
-    throw std::invalid_argument("CoalescePolicy: the window must be at least 1 ms");
-  if (max_jobs == 0)
-    throw std::invalid_argument("CoalescePolicy: max_jobs must be at least 1");
-}
-
-CoalescePolicy CoalescePolicy::hold(std::uint64_t window_ms, std::size_t max_jobs) {
-  return {Mode::Hold, window_ms, max_jobs};
-}
-
-CoalescePolicy CoalescePolicy::adaptive(std::uint64_t ceiling_ms, std::size_t max_jobs) {
-  return {Mode::Adaptive, ceiling_ms, max_jobs};
-}
-
 // ---------------------------------------------------------------------------
 // Ticket
 // ---------------------------------------------------------------------------
@@ -194,11 +168,8 @@ bool Ticket::cancel() {
 // ---------------------------------------------------------------------------
 
 SubmissionQueue::SubmissionQueue(
-    std::function<std::vector<JobResult>(std::vector<Job>)> dispatch,
-    CoalescePolicy policy)
-    : dispatch_(std::move(dispatch)),
-      policy_(policy),
-      core_(std::make_shared<detail::QueueCore>()) {
+    std::function<std::vector<JobResult>(std::vector<Job>)> dispatch)
+    : dispatch_(std::move(dispatch)), core_(std::make_shared<detail::QueueCore>()) {
   if (dispatch_ == nullptr)
     throw std::invalid_argument("SubmissionQueue: a dispatch function is required");
   dispatcher_ = std::thread([this] { dispatcher_loop(); });
@@ -210,29 +181,6 @@ Ticket SubmissionQueue::submit(Job job) {
   std::vector<Job> one;
   one.push_back(std::move(job));
   return submit_batch(std::move(one)).front();
-}
-
-void SubmissionQueue::admit(std::chrono::steady_clock::time_point now, std::size_t jobs,
-                            std::size_t depth) {
-  static obs::Counter& submitted = obs::Registry::global().counter("queue.submitted");
-  static obs::Gauge& max_depth = obs::Registry::global().gauge("queue.max_depth");
-  detail::QueueCore& core = *core_;
-  if (policy_.mode() == CoalescePolicy::Mode::Adaptive) {
-    // One arrival event per submit call (a batch lands whole): the gap
-    // stream the hold window adapts to.
-    if (core.has_last_submit) {
-      const double gap_ms =
-          std::chrono::duration<double, std::milli>(now - core.last_submit).count();
-      core.ewma_gap_ms = core.ewma_gap_ms < 0
-                             ? gap_ms
-                             : kAdaptiveEwmaAlpha * gap_ms +
-                                   (1.0 - kAdaptiveEwmaAlpha) * core.ewma_gap_ms;
-    }
-    core.last_submit = now;
-    core.has_last_submit = true;
-  }
-  submitted.add(jobs);
-  max_depth.set_max(static_cast<std::int64_t>(depth));
 }
 
 std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
@@ -256,7 +204,7 @@ std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
     std::lock_guard lock(core_->mutex);
     if (core_->stop) throw std::runtime_error(kStoppedError);
     for (auto& entry : entries) core_->pending.push_back(entry);
-    admit(now, entries.size(), core_->pending.size());
+    admit(entries.size(), core_->pending.size());
     depth_gauge().set(static_cast<std::int64_t>(core_->pending.size()));
   }
   core_->cv.notify_all();
@@ -276,11 +224,10 @@ std::vector<JobResult> SubmissionQueue::run(std::vector<Job> jobs) {
     std::lock_guard lock(core_->mutex);
     if (core_->stop) throw std::runtime_error(kStoppedError);
     // Exactly the flush the dispatcher would make at once: it is free,
-    // nothing would share the flush, and no hold would start.
-    caller_runs = !core_->dispatching && core_->pending.empty() &&
-                  jobs.size() >= policy_.max_jobs();
+    // and nothing would share the flush.
+    caller_runs = !core_->dispatching && core_->pending.empty();
     if (caller_runs) {
-      admit(now, jobs.size(), jobs.size());
+      admit(jobs.size(), jobs.size());
       core_->dispatching = true;
     }
   }
@@ -294,9 +241,6 @@ std::vector<JobResult> SubmissionQueue::run(std::vector<Job> jobs) {
   }
 
   const CallerDispatch busy(*core_);
-  // What the dispatcher records for a flush whose trigger is met on arrival.
-  if (policy_.mode() == CoalescePolicy::Mode::Adaptive)
-    record_adaptive_hold(policy_.window_ms());
   record_flush(jobs, now, [now](std::size_t) { return now; });
   caller_dispatches.add();
   const std::size_t count = jobs.size();
@@ -324,7 +268,6 @@ std::size_t SubmissionQueue::depth() const {
 
 void SubmissionQueue::dispatcher_loop() {
   detail::QueueCore& core = *core_;
-  const bool adaptive = policy_.mode() == CoalescePolicy::Mode::Adaptive;
   std::unique_lock lock(core.mutex);
   for (;;) {
     // A caller-run dispatch (run()) keeps the queue busy; the next flush
@@ -333,27 +276,6 @@ void SubmissionQueue::dispatcher_loop() {
       return !core.dispatching && (core.stop || !core.pending.empty());
     });
     if (core.pending.empty()) return;  // stopped, and nothing left to drain
-
-    // Coalescing hold: until max_jobs are queued (immediate's trigger is
-    // one job, so it flushes at once), the oldest job's window expires, or
-    // shutdown. The deadline is recomputed on every wait iteration: the
-    // front entry can be cancelled mid-hold (a dead entry's timestamp must
-    // not cut the survivors' window short), and an adaptive window itself
-    // moves as new submissions update the arrival-rate EWMA.
-    std::uint64_t hold_ms = policy_.window_ms();
-    for (;;) {
-      if (core.stop || core.pending.empty() || core.pending.size() >= policy_.max_jobs())
-        break;
-      if (adaptive) hold_ms = adaptive_hold_ms(core.ewma_gap_ms, policy_.window_ms());
-      const auto deadline =
-          core.pending.front()->enqueued + std::chrono::milliseconds(hold_ms);
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      core.cv.wait_until(lock, deadline);
-    }
-    // Everything got cancelled meanwhile — which also lets a run() caller
-    // start its own dispatch, and this flush then waits for it.
-    if (core.pending.empty() || core.dispatching) continue;
-    if (adaptive) record_adaptive_hold(hold_ms);
 
     // Flush: take everything queued. Entries are marked Dispatched under
     // the lock, so cancel() can no longer win on them.

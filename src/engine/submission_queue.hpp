@@ -8,37 +8,34 @@
 // submission queue inverts the flow: callers enqueue Jobs and get back
 // waitable/pollable Tickets; a single dispatcher thread drains the queue
 // into *shared* dispatches — every job queued at flush time rides one
-// batch execution, so N clients each submitting one small job share one
-// warm dispatch (content-addressed dedup and root sharding then work
-// across all of them).
+// batch execution, so small jobs from N clients that queue behind a
+// running dispatch share one warm dispatch (content-addressed dedup and
+// root sharding then work across all of them).
+//
+// Admission has one behaviour: a flush takes everything queued, and the
+// dispatcher flushes whenever it is free. A lone submission therefore
+// dispatches at once, and coalescing happens exactly while a dispatch is
+// executing — whatever queues behind it rides the next flush together, so
+// latency is never traded for batch size. One submit_batch() is never
+// split across flushes.
 //
 // Who runs a dispatch: the blocking run() skips the queue when nothing
-// would share its flush — no dispatch in flight, nothing pending, and
-// the batch alone meets the policy's flush trigger. The caller then runs
-// the dispatch on its own thread and takes the results by move, with no
-// ticket, promise or thread hop; the dispatch is exactly the flush the
-// dispatcher would have made at once. Otherwise run() queues its jobs
-// and waits on tickets like any submit. The dispatcher serves async
-// submits, hold windows and jobs that arrive during a dispatch, and waits
+// would share its flush — no dispatch in flight and nothing pending. The
+// caller then runs the dispatch on its own thread and takes the results
+// by move, with no ticket, promise or thread hop; the dispatch is exactly
+// the flush the dispatcher would have made at once. Otherwise run()
+// queues its jobs and waits on tickets like any submit. The dispatcher
+// serves async submits and jobs that arrive during a dispatch, and waits
 // while a caller-run dispatch is in flight, so at most one dispatch runs
 // at a time and a flush still takes everything queued.
-//
-// Coalescing policy (CoalescePolicy): one mode plus its window.
-// immediate() (the default) flushes whenever the dispatcher is free;
-// hold(window_ms) flushes when max_jobs are queued or the oldest queued
-// job has waited out the window; adaptive(ceiling_ms) does the same with
-// a window derived per flush from an EWMA of inter-submit gaps
-// (adaptive_hold_ms), so bursts coalesce hard and sparse traffic holds ~0.
-// max_jobs is a flush *trigger*, not a dispatch size cap: a flush always
-// takes everything queued, so one submit_batch() is never split.
 //
 // Determinism: a JobResult depends only on its Job — never on what it was
 // coalesced with. This falls out of the engine's execution contract
 // (content-addressed analyses are bit-identical however they are computed
 // or cached; shard merging is grouping-insensitive; the solve phase is
 // per-job), and is gated by tests/submission_queue_test.cpp: the same
-// corpus submitted singly from concurrent threads, pre-batched, or
-// force-coalesced serializes byte-identically.
+// corpus submitted singly from concurrent threads, pre-batched, or queued
+// behind a dispatch in flight serializes byte-identically.
 //
 // Lifecycle: cancel() removes a still-queued ticket (its result becomes a
 // "cancelled before dispatch" failure); once dispatched a job always runs
@@ -72,66 +69,6 @@
 
 namespace mpsched::engine {
 
-/// When the admission queue flushes queued jobs into one shared dispatch:
-/// one mode plus its window. The three factories below are the only way to
-/// build one, and they reject a zero window or trigger, so every value is
-/// a valid policy.
-class CoalescePolicy {
- public:
-  enum class Mode { Immediate, Hold, Adaptive };
-
-  /// The trigger hold() and adaptive() use unless given one.
-  static constexpr std::size_t kDefaultMaxJobs = 64;
-
-  /// The default: flush whenever the dispatcher is free (a trigger of one
-  /// job, no window). A lone submission dispatches at once and coalescing
-  /// only happens while a dispatch is executing, so latency is never
-  /// traded away silently.
-  static CoalescePolicy immediate() noexcept { return {}; }
-  /// Holds every flush until `max_jobs` are queued or the oldest queued
-  /// job has waited `window_ms`: maximal coalescing at the price of added
-  /// latency. Throws std::invalid_argument on a zero window or trigger.
-  static CoalescePolicy hold(std::uint64_t window_ms,
-                             std::size_t max_jobs = kDefaultMaxJobs);
-  /// hold() with a window derived per flush from the arrival rate:
-  /// adaptive_hold_ms(EWMA of inter-submit gaps, ceiling_ms). Bursty
-  /// fan-in holds near the ceiling; sparse traffic holds ~0 and pays no
-  /// latency tax. Throws std::invalid_argument on a zero ceiling or
-  /// trigger.
-  static CoalescePolicy adaptive(std::uint64_t ceiling_ms,
-                                 std::size_t max_jobs = kDefaultMaxJobs);
-
-  CoalescePolicy() noexcept = default;  ///< immediate()
-
-  Mode mode() const noexcept { return mode_; }
-  /// The hold window, or adaptive's ceiling; 0 for immediate.
-  std::uint64_t window_ms() const noexcept { return window_ms_; }
-  /// Flush as soon as this many jobs are queued; 1 for immediate.
-  std::size_t max_jobs() const noexcept { return max_jobs_; }
-
- private:
-  CoalescePolicy(Mode mode, std::uint64_t window_ms, std::size_t max_jobs);
-
-  Mode mode_ = Mode::Immediate;
-  std::uint64_t window_ms_ = 0;
-  std::size_t max_jobs_ = 1;
-};
-
-/// EWMA smoothing factor for the observed inter-submit gap (weight of the
-/// newest gap), and how many expected gaps must fit inside the adaptive
-/// ceiling before holding is worthwhile. Exposed for tests and
-/// documentation.
-inline constexpr double kAdaptiveEwmaAlpha = 0.5;
-inline constexpr double kAdaptiveGapMultiplier = 8.0;
-
-/// The adaptive hold window: ceiling_ms - kAdaptiveGapMultiplier * the
-/// EWMA gap, clamped to [0, ceiling_ms]. Tiny gaps (a burst) hold for
-/// nearly the whole window; once the expected gap is so large that fewer
-/// than kAdaptiveGapMultiplier arrivals would fit, the hold collapses to
-/// zero. A negative ewma_gap_ms means "no gap observed yet" and also
-/// holds zero — the first submission ever is never taxed on speculation.
-std::uint64_t adaptive_hold_ms(double ewma_gap_ms, std::uint64_t ceiling_ms);
-
 /// Flushes that carried more than one job, summed over every queue in the
 /// process: the queue.coalesce_jobs histogram's buckets above its first
 /// (one-job) bucket.
@@ -164,12 +101,6 @@ struct QueueCore {
   bool stop = false;
   /// A dispatch is executing, on the dispatcher or on a run() caller.
   bool dispatching = false;
-  /// Arrival-rate estimate for CoalescePolicy::adaptive(), maintained
-  /// under `mutex` by submit_batch(): EWMA of the gaps between successive
-  /// submit calls (< 0 until two submissions have been seen).
-  double ewma_gap_ms = -1.0;
-  std::chrono::steady_clock::time_point last_submit{};
-  bool has_last_submit = false;
 };
 
 }  // namespace detail
@@ -223,8 +154,8 @@ class SubmissionQueue {
   /// `dispatch` executes one shared batch and returns results aligned
   /// with its argument (the Engine passes its batch executor). Starts
   /// the dispatcher thread.
-  SubmissionQueue(std::function<std::vector<JobResult>(std::vector<Job>)> dispatch,
-                  CoalescePolicy policy);
+  explicit SubmissionQueue(
+      std::function<std::vector<JobResult>(std::vector<Job>)> dispatch);
   ~SubmissionQueue();
 
   SubmissionQueue(const SubmissionQueue&) = delete;
@@ -237,9 +168,9 @@ class SubmissionQueue {
   std::vector<Ticket> submit_batch(std::vector<Job> jobs);
 
   /// Executes a batch and blocks until its results, aligned with `jobs`,
-  /// are back. On an idle queue whose flush trigger the batch meets alone
-  /// the dispatch runs on this thread (see the file comment); otherwise
-  /// the jobs go through submit_batch() and may share a flush. Either way
+  /// are back. On an idle queue the dispatch runs on this thread (see the
+  /// file comment); otherwise the jobs go through submit_batch() and may
+  /// share a flush. Either way
   /// the results are the same. Rethrows a dispatch-level failure; throws
   /// std::runtime_error after shutdown(), like submit_batch().
   std::vector<JobResult> run(std::vector<Job> jobs);
@@ -254,14 +185,8 @@ class SubmissionQueue {
 
  private:
   void dispatcher_loop();
-  /// Admission accounting shared by submit_batch() and run(), under the
-  /// queue mutex: one arrival for the adaptive EWMA, queue.submitted, and
-  /// queue.max_depth at `depth` (the queue with these jobs admitted).
-  void admit(std::chrono::steady_clock::time_point now, std::size_t jobs,
-             std::size_t depth);
 
   std::function<std::vector<JobResult>(std::vector<Job>)> dispatch_;
-  CoalescePolicy policy_;
   std::shared_ptr<detail::QueueCore> core_;
   std::atomic<std::uint64_t> next_id_{1};
   std::mutex join_mutex_;  ///< serializes shutdown()'s join

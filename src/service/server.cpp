@@ -263,8 +263,9 @@ bool Server::write_response(Request request, Session& session, std::string& out)
                                   "submit_job carries exactly one job"));
         // Blocking ops ride the same admission queue as everything else.
         // On an idle queue this session's thread runs the dispatch itself;
-        // two sessions blocking here concurrently share one coalesced
-        // dispatch instead of queueing behind a server-side mutex.
+        // sessions that block here while a dispatch runs queue behind it
+        // and share the next one instead of queueing behind a server-side
+        // mutex.
         const engine::BatchResult batch = engine_.run_batch(std::move(request.jobs));
         write_results(make_ok(request), batch, request.op == Op::SubmitJob,
                       request.diagnostics, out);
@@ -650,12 +651,11 @@ void Server::serve_socket() {
   // accept failing), where the flag is not yet set and idle sessions
   // would otherwise block in poll forever.
   request_stop();
-  // Then drain the admission queue before joining: with a held queue
-  // (--hold-queue) sessions can be blocked in submit/wait on tickets the
-  // dispatcher is still deliberately sitting on — up to a hold window
-  // away — and nothing below would wake it sooner. shutdown() runs the
-  // final flush now, so every blocked session resolves immediately; a
-  // session that races one more submission in gets an error response,
+  // Then drain the admission queue before joining: sessions can be
+  // blocked in submit/wait on jobs queued behind a running dispatch.
+  // shutdown() flushes them as soon as that dispatch ends and joins the
+  // dispatcher, so every blocked session resolves before reap() joins it;
+  // a session that races one more submission in gets an error response,
   // which is what an almost-stopped daemon owes it.
   engine_.shutdown();
   reap(true);

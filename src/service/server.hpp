@@ -15,9 +15,9 @@
 // ops (submit_async / poll / wait / cancel) are written on the engine's
 // ticket API and give every session a pipeline of server-assigned request
 // ids it can keep in flight. All submissions — across every session —
-// funnel into the engine's one admission queue, so N clients each
-// submitting one small job share one coalesced warm dispatch, and
-// nothing about coalescing or about who runs a dispatch changes any
+// funnel into the engine's one admission queue, so small jobs from N
+// clients that arrive while a dispatch runs share the next warm dispatch,
+// and nothing about coalescing or about who runs a dispatch changes any
 // result: a JobResult depends only on its Job (the engine's gated
 // determinism contract), so serve-mode results stay byte-identical to a
 // one-shot mpsched_batch run of the same corpus.
@@ -62,8 +62,7 @@
 namespace mpsched::service {
 
 struct ServerOptions {
-  /// Engine configuration (threads, cache, cache_dir, shard granularity,
-  /// coalescing policy).
+  /// Engine configuration (threads, cache, cache_dir, shard granularity).
   engine::EngineOptions engine;
   /// Socket path for serve_socket(). Unix-domain socket paths are
   /// length-limited (~107 bytes); open_listen_socket rejects longer ones.

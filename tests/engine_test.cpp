@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <fstream>
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "antichain/enumerate.hpp"
@@ -20,6 +22,7 @@
 #include "io/result_io.hpp"
 #include "obs/metrics.hpp"
 #include "test_util.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
 
@@ -322,9 +325,10 @@ TEST(AdaptiveSharding, RootCostEstimatesAreShapedLikeTheSearchForest) {
 
 TEST(AdaptiveSharding, RootCostEstimatesAreIdenticalSerialAndParallel) {
   // estimate_root_costs validates once and, over the pool-fan-out
-  // threshold (256 nodes), runs the per-root estimates on the shared
-  // ThreadPool. The cost vector must be byte-identical between the
-  // serial and parallel paths and equal to per-root estimate_root_cost —
+  // threshold (256 nodes), runs the per-root estimates on a ThreadPool
+  // (the shared one, or the engine's own). The cost vector must be
+  // byte-identical between the serial and parallel paths, on either
+  // pool, and equal to per-root estimate_root_cost —
   // the adaptive shard plan (and thus the engine's work order) hangs off
   // these numbers.
   workloads::LayeredDagOptions dag_options;
@@ -347,12 +351,42 @@ TEST(AdaptiveSharding, RootCostEstimatesAreIdenticalSerialAndParallel) {
   const std::vector<std::uint64_t> parallel =
       estimate_root_costs(dfg, levels, reach, parallel_options);
   EXPECT_EQ(serial, parallel);
+  ThreadPool own_pool(2);  // the engine fans out on its own pool
+  EXPECT_EQ(serial, estimate_root_costs(dfg, levels, reach, parallel_options, &own_pool));
 
   ASSERT_EQ(serial.size(), dfg.node_count());
   for (NodeId r = 0; r < dfg.node_count(); ++r)
     EXPECT_EQ(serial[r], estimate_root_cost(dfg, levels, reach, serial_options, r))
         << "root " << r;
 }
+
+#ifdef __linux__
+/// This process's thread count, from /proc/self/status; -1 if unread.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  return -1;
+}
+
+TEST(AdaptiveSharding, PlanningALargeGraphStaysOnTheEnginesOwnPool) {
+  // A graph of 256+ nodes crosses the root-cost estimate's fan-out
+  // threshold. An engine with its own pool must fan out there, not on
+  // the process-wide shared pool, so `threads` bounds what it starts.
+  // Under ctest every case is its own process, so nothing has started the
+  // shared pool before this one.
+  engine::EngineOptions options;
+  options.threads = 1;
+  engine::Engine eng(options);
+  engine::Job job = engine::Job::from_workload("fir(130)");
+  job.select.capacity = 2;
+  ASSERT_GE(job.dfg.node_count(), 256u);
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  EXPECT_TRUE(eng.run(job).success);
+  EXPECT_EQ(process_threads(), before);
+}
+#endif
 
 TEST(AdaptiveSharding, PackerProducesValidPartitions) {
   // The LPT packer's hard invariant: whatever the costs, the plan is a

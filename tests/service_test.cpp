@@ -11,10 +11,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -58,6 +60,24 @@ std::vector<Job> small_corpus() {
   jobs.push_back(Job::from_workload("paper_3dft"));
   jobs.push_back(Job::from_workload("small_example"));
   return jobs;
+}
+
+/// A job whose cold analysis keeps its dispatch in flight for hundreds of
+/// milliseconds on an engine with one pool thread (about 0.5 s in a
+/// Release build on a 4-vCPU VM): jobs submitted meanwhile stay queued
+/// behind it.
+Job plug_job() { return Job::from_workload("fft(16)"); }
+
+/// Polls until the server's queue is empty (`queued` false: the
+/// dispatcher has taken everything) or holds jobs (`queued` true); false
+/// after a generous timeout.
+bool await_queue(Server& server, bool queued) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((server.engine().stats().queue_depth > 0) != queued) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
 }
 
 /// Per-test scratch dir + short relative socket path (sun_path is
@@ -602,13 +622,19 @@ TEST_F(ServiceTest, DuplicateAsyncCorrelationIdIsRejected) {
 }
 
 TEST_F(ServiceTest, CancelStopsQueuedJobsAndWaitStillCollects) {
-  // Hold the queue open so the async jobs are still queued when the
-  // cancel arrives.
+  // A cold plug's dispatch holds the queue: async jobs submitted once the
+  // queue has taken the plug are still queued when the cancel arrives.
   ServerOptions options;
-  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 1u << 16);
+  options.engine.threads = 1;
   Server server(options);
   Server::Session session;
   const std::uint64_t cancelled_before = server.engine().stats().jobs_cancelled;
+
+  Request plug;
+  plug.op = Op::SubmitAsync;
+  plug.jobs = {plug_job()};
+  ASSERT_TRUE(server.handle(plug, session).at("ok").as_bool());
+  ASSERT_TRUE(await_queue(server, false));
 
   Request submit;
   submit.op = Op::SubmitAsync;
@@ -762,8 +788,7 @@ TEST_F(ServiceTest, StatsAndMetricsAgree) {
   // Every stats counter is read from the registry the metrics op exports
   // (or derived from it), so with nothing in flight the two responses
   // agree field for field. The server runs over a directory another
-  // server warmed, so analyses come off disk and out of memory, and its
-  // held queue (flush at 3 jobs) lets a cancel land on a queued job.
+  // server warmed, so analyses come off disk and out of memory.
   ServerOptions options;
   options.engine.cache_dir = cache_dir();
   Request submit;
@@ -771,32 +796,50 @@ TEST_F(ServiceTest, StatsAndMetricsAgree) {
   submit.jobs = small_corpus();
   ASSERT_TRUE(Server(options).handle(submit).at("ok").as_bool());
 
-  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 3);
+  // The counters are process-wide, so a raw queue held by a gated
+  // dispatch supplies a cancel that lands on a queued job.
+  {
+    std::mutex mutex;
+    std::condition_variable cv;
+    bool started = false, open = false;
+    engine::SubmissionQueue queue([&](std::vector<Job> jobs) {
+      std::unique_lock lock(mutex);
+      started = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return open; });
+      return std::vector<engine::JobResult>(jobs.size());
+    });
+    queue.submit(Job::from_workload("small_example"));
+    {
+      std::unique_lock lock(mutex);
+      cv.wait(lock, [&] { return started; });
+    }
+    EXPECT_TRUE(queue.submit(Job::from_workload("small_example")).cancel());
+    {
+      std::lock_guard lock(mutex);
+      open = true;
+    }
+    cv.notify_all();
+  }
+
   Server server(options);
   Request async = submit;
   async.op = Op::SubmitAsync;
-  Request lone = async;
-  lone.jobs = {Job::from_workload("small_example")};
-  const auto ref = [](Op op, std::uint64_t request) {
-    Request r;
-    r.op = op;
-    r.request = request;
-    return service::request_to_json(r).dump(-1) + "\n";
-  };
+  Request wait;
+  wait.op = Op::Wait;
+  wait.request = 1;
   std::istringstream in(service::request_to_json(submit).dump(-1) + "\n" +
                         service::request_to_json(async).dump(-1) + "\n" +
-                        ref(Op::Wait, 1) + service::request_to_json(lone).dump(-1) + "\n" +
-                        ref(Op::Cancel, 2) + ref(Op::Wait, 2) + "not json\n");
+                        service::request_to_json(wait).dump(-1) + "\nnot json\n");
   std::ostringstream out;
   server.serve_stream(in, out);
   std::vector<Response> responses;
   for (const std::string& line : split(out.str(), '\n'))
     if (!trim(line).empty())
       responses.push_back(service::response_from_json(Json::parse(line)));
-  ASSERT_EQ(responses.size(), 7u);
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_TRUE(responses[i].ok) << i;
-  EXPECT_EQ(responses[4].body.at("cancelled").as_int(), 1);
-  EXPECT_FALSE(responses[6].ok);
+  ASSERT_EQ(responses.size(), 4u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_TRUE(responses[i].ok) << i;
+  EXPECT_FALSE(responses[3].ok);
 
   // handle() counts no serve.* request, so nothing moves between the two.
   Request stats;
@@ -934,15 +977,14 @@ TEST_F(ServiceTest, ConcurrentClientsGetIdenticalResults) {
   serving.join();
 }
 
-TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
+TEST_F(ServiceTest, CrossSessionSubmitsShareOneAnalysis) {
   // Three clients, each submitting one single-job corpus over its own
-  // socket session. The engine holds its queue until all three jobs are
-  // queued (a held queue with max_jobs = 3), so the three sessions'
-  // jobs MUST share exactly one coalesced dispatch — the "N clients, one
-  // warm dispatch" scenario the admission queue exists for.
+  // socket session. However the queue groups the three jobs into
+  // dispatches — one shared flush, or jobs queued behind a running one —
+  // every client gets the same results and the analysis is computed once:
+  // a shared flush deduplicates it, and a later dispatch finds it cached.
   ServerOptions options;
   options.socket_path = socket_;
-  options.engine.coalesce = engine::CoalescePolicy::hold(60000, 3);
   Server server(options);
   const engine::EngineStats base = server.engine().stats();
   server.adopt_socket(service::open_listen_socket(socket_));
@@ -965,11 +1007,11 @@ TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
   for (int c = 1; c < kClients; ++c) EXPECT_EQ(results[c], results[0]);
 
   const engine::EngineStats stats = server.engine().stats();
-  EXPECT_EQ(stats.batches - base.batches, 1u);
-  EXPECT_EQ(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
+  EXPECT_GE(stats.batches - base.batches, 1u);
+  EXPECT_LE(stats.batches - base.batches, 3u);
   EXPECT_EQ(stats.jobs - base.jobs, 3u);
-  // One client's job computed the analysis; the other two reused it
-  // within the same dispatch.
+  // One client's job computed the analysis; the other two reused it,
+  // within its dispatch or from the cache.
   EXPECT_EQ(stats.analyses_computed - base.analyses_computed, 1u);
   EXPECT_EQ(stats.analyses_reused - base.analyses_reused, 2u);
 
@@ -981,18 +1023,21 @@ TEST_F(ServiceTest, CrossSessionCoalescingSharesOneDispatch) {
   serving.join();
 }
 
-TEST_F(ServiceTest, ShutdownDrainsAHeldQueueWithoutWaitingOutTheDelay) {
-  // A session blocked in a submit on a held queue (its job is queued,
-  // the dispatcher deliberately waiting out a long coalescing delay)
-  // must not stall graceful shutdown: the server's stop path drains the
-  // engine queue before joining sessions, so the blocked submit resolves
-  // immediately instead of after the hold window.
+TEST_F(ServiceTest, ShutdownDrainsASubmitQueuedBehindARunningDispatch) {
+  // A session blocked in a submit whose job is queued behind a running
+  // dispatch must not be dropped by graceful shutdown: the server's stop
+  // path drains the engine queue before joining sessions, so the blocked
+  // submit gets real results.
   ServerOptions options;
   options.socket_path = socket_;
-  options.engine.coalesce = engine::CoalescePolicy::hold(30000, 1u << 16);
+  options.engine.threads = 1;
   Server server(options);
   server.adopt_socket(service::open_listen_socket(socket_));
   std::thread serving([&] { server.serve_socket(); });
+
+  Client plug_client(socket_);
+  plug_client.submit_async({plug_job()});
+  ASSERT_TRUE(await_queue(server, false));  // the plug's dispatch holds the queue
 
   std::string blocked_result_doc;
   std::thread blocked([&] {
@@ -1000,14 +1045,12 @@ TEST_F(ServiceTest, ShutdownDrainsAHeldQueueWithoutWaitingOutTheDelay) {
     Request submit;
     submit.op = Op::Submit;
     submit.jobs.push_back(Job::from_workload("small_example"));
-    const Response response = client.call(submit);  // held by the queue
+    const Response response = client.call(submit);  // queued behind the plug
     if (response.ok) blocked_result_doc = response.body.at("results").dump(-1);
   });
   // Only shut down once the blocked client's job is actually queued.
-  while (server.engine().stats().queue_depth == 0)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const bool queued = await_queue(server, true);
 
-  const auto before = std::chrono::steady_clock::now();
   Client(socket_).call([] {
     Request r;
     r.op = Op::Shutdown;
@@ -1015,10 +1058,8 @@ TEST_F(ServiceTest, ShutdownDrainsAHeldQueueWithoutWaitingOutTheDelay) {
   }());
   serving.join();
   blocked.join();
-  const auto elapsed = std::chrono::steady_clock::now() - before;
 
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
-            10000);  // far below the 30 s coalescing delay
+  EXPECT_TRUE(queued) << "the plug finished before the blocked submit arrived";
   // The drained job ran to completion and its session got real results.
   EXPECT_FALSE(blocked_result_doc.empty());
   EXPECT_NE(blocked_result_doc.find("small_example"), std::string::npos);

@@ -1,16 +1,17 @@
 // The asynchronous submission surface (engine/submission_queue +
 // Engine::submit): ticket lifecycle, fan-in determinism (the same corpus
-// submitted singly from concurrent threads, pre-batched, or
-// force-coalesced serializes byte-identically to one run_batch), per-job
-// analysis attribution, cancellation of queued tickets, queue-draining
-// shutdown, and the blocking run(): which thread runs its dispatch, that
-// caller-run and dispatcher-run dispatches never overlap, and that nothing
-// queued or shut down around a caller-run dispatch is lost.
+// submitted singly from concurrent threads, pre-batched, or queued behind
+// a dispatch in flight serializes byte-identically to one run_batch),
+// per-job analysis attribution, cancellation of queued tickets,
+// queue-draining shutdown, and the blocking run(): which thread runs its
+// dispatch, that caller-run and dispatcher-run dispatches never overlap,
+// and that nothing queued or shut down around a caller-run dispatch is
+// lost. Jobs are kept queued by a dispatch in flight: ProbeDispatch holds
+// every dispatch at a test-controlled gate.
 #include "engine/submission_queue.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -29,9 +30,7 @@ namespace mpsched {
 namespace {
 
 using engine::AnalysisSource;
-using engine::CoalescePolicy;
 using engine::Engine;
-using engine::EngineOptions;
 using engine::Job;
 using engine::JobResult;
 using engine::Ticket;
@@ -51,15 +50,6 @@ std::vector<Job> fanin_corpus() {
   return jobs;
 }
 
-/// Options that hold the queue open: nothing flushes until max_jobs
-/// accumulate or the (long) delay expires — deterministic coalescing and
-/// a wide-open window for cancellation tests.
-EngineOptions held_queue_options(std::size_t max_jobs = 1u << 16) {
-  EngineOptions options;
-  options.coalesce = CoalescePolicy::hold(60000, max_jobs);
-  return options;
-}
-
 /// Serializes a result list exactly like a results document does.
 std::string results_fingerprint(const std::vector<JobResult>& results) {
   std::string out;
@@ -67,17 +57,12 @@ std::string results_fingerprint(const std::vector<JobResult>& results) {
   return out;
 }
 
-/// Counts the dispatches in a recorded size list that carried > 1 job.
-std::size_t coalesced(const std::vector<std::size_t>& sizes) {
-  return static_cast<std::size_t>(
-      std::count_if(sizes.begin(), sizes.end(), [](std::size_t n) { return n > 1; }));
-}
-
-/// A dispatch function for raw queues that executes nothing: echoes
-/// per-job successes, records each dispatch's size (so coalescing shape
-/// is observable) and the thread that ran it, tracks how many dispatches
-/// are in flight at once, can hold every dispatch at its start until the
-/// test opens the gate, and can fail the first dispatch instead.
+/// A dispatch function for raw queues: records each dispatch's size (so
+/// coalescing shape is observable) and the thread that ran it, tracks how
+/// many dispatches are in flight at once, can hold every dispatch at its
+/// start until the test opens the gate, and can fail the first dispatch
+/// instead. It executes nothing and echoes per-job successes, unless
+/// `execute` is set to run the jobs.
 struct ProbeDispatch {
   std::mutex mutex;
   std::condition_variable cv;
@@ -88,6 +73,7 @@ struct ProbeDispatch {
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
   std::chrono::microseconds work{0};  ///< time each dispatch stays in flight
+  std::function<std::vector<JobResult>(std::vector<Job>)> execute;
 
   std::function<std::vector<JobResult>(std::vector<Job>)> fn() {
     return [this](std::vector<Job> jobs) { return run(std::move(jobs)); };
@@ -110,6 +96,7 @@ struct ProbeDispatch {
     std::this_thread::sleep_for(work);
     in_flight.fetch_sub(1);
     if (throw_now) throw std::runtime_error("probe dispatch failed");
+    if (execute) return execute(std::move(jobs));
     std::vector<JobResult> results;
     for (const Job& job : jobs) {
       JobResult r;
@@ -156,6 +143,36 @@ bool await_depth(const engine::SubmissionQueue& queue, std::size_t n) {
   return true;
 }
 
+/// Submits one job and returns once its dispatch has started: with the
+/// probe's gate closed, that dispatch holds the queue, and every job
+/// submitted afterwards stays queued until the gate opens.
+Ticket plug_queue(engine::SubmissionQueue& queue, ProbeDispatch& probe) {
+  Ticket plug = queue.submit(Job::from_workload("small_example"));
+  probe.await_dispatches(1);
+  return plug;
+}
+
+/// Calls queue.shutdown() on a new thread and returns that thread once the
+/// shutdown has latched (the queue refuses work). shutdown() joins the
+/// dispatcher, so `stopped` turns true only after the final drain.
+std::thread shutdown_in_background(engine::SubmissionQueue& queue,
+                                   std::atomic<bool>& stopped) {
+  std::thread stopper([&queue, &stopped] {
+    queue.shutdown();
+    stopped = true;
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (std::chrono::steady_clock::now() < deadline) {
+    try {
+      queue.submit(Job::from_workload("small_example")).cancel();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } catch (const std::runtime_error&) {
+      break;
+    }
+  }
+  return stopper;
+}
+
 TEST(Ticket, DefaultConstructedIsInvalid) {
   Ticket ticket;
   EXPECT_FALSE(ticket.valid());
@@ -185,13 +202,19 @@ TEST(Ticket, SubmitRunsOneJobToCompletion) {
 }
 
 TEST(Ticket, WaitForTimesOutOnHeldQueueThenCompletes) {
-  Engine engine(held_queue_options());
-  Ticket ticket = engine.submit(Job::from_workload("small_example"));
+  // The queue is held by a dispatch in flight, so the ticket stays queued
+  // until the gate opens.
+  ProbeDispatch probe;
+  probe.close_gate();
+  engine::SubmissionQueue queue(probe.fn());
+  plug_queue(queue, probe);
+  Ticket ticket = queue.submit(Job::from_workload("small_example"));
   EXPECT_FALSE(ticket.ready());
   EXPECT_FALSE(ticket.wait_for(std::chrono::milliseconds(10)));
   EXPECT_EQ(ticket.state(), TicketState::Queued);
-  engine.shutdown();  // drains: the held job executes in the final flush
-  EXPECT_TRUE(ticket.ready());
+  probe.open_gate();
+  EXPECT_TRUE(ticket.wait_for(std::chrono::seconds(20)));
+  EXPECT_EQ(ticket.state(), TicketState::Done);
   EXPECT_TRUE(ticket.result().success);
 }
 
@@ -228,25 +251,34 @@ TEST(SubmissionQueue, FanInDeterminism) {
     EXPECT_EQ(results_fingerprint(results), expected);
   }
 
-  // (c) forced coalescing: the queue holds until all jobs are queued,
-  // then dispatches them as one shared batch. The counters are
-  // process-wide, so they are read as deltas; the high-water mark cannot
-  // be, so it starts from zero here.
+  // (c) forced coalescing: a plug job's dispatch holds the queue while
+  // the jobs are submitted singly, so they all queue behind it and the
+  // next flush dispatches them as one shared batch, executed by a real
+  // engine. The high-water mark is process-wide and cannot be read as a
+  // delta, so it starts from zero here.
   {
     obs::Registry::global().gauge("queue.max_depth").reset();
-    Engine engine(held_queue_options(jobs.size()));
-    const engine::EngineStats base = engine.stats();
+    Engine engine;
+    ProbeDispatch probe;
+    probe.execute = [&engine](std::vector<Job> batch) {
+      return engine.run_batch(std::move(batch)).jobs;
+    };
+    probe.close_gate();
+    engine::SubmissionQueue queue(probe.fn());
+    const Ticket plug = plug_queue(queue, probe);
     std::vector<Ticket> tickets;
-    for (const Job& job : jobs) tickets.push_back(engine.submit(job));
+    for (const Job& job : jobs) tickets.push_back(queue.submit(job));
+    probe.open_gate();
     std::vector<JobResult> results;
     for (Ticket& t : tickets) results.push_back(t.result());
     EXPECT_EQ(results_fingerprint(results), expected);
-
-    const engine::EngineStats stats = engine.stats();
-    EXPECT_EQ(stats.batches - base.batches, 1u);  // every submit shared one dispatch
-    EXPECT_EQ(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
-    EXPECT_EQ(stats.jobs_submitted - base.jobs_submitted, jobs.size());
-    EXPECT_EQ(stats.max_queue_depth, jobs.size());
+    EXPECT_TRUE(plug.result().success);
+    {
+      std::lock_guard lock(probe.mutex);
+      EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, jobs.size()}));
+    }
+    EXPECT_EQ(obs::Registry::global().gauge("queue.max_depth").value(),
+              static_cast<std::int64_t>(jobs.size()));
   }
 }
 
@@ -266,10 +298,14 @@ TEST(SubmissionQueue, PerJobAttributionMatchesBatchCounters) {
 }
 
 TEST(SubmissionQueue, CancelQueuedTicket) {
-  Engine engine(held_queue_options());
-  const engine::EngineStats base = engine.stats();
-  Ticket doomed = engine.submit(Job::from_workload("small_example"));
-  Ticket survivor = engine.submit(Job::from_workload("paper_3dft"));
+  obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
+  const std::uint64_t cancelled_before = cancellations.value();
+  ProbeDispatch probe;
+  probe.close_gate();
+  engine::SubmissionQueue queue(probe.fn());
+  plug_queue(queue, probe);
+  Ticket doomed = queue.submit(Job::from_workload("small_example"));
+  Ticket survivor = queue.submit(Job::from_workload("paper_3dft"));
 
   EXPECT_TRUE(doomed.cancel());
   EXPECT_EQ(doomed.state(), TicketState::Cancelled);
@@ -280,11 +316,12 @@ TEST(SubmissionQueue, CancelQueuedTicket) {
   EXPECT_EQ(result.job, "small_example");
   EXPECT_FALSE(doomed.cancel());  // second cancel: already cancelled
 
-  engine.shutdown();  // drain executes only the survivor
+  probe.open_gate();  // the next flush carries only the survivor
   EXPECT_TRUE(survivor.result().success);
-  const engine::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.jobs_cancelled - base.jobs_cancelled, 1u);
-  EXPECT_EQ(stats.jobs - base.jobs, 1u);  // the cancelled job never dispatched
+  EXPECT_EQ(survivor.result().job, "paper_3dft");
+  EXPECT_EQ(cancellations.value() - cancelled_before, 1u);
+  std::lock_guard lock(probe.mutex);
+  EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 1}));  // the cancelled job never dispatched
 }
 
 TEST(SubmissionQueue, CancelAfterCompletionFails) {
@@ -299,64 +336,60 @@ TEST(SubmissionQueue, CancelAfterCompletionFails) {
 TEST(SubmissionQueue, ShutdownDrainsQueuedJobs) {
   std::vector<Ticket> tickets;
   {
-    Engine engine(held_queue_options());
-    for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
+    ProbeDispatch probe;
+    probe.close_gate();
+    engine::SubmissionQueue queue(probe.fn());
+    plug_queue(queue, probe);
+    for (const Job& job : fanin_corpus()) tickets.push_back(queue.submit(job));
     for (const Ticket& t : tickets) EXPECT_FALSE(t.ready());
-    engine.shutdown();
+    // Shut down while the jobs are still queued: the dispatcher must flush
+    // them once the dispatch in flight ends, not exit.
+    std::atomic<bool> stopped{false};
+    std::thread stopper = shutdown_in_background(queue, stopped);
+    EXPECT_EQ(queue.depth(), tickets.size());
+    EXPECT_FALSE(stopped.load());  // still waiting on the dispatch in flight
+    probe.open_gate();
+    stopper.join();
     for (const Ticket& t : tickets) EXPECT_TRUE(t.ready());
+    {
+      std::lock_guard lock(probe.mutex);
+      EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, tickets.size()}));
+    }
 
     // Submitting after shutdown is refused loudly.
-    EXPECT_THROW(engine.submit(Job::from_workload("small_example")),
-                 std::runtime_error);
-    EXPECT_THROW(engine.run_batch(fanin_corpus()), std::runtime_error);
-    EXPECT_NO_THROW(engine.shutdown());  // idempotent
+    EXPECT_THROW(queue.submit(Job::from_workload("small_example")), std::runtime_error);
+    EXPECT_THROW(queue.run(fanin_corpus()), std::runtime_error);
+    EXPECT_NO_THROW(queue.shutdown());  // idempotent
   }
-  // Tickets outlive the engine: shared state keeps every result reachable.
+  // Tickets outlive the queue: shared state keeps every result reachable.
   for (const Ticket& t : tickets) EXPECT_TRUE(t.result().success);
 }
 
 TEST(SubmissionQueue, DestructorDrainsWithoutExplicitShutdown) {
   std::vector<Ticket> tickets;
   {
-    Engine engine(held_queue_options());
-    for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
-  }  // ~Engine: queue drains, every promise resolves — ASan gates leaks
+    ProbeDispatch probe;
+    probe.close_gate();
+    engine::SubmissionQueue queue(probe.fn());
+    plug_queue(queue, probe);
+    for (const Job& job : fanin_corpus()) tickets.push_back(queue.submit(job));
+    probe.open_gate();
+  }  // ~SubmissionQueue: queue drains, every promise resolves — ASan gates leaks
   for (const Ticket& t : tickets) {
     EXPECT_TRUE(t.ready());
     EXPECT_TRUE(t.result().success);
   }
 }
 
-TEST(SubmissionQueue, HeldQueueFlushesAtMaxJobs) {
-  // Held queue (long window): nothing dispatches until max_jobs
-  // accumulate, so the first 4 of 8 rapid submits with max_jobs=4 must
-  // flush long before the 60 s hold expires. A flush takes everything
-  // queued, so it may take more than 4; whatever is left over would wait
-  // out the hold, so shutdown() drains it instead.
-  Engine engine(held_queue_options(/*max_jobs=*/4));
-  const engine::EngineStats base = engine.stats();
-  std::vector<Ticket> tickets;
-  for (const Job& job : fanin_corpus()) tickets.push_back(engine.submit(job));
-  for (std::size_t i = 0; i < 4; ++i)
-    ASSERT_TRUE(tickets[i].wait_for(std::chrono::seconds(20)))
-        << "job " << i << " was not flushed by the max_jobs trigger";
-  engine.shutdown();
-  for (const Ticket& t : tickets) EXPECT_TRUE(t.ready());
-  const engine::EngineStats stats = engine.stats();
-  EXPECT_LT(stats.batches - base.batches, tickets.size());
-  EXPECT_GE(stats.coalesced_dispatches - base.coalesced_dispatches, 1u);
-}
-
 TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
-  // The DEFAULT policy's coalescing mode: a lone submission dispatches
-  // immediately, and whatever arrives while that dispatch is executing
-  // accumulates and rides the next flush together. Tested on a raw
-  // SubmissionQueue whose dispatch function blocks on a test-controlled
-  // gate, so "while the dispatch is in flight" is deterministic, not a
-  // timing accident.
+  // How the queue coalesces: a lone submission dispatches immediately,
+  // and whatever arrives while that dispatch is executing accumulates and
+  // rides the next flush together. Tested on a raw SubmissionQueue whose
+  // dispatch function blocks on a test-controlled gate, so "while the
+  // dispatch is in flight" is deterministic, not a timing accident.
   ProbeDispatch probe;
   probe.close_gate();
-  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+  engine::SubmissionQueue queue(probe.fn());
 
   Ticket first = queue.submit(Job::from_workload("small_example"));
   // The first job flushed alone, immediately — the dispatcher was idle.
@@ -379,142 +412,35 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   for (Ticket& t : rest) EXPECT_EQ(t.result().job, "small_example");
 }
 
-TEST(SubmissionQueue, CancelledFrontDoesNotTruncateTheHoldWindow) {
-  // Regression: the dispatcher used to compute the flush deadline once,
-  // from whichever entry was at the front when the hold began. Cancelling
-  // that front mid-hold left the stale deadline in place, flushing the
-  // surviving jobs up to a full window early. The deadline must track the
-  // *current* front on every wait iteration.
-  const CoalescePolicy policy = CoalescePolicy::hold(1500);
-  ProbeDispatch probe;
-  engine::SubmissionQueue queue(probe.fn(), policy);
-  obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
-  const std::uint64_t cancelled_before = cancellations.value();
-
-  const auto start = std::chrono::steady_clock::now();
-  Ticket doomed = queue.submit(Job::from_workload("small_example"));
-  std::this_thread::sleep_until(start + std::chrono::milliseconds(500));
-  Ticket survivor = queue.submit(Job::from_workload("paper_3dft"));
-  ASSERT_TRUE(doomed.cancel());
-
-  // Sleep past the cancelled front's deadline (start + 1500ms) but well
-  // inside the survivor's (start + 2000ms). The buggy dispatcher has
-  // flushed {survivor} alone by now; the fixed one is still holding, so
-  // this late arrival rides the same dispatch.
-  std::this_thread::sleep_until(start + std::chrono::milliseconds(1600));
-  Ticket late = queue.submit(Job::from_workload("dct8"));
-  survivor.wait();
-  late.wait();
-
-  std::lock_guard lock(probe.mutex);
-  ASSERT_EQ(probe.sizes.size(), 1u) << "premature flush after cancelling the front";
-  EXPECT_EQ(probe.sizes[0], 2u);
-  EXPECT_EQ(cancellations.value() - cancelled_before, 1u);
-}
-
-TEST(AdaptiveDelay, HoldWindowTracksTheArrivalRate) {
-  using engine::adaptive_hold_ms;
-  using engine::kAdaptiveGapMultiplier;
-  // No gap observed yet: the first submission ever is never taxed.
-  EXPECT_EQ(adaptive_hold_ms(-1.0, 100), 0u);
-  // Back-to-back arrivals hold the full ceiling.
-  EXPECT_EQ(adaptive_hold_ms(0.0, 100), 100u);
-  // The hold shrinks by kAdaptiveGapMultiplier ms per ms of expected gap…
-  EXPECT_EQ(adaptive_hold_ms(5.0, 100),
-            100u - static_cast<std::uint64_t>(5.0 * kAdaptiveGapMultiplier));
-  // …collapses to zero exactly when fewer than kAdaptiveGapMultiplier
-  // arrivals would fit in the window, and stays clamped there.
-  EXPECT_EQ(adaptive_hold_ms(100.0 / kAdaptiveGapMultiplier, 100), 0u);
-  EXPECT_EQ(adaptive_hold_ms(1e9, 100), 0u);
-  // Monotone: a sparser stream never holds longer.
-  std::uint64_t prev = adaptive_hold_ms(0.0, 400);
-  for (double gap = 1.0; gap <= 64.0; gap *= 2.0) {
-    const std::uint64_t hold = adaptive_hold_ms(gap, 400);
-    EXPECT_LE(hold, prev) << "gap=" << gap;
-    prev = hold;
-  }
-}
-
-TEST(AdaptiveDelay, BurstsCoalesceAndSparseTrafficPaysNoTax) {
-  const CoalescePolicy policy = CoalescePolicy::adaptive(250);
-
-  // Bursty: back-to-back submissions keep the EWMA gap near zero, so the
-  // hold stays near the ceiling and the burst rides few shared dispatches.
-  {
-    ProbeDispatch probe;
-    engine::SubmissionQueue queue(probe.fn(), policy);
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 6; ++i)
-      tickets.push_back(queue.submit(Job::from_workload("small_example")));
-    for (Ticket& t : tickets) t.wait();
-    std::lock_guard lock(probe.mutex);
-    EXPECT_LT(probe.sizes.size(), 6u);
-    EXPECT_GE(coalesced(probe.sizes), 1u);
-  }
-
-  // Sparse: every observed gap (≥ 120ms) pushes the EWMA far past
-  // the ceiling / kAdaptiveGapMultiplier (31.25ms), so the hold is 0 and
-  // each job flushes alone, immediately — no latency tax on lone traffic.
-  {
-    ProbeDispatch probe;
-    engine::SubmissionQueue queue(probe.fn(), policy);
-    std::vector<Ticket> tickets;
-    for (int i = 0; i < 4; ++i) {
-      if (i > 0) std::this_thread::sleep_for(std::chrono::milliseconds(120));
-      tickets.push_back(queue.submit(Job::from_workload("small_example")));
-    }
-    for (Ticket& t : tickets) t.wait();
-    std::lock_guard lock(probe.mutex);
-    EXPECT_EQ(probe.sizes.size(), 4u);
-    EXPECT_EQ(coalesced(probe.sizes), 0u);
-  }
-}
-
-TEST(AdaptiveDelay, ResultsAreByteIdenticalToRunBatch) {
-  // The coalescing mode never leaks into results: the fan-in corpus under
-  // an adaptive-delay engine serializes exactly like one run_batch.
-  const std::vector<Job> jobs = fanin_corpus();
-  Engine reference;
-  const std::string expected = results_fingerprint(reference.run_batch(jobs).jobs);
-
-  EngineOptions options;
-  options.coalesce = CoalescePolicy::adaptive(250);
-  Engine engine(options);
-  std::vector<Ticket> tickets;
-  for (const Job& job : jobs) tickets.push_back(engine.submit(job));
-  std::vector<JobResult> results;
-  for (Ticket& t : tickets) results.push_back(t.result());
-  EXPECT_EQ(results_fingerprint(results), expected);
-}
-
 TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
-  // A run_batch() issued while async tickets are queued must not disturb
-  // them — everyone resolves, everyone is correct.
-  Engine engine(held_queue_options(/*max_jobs=*/3));
-  const std::uint64_t batches_before = engine.stats().batches;
-  Ticket async1 = engine.submit(Job::from_workload("paper_3dft"));
-  Ticket async2 = engine.submit(Job::from_workload("dct8"));
-  const engine::BatchResult batch =
-      engine.run_batch({Job::from_workload("small_example")});
-  ASSERT_EQ(batch.jobs.size(), 1u);
-  EXPECT_TRUE(batch.jobs.front().success);
-  EXPECT_TRUE(async1.result().success);
-  EXPECT_TRUE(async2.result().success);
-  EXPECT_EQ(engine.stats().batches - batches_before, 1u);  // all three shared one dispatch
-}
-
-TEST(SubmissionQueue, InvalidCoalescePolicyIsRejected) {
-  // A zero window expires at once and a zero trigger is met by any queue:
-  // the caller asked for coalescing and would silently get none.
-  EXPECT_THROW(CoalescePolicy::hold(0), std::invalid_argument);
-  EXPECT_THROW(CoalescePolicy::hold(100, 0), std::invalid_argument);
-  EXPECT_THROW(CoalescePolicy::adaptive(0), std::invalid_argument);
-  EXPECT_THROW(CoalescePolicy::adaptive(100, 0), std::invalid_argument);
+  // A blocking run() issued while async tickets are queued must not
+  // disturb them — everyone resolves, everyone is correct, and all three
+  // jobs share the flush after the dispatch in flight.
+  ProbeDispatch probe;
+  probe.close_gate();
+  engine::SubmissionQueue queue(probe.fn());
+  plug_queue(queue, probe);
+  Ticket async1 = queue.submit(Job::from_workload("paper_3dft"));
+  Ticket async2 = queue.submit(Job::from_workload("dct8"));
+  std::vector<JobResult> batch;
+  std::thread blocking([&] { batch = queue.run({Job::from_workload("small_example")}); });
+  const bool queued = await_depth(queue, 3u);
+  probe.open_gate();
+  blocking.join();
+  EXPECT_TRUE(queued);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_TRUE(batch.front().success);
+  EXPECT_EQ(batch.front().job, "small_example");
+  EXPECT_EQ(async1.result().job, "paper_3dft");
+  EXPECT_EQ(async2.result().job, "dct8");
+  std::lock_guard lock(probe.mutex);
+  EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 3}));  // all three shared one dispatch
 }
 
 TEST(SubmissionQueue, ShutdownBeforeFirstSubmitStillLatches) {
-  // shutdown() on an engine whose queue was never started must still
-  // make later submissions throw — not silently spin up a fresh queue.
+  // The engine starts its queue in its constructor; shutdown() before any
+  // submission must still make later submissions throw — nothing may
+  // restart the queue.
   Engine engine;
   engine.shutdown();
   EXPECT_THROW(engine.submit(Job::from_workload("small_example")), std::runtime_error);
@@ -533,10 +459,10 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
   obs::Counter& caller_dispatches =
       obs::Registry::global().counter("queue.caller_dispatches");
 
-  // Idle immediate queue: the caller runs the dispatch itself.
+  // Idle queue: the caller runs the dispatch itself.
   {
     ProbeDispatch probe;
-    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+    engine::SubmissionQueue queue(probe.fn());
     const std::uint64_t before = caller_dispatches.value();
     const std::vector<JobResult> results = queue.run(small_jobs(3));
     ASSERT_EQ(results.size(), 3u);
@@ -550,7 +476,7 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
   {
     ProbeDispatch probe;
     probe.close_gate();
-    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+    engine::SubmissionQueue queue(probe.fn());
     const std::uint64_t before = caller_dispatches.value();
     Ticket async = queue.submit(Job::from_workload("small_example"));
     probe.await_dispatches(1);
@@ -572,15 +498,14 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
     EXPECT_EQ(caller_dispatches.value() - before, 0u);
   }
 
-  // Hold queue: below the trigger the batch waits out the window on the
-  // queue; a batch that meets the trigger alone is flushed at once, so its
-  // caller runs it — also right after a dispatcher-run flush, which frees
-  // the queue before it hands back any result.
+  // Right after a dispatcher-run flush: the dispatcher frees the queue
+  // before it hands back any result, so a caller woken by its ticket finds
+  // the queue idle and runs its next batch itself.
   {
     ProbeDispatch probe;
-    engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::hold(20, 4));
+    engine::SubmissionQueue queue(probe.fn());
     const std::uint64_t before = caller_dispatches.value();
-    EXPECT_EQ(queue.run(small_jobs(3)).size(), 3u);
+    EXPECT_TRUE(queue.submit(Job::from_workload("small_example")).result().success);
     EXPECT_NE(probe.thread_of(0), std::this_thread::get_id());
     EXPECT_EQ(queue.run(small_jobs(4)).size(), 4u);
     EXPECT_EQ(probe.thread_of(1), std::this_thread::get_id());
@@ -596,7 +521,7 @@ TEST(CallerDispatch, MixedCallersNeverOverlapDispatches) {
   // sometimes idle (run() dispatches itself) and sometimes busy.
   ProbeDispatch probe;
   probe.work = std::chrono::microseconds(100);
-  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+  engine::SubmissionQueue queue(probe.fn());
   constexpr int kThreads = 4;
   constexpr int kRounds = 30;
   std::mutex mutex;
@@ -650,7 +575,7 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
       ProbeDispatch probe;
       probe.close_gate();
       probe.fail_first = fail;
-      engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+      engine::SubmissionQueue queue(probe.fn());
       bool threw = false;
       std::thread caller([&] {
         try {
@@ -666,22 +591,8 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
       std::atomic<bool> stopped{false};
       std::thread stopper;
       if (shut_down) {
-        stopper = std::thread([&] {
-          queue.shutdown();
-          stopped = true;
-        });
-        // Wait until shutdown() has latched: the queue then refuses work.
-        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-        bool refused = false;
-        while (!refused && std::chrono::steady_clock::now() < deadline) {
-          try {
-            queue.submit(Job::from_workload("small_example")).cancel();
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          } catch (const std::runtime_error&) {
-            refused = true;
-          }
-        }
-        EXPECT_TRUE(refused);
+        stopper = shutdown_in_background(queue, stopped);
+        EXPECT_THROW(queue.submit(Job::from_workload("small_example")), std::runtime_error);
         EXPECT_FALSE(stopped.load());  // still waiting on the caller's dispatch
       }
       {
@@ -704,7 +615,7 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
 
 TEST(CallerDispatch, RunAfterShutdownThrowsLikeSubmit) {
   ProbeDispatch probe;
-  engine::SubmissionQueue queue(probe.fn(), CoalescePolicy::immediate());
+  engine::SubmissionQueue queue(probe.fn());
   queue.shutdown();
   std::string submit_error, run_error;
   try {

@@ -8,8 +8,7 @@
 //
 // Usage:
 //   mpsched_serve --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]
-//                 [--max-clients N] [--hold-queue MS | --adaptive-queue MS]
-//                 [--coalesce-jobs N] [--daemonize] [--trace-out FILE]
+//                 [--max-clients N] [--daemonize] [--trace-out FILE]
 //   mpsched_serve --stdio [same engine flags]
 //
 // --trace-out enables structured tracing (src/obs) for the daemon's whole
@@ -19,13 +18,8 @@
 // every session. Use an absolute path with --daemonize.
 //
 // Coalescing: every submission (blocking or async, any session) rides the
-// engine's admission queue. By default a lone job dispatches immediately
-// and coalescing only happens while a dispatch is already executing;
-// --hold-queue MS makes the queue wait MS (or until --coalesce-jobs are
-// queued, 64 by default) before every dispatch — maximal batching for
-// fan-in traffic at the price of added latency per request — and
-// --adaptive-queue MS holds for a window sized from the observed arrival
-// rate, at most MS.
+// engine's admission queue. A lone job dispatches immediately, and jobs
+// that arrive while a dispatch is executing share the next one.
 //
 // --socket serves concurrent clients on a Unix-domain socket
 // (mpsched_client is the matching CLI); --stdio serves a single session
@@ -38,7 +32,6 @@
 // and the cache directory is left with no orphaned temp files.
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -62,8 +55,7 @@ int usage(const char* argv0) {
   std::printf(
       "usage:\n"
       "  %s --socket PATH [--threads N] [--no-cache] [--cache-dir DIR]\n"
-      "     [--max-clients N] [--hold-queue MS | --adaptive-queue MS]\n"
-      "     [--coalesce-jobs N] [--daemonize] [--trace-out FILE]\n"
+      "     [--max-clients N] [--daemonize] [--trace-out FILE]\n"
       "  %s --stdio [same engine flags]\n",
       argv0, argv0);
   return 2;
@@ -114,7 +106,6 @@ int flush_trace(const std::string& trace_out) {
 int main(int argc, char** argv) {
   std::string socket_path, cache_dir, trace_out;
   std::size_t threads = 0, max_clients = 16;
-  std::optional<std::size_t> hold_ms, adaptive_ms, coalesce_jobs;
   bool no_cache = false, stdio = false, daemonize = false;
 
   try {
@@ -127,9 +118,6 @@ int main(int argc, char** argv) {
       else if (arg == "--no-cache") no_cache = true;
       else if (arg == "--cache-dir") cache_dir = value();
       else if (arg == "--max-clients") max_clients = size_flag(arg, value(), 1024);
-      else if (arg == "--hold-queue") hold_ms = size_flag(arg, value(), 60000);
-      else if (arg == "--adaptive-queue") adaptive_ms = size_flag(arg, value(), 60000);
-      else if (arg == "--coalesce-jobs") coalesce_jobs = size_flag(arg, value(), 1u << 20);
       else if (arg == "--daemonize") daemonize = true;
       else if (arg == "--trace-out") trace_out = value();
       else if (arg == "--help" || arg == "-h") return usage(argv[0]);
@@ -155,15 +143,6 @@ int main(int argc, char** argv) {
       std::printf("error: --daemonize requires --socket\n");
       return 2;
     }
-    if (hold_ms && adaptive_ms) {
-      std::printf("error: --hold-queue and --adaptive-queue are mutually exclusive\n");
-      return 2;
-    }
-    if (coalesce_jobs && !hold_ms && !adaptive_ms) {
-      std::printf("error: --coalesce-jobs requires --hold-queue or --adaptive-queue "
-                  "(without a held queue the trigger would be silently inert)\n");
-      return 2;
-    }
 
     // Tracing is enabled for the daemon's whole lifetime and the ring is
     // flushed once, after the graceful drain — spans from every session
@@ -174,12 +153,6 @@ int main(int argc, char** argv) {
     options.engine.threads = threads;
     options.engine.use_cache = !no_cache;
     options.engine.cache_dir = cache_dir;
-    // The policy factories reject a zero window or trigger.
-    const std::size_t trigger =
-        coalesce_jobs.value_or(engine::CoalescePolicy::kDefaultMaxJobs);
-    if (hold_ms) options.engine.coalesce = engine::CoalescePolicy::hold(*hold_ms, trigger);
-    if (adaptive_ms)
-      options.engine.coalesce = engine::CoalescePolicy::adaptive(*adaptive_ms, trigger);
     options.socket_path = socket_path;
     options.max_sessions = max_clients;
 
