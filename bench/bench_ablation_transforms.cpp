@@ -1,6 +1,6 @@
-// Ablation G — the optional compiler phases (Transformation: CSE +
-// reduction rebalancing; Clustering: MAC fusion) and their effect on
-// operation counts, schedule length and tile energy.
+// Ablation G — the optional compiler phases (Transformation: the `cse` and
+// `rebalance_reductions` passes; Clustering: the `mac_fusion` pass) and
+// their effect on operation counts, schedule length and tile energy.
 //
 // Every cell is pinned via bench::Gate: executed operations, schedule
 // cycles, reconfigurations and the (integer-valued) energy model are all
@@ -77,16 +77,17 @@ int main() {
   for (const auto& w : cases) {
     struct Mode {
       const char* label;
-      bool transform, cluster;
+      std::vector<std::string> transforms;
     };
     long long none_cycles = 0, none_ops = 0;
     double none_energy = 0;
-    for (const Mode mode : {Mode{"none", false, false}, Mode{"transform", true, false},
-                            Mode{"cluster", false, true}, Mode{"both", true, true}}) {
+    for (const Mode& mode :
+         {Mode{"none", {}}, Mode{"transform", {"cse", "rebalance_reductions"}},
+          Mode{"cluster", {"mac_fusion"}},
+          Mode{"both", {"cse", "rebalance_reductions", "mac_fusion"}}}) {
       CompileOptions options;
       options.pattern_count = 3;
-      options.run_transformations = mode.transform;
-      options.run_clustering = mode.cluster;
+      options.transforms = mode.transforms;
       const CompileReport r = compile(w.dfg, options);
       if (!r.success) {
         std::printf("%s/%s failed: %s\n", w.name, mode.label, r.error.c_str());

@@ -2,36 +2,23 @@
 
 #include <sstream>
 
-#include "compiler/cluster.hpp"
-#include "compiler/transform.hpp"
+#include "graph/transform.hpp"
 
 namespace mpsched {
 
 CompileReport compile(const Dfg& input, const CompileOptions& options) {
   CompileReport report;
 
-  // --- Phase 1: Transformation (validate; optional CSE + rebalancing) --
+  // --- Phases 1-2: Transformation + Clustering (validate; registry passes)
   try {
     input.validate();
+    report.scheduled_dfg = TransformPipeline::from_specs(options.transforms).apply(input);
   } catch (const std::exception& e) {
     report.error = std::string("transformation phase: ") + e.what();
     return report;
   }
   report.nodes = input.node_count();
-
-  Dfg working = input;
-  if (options.run_transformations) {
-    std::vector<ColorId> associative;
-    if (const auto a = working.find_color("a")) associative.push_back(*a);
-    working = transform_dfg(working, associative).dfg;
-  }
-  report.nodes_after_transform = working.node_count();
-
-  // --- Phase 2: Clustering (optional MAC fusion; else identity) --------
-  if (options.run_clustering)
-    working = cluster_dfg(working, montium_fusion_rules()).dfg;
-  report.clusters = working.node_count();
-  const Dfg& dfg = working;
+  const Dfg& dfg = report.scheduled_dfg;
 
   // --- Phase 3a: Pattern selection --------------------------------------
   if (options.fixed_patterns.has_value()) {
@@ -72,16 +59,11 @@ CompileReport compile(const Dfg& input, const CompileOptions& options) {
     return report;
   }
 
-  if (options.run_transformations || options.run_clustering)
-    report.scheduled_dfg = working;
   report.success = true;
   return report;
 }
 
 std::string CompileReport::to_string(const Dfg& dfg) const {
-  // When rewrite phases ran, patterns/schedule refer to the rewritten
-  // graph; render against it.
-  const Dfg& render_dfg = scheduled_dfg.has_value() ? *scheduled_dfg : dfg;
   std::ostringstream os;
   os << "compile '" << dfg.name() << "': ";
   if (!success) {
@@ -89,10 +71,9 @@ std::string CompileReport::to_string(const Dfg& dfg) const {
     return os.str();
   }
   os << "OK\n";
-  os << "  transformation: " << nodes << " operations in, " << nodes_after_transform
+  os << "  transformation: " << nodes << " operations in, " << scheduled_dfg.node_count()
      << " after rewrites\n";
-  os << "  clustering:     " << clusters << " one-ALU clusters\n";
-  os << "  scheduling:     patterns {" << patterns.to_string(render_dfg) << "} -> "
+  os << "  scheduling:     patterns {" << patterns.to_string(scheduled_dfg) << "} -> "
      << schedule.cycles << " cycles\n";
   os << "  allocation:     " << allocation.reconfigurations << " ALU reconfigurations\n";
   os << "  execution:      " << execution.to_string() << '\n';

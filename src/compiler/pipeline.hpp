@@ -2,13 +2,12 @@
 //   Transformation → Clustering → Scheduling → Allocation
 //
 // This module wires the library's pieces into that end-to-end pipeline:
-//   * Transformation — graph validation + level/statistics analysis (the
-//     real compiler rewrites C code into a DFG; our inputs are DFGs
-//     already, so this phase checks & annotates),
-//   * Clustering — grouping of primitive operations into one-ALU clusters;
-//     for the ALU-level DFGs used throughout the paper this is the
-//     identity mapping (each operation is one cluster), kept explicit so
-//     the report shows the phase,
+//   * Transformation + Clustering — graph validation, then the registry
+//     passes (graph/transform.hpp) named in CompileOptions::transforms, as
+//     a Job names them: `cse` and `rebalance_reductions` are the
+//     transformation rewrites, `mac_fusion` clusters a multiply and its
+//     add into one ALU operation. With none, the graph is scheduled as
+//     given (the paper's ALU-level DFGs are one cluster per operation),
 //   * Scheduling — pattern selection (paper §5) followed by multi-pattern
 //     list scheduling (paper §4),
 //   * Allocation — ALU binding minimizing reconfigurations + execution on
@@ -17,6 +16,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
@@ -33,23 +33,21 @@ struct CompileOptions {
   MpScheduleOptions schedule{};           ///< F-rule, tie-breaks, trace
   /// Use a caller-provided pattern set instead of running selection.
   std::optional<PatternSet> fixed_patterns;
-  /// Transformation phase: CSE + reduction rebalancing of 'a'-colored
-  /// chains (off by default — reproductions schedule the graph as given).
-  bool run_transformations = false;
-  /// Clustering phase: apply montium_fusion_rules() (MAC fusion).
-  bool run_clustering = false;
+  /// Transformation and clustering passes (graph/transform.hpp registry
+  /// names, as in Job::transforms), applied in order. Empty by default:
+  /// reproductions schedule the graph as given.
+  std::vector<std::string> transforms;
 };
 
 struct CompileReport {
   bool success = false;
   std::string error;
 
-  // Phase artifacts. When transformations/clustering run, `scheduled_dfg`
-  // holds the rewritten graph the later phases operated on.
-  std::optional<Dfg> scheduled_dfg;
-  std::size_t nodes = 0;
-  std::size_t nodes_after_transform = 0;
-  std::size_t clusters = 0;
+  // Phase artifacts. `scheduled_dfg` is the graph the later phases
+  // operated on: the input after `transforms` (sharing the input's storage
+  // when none ran). Patterns, schedule and allocation index it.
+  Dfg scheduled_dfg;
+  std::size_t nodes = 0;  ///< operations in the input graph
   SelectionResult selection;     ///< empty when fixed_patterns was given
   PatternSet patterns;           ///< the set actually scheduled with
   MpScheduleResult schedule;

@@ -106,7 +106,8 @@ struct SolvedResult {
   std::vector<std::string> patterns;
   std::size_t cycles = 0;       ///< multi-pattern schedule length
   int critical_path = 0;        ///< cycle-count lower bound
-  /// The schedule itself: cycle_of[node id]; empty on failure.
+  /// The schedule itself: cycle_of[node id] of the effective graph (after
+  /// the transform pipeline); empty on failure.
   std::vector<int> node_cycles;
 
   std::uint64_t antichains = 0;         ///< total enumerated (or counted)

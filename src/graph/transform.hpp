@@ -1,18 +1,21 @@
-// Composable DFG pre-passes (pasched-style transformation pipeline).
+// DFG transform passes: the paper's Transformation and Clustering phases
+// (§1) as one pasched-style pipeline.
 //
-// A DfgTransform rewrites a graph before pattern selection/scheduling.
-// Every transform must preserve the *node* set exactly — same ids, colors,
-// and names in the same insertion order — and may only rewrite the edge set
-// in ways that preserve the precedence relation (the transitive closure).
-// That contract keeps node-indexed outputs (per-node cycles, patterns)
-// meaningful on the original graph, so a transformed job's schedule is
-// still a schedule of the job the user submitted.
+// A pass rewrites a graph before pattern selection/scheduling. Every pass
+// keeps every precedence of the computation: it may drop an edge another
+// path implies (strip_redundant_edges), merge nodes that compute the same
+// value (cse), regroup an associative chain (rebalance_reductions) or fuse
+// a producer into its only consumer (mac_fusion), but never lets a value
+// be used before it is computed. Passes that merge or fuse change node ids,
+// so results describe the effective graph (the pipeline's output): per-node
+// cycles and patterns index it, not the submitted graph. Each pass keeps
+// its old→new node map to itself.
 //
-// Transforms are registered under string keys so jobs, corpus JSON, and
-// CLI flags can name them; `TransformPipeline` composes an ordered stack.
+// Passes are registered under string keys so jobs, corpus JSON, CLI flags
+// and compile() can name them; `TransformPipeline` composes an ordered
+// stack.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,19 +24,14 @@
 
 namespace mpsched {
 
-class DfgTransform {
- public:
-  virtual ~DfgTransform() = default;
-
+/// One registry entry.
+struct DfgTransform {
   /// Registry key (stable; serialized in corpus/results JSON).
-  virtual const std::string& name() const noexcept = 0;
-
+  std::string_view name;
   /// One-line human description for --list-transforms.
-  virtual const std::string& description() const noexcept = 0;
-
-  /// Rewrites `dfg` into a new graph. Must keep the node set (ids, colors,
-  /// names) identical and the precedence relation equivalent.
-  virtual Dfg apply(const Dfg& dfg) const = 0;
+  std::string_view description;
+  /// Rewrites a graph into a new one with the same precedences.
+  Dfg (*apply)(const Dfg&);
 };
 
 /// Looks a transform up by name; nullptr when unknown.

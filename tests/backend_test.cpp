@@ -118,55 +118,76 @@ const std::vector<std::string>& corpus() {
 const std::vector<std::vector<std::string>>& stacks() {
   static const std::vector<std::vector<std::string>> all = {
       {}, {"identity"}, {"strip_redundant_edges"},
-      {"strip_redundant_edges", "identity"}};
+      {"strip_redundant_edges", "identity"}, {"cse", "rebalance_reductions"}};
   return all;
 }
 
+/// Stacks with MAC fusion add the fused color 'm'. On most graphs of
+/// three colors the exhaustive oracle then takes seconds, so these run
+/// only on graphs where it stays cheap: fir(8), and random DAGs drawn
+/// over {a, c} (three colors once fused).
+const std::vector<std::vector<std::string>>& fusion_stacks() {
+  static const std::vector<std::vector<std::string>> all = {
+      {"mac_fusion"}, {"cse", "rebalance_reductions", "mac_fusion"}};
+  return all;
+}
+
+void check_directly(const std::string& spec, const std::vector<std::string>& stack) {
+  const Dfg g = TransformPipeline::from_specs(stack).apply(workloads::make_workload(spec));
+  for (const std::string& backend : backend_names()) {
+    const BackendResult r = solve(backend, g);
+    ASSERT_TRUE(r.success) << spec << " backend=" << backend << ": " << r.error;
+    EXPECT_EQ(r.cycles, r.schedule.cycle_count());
+    check_section4_invariants(g, r.schedule, r.patterns);
+  }
+}
+
 TEST(BackendCrossValidation, EveryBackendAndStackSatisfiesSection4Directly) {
-  for (const std::string& spec : corpus()) {
-    const Dfg base = workloads::make_workload(spec);
-    for (const std::vector<std::string>& stack : stacks()) {
-      const Dfg g = TransformPipeline::from_specs(stack).apply(base);
-      for (const std::string& backend : backend_names()) {
-        const BackendResult r = solve(backend, g);
-        ASSERT_TRUE(r.success)
-            << spec << " backend=" << backend << ": " << r.error;
-        EXPECT_EQ(r.cycles, r.schedule.cycle_count());
-        check_section4_invariants(g, r.schedule, r.patterns);
-      }
-    }
+  for (const std::string& spec : corpus())
+    for (const std::vector<std::string>& stack : stacks())
+      ASSERT_NO_FATAL_FAILURE(check_directly(spec, stack));
+  for (const std::vector<std::string>& stack : fusion_stacks())
+    ASSERT_NO_FATAL_FAILURE(check_directly("fir(8)", stack));
+}
+
+/// Runs `base` through the engine under `stack` on every backend and checks
+/// the result against the effective graph (the pipeline's output).
+void check_through_engine(engine::Engine& eng, const std::string& label, const Dfg& base,
+                          const std::vector<std::string>& stack) {
+  const Dfg effective = TransformPipeline::from_specs(stack).apply(base);
+  for (const std::string& backend : backend_names()) {
+    engine::Job job;
+    job.name = label;
+    job.dfg = base;
+    job.transforms = stack;
+    job.backend = backend;
+    const engine::JobResult r = eng.run(job);
+    ASSERT_TRUE(r.success) << label << " backend=" << backend << ": " << r.error;
+    EXPECT_EQ(r.backend, backend);
+    EXPECT_EQ(r.transforms, stack);
+    EXPECT_EQ(r.nodes, effective.node_count());
+    EXPECT_EQ(r.edges, effective.edge_count());
+    ASSERT_EQ(r.node_cycles.size(), effective.node_count());
+    Schedule schedule(effective.node_count());
+    for (NodeId n = 0; n < effective.node_count(); ++n)
+      schedule.place(n, r.node_cycles[n]);
+    PatternSet patterns;
+    for (const std::string& p : r.patterns)
+      patterns.insert(parse_pattern(effective, p));
+    check_section4_invariants(effective, schedule, patterns);
   }
 }
 
 TEST(BackendCrossValidation, RandomDagSweepThroughTheEngine) {
   engine::Engine eng;
   for (const std::uint64_t seed : {17u, 43u, 97u}) {
+    const std::string label = "seed" + std::to_string(seed);
     const Dfg base = test::random_dag(seed);
-    for (const std::vector<std::string>& stack : stacks()) {
-      const Dfg effective = TransformPipeline::from_specs(stack).apply(base);
-      for (const std::string& backend : backend_names()) {
-        engine::Job job;
-        job.name = "seed" + std::to_string(seed);
-        job.dfg = base;
-        job.transforms = stack;
-        job.backend = backend;
-        const engine::JobResult r = eng.run(job);
-        ASSERT_TRUE(r.success)
-            << "seed " << seed << " backend=" << backend << ": " << r.error;
-        EXPECT_EQ(r.backend, backend);
-        EXPECT_EQ(r.transforms, stack);
-        EXPECT_EQ(r.nodes, effective.node_count());
-        EXPECT_EQ(r.edges, effective.edge_count());
-        ASSERT_EQ(r.node_cycles.size(), effective.node_count());
-        Schedule schedule(effective.node_count());
-        for (NodeId n = 0; n < effective.node_count(); ++n)
-          schedule.place(n, r.node_cycles[n]);
-        PatternSet patterns;
-        for (const std::string& p : r.patterns)
-          patterns.insert(parse_pattern(effective, p));
-        check_section4_invariants(effective, schedule, patterns);
-      }
-    }
+    for (const std::vector<std::string>& stack : stacks())
+      ASSERT_NO_FATAL_FAILURE(check_through_engine(eng, label, base, stack));
+    const Dfg add_mul = test::random_add_mul_dag(seed);
+    for (const std::vector<std::string>& stack : fusion_stacks())
+      ASSERT_NO_FATAL_FAILURE(check_through_engine(eng, label + "/ac", add_mul, stack));
   }
 }
 

@@ -1,9 +1,16 @@
 // The four-phase compiler pipeline: end-to-end success on real workloads,
-// phase failure routing, fixed-pattern mode.
+// phase failure routing, fixed-pattern mode, and agreement with the engine
+// on every transform stack.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "compiler/pipeline.hpp"
+#include "engine/engine.hpp"
 #include "pattern/parse.hpp"
+#include "test_util.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -100,6 +107,53 @@ TEST(CompilerTest, SmallerTilesNeedMoreCycles) {
   ASSERT_TRUE(rb.success) << rb.error;
   ASSERT_TRUE(rs.success) << rs.error;
   EXPECT_GT(rs.schedule.cycles, rb.schedule.cycles);
+}
+
+TEST(CompilerTest, AgreesWithTheEngineOnEveryAblationStack) {
+  // compile() and a Job name their passes alike and run them through one
+  // registry, so with the same select options both schedule the same
+  // effective graph the same way: ablation G's four stacks on each graph.
+  const std::vector<Dfg> graphs = {test::addition_chain(12),  // rebalancing bites
+                                   workloads::make_workload("fir(16)"),
+                                   workloads::make_workload("dft5"),
+                                   workloads::make_workload("matmul(3)"),
+                                   workloads::make_workload("paper_3dft")};
+  const std::vector<std::vector<std::string>> stacks = {
+      {},
+      {"cse", "rebalance_reductions"},
+      {"mac_fusion"},
+      {"cse", "rebalance_reductions", "mac_fusion"}};
+
+  engine::Engine eng;
+  for (const Dfg& g : graphs) {
+    for (const std::vector<std::string>& stack : stacks) {
+      CompileOptions options;
+      options.pattern_count = 3;
+      options.transforms = stack;
+      const CompileReport report = compile(g, options);
+      ASSERT_TRUE(report.success) << g.name() << ": " << report.error;
+
+      engine::Job job;
+      job.dfg = g;
+      job.transforms = stack;
+      job.select.pattern_count = options.pattern_count;
+      job.select.capacity = options.tile.alu_count;
+      job.select.span_limit = options.span_limit;
+      const engine::JobResult r = eng.run(job);
+      ASSERT_TRUE(r.success) << g.name() << ": " << r.error;
+
+      const std::string where = g.name() + " [" + std::to_string(stack.size()) + " passes]";
+      const Dfg& effective = report.scheduled_dfg;
+      EXPECT_EQ(r.nodes, effective.node_count()) << where;
+      EXPECT_EQ(r.cycles, report.schedule.cycles) << where;
+      std::vector<std::string> patterns;
+      for (const Pattern& p : report.patterns) patterns.push_back(p.to_string(effective));
+      EXPECT_EQ(r.patterns, patterns) << where;
+      ASSERT_EQ(r.node_cycles.size(), effective.node_count()) << where;
+      for (NodeId n = 0; n < effective.node_count(); ++n)
+        EXPECT_EQ(r.node_cycles[n], report.schedule.schedule.cycle_of(n)) << where << " node " << n;
+    }
+  }
 }
 
 }  // namespace

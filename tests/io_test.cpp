@@ -7,9 +7,7 @@
 #include "engine/analysis_cache.hpp"
 #include "io/dfg_io.hpp"
 #include "io/graph_intern.hpp"
-#include "io/pattern_io.hpp"
 #include "obs/metrics.hpp"
-#include "pattern/parse.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
 
@@ -74,31 +72,6 @@ TEST(DfgIoTest, FileSaveAndLoad) {
   EXPECT_EQ(loaded.node_count(), original.node_count());
   std::remove(path.c_str());
   EXPECT_THROW((void)load_dfg(path), std::runtime_error);  // gone now
-}
-
-TEST(PatternIoTest, RoundTrip) {
-  const Dfg g = workloads::paper_3dft();
-  const PatternSet original = parse_pattern_set(g, "aabcc aaacc abc");
-  const PatternSet loaded = pattern_set_from_text(g, pattern_set_to_text(g, original));
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) EXPECT_EQ(loaded[i], original[i]);
-}
-
-TEST(PatternIoTest, CommentsIgnored) {
-  const Dfg g = workloads::paper_3dft();
-  const PatternSet set = pattern_set_from_text(g, "# header\naabcc\n\n# tail\naaacc\n");
-  EXPECT_EQ(set.size(), 2u);
-}
-
-TEST(PatternIoTest, FileRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "mpsched_patterns_test.txt").string();
-  const Dfg g = workloads::paper_3dft();
-  const PatternSet original = parse_pattern_set(g, "aabcc abc");
-  save_pattern_set(g, original, path);
-  const PatternSet loaded = load_pattern_set(g, path);
-  EXPECT_EQ(loaded.size(), 2u);
-  std::remove(path.c_str());
 }
 
 // -- graph intern ---------------------------------------------------------

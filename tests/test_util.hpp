@@ -38,6 +38,35 @@ inline Dfg small_random_dag(std::uint64_t seed) {
   return workloads::random_layered_dag(seed, options);
 }
 
+/// random_dag over additions and multiplications ('a', 'c') only, so MAC
+/// fusion's 'm' makes a third color rather than a fourth.
+inline Dfg random_add_mul_dag(std::uint64_t seed) {
+  workloads::LayeredDagOptions options;
+  options.color_weights = {0.6, 0.4};
+  options.color_names = {"a", "c"};
+  return workloads::random_layered_dag(seed, options);
+}
+
+/// acc = ((t1+t2)+t3)+...: a left-leaning chain of `terms`-1 additions
+/// ('a'), each also consuming one fresh multiplication ('c') — the naive
+/// chain form a frontend without reassociation emits, which the
+/// rebalance_reductions pass rebuilds as a tree.
+inline Dfg addition_chain(std::size_t terms) {
+  Dfg g;
+  const ColorId a = g.intern_color("a");
+  const ColorId c = g.intern_color("c");
+  NodeId acc = g.add_node(a);
+  g.add_edge(g.add_node(c), acc);
+  g.add_edge(g.add_node(c), acc);
+  for (std::size_t i = 2; i < terms; ++i) {
+    const NodeId next = g.add_node(a);
+    g.add_edge(acc, next);
+    g.add_edge(g.add_node(c), next);
+    acc = next;
+  }
+  return g;
+}
+
 /// Seeded covering pattern set drawn from an explicit Rng, for sweeps that
 /// take several draws from one stream.
 inline PatternSet random_patterns(const Dfg& g, Rng& rng, std::size_t count,

@@ -2,8 +2,9 @@
 //  * strip_redundant_edges is an exact transitive reduction — reachability
 //    (and with it every antichain and every valid schedule) is unchanged,
 //    no redundant edge survives, and the pass is idempotent;
-//  * every transform preserves the node set exactly (ids, colors, names);
-//  * the registry resolves known names and rejects unknown ones;
+//  * the edge-only passes (identity, strip_redundant_edges) preserve the
+//    node set exactly (ids, colors, names);
+//  * the registry resolves the five pass names and rejects unknown ones;
 //  * TransformPipeline composes stacks in order and the empty pipeline is
 //    the identity.
 #include <gtest/gtest.h>
@@ -125,13 +126,14 @@ TEST(StripRedundantEdges, RandomDagSweep) {
 // ---------------------------------------------------------------------------
 
 TEST(TransformRegistry, ResolvesKnownNamesAndRejectsUnknown) {
-  EXPECT_EQ(transform_names(), (std::vector<std::string>{"identity",
-                                                         "strip_redundant_edges"}));
+  EXPECT_EQ(transform_names(),
+            (std::vector<std::string>{"identity", "strip_redundant_edges", "cse",
+                                      "rebalance_reductions", "mac_fusion"}));
   for (const std::string& name : transform_names()) {
     const DfgTransform* t = find_transform(name);
     ASSERT_NE(t, nullptr);
-    EXPECT_EQ(t->name(), name);
-    EXPECT_FALSE(t->description().empty());
+    EXPECT_EQ(t->name, name);
+    EXPECT_FALSE(t->description.empty());
     EXPECT_EQ(&get_transform(name), t);
   }
   EXPECT_EQ(find_transform("bogus"), nullptr);

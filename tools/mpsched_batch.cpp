@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
       std::printf("graph transforms:\n");
       for (const std::string& name : transform_names())
         std::printf("  %-24s %s\n", name.c_str(),
-                    get_transform(name).description().c_str());
+                    std::string(get_transform(name).description).c_str());
       return 0;
     }
 
