@@ -1,6 +1,8 @@
 // Ablation G — the optional compiler phases (Transformation: the `cse` and
 // `rebalance_reductions` passes; Clustering: the `mac_fusion` pass) and
-// their effect on operation counts, schedule length and tile energy.
+// their effect on operation counts, schedule length and tile energy. Each
+// cell is an engine job (unlimited span, Pdef 3) whose result
+// engine::check_result allocates and executes on the 5-ALU tile.
 //
 // Every cell is pinned via bench::Gate: executed operations, schedule
 // cycles, reconfigurations and the (integer-valued) energy model are all
@@ -11,7 +13,8 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "compiler/pipeline.hpp"
+#include "engine/check.hpp"
+#include "engine/engine.hpp"
 #include "util/table.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/kernels.hpp"
@@ -71,6 +74,7 @@ int main() {
       {45, 10, 7, 73}, {45, 10, 7, 73}, {27, 7, 7, 55}, {27, 7, 7, 55},   // matmul3
   };
 
+  engine::Engine eng;
   bench::Gate gate("ablation_transforms");
   TextTable t({"workload", "phases", "ops", "cycles", "reconfigs", "energy"});
   std::size_t row = 0;
@@ -85,41 +89,45 @@ int main() {
          {Mode{"none", {}}, Mode{"transform", {"cse", "rebalance_reductions"}},
           Mode{"cluster", {"mac_fusion"}},
           Mode{"both", {"cse", "rebalance_reductions", "mac_fusion"}}}) {
-      CompileOptions options;
-      options.pattern_count = 3;
-      options.transforms = mode.transforms;
-      const CompileReport r = compile(w.dfg, options);
-      if (!r.success) {
-        std::printf("%s/%s failed: %s\n", w.name, mode.label, r.error.c_str());
+      engine::Job job;
+      job.dfg = w.dfg;
+      job.transforms = mode.transforms;
+      job.select.pattern_count = 3;
+      job.select.span_limit = std::nullopt;
+      const engine::JobResult r = eng.run(job);
+      const engine::ResultCheck check = engine::check_result(job, r);
+      if (!check.error.empty() || !check.execution.ok) {
+        std::printf("%s/%s failed: %s%s\n", w.name, mode.label, check.error.c_str(),
+                    check.execution.error.c_str());
         return 1;
       }
       const Expected& e = expected[row++];
       const std::string cell = std::string(w.name) + "/" + mode.label + " ";
-      gate.check_eq(e.ops, static_cast<long long>(r.execution.operations), cell + "ops");
-      gate.check_eq(e.cycles, static_cast<long long>(r.schedule.cycles), cell + "cycles");
-      gate.check_eq(e.reconfigs, static_cast<long long>(r.execution.reconfigurations),
+      gate.check_eq(e.ops, static_cast<long long>(check.execution.operations), cell + "ops");
+      gate.check_eq(e.cycles, static_cast<long long>(r.cycles), cell + "cycles");
+      gate.check_eq(e.reconfigs, static_cast<long long>(check.execution.reconfigurations),
                     cell + "reconfigurations");
-      gate.check(e.energy == r.execution.energy,
+      gate.check(e.energy == check.execution.energy,
                  cell + "energy: paper=" + std::to_string(e.energy) +
-                     " measured=" + std::to_string(r.execution.energy));
+                     " measured=" + std::to_string(check.execution.energy));
 
       if (std::string(mode.label) == "none") {
-        none_cycles = static_cast<long long>(r.schedule.cycles);
-        none_ops = static_cast<long long>(r.execution.operations);
-        none_energy = r.execution.energy;
+        none_cycles = static_cast<long long>(r.cycles);
+        none_ops = static_cast<long long>(check.execution.operations);
+        none_energy = check.execution.energy;
       } else if (std::string(mode.label) == "transform" &&
                  std::string(w.name).starts_with("naive-dot")) {
-        gate.check(static_cast<long long>(r.schedule.cycles) < none_cycles,
+        gate.check(static_cast<long long>(r.cycles) < none_cycles,
                    cell + "rebalancing shortens the naive addition chain");
       } else if (std::string(mode.label) == "cluster") {
-        gate.check(static_cast<long long>(r.execution.operations) <= none_ops,
+        gate.check(static_cast<long long>(check.execution.operations) <= none_ops,
                    cell + "MAC fusion never adds executed operations");
-        gate.check(r.execution.energy <= none_energy,
+        gate.check(check.execution.energy <= none_energy,
                    cell + "MAC fusion never adds energy");
       }
 
-      t.add(w.name, mode.label, r.execution.operations, r.schedule.cycles,
-            r.execution.reconfigurations, r.execution.energy);
+      t.add(w.name, mode.label, check.execution.operations, r.cycles,
+            check.execution.reconfigurations, check.execution.energy);
     }
   }
   std::fputs(t.to_string().c_str(), stdout);

@@ -50,8 +50,10 @@ ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptio
   std::vector<ColorId> scratch;
   enumerate_patterns(colors, options.capacity, 0, scratch, universe);
 
-  const std::uint64_t total =
-      combinations(universe.size(), options.pattern_count);
+  // Pdef caps a set's size. A universe of fewer patterns (one color makes
+  // one pattern) is tried whole.
+  const std::size_t k = std::min(options.pattern_count, universe.size());
+  const std::uint64_t total = combinations(universe.size(), k);
   MPSCHED_CHECK(total <= options.max_combinations,
                 "exhaustive search would evaluate " + std::to_string(total) +
                     " pattern sets (limit " + std::to_string(options.max_combinations) + ")");
@@ -60,11 +62,8 @@ ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptio
   result.cycles = SIZE_MAX;
 
   // Iterate k-combinations of the universe.
-  std::vector<std::size_t> idx(options.pattern_count);
+  std::vector<std::size_t> idx(k);
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  if (idx.size() > universe.size()) {
-    MPSCHED_CHECK(false, "fewer candidate patterns than Pdef");
-  }
 
   while (true) {
     PatternSet set;

@@ -32,8 +32,8 @@ struct ExhaustiveResult {
 };
 
 /// Finds the minimum schedule length over all covering Pdef-subsets of the
-/// full pattern universe. Throws when the combination count exceeds the
-/// guard.
+/// full pattern universe (the whole universe when it holds fewer than Pdef
+/// patterns). Throws when the combination count exceeds the guard.
 ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg,
                                            const ExhaustiveOptions& options = {});
 

@@ -68,14 +68,25 @@ ColorId Dfg::intern_color(std::string_view color_name) {
 NodeId Dfg::add_node(ColorId color, std::string node_name) {
   MPSCHED_REQUIRE(color < color_count(), "unknown color id");
   const auto id = static_cast<NodeId>(node_count());
+  const auto taken = [this](const std::string& name) {
+    return block_ && block_->node_index.contains(name);
+  };
   if (node_name.empty()) {
-    // Built as to_string + insert rather than "n" + to_string(id): gcc 12's
-    // -Wrestrict false-positives on operator+(const char*, string&&).
+    // "n<id>", unless a named node already holds it: then "n<id>_<k>" for
+    // the first free k. Built as to_string + insert rather than
+    // "n" + to_string(id): gcc 12's -Wrestrict false-positives on
+    // operator+(const char*, string&&).
     node_name = std::to_string(id);
     node_name.insert(node_name.begin(), 'n');
+    const std::size_t base_length = node_name.size();
+    for (std::size_t k = 1; taken(node_name); ++k) {
+      node_name.resize(base_length);
+      node_name += '_';
+      node_name += std::to_string(k);
+    }
+  } else {
+    MPSCHED_REQUIRE(!taken(node_name), "duplicate node name '" + node_name + "'");
   }
-  MPSCHED_REQUIRE(!block_ || !block_->node_index.contains(node_name),
-                  "duplicate node name '" + node_name + "'");
   Fields& f = edit();
   f.colors.push_back(color);
   f.node_index.emplace(node_name, id);

@@ -84,7 +84,8 @@ class Dfg {
   ColorId intern_color(std::string_view color_name);
 
   /// Adds a node with the given color; `node_name` must be unique when
-  /// non-empty (empty names get an auto-generated "n<i>" label).
+  /// non-empty (empty names get an auto-generated "n<i>" label, or
+  /// "n<i>_<k>" when a named node already holds "n<i>").
   NodeId add_node(ColorId color, std::string node_name = "");
 
   /// Convenience: interns the color by name first.

@@ -11,9 +11,8 @@
 // cycles and patterns index it, not the submitted graph. Each pass keeps
 // its old→new node map to itself.
 //
-// Passes are registered under string keys so jobs, corpus JSON, CLI flags
-// and compile() can name them; `TransformPipeline` composes an ordered
-// stack.
+// Passes are registered under string keys so jobs, corpus JSON and CLI
+// flags can name them; `TransformPipeline` composes an ordered stack.
 #pragma once
 
 #include <string>

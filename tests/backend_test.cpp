@@ -21,11 +21,11 @@
 
 #include "antichain/enumerate.hpp"
 #include "engine/analysis_cache.hpp"
+#include "engine/check.hpp"
 #include "engine/engine.hpp"
 #include "engine/job.hpp"
 #include "graph/transform.hpp"
 #include "io/result_io.hpp"
-#include "pattern/parse.hpp"
 #include "sched/backend.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
@@ -151,10 +151,10 @@ TEST(BackendCrossValidation, EveryBackendAndStackSatisfiesSection4Directly) {
 }
 
 /// Runs `base` through the engine under `stack` on every backend and checks
-/// the result against the effective graph (the pipeline's output).
+/// the result against the effective graph (the pipeline's output) with
+/// engine::check_result, which rebuilds that graph and the schedule itself.
 void check_through_engine(engine::Engine& eng, const std::string& label, const Dfg& base,
                           const std::vector<std::string>& stack) {
-  const Dfg effective = TransformPipeline::from_specs(stack).apply(base);
   for (const std::string& backend : backend_names()) {
     engine::Job job;
     job.name = label;
@@ -165,16 +165,13 @@ void check_through_engine(engine::Engine& eng, const std::string& label, const D
     ASSERT_TRUE(r.success) << label << " backend=" << backend << ": " << r.error;
     EXPECT_EQ(r.backend, backend);
     EXPECT_EQ(r.transforms, stack);
-    EXPECT_EQ(r.nodes, effective.node_count());
-    EXPECT_EQ(r.edges, effective.edge_count());
-    ASSERT_EQ(r.node_cycles.size(), effective.node_count());
-    Schedule schedule(effective.node_count());
-    for (NodeId n = 0; n < effective.node_count(); ++n)
-      schedule.place(n, r.node_cycles[n]);
-    PatternSet patterns;
-    for (const std::string& p : r.patterns)
-      patterns.insert(parse_pattern(effective, p));
-    check_section4_invariants(effective, schedule, patterns);
+    const engine::ResultCheck check = engine::check_result(job, r);
+    EXPECT_EQ(check.error, "") << label << " backend=" << backend;
+    EXPECT_EQ(r.nodes, check.dfg.node_count());
+    EXPECT_EQ(r.edges, check.dfg.edge_count());
+    // Capacity: the tile has C ALUs, so a wider cycle fails allocation.
+    EXPECT_TRUE(check.execution.ok)
+        << label << " backend=" << backend << ": " << check.execution.error;
   }
 }
 
@@ -277,6 +274,25 @@ TEST(Backends, ExhaustiveOracleIsNeverWorseThanTheHeuristic) {
     ASSERT_TRUE(oracle.success) << spec << ": " << oracle.error;
     EXPECT_LE(oracle.cycles, heuristic.cycles) << spec;
   }
+}
+
+TEST(Backends, ExhaustiveTriesAUniverseSmallerThanPdefWhole) {
+  // MAC fusion turns horner(6) into a chain of six 'm' nodes: one color,
+  // so the oracle's universe is the single pattern "mmmmm", fewer than the
+  // default Pdef of 4.
+  engine::Engine eng;
+  engine::Job job = engine::Job::from_workload("horner(6)");
+  job.transforms = {"mac_fusion"};
+  job.backend = "exhaustive";
+  const engine::JobResult oracle = eng.run(job);
+  ASSERT_TRUE(oracle.success) << oracle.error;
+  EXPECT_EQ(oracle.patterns, std::vector<std::string>{"mmmmm"});
+  EXPECT_EQ(engine::check_result(job, oracle).error, "");
+  job.backend = kDefaultBackend;
+  const engine::JobResult heuristic = eng.run(job);
+  ASSERT_TRUE(heuristic.success) << heuristic.error;
+  EXPECT_EQ(oracle.cycles, 6u);
+  EXPECT_EQ(heuristic.cycles, 6u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@
 #include <optional>
 #include <string>
 
-#include "compiler/pipeline.hpp"
 #include "graph/levels.hpp"
 #include "graph/transform.hpp"
 #include "test_util.hpp"
@@ -143,37 +142,34 @@ TEST(ClusterTest, UnknownRuleColorsIgnored) {
 }
 
 TEST(ClusterTest, PipelineWithClusteringSchedulesFewerOps) {
-  const Dfg fir = workloads::fir_filter(16);
-  CompileOptions plain;
-  plain.pattern_count = 3;
-  CompileOptions clustered = plain;
+  engine::Engine eng;
+  const engine::Job plain = test::flow_job(workloads::fir_filter(16), 3);
+  engine::Job clustered = plain;
   clustered.transforms = {"mac_fusion"};
-  const CompileReport rp = compile(fir, plain);
-  const CompileReport rc = compile(fir, clustered);
-  ASSERT_TRUE(rp.success) << rp.error;
-  ASSERT_TRUE(rc.success) << rc.error;
-  EXPECT_LT(rc.scheduled_dfg.node_count(), rp.scheduled_dfg.node_count());
+  const test::Checked rp = test::run_checked(eng, plain);
+  const test::Checked rc = test::run_checked(eng, clustered);
+  ASSERT_TRUE(rp.ok()) << rp.why();
+  ASSERT_TRUE(rc.ok()) << rc.why();
+  EXPECT_LT(rc.check.dfg.node_count(), rp.check.dfg.node_count());
   // Fewer operations execute, but the extra 'm' color competes for the
   // same Pdef pattern slots, so cycle counts move within a small band
   // rather than strictly improving.
-  EXPECT_LE(rc.schedule.cycles, rp.schedule.cycles + 3);
-  EXPECT_TRUE(rc.scheduled_dfg.find_color("m").has_value());
-  EXPECT_LT(rc.execution.operations, rp.execution.operations);
+  EXPECT_LE(rc.result.cycles, rp.result.cycles + 3);
+  EXPECT_TRUE(rc.check.dfg.find_color("m").has_value());
+  EXPECT_LT(rc.check.execution.operations, rp.check.execution.operations);
 }
 
 TEST(ClusterTest, PipelineWithTransformShortensCriticalPath) {
   // Horner is a pure chain of mul/add: rebalancing cannot apply (not a
   // same-color chain), but an addition chain benefits.
-  const Dfg g = test::addition_chain(12);
-
-  CompileOptions plain;
-  plain.pattern_count = 2;
-  CompileOptions transformed = plain;
+  engine::Engine eng;
+  const engine::Job plain = test::flow_job(test::addition_chain(12), 2);
+  engine::Job transformed = plain;
   transformed.transforms = {"cse", "rebalance_reductions"};
-  const CompileReport rp = compile(g, plain);
-  const CompileReport rt = compile(g, transformed);
-  ASSERT_TRUE(rp.success && rt.success);
-  EXPECT_LT(rt.schedule.cycles, rp.schedule.cycles);
+  const test::Checked rp = test::run_checked(eng, plain);
+  const test::Checked rt = test::run_checked(eng, transformed);
+  ASSERT_TRUE(rp.ok() && rt.ok()) << rp.why() << rt.why();
+  EXPECT_LT(rt.result.cycles, rp.result.cycles);
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
-// The four-phase compiler pipeline: end-to-end success on real workloads,
-// phase failure routing, fixed-pattern mode, and agreement with the engine
-// on every transform stack.
+// The Montium compiler flow (paper §1) as engine jobs: the engine runs the
+// transform passes, pattern selection and scheduling, and
+// engine::check_result re-checks the result against §4 and runs ALU
+// allocation and execution on the tile. Also the check's own gates: each
+// broken result it must reject, and the tile's reason for a result that
+// does not fit the tile.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "compiler/pipeline.hpp"
-#include "engine/engine.hpp"
-#include "pattern/parse.hpp"
 #include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/dft.hpp"
@@ -18,101 +18,70 @@
 namespace mpsched {
 namespace {
 
+Dfg two_node_cycle() {
+  Dfg g;
+  const ColorId a = g.intern_color("a");
+  const NodeId u = g.add_node(a), v = g.add_node(a);
+  g.add_edge(u, v);
+  g.add_edge(v, u);
+  return g;
+}
+
 TEST(CompilerTest, CompilesPaper3DftEndToEnd) {
-  const Dfg g = workloads::paper_3dft();
-  CompileOptions options;
-  options.pattern_count = 4;
-  const CompileReport report = compile(g, options);
-  ASSERT_TRUE(report.success) << report.error;
-  EXPECT_EQ(report.nodes, 24u);
-  EXPECT_LE(report.patterns.size(), 4u);
-  EXPECT_GE(report.patterns.size(), 1u);
-  EXPECT_GE(report.schedule.cycles, 5u);
-  EXPECT_TRUE(report.execution.ok);
-  EXPECT_LE(report.execution.distinct_patterns, 4u);
-  const std::string text = report.to_string(g);
-  EXPECT_NE(text.find("OK"), std::string::npos);
-  EXPECT_NE(text.find("scheduling"), std::string::npos);
+  engine::Engine eng;
+  const test::Checked c = test::run_checked(eng, test::flow_job(workloads::paper_3dft(), 4));
+  ASSERT_TRUE(c.ok()) << c.why();
+  EXPECT_EQ(c.result.nodes, 24u);
+  EXPECT_LE(c.result.patterns.size(), 4u);
+  EXPECT_GE(c.result.patterns.size(), 1u);
+  EXPECT_GE(c.result.cycles, 5u);
+  EXPECT_EQ(c.check.execution.cycles, c.result.cycles);
+  EXPECT_LE(c.check.execution.distinct_patterns, 4u);
+  EXPECT_NE(c.check.execution.to_string().find("executed 24 ops"), std::string::npos);
 }
 
 TEST(CompilerTest, CompilesKernelSuite) {
+  engine::Engine eng;
   for (const Dfg& g : {workloads::winograd_dft5(), workloads::fir_filter(16),
                        workloads::dct8(), workloads::matmul(3)}) {
-    CompileOptions options;
-    options.pattern_count = 4;
-    const CompileReport report = compile(g, options);
-    EXPECT_TRUE(report.success) << g.name() << ": " << report.error;
+    const test::Checked c = test::run_checked(eng, test::flow_job(g, 4));
+    EXPECT_TRUE(c.ok()) << g.name() << ": " << c.why();
   }
 }
 
-TEST(CompilerTest, FixedPatternsSkipSelection) {
-  const Dfg g = workloads::paper_3dft();
-  CompileOptions options;
-  options.fixed_patterns = parse_pattern_set(g, "aabcc aaacc");
-  const CompileReport report = compile(g, options);
-  ASSERT_TRUE(report.success) << report.error;
-  EXPECT_EQ(report.patterns.size(), 2u);
-  EXPECT_TRUE(report.selection.patterns.empty());
-  EXPECT_EQ(report.schedule.cycles, 7u);  // the Table 2 schedule
-}
-
-TEST(CompilerTest, FixedPatternsWithoutCoverageFail) {
-  const Dfg g = workloads::paper_3dft();
-  CompileOptions options;
-  options.fixed_patterns = parse_pattern_set(g, "aaaaa");
-  const CompileReport report = compile(g, options);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(report.error.find("scheduling"), std::string::npos);
-}
-
-TEST(CompilerTest, OversizedPatternFailsTileValidation) {
-  const Dfg g = workloads::paper_3dft();
-  CompileOptions options;
-  options.tile.alu_count = 3;
-  options.fixed_patterns = parse_pattern_set(g, "aabcc");  // 5 slots > 3 ALUs
-  const CompileReport report = compile(g, options);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(report.error.find("ALU"), std::string::npos);
-}
-
 TEST(CompilerTest, CyclicGraphFailsTransformationPhase) {
-  Dfg g;
-  const ColorId a = g.intern_color("a");
-  const NodeId u = g.add_node(a), v = g.add_node(a);
-  g.add_edge(u, v);
-  g.add_edge(v, u);
-  const CompileReport report = compile(g);
-  EXPECT_FALSE(report.success);
-  EXPECT_NE(report.error.find("transformation"), std::string::npos);
+  engine::Engine eng;
+  engine::Job job = test::flow_job(two_node_cycle());
+  job.transforms = {"cse"};
+  const engine::JobResult r = eng.run(job);
+  EXPECT_FALSE(r.success);
+  EXPECT_EQ(r.error.rfind("pipeline: ", 0), 0u) << r.error;
+  EXPECT_NE(r.error.find("cycle"), std::string::npos) << r.error;
 }
 
 TEST(CompilerTest, ReportMentionsFailureInToString) {
-  Dfg g;
-  const ColorId a = g.intern_color("a");
-  const NodeId u = g.add_node(a), v = g.add_node(a);
-  g.add_edge(u, v);
-  g.add_edge(v, u);
-  const CompileReport report = compile(g);
-  EXPECT_NE(report.to_string(g).find("FAILED"), std::string::npos);
+  engine::Engine eng;
+  const test::Checked c = test::run_checked(eng, test::flow_job(two_node_cycle()));
+  EXPECT_FALSE(c.result.success);
+  EXPECT_EQ(c.check.error, "job failed: " + c.result.error);
+  EXPECT_NE(c.check.execution.to_string().find("FAILED"), std::string::npos);
 }
 
 TEST(CompilerTest, SmallerTilesNeedMoreCycles) {
+  engine::Engine eng;
   const Dfg g = workloads::winograd_dft5();
-  CompileOptions big;
-  big.pattern_count = 4;
-  CompileOptions small = big;
-  small.tile.alu_count = 2;
-  const CompileReport rb = compile(g, big);
-  const CompileReport rs = compile(g, small);
-  ASSERT_TRUE(rb.success) << rb.error;
-  ASSERT_TRUE(rs.success) << rs.error;
-  EXPECT_GT(rs.schedule.cycles, rb.schedule.cycles);
+  const test::Checked big = test::run_checked(eng, test::flow_job(g, 4, 5));
+  const test::Checked small = test::run_checked(eng, test::flow_job(g, 4, 2));
+  ASSERT_TRUE(big.ok()) << big.why();
+  ASSERT_TRUE(small.ok()) << small.why();
+  EXPECT_GT(small.result.cycles, big.result.cycles);
+  for (const auto& row : small.check.allocation.alu_of) EXPECT_EQ(row.size(), 2u);
 }
 
 TEST(CompilerTest, AgreesWithTheEngineOnEveryAblationStack) {
-  // compile() and a Job name their passes alike and run them through one
-  // registry, so with the same select options both schedule the same
-  // effective graph the same way: ablation G's four stacks on each graph.
+  // The check re-applies a job's passes itself, so on ablation G's four
+  // stacks the graph it rebuilds and the tile run it derives must agree
+  // with what the engine reported for each graph.
   const std::vector<Dfg> graphs = {test::addition_chain(12),  // rebalancing bites
                                    workloads::make_workload("fir(16)"),
                                    workloads::make_workload("dft5"),
@@ -127,33 +96,78 @@ TEST(CompilerTest, AgreesWithTheEngineOnEveryAblationStack) {
   engine::Engine eng;
   for (const Dfg& g : graphs) {
     for (const std::vector<std::string>& stack : stacks) {
-      CompileOptions options;
-      options.pattern_count = 3;
-      options.transforms = stack;
-      const CompileReport report = compile(g, options);
-      ASSERT_TRUE(report.success) << g.name() << ": " << report.error;
-
-      engine::Job job;
-      job.dfg = g;
+      engine::Job job = test::flow_job(g, 3);
       job.transforms = stack;
-      job.select.pattern_count = options.pattern_count;
-      job.select.capacity = options.tile.alu_count;
-      job.select.span_limit = options.span_limit;
-      const engine::JobResult r = eng.run(job);
-      ASSERT_TRUE(r.success) << g.name() << ": " << r.error;
-
+      const test::Checked c = test::run_checked(eng, job);
       const std::string where = g.name() + " [" + std::to_string(stack.size()) + " passes]";
-      const Dfg& effective = report.scheduled_dfg;
-      EXPECT_EQ(r.nodes, effective.node_count()) << where;
-      EXPECT_EQ(r.cycles, report.schedule.cycles) << where;
-      std::vector<std::string> patterns;
-      for (const Pattern& p : report.patterns) patterns.push_back(p.to_string(effective));
-      EXPECT_EQ(r.patterns, patterns) << where;
-      ASSERT_EQ(r.node_cycles.size(), effective.node_count()) << where;
-      for (NodeId n = 0; n < effective.node_count(); ++n)
-        EXPECT_EQ(r.node_cycles[n], report.schedule.schedule.cycle_of(n)) << where << " node " << n;
+      ASSERT_TRUE(c.ok()) << where << ": " << c.why();
+      EXPECT_EQ(c.result.nodes, c.check.dfg.node_count()) << where;
+      EXPECT_EQ(c.result.edges, c.check.dfg.edge_count()) << where;
+      EXPECT_EQ(c.check.execution.operations, c.result.nodes) << where;
+      EXPECT_EQ(c.check.execution.cycles, c.result.cycles) << where;
+      EXPECT_LE(c.check.execution.distinct_patterns, c.result.patterns.size()) << where;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// engine::check_result's gates: a broken result sets `error`; a result
+// that does not fit the tile reads `execution.ok == false` instead.
+// ---------------------------------------------------------------------------
+
+class CheckResultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    valid = eng.run(job);
+    ASSERT_TRUE(valid.success) << valid.error;
+    ASSERT_EQ(engine::check_result(job, valid).error, "");
+  }
+
+  engine::Engine eng;
+  engine::Job job = test::flow_job(workloads::paper_3dft(), 4);
+  engine::JobResult valid;
+};
+
+TEST_F(CheckResultTest, NodeInItsPredecessorsCycleIsAnError) {
+  engine::JobResult moved = valid;
+  const Dfg& g = job.dfg;
+  NodeId n = 0;
+  while (g.preds(n).empty()) ++n;
+  moved.node_cycles[n] = moved.node_cycles[g.preds(n).front()];
+  const std::string error = engine::check_result(job, moved).error;
+  EXPECT_NE(error.find("dependency violated"), std::string::npos) << error;
+}
+
+TEST_F(CheckResultTest, WrongCyclesIsAnError) {
+  engine::JobResult wrong = valid;
+  ++wrong.cycles;
+  const std::string error = engine::check_result(job, wrong).error;
+  EXPECT_NE(error.find("cycles reads"), std::string::npos) << error;
+}
+
+TEST_F(CheckResultTest, ShortNodeCyclesIsAnError) {
+  engine::JobResult shorter = valid;
+  shorter.node_cycles.pop_back();
+  const std::string error = engine::check_result(job, shorter).error;
+  EXPECT_NE(error.find("node_cycles holds 23 entries"), std::string::npos) << error;
+}
+
+TEST_F(CheckResultTest, FailedJobIsAnError) {
+  engine::Job bad = job;
+  bad.backend = "bogus";
+  const engine::JobResult failed = eng.run(bad);
+  ASSERT_FALSE(failed.success);
+  EXPECT_EQ(engine::check_result(bad, failed).error, "job failed: " + failed.error);
+}
+
+TEST_F(CheckResultTest, NarrowerTileIsATileFailureNotAnError) {
+  engine::Job narrow = job;
+  narrow.select.capacity = 3;  // the selected patterns use 5 slots
+  const engine::ResultCheck check = engine::check_result(narrow, valid);
+  EXPECT_EQ(check.error, "");
+  EXPECT_FALSE(check.execution.ok);
+  EXPECT_NE(check.execution.error.find("the tile has 3 ALUs"), std::string::npos)
+      << check.execution.error;
 }
 
 }  // namespace

@@ -59,6 +59,34 @@ TEST(DfgTest, DuplicateNodeNameThrows) {
   EXPECT_THROW(g.add_node(a, "x"), std::invalid_argument);
 }
 
+TEST(DfgTest, AutoNamesSkipNamesAlreadyTaken) {
+  // A builder that copies names (node 0 is called "n1") and then adds
+  // unnamed nodes: node 1 cannot be "n1", nor "n1_1" once that is taken.
+  Dfg g;
+  const ColorId a = g.intern_color("a");
+  g.add_node(a, "n1");
+  g.add_node(a, "n2_1");
+  g.add_node(a, "n2");
+  EXPECT_EQ(g.node_name(g.add_node(a)), "n3");
+  g.add_node(a, "n5");
+  g.add_node(a, "n5_1");
+  EXPECT_EQ(g.node_name(g.add_node(a)), "n6");
+  Dfg copied;
+  copied.intern_color("a");
+  copied.add_node(a, "n1");
+  copied.add_node(a, "n1_1");
+  EXPECT_EQ(copied.node_name(copied.add_node(a)), "n2");
+  Dfg clash;
+  clash.intern_color("a");
+  clash.add_node(a, "n1");
+  EXPECT_EQ(clash.node_name(clash.add_node(a)), "n1_1");
+  EXPECT_EQ(clash.find_node("n1"), std::optional<NodeId>(0));
+  EXPECT_EQ(clash.find_node("n1_1"), std::optional<NodeId>(1));
+  // Explicit duplicates stay rejected, auto-generated names included.
+  EXPECT_THROW(clash.add_node(a, "n1"), std::invalid_argument);
+  EXPECT_THROW(clash.add_node(a, "n1_1"), std::invalid_argument);
+}
+
 TEST(DfgTest, UnknownColorIdThrows) {
   Dfg g;
   EXPECT_THROW(g.add_node(ColorId{3}, "x"), std::invalid_argument);

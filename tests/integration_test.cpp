@@ -4,7 +4,6 @@
 // average; more patterns never hurt much).
 #include <gtest/gtest.h>
 
-#include "compiler/pipeline.hpp"
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
 #include "graph/levels.hpp"
@@ -36,17 +35,14 @@ std::vector<WorkloadCase> workload_matrix() {
 }
 
 TEST(IntegrationTest, FullChainSucceedsOnWorkloadMatrix) {
+  engine::Engine eng;
   for (const auto& wc : workload_matrix()) {
     for (const std::size_t pdef : {2u, 4u}) {
-      CompileOptions options;
-      options.pattern_count = pdef;
-      const CompileReport report = compile(wc.dfg, options);
-      ASSERT_TRUE(report.success) << wc.name << " Pdef=" << pdef << ": " << report.error;
-      EXPECT_TRUE(report.execution.ok) << wc.name;
-      EXPECT_EQ(report.execution.operations, wc.dfg.node_count()) << wc.name;
+      const test::Checked c = test::run_checked(eng, test::flow_job(wc.dfg, pdef));
+      ASSERT_TRUE(c.ok()) << wc.name << " Pdef=" << pdef << ": " << c.why();
+      EXPECT_EQ(c.check.execution.operations, wc.dfg.node_count()) << wc.name;
       const Levels lv = compute_levels(wc.dfg);
-      EXPECT_GE(report.schedule.cycles,
-                static_cast<std::size_t>(lv.critical_path_length()))
+      EXPECT_GE(c.result.cycles, static_cast<std::size_t>(lv.critical_path_length()))
           << wc.name;
     }
   }
@@ -105,17 +101,17 @@ TEST(IntegrationTest, MorePatternsNeverHurtMuch) {
   }
 }
 
-// Equivalent DFGs loaded through IO behave identically end to end.
+// Equivalent DFGs loaded through IO behave identically end to end: two
+// engines, each solving from scratch.
 TEST(IntegrationTest, ScheduleLengthsAreReproducible) {
-  const Dfg g = workloads::winograd_dft5();
-  CompileOptions options;
-  options.pattern_count = 3;
-  const CompileReport r1 = compile(g, options);
-  const CompileReport r2 = compile(g, options);
-  ASSERT_TRUE(r1.success && r2.success);
-  EXPECT_EQ(r1.schedule.cycles, r2.schedule.cycles);
-  EXPECT_EQ(r1.allocation.reconfigurations, r2.allocation.reconfigurations);
-  EXPECT_EQ(r1.execution.energy, r2.execution.energy);
+  const engine::Job job = test::flow_job(workloads::winograd_dft5(), 3);
+  engine::Engine first, second;
+  const test::Checked r1 = test::run_checked(first, job);
+  const test::Checked r2 = test::run_checked(second, job);
+  ASSERT_TRUE(r1.ok() && r2.ok()) << r1.why() << r2.why();
+  EXPECT_EQ(r1.result.cycles, r2.result.cycles);
+  EXPECT_EQ(r1.check.allocation.reconfigurations, r2.check.allocation.reconfigurations);
+  EXPECT_EQ(r1.check.execution.energy, r2.check.execution.energy);
 }
 
 // Montium hard limit: selections with Pdef up to 32 all fit the store.
@@ -135,12 +131,10 @@ TEST(IntegrationTest, SelectionRespectsConfigStore) {
 class RandomChainIntegrationTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomChainIntegrationTest, CompileRandomGraphs) {
-  const Dfg g = test::random_dag(GetParam());
-  CompileOptions options;
-  options.pattern_count = 3;
-  const CompileReport report = compile(g, options);
-  ASSERT_TRUE(report.success) << report.error;
-  EXPECT_TRUE(report.execution.ok);
+  engine::Engine eng;
+  const test::Checked c =
+      test::run_checked(eng, test::flow_job(test::random_dag(GetParam()), 3));
+  ASSERT_TRUE(c.ok()) << c.why();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomChainIntegrationTest,

@@ -1,5 +1,6 @@
 // Shared deterministic fixtures for the test suites: seeded DAG and
-// pattern-set builders plus the §4 schedule-validity assertion helper, so
+// pattern-set builders, the §4 schedule-validity assertion helper, and
+// the Montium compiler flow as an engine job plus its result check, so
 // individual suites stop re-rolling their own copies of this setup.
 //
 // Everything here is fully determined by the seeds passed in — no global
@@ -10,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "antichain/enumerate.hpp"
 #include "core/mp_schedule.hpp"
+#include "engine/check.hpp"
+#include "engine/engine.hpp"
 #include "graph/levels.hpp"
 #include "pattern/random.hpp"
 #include "sched/schedule.hpp"
@@ -93,6 +98,34 @@ inline void expect_valid_schedule(const Dfg& g, const MpScheduleResult& result,
     const Levels lv = compute_levels(g);
     EXPECT_GE(result.cycles, static_cast<std::size_t>(lv.critical_path_length()));
   }
+}
+
+/// The Montium compiler flow (paper §1) on `g` as an engine job: `pdef`
+/// patterns selected from antichains of any span, for a tile of `alus`
+/// ALUs.
+inline engine::Job flow_job(const Dfg& g, std::size_t pdef = 4, std::size_t alus = 5) {
+  engine::Job job;
+  job.dfg = g;
+  job.select.pattern_count = pdef;
+  job.select.capacity = alus;
+  job.select.span_limit = std::nullopt;
+  return job;
+}
+
+/// An engine result and its engine::check_result verdict.
+struct Checked {
+  engine::JobResult result;
+  engine::ResultCheck check;
+
+  /// A valid §4 schedule that also runs on the tile.
+  bool ok() const { return check.error.empty() && check.execution.ok; }
+  std::string why() const { return check.error + check.execution.error; }
+};
+
+inline Checked run_checked(engine::Engine& eng, const engine::Job& job) {
+  Checked out{eng.run(job), {}};
+  out.check = engine::check_result(job, out.result);
+  return out;
 }
 
 /// Field-by-field bit-identity of two antichain analyses — the contract

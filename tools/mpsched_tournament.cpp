@@ -12,10 +12,10 @@
 // {none, strip_redundant_edges} — the full matrix the ROADMAP's
 // "tournament harness" item asks for. Every cell runs on a fresh
 // cold-cache engine so wall_ms is an honest per-configuration latency, and
-// every successful schedule is re-validated from scratch (graph rebuilt
-// from its spec, transforms re-applied, §4 dependency/capacity/
-// completeness checks) before it may enter the report; any invalid
-// schedule fails the run.
+// every successful schedule is re-validated from scratch by
+// engine::check_result (transforms re-applied to the job's graph, §4
+// dependency/capacity/completeness checks) before it may enter the
+// report; any invalid schedule fails the run.
 //
 // The report is `mpsched.tournament/v1` JSON: header (workloads, backends,
 // stacks), one cell per combination, and a per-workload Pareto front
@@ -28,13 +28,12 @@
 #include <vector>
 
 #include "cli_common.hpp"
+#include "engine/check.hpp"
 #include "engine/engine.hpp"
 #include "graph/transform.hpp"
 #include "io/json.hpp"
 #include "io/result_io.hpp"
-#include "pattern/parse.hpp"
 #include "sched/backend.hpp"
-#include "sched/schedule.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -81,29 +80,6 @@ std::vector<std::vector<std::string>> parse_stacks(const std::string& value) {
 
 std::string stack_label(const std::vector<std::string>& stack) {
   return stack.empty() ? "none" : join(stack, ",");
-}
-
-/// Independent re-check of one successful cell: rebuild the graph from its
-/// spec, re-apply the transform stack, reconstruct the schedule from
-/// node_cycles, parse the reported patterns, and run the §4 validator.
-/// Nothing from the engine run is trusted except the result itself.
-std::string revalidate(const Cell& cell) {
-  const Dfg base = workloads::make_workload(cell.workload);
-  const Dfg dfg = TransformPipeline::from_specs(cell.stack).apply(base);
-  if (cell.result.node_cycles.size() != dfg.node_count())
-    return "node_cycles size mismatch";
-  Schedule schedule(dfg.node_count());
-  for (NodeId n = 0; n < dfg.node_count(); ++n) {
-    if (cell.result.node_cycles[n] < 0) return "unscheduled node";
-    schedule.place(n, cell.result.node_cycles[n]);
-  }
-  PatternSet patterns;
-  for (const std::string& p : cell.result.patterns)
-    patterns.insert(parse_pattern(dfg, p));
-  const ScheduleValidation v = validate_schedule(dfg, schedule, patterns);
-  if (!v.ok) return v.summary();
-  if (schedule.cycle_count() != cell.result.cycles) return "cycle count mismatch";
-  return {};
 }
 
 Json report_to_json(const std::vector<std::string>& specs,
@@ -344,7 +320,9 @@ int main(int argc, char** argv) {
           cell.result = eng.run(job);
           cell.wall_ms = wall.millis();
           if (cell.result.success) {
-            const std::string why = revalidate(cell);
+            // list and force_directed report induced pattern sets, which
+            // need not fit the tile's store, so only the §4 verdict gates.
+            const std::string why = engine::check_result(job, cell.result).error;
             cell.valid = why.empty();
             if (!cell.valid) {
               ++invalid;
