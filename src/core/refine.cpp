@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "antichain/analytic.hpp"
-
 namespace mpsched {
 
 namespace {
@@ -82,16 +80,7 @@ RefineResult refine_pattern_set(const Dfg& dfg, const AntichainAnalysis& analysi
 
 RefineResult select_and_refine(const Dfg& dfg, const SelectOptions& select_options,
                                const RefineOptions& refine_options) {
-  AntichainAnalysis analysis;
-  if (select_options.generation == PatternGeneration::LevelAnalytic) {
-    analysis = analytic_level_analysis(dfg, select_options.capacity);
-  } else {
-    EnumerateOptions eo;
-    eo.max_size = select_options.capacity;
-    eo.span_limit = select_options.span_limit;
-    eo.parallel = select_options.parallel;
-    analysis = enumerate_antichains(dfg, eo);
-  }
+  const AntichainAnalysis analysis = generate_candidates(dfg, select_options);
   const SelectionResult greedy = select_patterns(dfg, analysis, select_options);
   return refine_pattern_set(dfg, analysis, greedy.patterns, refine_options);
 }

@@ -39,17 +39,17 @@ double size_bonus_value(const SelectOptions& options, const Pattern& p) {
 
 }  // namespace
 
-SelectionResult select_patterns(const Dfg& dfg, const SelectOptions& options) {
-  if (options.generation == PatternGeneration::LevelAnalytic) {
-    const AntichainAnalysis analysis = analytic_level_analysis(dfg, options.capacity);
-    return select_patterns(dfg, analysis, options);
-  }
+AntichainAnalysis generate_candidates(const Dfg& dfg, const SelectOptions& options) {
+  if (options.generation == PatternGeneration::LevelAnalytic)
+    return analytic_level_analysis(dfg, options.capacity);
   EnumerateOptions eo;
   eo.max_size = options.capacity;
   eo.span_limit = options.span_limit;
-  eo.parallel = options.parallel;
-  const AntichainAnalysis analysis = enumerate_antichains(dfg, eo);
-  return select_patterns(dfg, analysis, options);
+  return enumerate_antichains(dfg, eo);
+}
+
+SelectionResult select_patterns(const Dfg& dfg, const SelectOptions& options) {
+  return select_patterns(dfg, generate_candidates(dfg, options), options);
 }
 
 SelectionResult select_patterns(const Dfg& dfg, const AntichainAnalysis& analysis,

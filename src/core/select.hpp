@@ -58,8 +58,6 @@ struct SelectOptions {
   std::optional<int> span_limit = 1;
   /// Candidate-pattern generation strategy.
   PatternGeneration generation = PatternGeneration::SpanLimitedEnumeration;
-  /// Run the enumerator on the shared thread pool.
-  bool parallel = true;
   /// Record per-iteration candidate priorities (Fig. 4 walkthrough /
   /// debugging; memory grows with candidate count × Pdef).
   bool record_details = false;
@@ -94,7 +92,12 @@ struct SelectionResult {
   std::string to_string(const Dfg& dfg) const;
 };
 
-/// Runs selection end-to-end (enumeration + greedy picks).
+/// The candidate patterns and their statistics (§5.1) that `options`
+/// asks for: the span-limited antichain enumeration (EnumerateOptions'
+/// defaults otherwise) or the level-analytic counts.
+AntichainAnalysis generate_candidates(const Dfg& dfg, const SelectOptions& options);
+
+/// Runs selection end-to-end (generate_candidates + greedy picks).
 SelectionResult select_patterns(const Dfg& dfg, const SelectOptions& options = {});
 
 /// Variant reusing a precomputed antichain analysis (the ablation benches

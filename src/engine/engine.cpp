@@ -408,7 +408,7 @@ void Dispatch::key_and_prepare() {
 /// Probes the cache for every job that needs an analysis, then groups the
 /// misses into units, one per analysis to compute: with the cache on, jobs
 /// sharing an analysis key share a unit (intra-batch deduplication).
-/// Jobs whose backend composes its own patterns (needs_analysis() ==
+/// Jobs whose backend composes its own patterns (needs_analysis ==
 /// false) skip enumeration entirely: no unit, no cache traffic,
 /// analysis_source stays None. With a disk tier attached a memory miss
 /// reads a file, so each probe is timed and charged to its job's
@@ -424,7 +424,7 @@ void Dispatch::probe_and_group() {
   };
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (failed(i) || !backends[i]->needs_analysis()) continue;
+    if (failed(i) || !backends[i]->needs_analysis) continue;
     if (options.use_cache) {
       if (auto hit = probe(i)) {
         analysis[i] = std::move(hit);

@@ -85,7 +85,7 @@ struct PhaseTimings {
 /// dispatch: Computed for the one job that ran (or would have run) the
 /// analysis fresh, Reused for cache hits and intra-dispatch duplicates,
 /// None when the job failed before the analysis phase or its backend
-/// composes its own patterns (needs_analysis() == false, so no analysis
+/// composes its own patterns (needs_analysis == false, so no analysis
 /// ever ran for it). Summing these over
 /// any set of JobResults reproduces the batch-level analyses_computed /
 /// analyses_reused counters — which is how the synchronous run_batch()

@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 #include <queue>
-#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "graph/closure.hpp"
 #include "graph/levels.hpp"
 #include "util/bitset.hpp"
+#include "util/registry.hpp"
 #include "util/require.hpp"
 
 namespace mpsched {
@@ -286,31 +286,14 @@ constexpr DfgTransform kTransforms[] = {
 }  // namespace
 
 const DfgTransform* find_transform(std::string_view name) {
-  for (const DfgTransform& t : kTransforms) {
-    if (t.name == name) return &t;
-  }
-  return nullptr;
+  return find_entry(kTransforms, name);
 }
 
 const DfgTransform& get_transform(std::string_view name) {
-  const DfgTransform* t = find_transform(name);
-  if (t == nullptr) {
-    std::string known;
-    for (const DfgTransform& entry : kTransforms) {
-      if (!known.empty()) known += ", ";
-      known += entry.name;
-    }
-    throw std::invalid_argument("unknown transform '" + std::string(name) +
-                                "' (known: " + known + ")");
-  }
-  return *t;
+  return get_entry(kTransforms, "transform", name);
 }
 
-std::vector<std::string> transform_names() {
-  std::vector<std::string> names;
-  for (const DfgTransform& t : kTransforms) names.emplace_back(t.name);
-  return names;
-}
+std::vector<std::string> transform_names() { return entry_names(kTransforms); }
 
 Dfg strip_redundant_edges(const Dfg& dfg) {
   // An edge u→v is redundant iff some path u → w ⤳ v exists with w ≠ v,

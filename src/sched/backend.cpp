@@ -1,262 +1,166 @@
 #include "sched/backend.hpp"
 
-#include <stdexcept>
+#include <exception>
+#include <utility>
 
 #include "core/exhaustive.hpp"
 #include "obs/trace.hpp"
 #include "sched/force_directed.hpp"
 #include "sched/list_schedule.hpp"
+#include "util/registry.hpp"
 #include "util/timer.hpp"
 
 namespace mpsched {
 
 namespace {
 
+/// Runs one step of a backend under the obs span `span_name` (labelled
+/// with the request's trace detail) and charges its wall time to `ms`, also
+/// when the step throws.
+template <typename Step>
+auto timed_step(const char* span_name, const BackendRequest& request, double& ms, Step step) {
+  const Timer t;
+  try {
+    const obs::Span span(span_name, obs::tracing_enabled() ? request.trace_detail : std::string());
+    auto result = step();
+    ms = t.millis();
+    return result;
+  } catch (...) {
+    ms = t.millis();
+    throw;
+  }
+}
+
+/// The failure a backend that picks its own patterns returns for a request
+/// with refinement on.
+BackendResult refinement_rejected(std::string_view backend, std::string_view reason) {
+  BackendResult out;
+  out.error.append("backend '").append(backend).append("' ").append(reason).append(
+      "; refinement is not applicable");
+  return out;
+}
+
+/// Fills `out` from a schedule that reports the patterns its cycles induce.
+template <typename Scheduled>
+void take_induced(Scheduled& scheduled, BackendResult& out) {
+  out.success = true;
+  out.cycles = scheduled.cycles;
+  out.candidate_patterns = scheduled.induced.size();
+  out.patterns = std::move(scheduled.induced);
+  out.schedule = std::move(scheduled.schedule);
+}
+
 /// The paper's flow, moved verbatim from the engine's old phase 2 so the
 /// default pipeline's output (and its obs spans) stay byte-identical.
-class MultiPatternBackend final : public SchedulerBackend {
- public:
-  const std::string& name() const noexcept override {
-    static const std::string kName = "multi_pattern";
-    return kName;
+BackendResult solve_multi_pattern(const BackendRequest& request) {
+  BackendResult out;
+  SelectionResult selection = timed_step("engine.select", request, out.select_ms, [&] {
+    return select_patterns(*request.dfg, *request.analysis, request.select);
+  });
+  out.antichains = selection.antichains_enumerated;
+  out.candidate_patterns = selection.candidate_patterns;
+
+  PatternSet patterns = std::move(selection.patterns);
+  if (request.refine) {
+    const Timer t;
+    RefineOptions refinement = request.refinement;
+    refinement.schedule = request.schedule;
+    RefineResult refined =
+        refine_pattern_set(*request.dfg, *request.analysis, patterns, refinement);
+    out.refine_ms = t.millis();
+    out.refine_swaps = refined.swaps_accepted;
+    patterns = std::move(refined.patterns);
   }
-  const std::string& description() const noexcept override {
-    static const std::string kDesc =
-        "paper flow: antichain-driven selection (+ optional refine) + "
-        "multi-pattern scheduler";
-    return kDesc;
-  }
-  bool needs_analysis() const noexcept override { return true; }
 
-  BackendResult solve(const BackendRequest& request) const override {
-    BackendResult out;
-    Timer t;
-    const SelectionResult selection = [&] {
-      obs::Span span("engine.select", obs::tracing_enabled()
-                                          ? request.trace_detail
-                                          : std::string());
-      return select_patterns(*request.dfg, *request.analysis, request.select);
-    }();
-    out.select_ms = t.millis();
-    out.antichains = selection.antichains_enumerated;
-    out.candidate_patterns = selection.candidate_patterns;
-
-    PatternSet patterns = selection.patterns;
-    if (request.refine) {
-      t.reset();
-      RefineOptions refinement = request.refinement;
-      refinement.schedule = request.schedule;
-      const RefineResult refined = refine_pattern_set(
-          *request.dfg, *request.analysis, patterns, refinement);
-      out.refine_ms = t.millis();
-      out.refine_swaps = refined.swaps_accepted;
-      patterns = refined.patterns;
-    }
-
-    t.reset();
-    const MpScheduleResult scheduled = [&] {
-      obs::Span span("engine.schedule", obs::tracing_enabled()
-                                            ? request.trace_detail
-                                            : std::string());
-      return multi_pattern_schedule(*request.dfg, patterns, request.schedule);
-    }();
-    out.schedule_ms = t.millis();
-    if (!scheduled.success) {
-      out.error = "schedule: " + scheduled.error;
-      return out;
-    }
-    out.success = true;
-    out.cycles = scheduled.cycles;
-    out.patterns = std::move(patterns);
-    out.schedule = scheduled.schedule;
+  MpScheduleResult scheduled = timed_step("engine.schedule", request, out.schedule_ms, [&] {
+    return multi_pattern_schedule(*request.dfg, patterns, request.schedule);
+  });
+  if (!scheduled.success) {
+    out.error = "schedule: " + scheduled.error;
     return out;
   }
-};
-
-class ListBackend final : public SchedulerBackend {
- public:
-  const std::string& name() const noexcept override {
-    static const std::string kName = "list";
-    return kName;
-  }
-  const std::string& description() const noexcept override {
-    static const std::string kDesc =
-        "capacity-C list scheduling, any color mix; reports induced patterns";
-    return kDesc;
-  }
-  bool needs_analysis() const noexcept override { return false; }
-
-  BackendResult solve(const BackendRequest& request) const override {
-    BackendResult out;
-    if (request.refine) {
-      out.error = "backend 'list' composes its own patterns; refinement is "
-                  "not applicable";
-      return out;
-    }
-    Timer t;
-    ListScheduleOptions options;
-    options.capacity = request.select.capacity;
-    ListScheduleResult r = [&] {
-      obs::Span span("engine.schedule", obs::tracing_enabled()
-                                            ? request.trace_detail
-                                            : std::string());
-      return list_schedule(*request.dfg, options);
-    }();
-    out.schedule_ms = t.millis();
-    out.success = true;
-    out.cycles = r.cycles;
-    out.candidate_patterns = r.induced.size();
-    out.patterns = std::move(r.induced);
-    out.schedule = std::move(r.schedule);
-    return out;
-  }
-};
-
-class ForceDirectedBackend final : public SchedulerBackend {
- public:
-  const std::string& name() const noexcept override {
-    static const std::string kName = "force_directed";
-    return kName;
-  }
-  const std::string& description() const noexcept override {
-    static const std::string kDesc =
-        "force-directed scheduling searched to the smallest capacity-C "
-        "latency";
-    return kDesc;
-  }
-  bool needs_analysis() const noexcept override { return false; }
-
-  BackendResult solve(const BackendRequest& request) const override {
-    BackendResult out;
-    if (request.refine) {
-      out.error = "backend 'force_directed' composes its own patterns; "
-                  "refinement is not applicable";
-      return out;
-    }
-    Timer t;
-    FdsOptions options;
-    options.capacity = request.select.capacity;
-    FdsResult r = [&] {
-      obs::Span span("engine.schedule", obs::tracing_enabled()
-                                            ? request.trace_detail
-                                            : std::string());
-      return force_directed_capacity_schedule(*request.dfg, options);
-    }();
-    out.schedule_ms = t.millis();
-    if (!r.success) {
-      out.error = "force-directed search exhausted its latency budget";
-      return out;
-    }
-    out.success = true;
-    out.cycles = r.cycles;
-    out.candidate_patterns = r.induced.size();
-    out.patterns = std::move(r.induced);
-    out.schedule = std::move(r.schedule);
-    return out;
-  }
-};
-
-class ExhaustiveBackend final : public SchedulerBackend {
- public:
-  const std::string& name() const noexcept override {
-    static const std::string kName = "exhaustive";
-    return kName;
-  }
-  const std::string& description() const noexcept override {
-    static const std::string kDesc =
-        "oracle: best covering Pdef-subset of the pattern universe "
-        "(small graphs)";
-    return kDesc;
-  }
-  bool needs_analysis() const noexcept override { return false; }
-
-  BackendResult solve(const BackendRequest& request) const override {
-    BackendResult out;
-    if (request.refine) {
-      out.error = "backend 'exhaustive' already optimises over pattern "
-                  "sets; refinement is not applicable";
-      return out;
-    }
-    ExhaustiveOptions options;
-    options.capacity = request.select.capacity;
-    options.pattern_count = request.select.pattern_count;
-    options.schedule = request.schedule;
-    Timer t;
-    ExhaustiveResult best;
-    try {
-      obs::Span span("engine.select", obs::tracing_enabled()
-                                          ? request.trace_detail
-                                          : std::string());
-      best = exhaustive_pattern_search(*request.dfg, options);
-    } catch (const std::exception& e) {
-      // Combination guard and friends: an expected failure, not a crash.
-      out.select_ms = t.millis();
-      out.error = std::string("exhaustive: ") + e.what();
-      return out;
-    }
-    out.select_ms = t.millis();
-    out.candidate_patterns = best.best.size();
-
-    // Re-run the §4 scheduler with the winning set to materialise the
-    // schedule (the search itself only keeps the best cycle count).
-    t.reset();
-    const MpScheduleResult scheduled = [&] {
-      obs::Span span("engine.schedule", obs::tracing_enabled()
-                                            ? request.trace_detail
-                                            : std::string());
-      return multi_pattern_schedule(*request.dfg, best.best, request.schedule);
-    }();
-    out.schedule_ms = t.millis();
-    if (!scheduled.success) {
-      out.error = "schedule: " + scheduled.error;
-      return out;
-    }
-    out.success = true;
-    out.cycles = scheduled.cycles;
-    out.patterns = std::move(best.best);
-    out.schedule = scheduled.schedule;
-    return out;
-  }
-};
-
-const std::vector<const SchedulerBackend*>& registry() {
-  static const MultiPatternBackend multi_pattern;
-  static const ListBackend list;
-  static const ForceDirectedBackend force_directed;
-  static const ExhaustiveBackend exhaustive;
-  static const std::vector<const SchedulerBackend*> entries = {
-      &multi_pattern, &list, &force_directed, &exhaustive};
-  return entries;
+  out.success = true;
+  out.cycles = scheduled.cycles;
+  out.patterns = std::move(patterns);
+  out.schedule = std::move(scheduled.schedule);
+  return out;
 }
+
+BackendResult solve_list(const BackendRequest& request) {
+  if (request.refine) return refinement_rejected("list", "composes its own patterns");
+  BackendResult out;
+  ListScheduleOptions options;
+  options.capacity = request.select.capacity;
+  ListScheduleResult scheduled = timed_step("engine.schedule", request, out.schedule_ms,
+                                            [&] { return list_schedule(*request.dfg, options); });
+  take_induced(scheduled, out);
+  return out;
+}
+
+BackendResult solve_force_directed(const BackendRequest& request) {
+  if (request.refine) return refinement_rejected("force_directed", "composes its own patterns");
+  BackendResult out;
+  FdsOptions options;
+  options.capacity = request.select.capacity;
+  FdsResult scheduled = timed_step("engine.schedule", request, out.schedule_ms, [&] {
+    return force_directed_capacity_schedule(*request.dfg, options);
+  });
+  if (!scheduled.success) {
+    out.error = "force-directed search exhausted its latency budget";
+    return out;
+  }
+  take_induced(scheduled, out);
+  return out;
+}
+
+/// The search schedules every covering set and keeps the winner's
+/// schedule, so its whole time is charged to select_ms.
+BackendResult solve_exhaustive(const BackendRequest& request) {
+  if (request.refine)
+    return refinement_rejected("exhaustive", "already optimises over pattern sets");
+  BackendResult out;
+  ExhaustiveOptions options;
+  options.capacity = request.select.capacity;
+  options.pattern_count = request.select.pattern_count;
+  options.schedule = request.schedule;
+  try {
+    ExhaustiveResult best = timed_step("engine.select", request, out.select_ms, [&] {
+      return exhaustive_pattern_search(*request.dfg, options);
+    });
+    out.success = true;
+    out.cycles = best.cycles;
+    out.candidate_patterns = best.best.size();
+    out.patterns = std::move(best.best);
+    out.schedule = std::move(best.schedule);
+  } catch (const std::exception& e) {
+    // Combination guard and friends: an expected failure, not a crash.
+    out.error = std::string("exhaustive: ") + e.what();
+  }
+  return out;
+}
+
+constexpr SchedulerBackend kBackends[] = {
+    {"multi_pattern",
+     "paper flow: antichain-driven selection (+ optional refine) + multi-pattern scheduler",
+     true, &solve_multi_pattern},
+    {"list", "capacity-C list scheduling, any color mix; reports induced patterns", false,
+     &solve_list},
+    {"force_directed", "force-directed scheduling searched to the smallest capacity-C latency",
+     false, &solve_force_directed},
+    {"exhaustive", "oracle: best covering Pdef-subset of the pattern universe (small graphs)",
+     false, &solve_exhaustive},
+};
 
 }  // namespace
 
 const SchedulerBackend* find_backend(std::string_view name) {
-  for (const SchedulerBackend* b : registry()) {
-    if (b->name() == name) return b;
-  }
-  return nullptr;
+  return find_entry(kBackends, name);
 }
 
 const SchedulerBackend& get_backend(std::string_view name) {
-  const SchedulerBackend* b = find_backend(name);
-  if (b == nullptr) {
-    std::string known;
-    for (const SchedulerBackend* entry : registry()) {
-      if (!known.empty()) known += ", ";
-      known += entry->name();
-    }
-    throw std::invalid_argument("unknown backend '" + std::string(name) +
-                                "' (known: " + known + ")");
-  }
-  return *b;
+  return get_entry(kBackends, "backend", name);
 }
 
-std::vector<std::string> backend_names() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const SchedulerBackend* b : registry()) names.push_back(b->name());
-  return names;
-}
+std::vector<std::string> backend_names() { return entry_names(kBackends); }
 
 }  // namespace mpsched

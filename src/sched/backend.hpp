@@ -1,6 +1,6 @@
-// Pluggable scheduler backends — one virtual interface over every way
-// this repo can turn a DFG into a schedule, selected per Job by string
-// key (pasched's scheduler-stage idiom).
+// Scheduler backends: every way this repo can turn a DFG into a schedule,
+// one constant table of plain entries selected per Job by string key (like
+// the transform passes in graph/transform.hpp).
 //
 // Backends:
 //   multi_pattern  — the paper's flow: §5.2 pattern selection over the
@@ -12,12 +12,12 @@
 //   force_directed — Paulin-Knight force-directed scheduling wrapped in a
 //                    latency search until capacity C fits.
 //   exhaustive     — quality oracle for small graphs: best covering
-//                    Pdef-subset of the full pattern universe, scheduled
-//                    with the §4 scheduler.
+//                    Pdef-subset of the full pattern universe under the §4
+//                    scheduler.
 //
 // Backends that compose their own patterns (list / force_directed /
 // exhaustive) do not consume the antichain analysis; the engine skips
-// enumeration entirely for such jobs (needs_analysis() == false).
+// enumeration entirely for such jobs (needs_analysis == false).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ namespace mpsched {
 
 /// Everything a backend may consume for one job. `dfg` is the *effective*
 /// graph (after the job's transform pipeline); `analysis` is non-null iff
-/// the backend declares needs_analysis().
+/// the backend declares needs_analysis.
 struct BackendRequest {
   const Dfg* dfg = nullptr;
   const AntichainAnalysis* analysis = nullptr;
@@ -66,23 +66,18 @@ struct BackendResult {
   double refine_ms = 0.0;
 };
 
-class SchedulerBackend {
- public:
-  virtual ~SchedulerBackend() = default;
-
+/// One registry entry.
+struct SchedulerBackend {
   /// Registry key (stable; serialized in corpus/results JSON).
-  virtual const std::string& name() const noexcept = 0;
-
+  std::string_view name;
   /// One-line human description for --list-backends.
-  virtual const std::string& description() const noexcept = 0;
-
-  /// True when solve() consumes a precomputed antichain analysis; the
-  /// engine only enumerates (or hits the cache) for such backends.
-  virtual bool needs_analysis() const noexcept = 0;
-
+  std::string_view description;
+  /// True when solve consumes a precomputed antichain analysis; the engine
+  /// only enumerates (or hits the cache) for such backends.
+  bool needs_analysis;
   /// Runs the backend. Throws only on programmer error; expected failures
   /// (unschedulable, option conflicts) come back as success == false.
-  virtual BackendResult solve(const BackendRequest& request) const = 0;
+  BackendResult (*solve)(const BackendRequest& request);
 };
 
 /// The backend every Job uses unless it says otherwise.

@@ -5,11 +5,6 @@
 
 namespace mpsched {
 
-bool Schedule::all_scheduled() const {
-  return std::all_of(cycle_of_.begin(), cycle_of_.end(),
-                     [](int c) { return c != kUnscheduled; });
-}
-
 std::size_t Schedule::cycle_count() const {
   int max_cycle = -1;
   for (const int c : cycle_of_) max_cycle = std::max(max_cycle, c);

@@ -46,8 +46,6 @@ class Schedule {
 
   bool is_scheduled(NodeId n) const { return cycle_of(n) != kUnscheduled; }
 
-  bool all_scheduled() const;
-
   /// Number of cycles = 1 + the largest used cycle index (0 when empty).
   std::size_t cycle_count() const;
 

@@ -10,8 +10,6 @@ namespace mpsched {
 
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
-void TextTable::set_header(std::vector<std::string> header) { header_ = std::move(header); }
-
 void TextTable::add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
 void TextTable::set_align(std::size_t column, Align align) {

@@ -18,9 +18,6 @@ class TextTable {
   TextTable() = default;
   explicit TextTable(std::vector<std::string> header);
 
-  /// Replaces the header row.
-  void set_header(std::vector<std::string> header);
-
   /// Appends a row; it may be shorter or longer than the header, the
   /// column count of the table grows to the widest row seen.
   void add_row(std::vector<std::string> row);
@@ -34,7 +31,6 @@ class TextTable {
   /// Per-column alignment (defaults to Left for col 0, Right otherwise).
   void set_align(std::size_t column, Align align);
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
   std::size_t column_count() const noexcept;
 
   /// Pipe-separated aligned text, e.g. for console output.

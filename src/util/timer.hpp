@@ -20,7 +20,6 @@ class Timer {
   }
 
   double millis() const { return seconds() * 1e3; }
-  double micros() const { return seconds() * 1e6; }
 
  private:
   using clock = std::chrono::steady_clock;

@@ -1,7 +1,9 @@
 #include "workloads/corpus.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
+#include "util/registry.hpp"
 #include "util/strings.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/kernels.hpp"
@@ -12,9 +14,11 @@ namespace mpsched::workloads {
 
 namespace {
 
+using Args = std::vector<std::size_t>;
+
 struct ParsedSpec {
   std::string name;
-  std::vector<std::size_t> args;
+  Args args;
 };
 
 ParsedSpec parse_spec(const std::string& spec) {
@@ -36,77 +40,45 @@ ParsedSpec parse_spec(const std::string& spec) {
   return out;
 }
 
-void require_args(const ParsedSpec& p, std::size_t n, const char* usage) {
-  if (p.args.size() != n)
-    throw std::invalid_argument("workload '" + p.name + "' expects " + std::string(usage));
-}
+/// One spec generator: `name` followed by `params` (empty when it takes no
+/// arguments) is its usage string, and `params` fixes its arity.
+struct Generator {
+  std::string_view name;
+  std::string_view params;
+  Dfg (*build)(const Args& args);
+};
+
+constexpr Generator kGenerators[] = {
+    {"paper_3dft", "", [](const Args&) { return paper_3dft(); }},        // Fig. 2, 24 nodes
+    {"small_example", "", [](const Args&) { return small_example(); }},  // Fig. 4, 5 nodes
+    {"dft3", "", [](const Args&) { return winograd_dft3(); }},           // Winograd 3-point
+    {"dft5", "", [](const Args&) { return winograd_dft5(); }},           // Winograd 5-point
+    {"fft", "(n)", [](const Args& a) { return radix2_fft(a[0]); }},      // n a power of two
+    {"direct_dft", "(n)", [](const Args& a) { return direct_dft(a[0]); }},
+    {"fir", "(taps)", [](const Args& a) { return fir_filter(a[0]); }},
+    {"iir", "(sections)", [](const Args& a) { return iir_biquad_cascade(a[0]); }},  // biquads
+    {"matmul", "(n)", [](const Args& a) { return matmul(a[0]); }},                  // n×n
+    {"dct8", "", [](const Args&) { return dct8(); }},                               // Loeffler
+    {"horner", "(degree)", [](const Args& a) { return horner(a[0]); }},
+    {"bitonic", "(n)", [](const Args& a) { return bitonic_sort(a[0]); }},  // n a power of two
+    {"stencil5", "(width,height)", [](const Args& a) { return stencil5(a[0], a[1]); }},
+    // Seeded random DAGs in their default shapes.
+    {"layered", "(seed)", [](const Args& a) { return random_layered_dag(a[0]); }},
+    {"series_parallel", "(seed)", [](const Args& a) { return random_series_parallel(a[0]); }},
+    {"expr_tree", "(seed)", [](const Args& a) { return random_expression_tree(a[0]); }},
+};
 
 Dfg build(const ParsedSpec& p) {
-  if (p.name == "paper_3dft") {
-    require_args(p, 0, "no arguments");
-    return paper_3dft();
+  const Generator* g = find_entry(kGenerators, p.name);
+  if (g == nullptr) throw std::invalid_argument("unknown workload '" + p.name + "'");
+  const std::size_t arity =
+      g->params.empty() ? 0 : 1 + std::count(g->params.begin(), g->params.end(), ',');
+  if (p.args.size() != arity) {
+    std::string message = "workload '" + p.name + "' expects ";
+    message.append(g->params.empty() ? "no arguments" : g->params);
+    throw std::invalid_argument(message);
   }
-  if (p.name == "small_example") {
-    require_args(p, 0, "no arguments");
-    return small_example();
-  }
-  if (p.name == "dft3") {
-    require_args(p, 0, "no arguments");
-    return winograd_dft3();
-  }
-  if (p.name == "dft5") {
-    require_args(p, 0, "no arguments");
-    return winograd_dft5();
-  }
-  if (p.name == "fft") {
-    require_args(p, 1, "(n)");
-    return radix2_fft(p.args[0]);
-  }
-  if (p.name == "direct_dft") {
-    require_args(p, 1, "(n)");
-    return direct_dft(p.args[0]);
-  }
-  if (p.name == "fir") {
-    require_args(p, 1, "(taps)");
-    return fir_filter(p.args[0]);
-  }
-  if (p.name == "iir") {
-    require_args(p, 1, "(sections)");
-    return iir_biquad_cascade(p.args[0]);
-  }
-  if (p.name == "matmul") {
-    require_args(p, 1, "(n)");
-    return matmul(p.args[0]);
-  }
-  if (p.name == "dct8") {
-    require_args(p, 0, "no arguments");
-    return dct8();
-  }
-  if (p.name == "horner") {
-    require_args(p, 1, "(degree)");
-    return horner(p.args[0]);
-  }
-  if (p.name == "bitonic") {
-    require_args(p, 1, "(n)");
-    return bitonic_sort(p.args[0]);
-  }
-  if (p.name == "stencil5") {
-    require_args(p, 2, "(width,height)");
-    return stencil5(p.args[0], p.args[1]);
-  }
-  if (p.name == "layered") {
-    require_args(p, 1, "(seed)");
-    return random_layered_dag(p.args[0]);
-  }
-  if (p.name == "series_parallel") {
-    require_args(p, 1, "(seed)");
-    return random_series_parallel(p.args[0]);
-  }
-  if (p.name == "expr_tree") {
-    require_args(p, 1, "(seed)");
-    return random_expression_tree(p.args[0]);
-  }
-  throw std::invalid_argument("unknown workload '" + p.name + "'");
+  return g->build(p.args);
 }
 
 }  // namespace
@@ -129,14 +101,9 @@ bool is_valid_workload(const std::string& spec) {
 }
 
 std::vector<std::string> workload_usage() {
-  return {
-      "paper_3dft",       "small_example",     "dft3",
-      "dft5",             "fft(n)",            "direct_dft(n)",
-      "fir(taps)",        "iir(sections)",     "matmul(n)",
-      "dct8",             "horner(degree)",    "bitonic(n)",
-      "stencil5(width,height)", "layered(seed)", "series_parallel(seed)",
-      "expr_tree(seed)",
-  };
+  std::vector<std::string> usage;
+  for (const Generator& g : kGenerators) usage.emplace_back(g.name).append(g.params);
+  return usage;
 }
 
 std::vector<std::string> demo_corpus_specs() {
@@ -178,23 +145,8 @@ const std::vector<CorpusGroup>& corpus_groups() {
   return groups;
 }
 
-std::vector<std::string> corpus_group_names() {
-  std::vector<std::string> names;
-  names.reserve(corpus_groups().size());
-  for (const CorpusGroup& g : corpus_groups()) names.push_back(g.name);
-  return names;
-}
-
 const CorpusGroup& corpus_group(const std::string& name) {
-  for (const CorpusGroup& g : corpus_groups())
-    if (g.name == name) return g;
-  std::string known;
-  for (const CorpusGroup& g : corpus_groups()) {
-    if (!known.empty()) known += ", ";
-    known += g.name;
-  }
-  throw std::invalid_argument("unknown corpus group '" + name +
-                              "' (known: " + known + ")");
+  return get_entry(corpus_groups(), "corpus group", name);
 }
 
 }  // namespace mpsched::workloads

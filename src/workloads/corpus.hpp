@@ -3,22 +3,10 @@
 // reference graphs by name instead of embedding edge lists.
 //
 // Grammar:  name  |  name(arg1,arg2,...)   with non-negative integer args.
-//   paper_3dft            the reconstructed Fig. 2 graph (24 nodes)
-//   small_example         the Fig. 4 running example (5 nodes)
-//   dft3                  Winograd 3-point DFT
-//   dft5                  Winograd 5-point DFT
-//   fft(n)                radix-2 FFT (n a power of two)
-//   direct_dft(n)         direct (naive) n-point DFT
-//   fir(taps)             FIR filter
-//   iir(sections)         biquad IIR cascade
-//   matmul(n)             dense n×n matrix multiply
-//   dct8                  8-point Loeffler DCT-II
-//   horner(degree)        Horner polynomial chain
-//   bitonic(n)            bitonic sorting network (n a power of two)
-//   stencil5(w,h)         5-point Jacobi stencil sweep
-//   layered(seed)         random layered DAG (default shape)
-//   series_parallel(seed) random series-parallel DAG (default shape)
-//   expr_tree(seed)       random binary expression tree (default shape)
+// The generators are one table in corpus.cpp: each row holds a name, its
+// parameter list and the call that builds the graph. workload_usage()
+// lists the rows (`mpsched_batch --list` prints them), e.g. "dft3" takes no
+// arguments and "stencil5(width,height)" takes two.
 //
 // Every spec is fully deterministic: the same string always produces the
 // same graph, which is what makes specs usable as cache keys and corpus
@@ -39,7 +27,8 @@ Dfg make_workload(const std::string& spec);
 /// True if `spec` parses, names a known generator, and instantiates cleanly.
 bool is_valid_workload(const std::string& spec);
 
-/// The accepted spec shapes, one usage string per generator (CLI --list).
+/// The accepted spec shapes, one usage string per generator in table order
+/// (CLI --list).
 std::vector<std::string> workload_usage();
 
 /// An 8-job mixed corpus of specs used by the engine bench, the CLI demo
@@ -58,9 +47,6 @@ struct CorpusGroup {
 
 /// All registered groups, in registration order.
 const std::vector<CorpusGroup>& corpus_groups();
-
-/// Group names, in registration order.
-std::vector<std::string> corpus_group_names();
 
 /// Looks a group up by name; throws std::invalid_argument when unknown.
 const CorpusGroup& corpus_group(const std::string& name);

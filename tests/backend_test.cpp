@@ -1,5 +1,5 @@
 // Scheduler-backend registry (sched/backend.hpp) contracts:
-//  * the registry resolves the four backends and rejects unknown names;
+//  * the table resolves the four backends and rejects unknown names;
 //  * every backend x transform stack produces schedules satisfying the §4
 //    invariants over the paper graphs and a seeded random corpus, both
 //    driven directly and end-to-end through the engine (the cross-
@@ -9,14 +9,18 @@
 //    select_patterns + multi_pattern_schedule calls, and a default-pipeline
 //    engine result serializes without any backend/transforms keys (the
 //    pre-refactor document shape);
-//  * backends that compose their own patterns reject refinement cleanly;
-//  * the exhaustive oracle is never worse than the §5.2 heuristic;
+//  * backends that compose their own patterns reject refinement cleanly,
+//    each with its pinned text;
+//  * the exhaustive oracle is never worse than the §5.2 heuristic, returns
+//    the schedule its winning set gets from the §4 scheduler, and fails
+//    only its own job when the universe is too large to build;
 //  * pipeline_cache_tag separates every non-default configuration while
 //    the default tag keeps legacy cache-key bytes (pinned).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "antichain/enumerate.hpp"
@@ -52,29 +56,22 @@ void check_section4_invariants(const Dfg& g, const Schedule& s,
   EXPECT_TRUE(v.ok) << v.summary();
 }
 
-/// The analysis the engine would hand a needs_analysis() backend for this
-/// request (enumeration under the request's own generation options).
-AntichainAnalysis analysis_for(const Dfg& dfg, const SelectOptions& select) {
-  EnumerateOptions eo;
-  eo.max_size = select.capacity;
-  eo.span_limit = select.span_limit;
-  eo.parallel = false;
-  return enumerate_antichains(dfg, eo);
-}
-
 BackendResult solve(const std::string& backend_name, const Dfg& dfg,
                     bool refine = false) {
   const SchedulerBackend& backend = get_backend(backend_name);
   BackendRequest request;
   request.dfg = &dfg;
   request.refine = refine;
+  // The analysis the engine would hand the backend: the candidates the
+  // request's own generation options ask for.
   AntichainAnalysis analysis;
-  if (backend.needs_analysis()) {
-    analysis = analysis_for(dfg, request.select);
+  if (backend.needs_analysis) {
+    analysis = generate_candidates(dfg, request.select);
     request.analysis = &analysis;
   }
   return backend.solve(request);
 }
+
 
 // ---------------------------------------------------------------------------
 // registry
@@ -87,21 +84,24 @@ TEST(BackendRegistry, ResolvesKnownNamesAndRejectsUnknown) {
   for (const std::string& name : backend_names()) {
     const SchedulerBackend* b = find_backend(name);
     ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->name(), name);
-    EXPECT_FALSE(b->description().empty());
+    EXPECT_EQ(b->name, name);
+    EXPECT_FALSE(b->description.empty());
+    EXPECT_NE(b->solve, nullptr);
     EXPECT_EQ(&get_backend(name), b);
   }
   EXPECT_EQ(find_backend("bogus"), nullptr);
   EXPECT_THROW(get_backend("bogus"), std::invalid_argument);
+  EXPECT_EQ(test::thrown_message([] { (void)get_backend("bogus"); }),
+            "unknown backend 'bogus' (known: multi_pattern, list, force_directed, exhaustive)");
   EXPECT_EQ(std::string(kDefaultBackend), "multi_pattern");
-  EXPECT_TRUE(get_backend(kDefaultBackend).needs_analysis());
+  EXPECT_TRUE(get_backend(kDefaultBackend).needs_analysis);
 }
 
 TEST(BackendRegistry, OnlyThePaperFlowConsumesTheAnalysis) {
-  EXPECT_TRUE(get_backend("multi_pattern").needs_analysis());
-  EXPECT_FALSE(get_backend("list").needs_analysis());
-  EXPECT_FALSE(get_backend("force_directed").needs_analysis());
-  EXPECT_FALSE(get_backend("exhaustive").needs_analysis());
+  EXPECT_TRUE(get_backend("multi_pattern").needs_analysis);
+  EXPECT_FALSE(get_backend("list").needs_analysis);
+  EXPECT_FALSE(get_backend("force_directed").needs_analysis);
+  EXPECT_FALSE(get_backend("exhaustive").needs_analysis);
 }
 
 // ---------------------------------------------------------------------------
@@ -252,12 +252,18 @@ TEST(MultiPatternBackend, DefaultEngineResultKeepsThePreRefactorShape) {
 
 TEST(Backends, SelfComposingBackendsRejectRefinementCleanly) {
   const Dfg g = workloads::make_workload("small_example");
-  for (const std::string& name : {std::string("list"), std::string("force_directed"),
-                                  std::string("exhaustive")}) {
+  const std::pair<std::string, std::string> rejections[] = {
+      {"list", "backend 'list' composes its own patterns; refinement is not applicable"},
+      {"force_directed",
+       "backend 'force_directed' composes its own patterns; refinement is not applicable"},
+      {"exhaustive",
+       "backend 'exhaustive' already optimises over pattern sets; refinement is not "
+       "applicable"},
+  };
+  for (const auto& [name, error] : rejections) {
     const BackendResult r = solve(name, g, /*refine=*/true);
     EXPECT_FALSE(r.success) << name;
-    EXPECT_NE(r.error.find("refinement is not applicable"), std::string::npos)
-        << name << ": " << r.error;
+    EXPECT_EQ(r.error, error) << name;
   }
   const BackendResult ok = solve("multi_pattern", g, /*refine=*/true);
   EXPECT_TRUE(ok.success) << ok.error;
@@ -273,7 +279,44 @@ TEST(Backends, ExhaustiveOracleIsNeverWorseThanTheHeuristic) {
     ASSERT_TRUE(heuristic.success) << spec << ": " << heuristic.error;
     ASSERT_TRUE(oracle.success) << spec << ": " << oracle.error;
     EXPECT_LE(oracle.cycles, heuristic.cycles) << spec;
+
+    // The search keeps the winning set's schedule: scheduling that set
+    // once more must reproduce it exactly.
+    const MpScheduleResult rerun = multi_pattern_schedule(g, oracle.patterns);
+    ASSERT_TRUE(rerun.success) << spec << ": " << rerun.error;
+    EXPECT_EQ(oracle.cycles, rerun.cycles) << spec;
+    EXPECT_EQ(oracle.schedule.cycle_count(), rerun.schedule.cycle_count()) << spec;
+    for (NodeId n = 0; n < g.node_count(); ++n)
+      EXPECT_EQ(oracle.schedule.cycle_of(n), rerun.schedule.cycle_of(n))
+          << spec << " node " << n;
+    for (std::size_t c = 0; c < rerun.schedule.cycle_count(); ++c)
+      EXPECT_EQ(oracle.schedule.cycle_pattern(static_cast<int>(c)),
+                rerun.schedule.cycle_pattern(static_cast<int>(c)))
+          << spec << " cycle " << c;
   }
+}
+
+TEST(Backends, ExhaustiveGuardFailsOnlyThatJobBeforeBuildingTheUniverse) {
+  // Eight one-node colors at C = 64: the universe would hold C(71, 64) =
+  // 1,329,890,705 patterns, so the guard must reject the job up front.
+  Dfg wide("eight_colors");
+  for (const char* color : {"a", "b", "c", "d", "e", "f", "g", "h"}) wide.add_node(color);
+  engine::Job huge;
+  huge.name = "eight_colors";
+  huge.dfg = wide;
+  huge.backend = "exhaustive";
+  huge.select.capacity = 64;
+  engine::Job sibling = engine::Job::from_workload("small_example");
+  sibling.backend = "exhaustive";
+
+  engine::Engine eng;
+  const engine::BatchResult batch = eng.run_batch({huge, sibling});
+  ASSERT_EQ(batch.jobs.size(), 2u);
+  EXPECT_FALSE(batch.jobs[0].success);
+  EXPECT_EQ(batch.jobs[0].error.rfind("exhaustive: ", 0), 0u) << batch.jobs[0].error;
+  EXPECT_NE(batch.jobs[0].error.find("1329890705 patterns"), std::string::npos)
+      << batch.jobs[0].error;
+  EXPECT_TRUE(batch.jobs[1].success) << batch.jobs[1].error;
 }
 
 TEST(Backends, ExhaustiveTriesAUniverseSmallerThanPdefWhole) {

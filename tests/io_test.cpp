@@ -8,6 +8,7 @@
 #include "io/dfg_io.hpp"
 #include "io/graph_intern.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/paper_graphs.hpp"
 
@@ -78,16 +79,7 @@ TEST(DfgIoTest, FileSaveAndLoad) {
 
 engine::CacheKey key_of(const Dfg& g) { return engine::AnalysisCache::graph_key(g); }
 
-/// What `f` throws, or "" when it does not throw.
-template <typename F>
-std::string thrown_message(F f) {
-  try {
-    f();
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return {};
-}
+using test::thrown_message;
 
 TEST(GraphInternTest, HoldsAtMostTheBoundAndMatchesFreshBuilds) {
   obs::Counter built;

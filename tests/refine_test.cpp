@@ -1,11 +1,14 @@
 // Pattern-set refinement and the exhaustive selection oracle.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "antichain/enumerate.hpp"
 #include "core/exhaustive.hpp"
 #include "core/refine.hpp"
 #include "core/select.hpp"
 #include "pattern/parse.hpp"
+#include "test_util.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/paper_graphs.hpp"
 
@@ -119,6 +122,36 @@ TEST(ExhaustiveTest, GuardTripsOnHugeSearch) {
   o.pattern_count = 4;
   o.max_combinations = 10;
   EXPECT_THROW(exhaustive_pattern_search(g, o), std::runtime_error);
+}
+
+TEST(ExhaustiveTest, GuardCountsExactlyBeforeBuildingTheUniverse) {
+  // Five one-node colors at C = 40: a universe of C(44, 40) = 135,751
+  // patterns, whose 4-subsets number C(135751, 4) ≈ 1.4e19. That count
+  // fits in 64 bits, but only when each step divides before multiplying.
+  Dfg g("five_colors");
+  for (const char* color : {"a", "b", "c", "d", "e"}) g.add_node(color);
+  ExhaustiveOptions o;
+  o.capacity = 40;
+  o.pattern_count = 4;
+  const std::string sets = test::thrown_message([&] { exhaustive_pattern_search(g, o); });
+  EXPECT_NE(sets.find("would evaluate 14149520177771237875 pattern sets (limit 2000000)"),
+            std::string::npos)
+      << sets;
+
+  // The universe is counted against the same limit: C(9, 5) = 126 patterns.
+  o.capacity = 5;
+  o.pattern_count = 1;
+  o.max_combinations = 125;
+  const std::string patterns = test::thrown_message([&] { exhaustive_pattern_search(g, o); });
+  EXPECT_NE(patterns.find("would build 126 patterns (limit 125)"), std::string::npos)
+      << patterns;
+}
+
+TEST(ExhaustiveTest, CapacityIsBoundedLikeTheEnumeration) {
+  const Dfg g = workloads::small_example();
+  ExhaustiveOptions o;
+  o.capacity = kMaxAntichainSize + 1;
+  EXPECT_THROW(exhaustive_pattern_search(g, o), std::invalid_argument);
 }
 
 TEST(ExhaustiveTest, CoverageImpossibleThrows) {

@@ -144,4 +144,15 @@ inline void expect_analysis_identical(const AntichainAnalysis& a,
   }
 }
 
+/// What `f` throws, or "" when it does not throw.
+template <typename F>
+std::string thrown_message(F f) {
+  try {
+    f();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
 }  // namespace mpsched::test

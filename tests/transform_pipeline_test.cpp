@@ -138,6 +138,9 @@ TEST(TransformRegistry, ResolvesKnownNamesAndRejectsUnknown) {
   }
   EXPECT_EQ(find_transform("bogus"), nullptr);
   EXPECT_THROW(get_transform("bogus"), std::invalid_argument);
+  EXPECT_EQ(test::thrown_message([] { (void)get_transform("bogus"); }),
+            "unknown transform 'bogus' (known: identity, strip_redundant_edges, cse, "
+            "rebalance_reductions, mac_fusion)");
   EXPECT_THROW(TransformPipeline::from_specs({"identity", "bogus"}),
                std::invalid_argument);
 }

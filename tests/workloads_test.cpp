@@ -1,11 +1,16 @@
 // Workload generators: structural expectations (node counts, color mixes,
-// depths) and determinism.
+// depths), determinism, and the spec table behind make_workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "graph/levels.hpp"
 #include "graph/stats.hpp"
+#include "test_util.hpp"
+#include "workloads/corpus.hpp"
 #include "workloads/dft.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/paper_graphs.hpp"
@@ -140,6 +145,46 @@ TEST(WorkloadsTest, HornerIsAPureChain) {
   g.validate();
   const Levels lv = compute_levels(g);
   EXPECT_EQ(lv.critical_path_length(), static_cast<int>(g.node_count()));
+}
+
+TEST(WorkloadSpecTest, UsageListsEveryGeneratorInTableOrder) {
+  EXPECT_EQ(workloads::workload_usage(),
+            (std::vector<std::string>{
+                "paper_3dft", "small_example", "dft3", "dft5", "fft(n)", "direct_dft(n)",
+                "fir(taps)", "iir(sections)", "matmul(n)", "dct8", "horner(degree)",
+                "bitonic(n)", "stencil5(width,height)", "layered(seed)",
+                "series_parallel(seed)", "expr_tree(seed)"}));
+}
+
+TEST(WorkloadSpecTest, EveryUsageInstantiatesWithPlaceholderArguments) {
+  for (const std::string& usage : workloads::workload_usage()) {
+    // Each parameter becomes 4, which every generator accepts (the FFT and
+    // the bitonic network need a power of two).
+    std::string spec = usage;
+    if (const std::size_t open = usage.find('('); open != std::string::npos) {
+      const auto params = std::count(usage.begin(), usage.end(), ',') + 1;
+      spec = usage.substr(0, open + 1);
+      for (std::ptrdiff_t i = 0; i < params; ++i) spec += i == 0 ? "4" : ",4";
+      spec += ')';
+    }
+    EXPECT_TRUE(workloads::is_valid_workload(spec)) << spec;
+    const Dfg g = workloads::make_workload(spec);
+    EXPECT_GT(g.node_count(), 0u) << spec;
+    EXPECT_EQ(g.name(), spec);
+  }
+}
+
+TEST(WorkloadSpecTest, RejectionsKeepTheirTexts) {
+  const auto error = [](const std::string& spec) {
+    return test::thrown_message([&] { (void)workloads::make_workload(spec); });
+  };
+  EXPECT_EQ(error("stencil5(3)"), "workload 'stencil5' expects (width,height)");
+  EXPECT_EQ(error("dft3(1)"), "workload 'dft3' expects no arguments");
+  EXPECT_EQ(error("fft"), "workload 'fft' expects (n)");
+  EXPECT_EQ(error("x"), "unknown workload 'x'");
+  EXPECT_EQ(error("x(1)"), "unknown workload 'x'");
+  EXPECT_EQ(test::thrown_message([] { (void)workloads::corpus_group("x"); }),
+            "unknown corpus group 'x' (known: paper, dft, kernels, random, smoke)");
 }
 
 TEST(RandomDagTest, DeterministicPerSeed) {

@@ -226,11 +226,10 @@ int main(int argc, char** argv) {
     }
     if (list_backends) {
       std::printf("scheduler backends:\n");
-      for (const std::string& name : backend_names()) {
-        const SchedulerBackend& b = get_backend(name);
-        std::printf("  %-16s %s%s\n", name.c_str(), b.description().c_str(),
+      for (const std::string& name : backend_names())
+        std::printf("  %-16s %s%s\n", name.c_str(),
+                    std::string(get_backend(name).description).c_str(),
                     name == kDefaultBackend ? " (default)" : "");
-      }
       return 0;
     }
     if (list_transforms) {
