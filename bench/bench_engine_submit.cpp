@@ -5,10 +5,11 @@
 //   run() loop    one blocking run() per job: every job pays its own
 //                 dispatch (8 jobs -> 8 dispatches), the status quo for a
 //                 caller without batches.
-//   submit stream submit() per job on a default engine: the first job
-//                 dispatches at once, and the rest queue behind that
-//                 dispatch and share the next flush — dedup and root
-//                 sharding work *across* the callers' jobs again.
+//   submit stream a one-job submit_batch() per job on a default engine:
+//                 the first job dispatches at once, and the rest queue
+//                 behind that dispatch and share the next flush — dedup
+//                 and root sharding work *across* the callers' jobs
+//                 again.
 //
 // Hard gates: the stream executes strictly fewer dispatches than jobs
 // (with at least one genuinely shared dispatch), its results are
@@ -81,7 +82,7 @@ int main() {
     loop_stats = added(eng.stats(), before);
   }
 
-  // ---- B: submit() stream on a default engine ---------------------------
+  // ---- B: one-job submit_batch() stream on a default engine -------------
   // The first submit dispatches at once; the other 7 arrive while that
   // cold dispatch runs and queue behind it, so the stream of 8 single
   // submits shares dispatches instead of paying 8.
@@ -93,8 +94,9 @@ int main() {
     const engine::EngineStats before = eng.stats();
     Timer t;
     std::vector<engine::Ticket> tickets;
-    for (const engine::Job& job : jobs) tickets.push_back(eng.submit(job));
-    for (engine::Ticket& ticket : tickets) stream_results.push_back(ticket.result());
+    for (const engine::Job& job : jobs) tickets.push_back(eng.submit_batch({job}));
+    for (engine::Ticket& ticket : tickets)
+      stream_results.push_back(std::move(ticket.take().front()));
     stream_ms = t.millis();
     stream_stats = added(eng.stats(), before);
   }

@@ -743,12 +743,10 @@ AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
 
 namespace {
 
-/// estimate_root_cost() body with validation hoisted out — the per-root
-/// kernel shared by the single-root entry point and the batched,
-/// pool-parallel estimate_root_costs().
-std::uint64_t estimate_root_cost_unchecked(const Levels& levels, const Reachability& reach,
-                                           const EnumerateOptions& options,
-                                           int effective_limit, NodeId root) {
+/// One root's estimate, with validation hoisted out into
+/// estimate_root_costs().
+std::uint64_t root_cost(const Levels& levels, const Reachability& reach,
+                        const EnumerateOptions& options, int effective_limit, NodeId root) {
   if (options.max_size <= 1) return 1;
 
   SpanTracker tracker;
@@ -776,14 +774,6 @@ std::uint64_t estimate_root_cost_unchecked(const Levels& levels, const Reachabil
 
 }  // namespace
 
-std::uint64_t estimate_root_cost(const Dfg& dfg, const Levels& levels,
-                                 const Reachability& reach,
-                                 const EnumerateOptions& options, NodeId root) {
-  const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
-  MPSCHED_REQUIRE(root < dfg.node_count(), "root out of range");
-  return estimate_root_cost_unchecked(levels, reach, options, effective_limit, root);
-}
-
 std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& levels,
                                                const Reachability& reach,
                                                const EnumerateOptions& options,
@@ -795,8 +785,7 @@ std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& lev
   const int effective_limit = validate_and_clamp_span(dfg, levels, reach, options);
   std::vector<std::uint64_t> costs(dfg.node_count());
   const auto eval = [&](std::size_t r) {
-    costs[r] = estimate_root_cost_unchecked(levels, reach, options, effective_limit,
-                                            static_cast<NodeId>(r));
+    costs[r] = root_cost(levels, reach, options, effective_limit, static_cast<NodeId>(r));
   };
   // Pool fan-out only when it can pay for itself. Must not be entered
   // from inside a task of the same pool (parallel_for waits for the whole

@@ -148,27 +148,24 @@ AntichainAnalysis enumerate_antichain_roots(const Dfg& dfg, const Levels& levels
 AntichainAnalysis merge_antichain_analyses(std::vector<AntichainAnalysis> parts,
                                            std::size_t node_count);
 
-/// Cheap cost estimate for the search subtree rooted at `root` (the
-/// antichains whose minimum node id is `root`), for cost-aware shard
-/// packing. The heuristic is the subtree's first level after span pruning:
-/// with w = |{ j > root : parallelizable(root, j) ∧ Span({root, j}) ≤
-/// limit }| — the subtree's branching width, which the level structure
-/// caps through the span limit — the estimate is Σ_{k=0}^{max_size-1}
-/// C(w, k): the subtree size if the whole first level stayed mutually
-/// compatible, i.e. an upper-bound-shaped count whose steep growth in w
-/// separates heavy roots from light ones (saturated at 1e18). O(n) bit
-/// probes per root; only relative magnitudes matter (the packer balances
-/// estimated totals), and the estimate never influences results — any
-/// root partition merges to bit-identical output.
-std::uint64_t estimate_root_cost(const Dfg& dfg, const Levels& levels,
-                                 const Reachability& reach,
-                                 const EnumerateOptions& options, NodeId root);
-
-/// All roots at once, indexed by NodeId. Validates once (not per root)
-/// and, when `options.parallel` and the graph is large enough, fans the
-/// independent per-root estimates out on `pool` (nullptr: the shared
-/// pool) — each root writes its own slot, so the vector is byte-identical
-/// to the serial path. Must not be called from inside a task of that pool.
+/// Cheap cost estimates for the search subtrees rooted at every node (the
+/// antichains whose minimum node id is the root), indexed by NodeId, for
+/// cost-aware shard packing. The heuristic is a subtree's first level
+/// after span pruning: with w = |{ j > root : parallelizable(root, j) ∧
+/// Span({root, j}) ≤ limit }| — the subtree's branching width, which the
+/// level structure caps through the span limit — a root's estimate is
+/// Σ_{k=0}^{max_size-1} C(w, k): the subtree size if the whole first level
+/// stayed mutually compatible, i.e. an upper-bound-shaped count whose
+/// steep growth in w separates heavy roots from light ones (saturated at
+/// 1e18). O(n) bit probes per root; only relative magnitudes matter (the
+/// packer balances estimated totals), and the estimate never influences
+/// results — any root partition merges to bit-identical output.
+///
+/// Validates once (not per root) and, when `options.parallel` and the
+/// graph is large enough, fans the independent per-root estimates out on
+/// `pool` (nullptr: the shared pool) — each root writes its own slot, so
+/// the vector is byte-identical to the serial path. Must not be called
+/// from inside a task of that pool.
 std::vector<std::uint64_t> estimate_root_costs(const Dfg& dfg, const Levels& levels,
                                                const Reachability& reach,
                                                const EnumerateOptions& options,

@@ -50,16 +50,7 @@ ExhaustiveResult exhaustive_pattern_search(const Dfg& dfg, const ExhaustiveOptio
                   "capacity C must be at most " + std::to_string(kMaxAntichainSize));
   dfg.validate();
 
-  std::vector<ColorId> colors;
-  {
-    std::vector<bool> seen(dfg.color_count(), false);
-    for (NodeId n = 0; n < dfg.node_count(); ++n)
-      if (!seen[dfg.color(n)]) {
-        seen[dfg.color(n)] = true;
-        colors.push_back(dfg.color(n));
-      }
-    std::sort(colors.begin(), colors.end());
-  }
+  const std::vector<ColorId> colors = dfg.used_colors();
   MPSCHED_REQUIRE(!colors.empty(), "graph has no nodes");
 
   // Both counts are checked before any pattern is built: the universe

@@ -42,20 +42,9 @@ MpScheduleResult multi_pattern_schedule(const Dfg& dfg, const PatternSet& patter
 
   // Coverage precondition: a color no pattern provides can never be
   // scheduled, so the main loop would stall.
-  {
-    std::vector<ColorId> used_colors;
-    std::vector<bool> seen(dfg.color_count(), false);
-    for (NodeId n = 0; n < dfg.node_count(); ++n) {
-      if (!seen[dfg.color(n)]) {
-        seen[dfg.color(n)] = true;
-        used_colors.push_back(dfg.color(n));
-      }
-    }
-    std::sort(used_colors.begin(), used_colors.end());
-    if (!patterns.covers(used_colors)) {
-      result.error = "pattern set does not cover all colors of the graph";
-      return result;
-    }
+  if (!patterns.covers(dfg.used_colors())) {
+    result.error = "pattern set does not cover all colors of the graph";
+    return result;
   }
 
   const Levels levels = compute_levels(dfg);

@@ -6,19 +6,6 @@ namespace mpsched {
 
 namespace {
 
-/// Colors used by the graph, sorted.
-std::vector<ColorId> used_colors(const Dfg& dfg) {
-  std::vector<bool> seen(dfg.color_count(), false);
-  std::vector<ColorId> out;
-  for (NodeId n = 0; n < dfg.node_count(); ++n)
-    if (!seen[dfg.color(n)]) {
-      seen[dfg.color(n)] = true;
-      out.push_back(dfg.color(n));
-    }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 std::size_t evaluate(const Dfg& dfg, const PatternSet& set, const MpScheduleOptions& options,
                      std::size_t* evaluations) {
   ++*evaluations;
@@ -33,7 +20,7 @@ RefineResult refine_pattern_set(const Dfg& dfg, const AntichainAnalysis& analysi
                                 const PatternSet& initial, const RefineOptions& options) {
   MPSCHED_REQUIRE(!initial.empty(), "initial pattern set must be non-empty");
 
-  const std::vector<ColorId> colors = used_colors(dfg);
+  const std::vector<ColorId> colors = dfg.used_colors();
 
   RefineResult result;
   result.patterns = initial;

@@ -9,16 +9,6 @@ namespace mpsched {
 
 namespace {
 
-/// Distinct colors appearing in the DFG (the paper's complete color set L).
-std::vector<ColorId> graph_colors(const Dfg& dfg) {
-  std::vector<bool> seen(dfg.color_count(), false);
-  for (NodeId n = 0; n < dfg.node_count(); ++n) seen[dfg.color(n)] = true;
-  std::vector<ColorId> out;
-  for (ColorId c = 0; c < dfg.color_count(); ++c)
-    if (seen[c]) out.push_back(c);
-  return out;
-}
-
 /// Per-node occurrence counts of each color, used to order the colors of a
 /// fabricated fallback pattern (most frequent first → most useful slots).
 std::vector<std::size_t> color_node_counts(const Dfg& dfg) {
@@ -62,7 +52,7 @@ SelectionResult select_patterns(const Dfg& dfg, const AntichainAnalysis& analysi
   result.antichains_enumerated = analysis.total;
   result.candidate_patterns = analysis.per_pattern.size();
 
-  const std::vector<ColorId> complete_colors = graph_colors(dfg);  // L
+  const std::vector<ColorId> complete_colors = dfg.used_colors();  // L
   const std::vector<std::size_t> color_counts = color_node_counts(dfg);
   const std::size_t n_nodes = dfg.node_count();
 

@@ -6,11 +6,7 @@
 #include <system_error>
 #include <vector>
 
-#ifdef _WIN32
-#include <process.h>
-#else
 #include <unistd.h>
-#endif
 
 #include "engine/analysis_cache.hpp"
 #include "io/analysis_io.hpp"
@@ -23,14 +19,6 @@ namespace mpsched::engine {
 namespace fs = std::filesystem;
 
 namespace {
-
-long current_pid() {
-#ifdef _WIN32
-  return _getpid();
-#else
-  return static_cast<long>(::getpid());
-#endif
-}
 
 bool is_committed_entry(const std::string& name) {
   return name.size() == 36 && name.ends_with(".mpa") && !name.starts_with("tmp-");
@@ -192,7 +180,7 @@ void CacheStore::store(const CacheKey& key, const AntichainAnalysis& analysis) {
   // complete entries.
   const std::uint64_t seq = temp_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
   const fs::path dir(dir_);
-  const fs::path tmp = dir / ("tmp-" + std::to_string(current_pid()) + "-" +
+  const fs::path tmp = dir / ("tmp-" + std::to_string(::getpid()) + "-" +
                               std::to_string(seq) + "-" + key.to_string() + ".mpa");
   const fs::path final_path = dir / entry_filename(key);
   bool stored = false;

@@ -183,9 +183,7 @@ EngineStats Engine::stats() {
   return snapshot;
 }
 
-Ticket Engine::submit(Job job) { return queue_->submit(std::move(job)); }
-
-std::vector<Ticket> Engine::submit_batch(std::vector<Job> jobs) {
+Ticket Engine::submit_batch(std::vector<Job> jobs) {
   return queue_->submit_batch(std::move(jobs));
 }
 
@@ -202,12 +200,7 @@ BatchResult Engine::run_batch(std::vector<Job> jobs) {
   return batch;
 }
 
-BatchResult Engine::collect(const std::vector<Ticket>& tickets) {
-  std::vector<JobResult> results;
-  results.reserve(tickets.size());
-  for (const Ticket& ticket : tickets) results.push_back(ticket.result());
-  return summarize(std::move(results));
-}
+BatchResult Engine::collect(Ticket ticket) { return summarize(ticket.take()); }
 
 BatchResult Engine::summarize(std::vector<JobResult> results) {
   BatchResult batch;

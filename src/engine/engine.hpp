@@ -26,16 +26,18 @@
 // writes to per-index slots, so results — down to the serialized JSON —
 // are bit-identical for any thread count, shard plan and cache state.
 //
-// Submission surface: submit()/submit_batch() enqueue jobs on an internal
-// admission queue (engine/submission_queue.hpp) and return waitable
-// Tickets; a dispatcher thread flushes everything queued into one shared
-// dispatch whenever it is free, so jobs that arrive while a dispatch runs
-// share the next one. The queue and its dispatcher start with the engine
-// and stop at shutdown(). run_batch() and run() block on the queue's
-// run(): on an idle queue the calling thread runs the dispatch itself and
-// no thread hop is paid; otherwise the jobs queue like any submit and may
-// share a dispatch. Because a JobResult depends only on its Job, neither
-// who runs the dispatch nor coalescing changes what any caller gets back.
+// Submission surface: submit_batch() enqueues a batch of jobs on an
+// internal admission queue (engine/submission_queue.hpp) as one
+// submission and returns its one Ticket; collect() takes the ticket's
+// results. A dispatcher thread flushes every queued submission into one
+// shared dispatch whenever it is free, so submissions that arrive while a
+// dispatch runs share the next one. The queue and its dispatcher start
+// with the engine and stop at shutdown(). run_batch() and run() block on
+// the queue's run(): on an idle queue the calling thread runs the
+// dispatch itself and no thread hop is paid; otherwise the jobs queue as
+// one submission and may share a dispatch. Because a JobResult depends
+// only on its Job, neither who runs the dispatch nor coalescing changes
+// what any caller gets back.
 //
 // Counters: every event is counted once, in the process's metrics
 // registry (obs/metrics.hpp), where the engine, cache, disk tier and
@@ -120,7 +122,7 @@ struct EngineStats {
   std::uint64_t analyses_computed = 0;  ///< engine.analyses.computed
   std::uint64_t analyses_reused = 0;    ///< engine.analyses.reused
   // -- admission queue (submission_queue.hpp) ----------------------------
-  std::uint64_t jobs_submitted = 0;  ///< queue.submitted: tickets ever issued
+  std::uint64_t jobs_submitted = 0;  ///< queue.submitted: jobs ever admitted
   std::uint64_t jobs_cancelled = 0;  ///< queue.cancelled: before dispatch
   /// Flushes carrying > 1 job (engine::coalesced_dispatches()).
   std::uint64_t coalesced_dispatches = 0;
@@ -146,12 +148,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Enqueues one job on the admission queue; the Ticket resolves when a
-  /// shared dispatch has executed it. Thread-safe; throws after shutdown().
-  Ticket submit(Job job);
-  /// Enqueues a batch atomically — one flush always dispatches it whole,
-  /// so intra-batch deduplication is never lost to coalescing splits.
-  std::vector<Ticket> submit_batch(std::vector<Job> jobs);
+  /// Enqueues a batch on the admission queue as one submission; its
+  /// Ticket resolves when a shared dispatch has executed it. One flush
+  /// always dispatches it whole, so intra-batch deduplication is never
+  /// lost to coalescing splits. Thread-safe; throws after shutdown().
+  Ticket submit_batch(std::vector<Job> jobs);
 
   /// Executes one job synchronously: run_batch() of that one job.
   JobResult run(Job job);
@@ -167,16 +168,17 @@ class Engine {
   /// Rethrows a dispatch-level failure.
   BatchResult run_batch(std::vector<Job> jobs);
 
-  /// Waits out a ticket set and reassembles it into a BatchResult like
-  /// run_batch() does: results in ticket order, attribution and
+  /// Takes a ticket's results and wraps them into a BatchResult like
+  /// run_batch() does: results in submission order, attribution and
   /// cache_stats as documented at summarize(). Used by the service
   /// layer's async wait; wall_ms is left to the caller, who knows what it
-  /// spans. Rethrows a dispatch-level failure of any ticket.
-  BatchResult collect(const std::vector<Ticket>& tickets);
+  /// spans. Blocks until the ticket is ready; rethrows a dispatch-level
+  /// failure.
+  BatchResult collect(Ticket ticket);
 
   /// Drains the admission queue (queued jobs still execute, in one final
   /// flush) and stops the dispatcher. Idempotent; implied by destruction.
-  /// submit()/run_batch() afterwards throw std::runtime_error.
+  /// submit_batch()/run_batch() afterwards throw std::runtime_error.
   void shutdown();
 
   const EngineOptions& options() const noexcept { return options_; }

@@ -1,7 +1,9 @@
 #include "engine/submission_queue.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -40,8 +42,8 @@ constexpr const char* kStoppedError =
     "Engine: submit after shutdown (the queue is drained)";
 
 /// Admission accounting shared by submit_batch() and run(), under the
-/// queue mutex: queue.submitted, and queue.max_depth at `depth` (the queue
-/// with these jobs admitted).
+/// queue mutex: queue.submitted, and queue.max_depth at `depth` (the jobs
+/// queued with these admitted).
 void admit(std::size_t jobs, std::size_t depth) {
   static obs::Counter& submitted = obs::Registry::global().counter("queue.submitted");
   static obs::Gauge& max_depth = obs::Registry::global().gauge("queue.max_depth");
@@ -49,32 +51,27 @@ void admit(std::size_t jobs, std::size_t depth) {
   max_depth.set_max(static_cast<std::int64_t>(depth));
 }
 
-/// Flush telemetry shared by the dispatcher's flushes and run()'s
-/// caller-run ones: the flush's size, and per job how long it sat queued
-/// — queue.wait_ms and a retroactive queue.wait span (the wait happened
-/// off the flushing thread's stack, so the span goes onto the exporter's
-/// synthetic queue tracks). `enqueued_at(i)` is job i's admission stamp;
-/// a caller-run flush passes `flushed` itself, so its waits are zero.
-template <typename EnqueuedAt>
-void record_flush(const std::vector<Job>& jobs, std::chrono::steady_clock::time_point flushed,
-                  EnqueuedAt enqueued_at) {
+/// Per job of one submission, how long it sat queued: queue.wait_ms and a
+/// retroactive queue.wait span (the wait happened off the flushing
+/// thread's stack, so the span goes onto the exporter's synthetic queue
+/// tracks). A caller-run flush passes `flushed` as `enqueued`, so its
+/// waits are zero.
+void record_waits(const std::vector<Job>& jobs, std::chrono::steady_clock::time_point enqueued,
+                  std::chrono::steady_clock::time_point flushed) {
   const bool tracing = obs::tracing_enabled();
   if (!obs::metrics_enabled() && !tracing) return;
   static obs::Histogram& wait_ms = obs::Registry::global().histogram("queue.wait_ms");
-  coalesce_jobs_histogram().record(static_cast<double>(jobs.size()));
+  const double waited = std::chrono::duration<double, std::milli>(flushed - enqueued).count();
+  // The span start comes from the enqueue stamp converted to trace
+  // nanoseconds directly — a round-trip through the fractional-ms double
+  // above would lose sub-microsecond precision and could put a near-zero
+  // wait's start past its end. Clamped so the span length stays >= 0
+  // even across clock-read jitter.
   const std::int64_t flush_ns = obs::trace_ns_of(flushed);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const std::chrono::steady_clock::time_point enqueued = enqueued_at(i);
-    wait_ms.record(std::chrono::duration<double, std::milli>(flushed - enqueued).count());
-    if (!tracing) continue;
-    // The span start comes from the enqueue stamp converted to trace
-    // nanoseconds directly — a round-trip through the fractional-ms
-    // double above would lose sub-microsecond precision and could put a
-    // near-zero wait's start past its end. Clamped so the span length
-    // stays >= 0 even across clock-read jitter.
-    std::int64_t start_ns = obs::trace_ns_of(enqueued);
-    if (start_ns > flush_ns) start_ns = flush_ns;
-    obs::record_span("queue.wait", start_ns, flush_ns, jobs[i].workload);
+  const std::int64_t start_ns = std::min(obs::trace_ns_of(enqueued), flush_ns);
+  for (const Job& job : jobs) {
+    wait_ms.record(waited);
+    if (tracing) obs::record_span("queue.wait", start_ns, flush_ns, job.workload);
   }
 }
 
@@ -117,49 +114,36 @@ std::uint64_t coalesced_dispatches() {
 // Ticket
 // ---------------------------------------------------------------------------
 
-const detail::TicketEntry& Ticket::checked() const {
-  if (entry_ == nullptr) throw std::logic_error("Ticket: default-constructed (invalid)");
-  return *entry_;
-}
-
-std::uint64_t Ticket::id() const { return checked().id; }
-
-TicketState Ticket::state() const {
-  return checked().state.load(std::memory_order_acquire);
-}
+Ticket::Ticket(std::shared_ptr<detail::Submission> submission,
+               std::shared_ptr<detail::QueueCore> core, std::size_t size)
+    : submission_(std::move(submission)),
+      core_(std::move(core)),
+      results_(submission_->promise.get_future()),
+      size_(size) {}
 
 bool Ticket::ready() const {
-  return checked().future.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
+  return results_.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
 }
 
-void Ticket::wait() const { checked().future.wait(); }
-
-bool Ticket::wait_for(std::chrono::milliseconds timeout) const {
-  return checked().future.wait_for(timeout) == std::future_status::ready;
-}
-
-const JobResult& Ticket::result() const { return checked().future.get(); }
+std::vector<JobResult> Ticket::take() { return results_.get(); }
 
 bool Ticket::cancel() {
   static obs::Counter& cancelled = obs::Registry::global().counter("queue.cancelled");
-  checked();
   // The queue lock decides the race against a concurrent flush: the
-  // dispatcher marks entries Dispatched under the same lock, so exactly
-  // one side wins, and a won cancel can still find its entry in pending.
-  std::unique_lock lock(core_->mutex);
-  if (entry_->state.load(std::memory_order_acquire) != TicketState::Queued)
-    return false;
-  entry_->state.store(TicketState::Cancelled, std::memory_order_release);
-  for (auto it = core_->pending.begin(); it != core_->pending.end(); ++it)
-    if (it->get() == entry_.get()) {
-      core_->pending.erase(it);
-      break;
-    }
-  cancelled.add();
-  depth_gauge().set(static_cast<std::int64_t>(core_->pending.size()));
-  lock.unlock();
-  entry_->promise.set_value(cancelled_result(entry_->job));
+  // dispatcher takes submissions out of the queue under the same lock,
+  // so exactly one side finds this one still there.
+  detail::Submission& submission = *submission_;
+  {
+    std::lock_guard lock(core_->mutex);
+    if (std::erase(core_->pending, submission_) == 0) return false;
+    core_->queued_jobs -= submission.jobs.size();
+    cancelled.add(submission.jobs.size());
+    depth_gauge().set(static_cast<std::int64_t>(core_->queued_jobs));
+  }
+  std::vector<JobResult> results;
+  results.reserve(submission.jobs.size());
+  for (const Job& job : submission.jobs) results.push_back(cancelled_result(job));
+  submission.promise.set_value(std::move(results));
   return true;
 }
 
@@ -177,40 +161,26 @@ SubmissionQueue::SubmissionQueue(
 
 SubmissionQueue::~SubmissionQueue() { shutdown(); }
 
-Ticket SubmissionQueue::submit(Job job) {
-  std::vector<Job> one;
-  one.push_back(std::move(job));
-  return submit_batch(std::move(one)).front();
-}
-
-std::vector<Ticket> SubmissionQueue::submit_batch(std::vector<Job> jobs) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(jobs.size());
-  if (jobs.empty()) return tickets;
-
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<std::shared_ptr<detail::TicketEntry>> entries;
-  entries.reserve(jobs.size());
-  for (Job& job : jobs) {
-    auto entry = std::make_shared<detail::TicketEntry>();
-    entry->id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    entry->job = std::move(job);
-    entry->future = entry->promise.get_future().share();
-    entry->enqueued = now;
-    entries.push_back(std::move(entry));
+Ticket SubmissionQueue::submit_batch(std::vector<Job> jobs) {
+  const std::size_t count = jobs.size();
+  auto submission = std::make_shared<detail::Submission>();
+  Ticket ticket(submission, core_, count);
+  if (count == 0) {
+    submission->promise.set_value({});
+    return ticket;
   }
-
+  submission->jobs = std::move(jobs);
+  submission->enqueued = std::chrono::steady_clock::now();
   {
     std::lock_guard lock(core_->mutex);
     if (core_->stop) throw std::runtime_error(kStoppedError);
-    for (auto& entry : entries) core_->pending.push_back(entry);
-    admit(entries.size(), core_->pending.size());
-    depth_gauge().set(static_cast<std::int64_t>(core_->pending.size()));
+    core_->pending.push_back(std::move(submission));
+    core_->queued_jobs += count;
+    admit(count, core_->queued_jobs);
+    depth_gauge().set(static_cast<std::int64_t>(core_->queued_jobs));
   }
   core_->cv.notify_all();
-
-  for (auto& entry : entries) tickets.push_back(Ticket(std::move(entry), core_));
-  return tickets;
+  return ticket;
 }
 
 std::vector<JobResult> SubmissionQueue::run(std::vector<Job> jobs) {
@@ -231,17 +201,11 @@ std::vector<JobResult> SubmissionQueue::run(std::vector<Job> jobs) {
       core_->dispatching = true;
     }
   }
-
-  if (!caller_runs) {
-    std::vector<JobResult> results;
-    results.reserve(jobs.size());
-    for (const Ticket& ticket : submit_batch(std::move(jobs)))
-      results.push_back(ticket.result());
-    return results;
-  }
+  if (!caller_runs) return submit_batch(std::move(jobs)).take();
 
   const CallerDispatch busy(*core_);
-  record_flush(jobs, now, [now](std::size_t) { return now; });
+  coalesce_jobs_histogram().record(static_cast<double>(jobs.size()));
+  record_waits(jobs, now, now);
   caller_dispatches.add();
   const std::size_t count = jobs.size();
   std::vector<JobResult> results = dispatch_(std::move(jobs));
@@ -263,7 +227,7 @@ void SubmissionQueue::shutdown() {
 
 std::size_t SubmissionQueue::depth() const {
   std::lock_guard lock(core_->mutex);
-  return core_->pending.size();
+  return core_->queued_jobs;
 }
 
 void SubmissionQueue::dispatcher_loop() {
@@ -277,30 +241,34 @@ void SubmissionQueue::dispatcher_loop() {
     });
     if (core.pending.empty()) return;  // stopped, and nothing left to drain
 
-    // Flush: take everything queued. Entries are marked Dispatched under
-    // the lock, so cancel() can no longer win on them.
-    std::vector<std::shared_ptr<detail::TicketEntry>> batch(
-        core.pending.begin(), core.pending.end());
+    // Flush: take every queued submission. They leave the queue under
+    // the lock, so cancel() can no longer find them.
+    std::vector<std::shared_ptr<detail::Submission>> flush(
+        std::make_move_iterator(core.pending.begin()),
+        std::make_move_iterator(core.pending.end()));
     core.pending.clear();
+    const std::size_t count = core.queued_jobs;
+    core.queued_jobs = 0;
     core.dispatching = true;
-    for (auto& entry : batch)
-      entry->state.store(TicketState::Dispatched, std::memory_order_release);
     depth_gauge().set(0);
     lock.unlock();
 
+    const auto flushed = std::chrono::steady_clock::now();
+    coalesce_jobs_histogram().record(static_cast<double>(count));
     std::vector<Job> jobs;
-    jobs.reserve(batch.size());
-    for (auto& entry : batch) jobs.push_back(std::move(entry->job));
-    record_flush(jobs, std::chrono::steady_clock::now(),
-                 [&batch](std::size_t i) { return batch[i]->enqueued; });
+    jobs.reserve(count);
+    for (const auto& submission : flush) {
+      record_waits(submission->jobs, submission->enqueued, flushed);
+      std::move(submission->jobs.begin(), submission->jobs.end(), std::back_inserter(jobs));
+    }
     std::vector<JobResult> results;
     std::exception_ptr failure;
     try {
       results = dispatch_(std::move(jobs));
-      check_result_count(results.size(), batch.size());
+      check_result_count(results.size(), count);
     } catch (...) {
       // A dispatch-level failure (not a per-job error — those come back as
-      // failed JobResults) fails every ticket of the dispatch.
+      // failed JobResults) fails every submission of the flush.
       failure = std::current_exception();
     }
     // The queue is free before any ticket resolves, so a caller woken by
@@ -308,12 +276,17 @@ void SubmissionQueue::dispatcher_loop() {
     lock.lock();
     core.dispatching = false;
     lock.unlock();
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i]->state.store(TicketState::Done, std::memory_order_release);
-      if (failure)
-        batch[i]->promise.set_exception(failure);
-      else
-        batch[i]->promise.set_value(std::move(results[i]));
+    // Each submission takes its slice of the results; its jobs vector was
+    // moved from, but still holds its job count.
+    auto next = std::make_move_iterator(results.begin());
+    for (const auto& submission : flush) {
+      if (failure) {
+        submission->promise.set_exception(failure);
+        continue;
+      }
+      const auto end = next + static_cast<std::ptrdiff_t>(submission->jobs.size());
+      submission->promise.set_value(std::vector<JobResult>(next, end));
+      next = end;
     }
 
     lock.lock();

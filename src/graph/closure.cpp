@@ -7,7 +7,6 @@ Reachability::Reachability(const Dfg& dfg) {
   const std::vector<NodeId> order = dfg.topo_order();
 
   followers_.assign(n, DynamicBitset(n));
-  ancestors_.assign(n, DynamicBitset(n));
   parallel_.assign(n, DynamicBitset(n));
 
   // Followers: reverse-topological accumulation — a node's followers are
@@ -21,12 +20,14 @@ Reachability::Reachability(const Dfg& dfg) {
     }
   }
 
-  // Ancestors: forward accumulation, mirror image.
+  // Ancestors: forward accumulation, mirror image. Only the parallel
+  // masks need them, so they are not kept.
+  std::vector<DynamicBitset> ancestors(n, DynamicBitset(n));
   for (const NodeId v : order) {
-    DynamicBitset& a = ancestors_[v];
+    DynamicBitset& a = ancestors[v];
     for (const NodeId p : dfg.preds(v)) {
       a.set(p);
-      a |= ancestors_[p];
+      a |= ancestors[p];
     }
   }
 
@@ -34,7 +35,7 @@ Reachability::Reachability(const Dfg& dfg) {
   for (NodeId v = 0; v < n; ++v) {
     DynamicBitset m(n);
     m.set_all();
-    m ^= followers_[v] | ancestors_[v];  // remove comparable nodes
+    m ^= followers_[v] | ancestors[v];  // remove comparable nodes
     m.reset(v);                          // remove self
     parallel_[v] = std::move(m);
   }

@@ -42,12 +42,6 @@ class Reachability {
     return followers_[n];
   }
 
-  /// All ancestors of `n` (nodes that reach `n`).
-  const DynamicBitset& ancestors(NodeId n) const {
-    MPSCHED_ASSERT(n < node_count());
-    return ancestors_[n];
-  }
-
   /// Bitset of nodes parallelizable with `n` (neither follower nor
   /// ancestor nor `n` itself). This is the compatibility mask the
   /// antichain enumerator intersects while extending candidate sets.
@@ -63,7 +57,6 @@ class Reachability {
 
  private:
   std::vector<DynamicBitset> followers_;
-  std::vector<DynamicBitset> ancestors_;
   std::vector<DynamicBitset> parallel_;
 };
 

@@ -122,6 +122,15 @@ std::optional<ColorId> Dfg::find_color(std::string_view color_name) const {
   return it->second;
 }
 
+std::vector<ColorId> Dfg::used_colors() const {
+  std::vector<bool> seen(color_count(), false);
+  for (NodeId n = 0; n < node_count(); ++n) seen[color(n)] = true;
+  std::vector<ColorId> colors;
+  for (std::size_t c = 0; c < seen.size(); ++c)
+    if (seen[c]) colors.push_back(static_cast<ColorId>(c));
+  return colors;
+}
+
 bool Dfg::has_edge(NodeId from, NodeId to) const {
   MPSCHED_ASSERT(from < node_count() && to < node_count());
   const auto& out = block_->succs[from];

@@ -144,6 +144,10 @@ class Dfg {
   /// Looks a color up by name.
   std::optional<ColorId> find_color(std::string_view color_name) const;
 
+  /// The colors some node uses, in ascending ColorId order: the paper's
+  /// color set L. A color interned but used by no node is left out.
+  std::vector<ColorId> used_colors() const;
+
   /// True if there is an edge from → to.
   bool has_edge(NodeId from, NodeId to) const;
 

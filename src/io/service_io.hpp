@@ -19,12 +19,14 @@
 //                              session's
 //   poll                       non-blocking status of an async request
 //                              ("request": id) — done flag + completion
-//                              count
+//                              count; a request resolves whole, so
+//                              "completed" is 0 or "jobs"
 //   wait                       block until an async request finishes and
 //                              return its results document; consumes the
 //                              request (a second wait is an error)
-//   cancel                     cancel the not-yet-dispatched jobs of an
-//                              async request (dispatched jobs finish;
+//   cancel                     cancel a still-queued async request, all
+//                              of its jobs or none: "cancelled" is 0 or
+//                              "jobs" (a dispatched request finishes;
 //                              wait still collects every result)
 //   stats                      engine/cache/queue/server counter snapshot
 //   metrics                    process-wide observability registry: the

@@ -10,16 +10,9 @@ PatternSet::PatternSet(std::vector<Pattern> patterns) {
 }
 
 bool PatternSet::insert(Pattern p) {
-  if (index_.find(p) != index_.end()) return false;
-  index_.emplace(p, patterns_.size());
+  if (!members_.insert(p).second) return false;
   patterns_.push_back(std::move(p));
   return true;
-}
-
-std::optional<std::size_t> PatternSet::index_of(const Pattern& p) const {
-  const auto it = index_.find(p);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::vector<ColorId> PatternSet::color_union() const {

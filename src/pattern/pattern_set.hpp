@@ -3,8 +3,7 @@
 // working set the selection algorithm builds up.
 #pragma once
 
-#include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "pattern/pattern.hpp"
@@ -29,9 +28,7 @@ class PatternSet {
 
   const std::vector<Pattern>& patterns() const noexcept { return patterns_; }
 
-  bool contains(const Pattern& p) const { return index_.find(p) != index_.end(); }
-
-  std::optional<std::size_t> index_of(const Pattern& p) const;
+  bool contains(const Pattern& p) const { return members_.contains(p); }
 
   /// Union of all colors over all member patterns (the paper's selected
   /// color set Ls when applied to the selection working set).
@@ -51,7 +48,7 @@ class PatternSet {
 
  private:
   std::vector<Pattern> patterns_;
-  std::unordered_map<Pattern, std::size_t, PatternHash> index_;
+  std::unordered_set<Pattern, PatternHash> members_;
 };
 
 }  // namespace mpsched

@@ -118,17 +118,8 @@ OptimalResult optimal_schedule_length(const Dfg& dfg, const PatternSet& patterns
     return result;
   }
 
-  {
-    std::vector<ColorId> used;
-    std::vector<bool> seen(dfg.color_count(), false);
-    for (NodeId n = 0; n < dfg.node_count(); ++n)
-      if (!seen[dfg.color(n)]) {
-        seen[dfg.color(n)] = true;
-        used.push_back(dfg.color(n));
-      }
-    std::sort(used.begin(), used.end());
-    MPSCHED_REQUIRE(patterns.covers(used), "pattern set does not cover the graph's colors");
-  }
+  MPSCHED_REQUIRE(patterns.covers(dfg.used_colors()),
+                  "pattern set does not cover the graph's colors");
 
   Searcher searcher{dfg, patterns, {}, {}, patterns.max_pattern_size()};
   searcher.pred_mask.assign(dfg.node_count(), 0);

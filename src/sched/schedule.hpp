@@ -34,11 +34,6 @@ class Schedule {
     cycle_of_[n] = cycle;
   }
 
-  void unplace(NodeId n) {
-    MPSCHED_REQUIRE(n < cycle_of_.size(), "node out of range");
-    cycle_of_[n] = kUnscheduled;
-  }
-
   int cycle_of(NodeId n) const {
     MPSCHED_ASSERT(n < cycle_of_.size());
     return cycle_of_[n];

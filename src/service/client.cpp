@@ -6,27 +6,13 @@
 #include <stdexcept>
 #include <thread>
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include "service/wire.hpp"
-#endif
 
 namespace mpsched::service {
-
-#ifdef _WIN32
-
-Client::Client(const std::string&) {
-  throw std::runtime_error("client: Unix-domain sockets are not supported on this platform");
-}
-Client::~Client() = default;
-Response Client::call(const Request&) { throw std::runtime_error("client: not connected"); }
-Json Client::call_raw(const Json&) { throw std::runtime_error("client: not connected"); }
-bool wait_for_server_exit(const std::string&, int) { return false; }
-
-#else
 
 namespace {
 
@@ -95,10 +81,7 @@ bool wait_for_server_exit(const std::string& socket_path, int timeout_ms) {
   return false;
 }
 
-#endif  // _WIN32
-
-// -- v2 async convenience (platform-independent: everything goes through
-// call(), which is what the platform guards) -------------------------------
+// -- v2 async convenience (everything goes through call()) -----------------
 
 std::uint64_t Client::submit_async(const std::vector<engine::Job>& corpus,
                                    bool diagnostics, std::int64_t id) {

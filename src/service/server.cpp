@@ -13,13 +13,11 @@
 #include <utility>
 #include <vector>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 #include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
@@ -69,10 +67,6 @@ class SessionScope {
 }  // namespace
 
 int open_listen_socket(const std::string& path) {
-#ifdef _WIN32
-  (void)path;
-  throw std::runtime_error("serve: Unix-domain sockets are not supported on this platform");
-#else
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   if (path.empty() || path.size() >= sizeof(addr.sun_path))
@@ -116,7 +110,6 @@ int open_listen_socket(const std::string& path) {
     throw std::runtime_error("serve: cannot listen on '" + path + "': " + message);
   }
   return fd;
-#endif
 }
 
 Server::Session::~Session() {
@@ -124,8 +117,7 @@ Server::Session::~Session() {
   // disconnecting client doesn't leave dead jobs ahead of live ones.
   // Dispatched jobs run to completion regardless — their analyses warm
   // the shared cache either way.
-  for (auto& [id, pending] : pending_)
-    for (engine::Ticket& ticket : pending.tickets) ticket.cancel();
+  for (auto& [id, pending] : pending_) pending.ticket.cancel();
 }
 
 Server::Server(ServerOptions options)
@@ -133,12 +125,10 @@ Server::Server(ServerOptions options)
       engine_(options_.engine),
       graphs_(&obs::Registry::global().counter("serve.graphs.built"),
               &obs::Registry::global().counter("serve.graphs.reused")) {
-#ifndef _WIN32
   if (::pipe(stop_pipe_) != 0)
     throw std::runtime_error("serve: cannot create the stop pipe");
   for (const int fd : stop_pipe_) ::fcntl(fd, F_SETFD, FD_CLOEXEC);
   ::fcntl(stop_pipe_[1], F_SETFL, O_NONBLOCK);
-#endif
 }
 
 Server::~Server() {
@@ -147,54 +137,40 @@ Server::~Server() {
   // this point must not run a handler that could dereference a
   // half-destroyed server or write to a recycled pipe fd.
   if (g_signal_server.load(std::memory_order_acquire) == this) {
-#ifdef _WIN32
-    std::signal(SIGINT, SIG_DFL);
-    std::signal(SIGTERM, SIG_DFL);
-#else
     struct sigaction action{};
     action.sa_handler = SIG_DFL;
     sigemptyset(&action.sa_mask);
     ::sigaction(SIGINT, &action, nullptr);
     ::sigaction(SIGTERM, &action, nullptr);
-#endif
     Server* self = this;
     g_signal_server.compare_exchange_strong(self, nullptr);
   }
-#ifndef _WIN32
   for (int& fd : stop_pipe_)
     if (fd >= 0) {
       ::close(fd);
       fd = -1;
     }
   if (listen_fd_ >= 0) ::close(listen_fd_);
-#endif
 }
 
 void Server::request_stop() noexcept {
   stop_.store(true, std::memory_order_release);
-#ifndef _WIN32
   if (stop_pipe_[1] >= 0) {
     // One byte wakes every poller forever — the read end is never
     // drained, so the pipe stays readable once stop is requested.
     const char byte = 1;
     [[maybe_unused]] const ssize_t n = ::write(stop_pipe_[1], &byte, 1);
   }
-#endif
 }
 
 void Server::install_signal_handlers() {
   g_signal_server.store(this, std::memory_order_release);
-#ifdef _WIN32
-  std::signal(SIGINT, signal_stop_handler);
-  std::signal(SIGTERM, signal_stop_handler);
-#else
   struct sigaction action{};
   action.sa_handler = signal_stop_handler;
   sigemptyset(&action.sa_mask);
   action.sa_flags = 0;  // no SA_RESTART: blocking reads must wake up
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
-#endif
 }
 
 namespace {
@@ -283,14 +259,12 @@ bool Server::write_response(Request request, Session& session, std::string& out)
                                       "duplicate id " + std::to_string(request.id) +
                                           ": an async request with this correlation id is "
                                           "still pending in this session"));
-        Session::PendingRequest pending;
-        pending.tickets = engine_.submit_batch(std::move(request.jobs));
-        pending.diagnostics = request.diagnostics;
-        pending.client_id = request.id;
-        pending.submitted = std::chrono::steady_clock::now();
+        Session::PendingRequest pending{engine_.submit_batch(std::move(request.jobs)),
+                                        request.diagnostics, request.id,
+                                        std::chrono::steady_clock::now()};
         const std::uint64_t rid =
             next_request_id_.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t n_jobs = pending.tickets.size();
+        const std::size_t n_jobs = pending.ticket.size();
         session.pending_.emplace(rid, std::move(pending));
         static obs::Counter& async_requests =
             obs::Registry::global().counter("serve.async_requests");
@@ -314,32 +288,29 @@ bool Server::write_response(Request request, Session& session, std::string& out)
         Session::PendingRequest& pending = it->second;
         Json response = make_ok(request);
         response.set("request", request.request);
+        // The request resolves and cancels as one unit, so poll and
+        // cancel report all of its jobs or none.
+        const std::size_t jobs = pending.ticket.size();
         if (request.op == Op::Poll) {
-          std::size_t completed = 0;
-          for (const engine::Ticket& ticket : pending.tickets)
-            if (ticket.ready()) ++completed;
-          response.set("jobs", pending.tickets.size());
-          response.set("completed", completed);
-          response.set("done", completed == pending.tickets.size());
+          const bool done = pending.ticket.ready();
+          response.set("jobs", jobs);
+          response.set("completed", done ? jobs : 0);
+          response.set("done", done);
           return reply(response);
         }
         if (request.op == Op::Cancel) {
-          std::size_t cancelled = 0;
-          for (engine::Ticket& ticket : pending.tickets)
-            if (ticket.cancel()) ++cancelled;
-          response.set("jobs", pending.tickets.size());
-          response.set("cancelled", cancelled);
+          response.set("jobs", jobs);
+          response.set("cancelled", pending.ticket.cancel() ? jobs : 0);
           return reply(response);
         }
         // Wait: consume first, then block and assemble. Consuming before
-        // collect matters: a dispatch-level exception (rethrown by every
-        // ticket of the failed dispatch, forever) must turn into ONE
-        // error response, not a permanently wedged request id the session
-        // can neither collect nor free. Cancelled tickets resolve as
-        // failed jobs, so a cancel never wedges a wait either.
-        const Session::PendingRequest consumed = std::move(pending);
+        // collect matters: a dispatch-level exception must turn into ONE
+        // error response, not a request id the session can neither
+        // collect nor free. A cancelled request resolves as failed jobs,
+        // so a cancel never wedges a wait either.
+        Session::PendingRequest consumed = std::move(pending);
         session.pending_.erase(it);
-        engine::BatchResult batch = engine_.collect(consumed.tickets);
+        engine::BatchResult batch = engine_.collect(std::move(consumed.ticket));
         batch.wall_ms = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - consumed.submitted)
                             .count();
@@ -511,16 +482,6 @@ void Server::serve_stream(std::istream& in, std::ostream& out) {
   }
 }
 
-#ifdef _WIN32
-
-void Server::serve_socket() {
-  throw std::runtime_error("serve: Unix-domain sockets are not supported on this platform");
-}
-
-void Server::session(int, bool) {}
-
-#else
-
 void Server::session(int fd, bool single_request) {
   // Request lines are bounded: a client streaming gigabytes with no
   // newline must not grow the daemon without limit (the shared engine
@@ -663,7 +624,5 @@ void Server::serve_socket() {
   listen_fd_ = -1;
   ::unlink(options_.socket_path.c_str());
 }
-
-#endif  // _WIN32
 
 }  // namespace mpsched::service

@@ -14,13 +14,15 @@
 // when the admission queue is idle and otherwise queues and waits; async
 // ops (submit_async / poll / wait / cancel) are written on the engine's
 // ticket API and give every session a pipeline of server-assigned request
-// ids it can keep in flight. All submissions — across every session —
-// funnel into the engine's one admission queue, so small jobs from N
-// clients that arrive while a dispatch runs share the next warm dispatch,
-// and nothing about coalescing or about who runs a dispatch changes any
-// result: a JobResult depends only on its Job (the engine's gated
-// determinism contract), so serve-mode results stay byte-identical to a
-// one-shot mpsched_batch run of the same corpus.
+// ids it can keep in flight. A request is one submission with one ticket,
+// so poll sees it done or not, and cancel stops all of its jobs or none
+// (a request already dispatched runs to completion). All submissions —
+// across every session — funnel into the engine's one admission queue,
+// so small jobs from N clients that arrive while a dispatch runs share
+// the next warm dispatch, and nothing about coalescing or about who runs
+// a dispatch changes any result: a JobResult depends only on its Job (the
+// engine's gated determinism contract), so serve-mode results stay
+// byte-identical to a one-shot mpsched_batch run of the same corpus.
 //
 // Warm path: handle_line parses every request through one GraphIntern
 // the server owns for its lifetime, so a workload spec or inline graph
@@ -95,8 +97,8 @@ class Server {
     Session() = default;
     Session(const Session&) = delete;
     Session& operator=(const Session&) = delete;
-    /// Cancels whatever is still queued of uncollected requests —
-    /// dispatched jobs finish (and warm the cache) either way.
+    /// Cancels the uncollected requests that are still queued —
+    /// dispatched ones finish (and warm the cache) either way.
     ~Session();
 
     std::size_t pending_requests() const { return pending_.size(); }
@@ -104,7 +106,7 @@ class Server {
    private:
     friend class Server;
     struct PendingRequest {
-      std::vector<engine::Ticket> tickets;
+      engine::Ticket ticket;  ///< the request's one submission
       bool diagnostics = false;
       std::int64_t client_id = 0;  ///< correlation id used at submit (0 = none)
       /// When submit_async accepted it — wait reports wall_ms from here.

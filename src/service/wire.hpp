@@ -3,8 +3,6 @@
 // sessions and the client).
 #pragma once
 
-#ifndef _WIN32
-
 #include <cerrno>
 #include <string_view>
 
@@ -28,5 +26,3 @@ inline bool send_all(int fd, std::string_view data) {
 }
 
 }  // namespace mpsched::service
-
-#endif  // !_WIN32

@@ -12,17 +12,6 @@ TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header
 
 void TextTable::add_row(std::vector<std::string> row) { rows_.push_back(std::move(row)); }
 
-void TextTable::set_align(std::size_t column, Align align) {
-  if (aligns_.size() <= column) aligns_.resize(column + 1, Align::Right);
-  aligns_[column] = align;
-}
-
-std::size_t TextTable::column_count() const noexcept {
-  std::size_t n = header_.size();
-  for (const auto& r : rows_) n = std::max(n, r.size());
-  return n;
-}
-
 std::string TextTable::format_cell(double d) {
   // Trim to a friendly fixed form: integers print without a decimal point,
   // other values with up to 3 decimals (matching the paper's "12.4" style).
@@ -37,8 +26,9 @@ std::string TextTable::format_cell(double d) {
 }
 
 std::vector<std::size_t> TextTable::widths() const {
-  std::vector<std::size_t> w(column_count(), 0);
+  std::vector<std::size_t> w;
   auto absorb = [&w](const std::vector<std::string>& row) {
+    if (w.size() < row.size()) w.resize(row.size(), 0);
     for (std::size_t i = 0; i < row.size(); ++i) w[i] = std::max(w[i], row[i].size());
   };
   absorb(header_);
@@ -46,16 +36,11 @@ std::vector<std::size_t> TextTable::widths() const {
   return w;
 }
 
-TextTable::Align TextTable::align_for(std::size_t col) const {
-  if (col < aligns_.size()) return aligns_[col];
-  return col == 0 ? Align::Left : Align::Right;
-}
-
 namespace {
-std::string pad(const std::string& s, std::size_t width, TextTable::Align a) {
+std::string pad(const std::string& s, std::size_t width, bool left) {
   if (s.size() >= width) return s;
   const std::string fill(width - s.size(), ' ');
-  return a == TextTable::Align::Left ? s + fill : fill + s;
+  return left ? s + fill : fill + s;
 }
 }  // namespace
 
@@ -65,7 +50,7 @@ std::string TextTable::to_string() const {
   auto emit = [&](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < w.size(); ++i) {
       const std::string cell = i < row.size() ? row[i] : "";
-      os << (i == 0 ? "| " : " ") << pad(cell, w[i], align_for(i)) << " |";
+      os << (i == 0 ? "| " : " ") << pad(cell, w[i], i == 0) << " |";
     }
     os << '\n';
   };
@@ -75,48 +60,6 @@ std::string TextTable::to_string() const {
       os << (i == 0 ? "|-" : "-") << std::string(w[i], '-') << "-|";
     os << '\n';
   }
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
-std::string TextTable::to_markdown() const {
-  const auto w = widths();
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    os << '|';
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      const std::string cell = i < row.size() ? row[i] : "";
-      os << ' ' << pad(cell, w[i], align_for(i)) << " |";
-    }
-    os << '\n';
-  };
-  emit(header_.empty() ? std::vector<std::string>(w.size(), "") : header_);
-  os << '|';
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    os << std::string(w[i] + 1, '-') << (align_for(i) == Align::Right ? ":" : "-") << '|';
-  }
-  os << '\n';
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
-std::string TextTable::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) os << (i ? "," : "") << quote(row[i]);
-    os << '\n';
-  };
-  if (!header_.empty()) emit(header_);
   for (const auto& r : rows_) emit(r);
   return os.str();
 }

@@ -1,4 +1,4 @@
-// TextTable — aligned console / markdown / CSV table rendering.
+// TextTable — aligned console table rendering.
 //
 // Every benchmark harness prints paper-vs-measured tables through this
 // class so the output format stays uniform across experiments.
@@ -13,8 +13,6 @@ namespace mpsched {
 
 class TextTable {
  public:
-  enum class Align { Left, Right };
-
   TextTable() = default;
   explicit TextTable(std::vector<std::string> header);
 
@@ -28,19 +26,9 @@ class TextTable {
     add_row({format_cell(cells)...});
   }
 
-  /// Per-column alignment (defaults to Left for col 0, Right otherwise).
-  void set_align(std::size_t column, Align align);
-
-  std::size_t column_count() const noexcept;
-
-  /// Pipe-separated aligned text, e.g. for console output.
+  /// Pipe-separated aligned text, e.g. for console output: the first
+  /// column is left-aligned, the others right-aligned.
   std::string to_string() const;
-
-  /// GitHub-flavored markdown.
-  std::string to_markdown() const;
-
-  /// RFC-4180-ish CSV (quotes cells containing commas/quotes/newlines).
-  std::string to_csv() const;
 
   friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
@@ -54,12 +42,12 @@ class TextTable {
     return std::to_string(v);
   }
 
+  /// Per column, the widest cell; as many columns as the widest row,
+  /// header included.
   std::vector<std::size_t> widths() const;
-  Align align_for(std::size_t col) const;
 
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
-  std::vector<Align> aligns_;
 };
 
 }  // namespace mpsched

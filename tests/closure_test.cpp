@@ -40,14 +40,6 @@ TEST(ClosureTest, ParallelizableMatchesDefinition) {
   EXPECT_FALSE(reach.parallelizable(b6, a21));
 }
 
-TEST(ClosureTest, AncestorsMirrorFollowers) {
-  const Dfg g = workloads::paper_3dft();
-  const Reachability reach(g);
-  for (NodeId u = 0; u < g.node_count(); ++u)
-    for (NodeId v = 0; v < g.node_count(); ++v)
-      EXPECT_EQ(reach.followers(u).test(v), reach.ancestors(v).test(u));
-}
-
 TEST(ClosureTest, ParallelMaskConsistentWithPredicates) {
   const Dfg g = workloads::paper_3dft();
   const Reachability reach(g);

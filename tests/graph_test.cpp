@@ -164,6 +164,20 @@ TEST(DfgTest, FindNodeAndColor) {
   EXPECT_FALSE(g.find_color("z").has_value());
 }
 
+TEST(DfgTest, UsedColorsAreAscendingAndSkipUnusedColors) {
+  Dfg g;
+  const ColorId a = g.intern_color("a");
+  const ColorId unused = g.intern_color("u");
+  const ColorId c = g.intern_color("c");
+  EXPECT_TRUE(g.used_colors().empty());  // interned, but no node uses them
+  g.add_node(c, "x");
+  g.add_node(a, "y");
+  g.add_node(c, "z");
+  EXPECT_EQ(g.used_colors(), (std::vector<ColorId>{a, c}));
+  g.add_node(unused, "w");
+  EXPECT_EQ(g.used_colors(), (std::vector<ColorId>{a, unused, c}));
+}
+
 TEST(DfgTest, SourceAndSinkPredicates) {
   Dfg g;
   const ColorId a = g.intern_color("a");

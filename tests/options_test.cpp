@@ -6,7 +6,6 @@
 #include "core/mp_schedule.hpp"
 #include "core/select.hpp"
 #include "pattern/parse.hpp"
-#include "util/table.hpp"
 #include "workloads/paper_graphs.hpp"
 
 namespace mpsched {
@@ -54,15 +53,6 @@ TEST(OptionsTest, MaxCyclesGuardTrips) {
   MpScheduleOptions options;
   options.max_cycles = 3;  // the schedule needs 7
   EXPECT_THROW(multi_pattern_schedule(g, patterns, options), std::runtime_error);
-}
-
-TEST(OptionsTest, TableAlignmentOverride) {
-  TextTable t({"left", "right"});
-  t.set_align(1, TextTable::Align::Left);
-  t.add("x", "y");
-  t.add("longer", "val");
-  const std::string s = t.to_string();
-  EXPECT_NE(s.find("| y     |"), std::string::npos);  // left-aligned now
 }
 
 TEST(OptionsTest, SelectionRecordsDetailOnlyWhenAsked) {

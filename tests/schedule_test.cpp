@@ -27,9 +27,6 @@ TEST(ScheduleTest, PlaceAndQuery) {
   EXPECT_TRUE(s.is_scheduled(0));
   EXPECT_EQ(s.cycle_of(0), 2);
   EXPECT_EQ(s.cycle_count(), 3u);
-  s.unplace(0);
-  EXPECT_FALSE(s.is_scheduled(0));
-  EXPECT_EQ(s.cycle_count(), 0u);
 }
 
 TEST(ScheduleTest, CyclesGroupsAscending) {

@@ -21,9 +21,7 @@
 #include <thread>
 #include <vector>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "engine/cache_store.hpp"
 #include "io/result_io.hpp"
@@ -664,6 +662,78 @@ TEST_F(ServiceTest, CancelStopsQueuedJobsAndWaitStillCollects) {
   EXPECT_EQ(server.engine().stats().jobs_cancelled - cancelled_before, 3u);
 }
 
+TEST_F(ServiceTest, PollAndCancelCountWholeRequests) {
+  // An async request is one submission: poll reports none or all of its
+  // jobs completed, and cancel stops none or all of them.
+  ServerOptions options;
+  options.engine.threads = 1;
+  Server server(options);
+  Server::Session session;
+
+  Request plug;
+  plug.op = Op::SubmitAsync;
+  plug.jobs = {plug_job()};
+  ASSERT_TRUE(server.handle(plug, session).at("ok").as_bool());
+  ASSERT_TRUE(await_queue(server, false));
+
+  Request submit;
+  submit.op = Op::SubmitAsync;
+  submit.jobs = small_corpus();
+  const auto submit_async = [&] {
+    const Json accepted = server.handle(submit, session);
+    EXPECT_TRUE(accepted.at("ok").as_bool());
+    return static_cast<std::uint64_t>(accepted.at("request").as_int());
+  };
+  const std::uint64_t doomed = submit_async();
+  const std::uint64_t kept = submit_async();
+  const std::int64_t jobs = static_cast<std::int64_t>(submit.jobs.size());
+
+  Request poll;
+  poll.op = Op::Poll;
+  const auto poll_request = [&](std::uint64_t rid) {
+    poll.request = rid;
+    const Json status = server.handle(poll, session);
+    EXPECT_TRUE(status.at("ok").as_bool());
+    EXPECT_EQ(status.at("jobs").as_int(), jobs);
+    const std::int64_t completed = status.at("completed").as_int();
+    EXPECT_TRUE(completed == 0 || completed == jobs) << "completed " << completed;
+    EXPECT_EQ(status.at("done").as_bool(), completed == jobs);
+    return completed;
+  };
+  Request cancel;
+  cancel.op = Op::Cancel;
+  const auto cancel_request = [&](std::uint64_t rid) {
+    cancel.request = rid;
+    const Json response = server.handle(cancel, session);
+    EXPECT_TRUE(response.at("ok").as_bool());
+    EXPECT_EQ(response.at("jobs").as_int(), jobs);
+    return response.at("cancelled").as_int();
+  };
+
+  // Both requests wait behind the plug: nothing of either has completed.
+  EXPECT_EQ(poll_request(doomed), 0);
+  EXPECT_EQ(poll_request(kept), 0);
+  // Cancelling a queued request resolves all of it at once.
+  EXPECT_EQ(cancel_request(doomed), jobs);
+  EXPECT_EQ(poll_request(doomed), jobs);
+  EXPECT_EQ(cancel_request(doomed), 0);
+
+  // The kept request completes whole once the plug's dispatch ends, and a
+  // cancel after that stops nothing.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (poll_request(kept) != jobs && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(poll_request(kept), jobs);
+  EXPECT_EQ(cancel_request(kept), 0);
+
+  Request wait;
+  wait.op = Op::Wait;
+  wait.request = kept;
+  const Json finished = server.handle(wait, session);
+  ASSERT_TRUE(finished.at("ok").as_bool());
+  EXPECT_EQ(finished.at("results").at("summary").at("succeeded").as_int(), jobs);
+}
+
 TEST_F(ServiceTest, TwoPipelinedSessionsAreByteIdentical) {
   const std::vector<Job> jobs = small_corpus();
   engine::Engine reference;
@@ -809,12 +879,12 @@ TEST_F(ServiceTest, StatsAndMetricsAgree) {
       cv.wait(lock, [&] { return open; });
       return std::vector<engine::JobResult>(jobs.size());
     });
-    queue.submit(Job::from_workload("small_example"));
+    queue.submit_batch({Job::from_workload("small_example")});
     {
       std::unique_lock lock(mutex);
       cv.wait(lock, [&] { return started; });
     }
-    EXPECT_TRUE(queue.submit(Job::from_workload("small_example")).cancel());
+    EXPECT_TRUE(queue.submit_batch({Job::from_workload("small_example")}).cancel());
     {
       std::lock_guard lock(mutex);
       open = true;
@@ -902,8 +972,6 @@ TEST_F(ServiceTest, CacheTrimWithoutDiskTierIsAProtocolError) {
   EXPECT_FALSE(response.at("ok").as_bool());
   EXPECT_NE(response.at("error").as_string().find("cache directory"), std::string::npos);
 }
-
-#ifndef _WIN32
 
 TEST_F(ServiceTest, SocketSessionsEndToEnd) {
   ServerOptions options;
@@ -1098,8 +1166,6 @@ TEST_F(ServiceTest, SigintFinishesInFlightWorkAndLeavesNoTempFiles) {
   EXPECT_GT(committed, 0u);
   EXPECT_EQ(temps, 0u);
 }
-
-#endif  // !_WIN32
 
 }  // namespace
 }  // namespace mpsched

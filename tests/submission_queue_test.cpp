@@ -1,13 +1,15 @@
 // The asynchronous submission surface (engine/submission_queue +
-// Engine::submit): ticket lifecycle, fan-in determinism (the same corpus
-// submitted singly from concurrent threads, pre-batched, or queued behind
-// a dispatch in flight serializes byte-identically to one run_batch),
-// per-job analysis attribution, cancellation of queued tickets,
-// queue-draining shutdown, and the blocking run(): which thread runs its
-// dispatch, that caller-run and dispatcher-run dispatches never overlap,
-// and that nothing queued or shut down around a caller-run dispatch is
-// lost. Jobs are kept queued by a dispatch in flight: ProbeDispatch holds
-// every dispatch at a test-controlled gate.
+// Engine::submit_batch): the ticket lifecycle of a whole submission,
+// fan-in determinism (the same corpus submitted as one-job batches from
+// concurrent threads, pre-batched, or queued behind a dispatch in flight
+// serializes byte-identically to one run_batch), per-job analysis
+// attribution, all-or-nothing cancellation (also against a racing flush),
+// a failed dispatch failing every submission of its flush, queue-draining
+// shutdown, and the blocking run(): which thread runs its dispatch, that
+// caller-run and dispatcher-run dispatches never overlap, and that nothing
+// queued or shut down around a caller-run dispatch is lost. Jobs are kept
+// queued by a dispatch in flight: ProbeDispatch holds every dispatch at a
+// test-controlled gate.
 #include "engine/submission_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,7 +37,6 @@ using engine::Engine;
 using engine::Job;
 using engine::JobResult;
 using engine::Ticket;
-using engine::TicketState;
 
 /// Mixed corpus with duplicates so dedup/attribution counters move.
 std::vector<Job> fanin_corpus() {
@@ -60,7 +62,7 @@ std::string results_fingerprint(const std::vector<JobResult>& results) {
 /// A dispatch function for raw queues: records each dispatch's size (so
 /// coalescing shape is observable) and the thread that ran it, tracks how
 /// many dispatches are in flight at once, can hold every dispatch at its
-/// start until the test opens the gate, and can fail the first dispatch
+/// start until the test opens the gate, and can fail one dispatch
 /// instead. It executes nothing and echoes per-job successes, unless
 /// `execute` is set to run the jobs.
 struct ProbeDispatch {
@@ -69,7 +71,7 @@ struct ProbeDispatch {
   std::vector<std::thread::id> threads;
   std::vector<std::size_t> sizes;
   bool gate_closed = false;
-  bool fail_first = false;
+  std::optional<std::size_t> fail_at;  ///< this dispatch (0-based) throws
   std::atomic<int> in_flight{0};
   std::atomic<int> max_in_flight{0};
   std::chrono::microseconds work{0};  ///< time each dispatch stays in flight
@@ -87,7 +89,7 @@ struct ProbeDispatch {
     bool throw_now = false;
     {
       std::unique_lock lock(mutex);
-      throw_now = fail_first && sizes.empty();
+      throw_now = fail_at == sizes.size();
       threads.push_back(std::this_thread::get_id());
       sizes.push_back(jobs.size());
       cv.notify_all();
@@ -143,13 +145,45 @@ bool await_depth(const engine::SubmissionQueue& queue, std::size_t n) {
   return true;
 }
 
+/// Polls until the ticket is ready; false when `timeout` passes first.
+bool await_ready(const Ticket& ticket, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!ticket.ready()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
 /// Submits one job and returns once its dispatch has started: with the
 /// probe's gate closed, that dispatch holds the queue, and every job
 /// submitted afterwards stays queued until the gate opens.
 Ticket plug_queue(engine::SubmissionQueue& queue, ProbeDispatch& probe) {
-  Ticket plug = queue.submit(Job::from_workload("small_example"));
+  Ticket plug = queue.submit_batch(small_jobs(1));
   probe.await_dispatches(1);
   return plug;
+}
+
+/// One-job submissions of `jobs`, in order.
+std::vector<Ticket> submit_each(engine::SubmissionQueue& queue, const std::vector<Job>& jobs) {
+  std::vector<Ticket> tickets;
+  for (const Job& job : jobs) tickets.push_back(queue.submit_batch({job}));
+  return tickets;
+}
+
+/// Takes each ticket's one result, in order.
+std::vector<JobResult> take_each(std::vector<Ticket>& tickets) {
+  std::vector<JobResult> results;
+  for (Ticket& ticket : tickets) results.push_back(std::move(ticket.take().at(0)));
+  return results;
+}
+
+/// Counts the "cancelled before dispatch" failures among `results`.
+std::size_t cancelled_count(const std::vector<JobResult>& results) {
+  std::size_t n = 0;
+  for (const JobResult& r : results)
+    if (!r.success && r.error == "cancelled before dispatch") ++n;
+  return n;
 }
 
 /// Calls queue.shutdown() on a new thread and returns that thread once the
@@ -164,7 +198,7 @@ std::thread shutdown_in_background(engine::SubmissionQueue& queue,
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (std::chrono::steady_clock::now() < deadline) {
     try {
-      queue.submit(Job::from_workload("small_example")).cancel();
+      queue.submit_batch(small_jobs(1)).cancel();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     } catch (const std::runtime_error&) {
       break;
@@ -173,28 +207,17 @@ std::thread shutdown_in_background(engine::SubmissionQueue& queue,
   return stopper;
 }
 
-TEST(Ticket, DefaultConstructedIsInvalid) {
-  Ticket ticket;
-  EXPECT_FALSE(ticket.valid());
-  EXPECT_THROW(ticket.ready(), std::logic_error);
-  EXPECT_THROW(ticket.result(), std::logic_error);
-  EXPECT_THROW(ticket.cancel(), std::logic_error);
-}
-
 TEST(Ticket, SubmitRunsOneJobToCompletion) {
   Engine engine;
-  Ticket ticket = engine.submit(Job::from_workload("small_example"));
-  ASSERT_TRUE(ticket.valid());
-  EXPECT_GE(ticket.id(), 1u);
-  ticket.wait();
-  EXPECT_TRUE(ticket.ready());
-  EXPECT_EQ(ticket.state(), TicketState::Done);
-  const JobResult& result = ticket.result();
+  Ticket ticket = engine.submit_batch({Job::from_workload("small_example")});
+  EXPECT_EQ(ticket.size(), 1u);
+  ASSERT_TRUE(await_ready(ticket, std::chrono::seconds(20)));
+  const std::vector<JobResult> results = ticket.take();
+  ASSERT_EQ(results.size(), 1u);
+  const JobResult& result = results.front();
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.job, "small_example");
   EXPECT_EQ(result.analysis_source, AnalysisSource::Computed);
-  // result() is repeatable (shared state, not a one-shot future).
-  EXPECT_EQ(&ticket.result(), &result);
 
   Engine reference;
   EXPECT_EQ(result_to_json(result).dump(-1),
@@ -202,20 +225,20 @@ TEST(Ticket, SubmitRunsOneJobToCompletion) {
 }
 
 TEST(Ticket, WaitForTimesOutOnHeldQueueThenCompletes) {
-  // The queue is held by a dispatch in flight, so the ticket stays queued
-  // until the gate opens.
+  // The queue is held by a dispatch in flight, so the submission stays
+  // queued, and a bounded wait on it times out, until the gate opens.
   ProbeDispatch probe;
   probe.close_gate();
   engine::SubmissionQueue queue(probe.fn());
   plug_queue(queue, probe);
-  Ticket ticket = queue.submit(Job::from_workload("small_example"));
+  Ticket ticket = queue.submit_batch(small_jobs(2));
   EXPECT_FALSE(ticket.ready());
-  EXPECT_FALSE(ticket.wait_for(std::chrono::milliseconds(10)));
-  EXPECT_EQ(ticket.state(), TicketState::Queued);
+  EXPECT_FALSE(await_ready(ticket, std::chrono::milliseconds(10)));
   probe.open_gate();
-  EXPECT_TRUE(ticket.wait_for(std::chrono::seconds(20)));
-  EXPECT_EQ(ticket.state(), TicketState::Done);
-  EXPECT_TRUE(ticket.result().success);
+  EXPECT_TRUE(await_ready(ticket, std::chrono::seconds(20)));
+  const std::vector<JobResult> results = ticket.take();
+  ASSERT_EQ(results.size(), 2u);
+  for (const JobResult& r : results) EXPECT_TRUE(r.success);
 }
 
 TEST(SubmissionQueue, FanInDeterminism) {
@@ -227,35 +250,34 @@ TEST(SubmissionQueue, FanInDeterminism) {
   // (a) one submit_batch — atomically enqueued, one dispatch.
   {
     Engine engine;
-    std::vector<Ticket> tickets = engine.submit_batch(jobs);
-    std::vector<JobResult> results;
-    for (Ticket& t : tickets) results.push_back(t.result());
-    EXPECT_EQ(results_fingerprint(results), expected);
+    Ticket ticket = engine.submit_batch(jobs);
+    EXPECT_EQ(ticket.size(), jobs.size());
+    EXPECT_EQ(results_fingerprint(ticket.take()), expected);
   }
 
-  // (b) single submit() calls from 4 concurrent threads — any coalescing
-  // the queue happens to do must not leak into any result.
+  // (b) one-job batches from 4 concurrent threads — any coalescing the
+  // queue happens to do must not leak into any result.
   {
     Engine engine;
-    std::vector<Ticket> tickets(jobs.size());
+    std::vector<std::optional<Ticket>> tickets(jobs.size());
     std::vector<std::thread> threads;
     std::atomic<std::size_t> next{0};
     for (int t = 0; t < 4; ++t)
       threads.emplace_back([&] {
         for (std::size_t i = next.fetch_add(1); i < jobs.size(); i = next.fetch_add(1))
-          tickets[i] = engine.submit(jobs[i]);
+          tickets[i].emplace(engine.submit_batch({jobs[i]}));
       });
     for (std::thread& t : threads) t.join();
     std::vector<JobResult> results;
-    for (Ticket& t : tickets) results.push_back(t.result());
+    for (std::optional<Ticket>& t : tickets) results.push_back(std::move(t->take().at(0)));
     EXPECT_EQ(results_fingerprint(results), expected);
   }
 
   // (c) forced coalescing: a plug job's dispatch holds the queue while
-  // the jobs are submitted singly, so they all queue behind it and the
-  // next flush dispatches them as one shared batch, executed by a real
-  // engine. The high-water mark is process-wide and cannot be read as a
-  // delta, so it starts from zero here.
+  // the jobs are submitted as one-job batches, so they all queue behind
+  // it and the next flush dispatches them as one shared batch, executed
+  // by a real engine. The high-water mark is process-wide and cannot be
+  // read as a delta, so it starts from zero here.
   {
     obs::Registry::global().gauge("queue.max_depth").reset();
     Engine engine;
@@ -265,14 +287,11 @@ TEST(SubmissionQueue, FanInDeterminism) {
     };
     probe.close_gate();
     engine::SubmissionQueue queue(probe.fn());
-    const Ticket plug = plug_queue(queue, probe);
-    std::vector<Ticket> tickets;
-    for (const Job& job : jobs) tickets.push_back(queue.submit(job));
+    Ticket plug = plug_queue(queue, probe);
+    std::vector<Ticket> tickets = submit_each(queue, jobs);
     probe.open_gate();
-    std::vector<JobResult> results;
-    for (Ticket& t : tickets) results.push_back(t.result());
-    EXPECT_EQ(results_fingerprint(results), expected);
-    EXPECT_TRUE(plug.result().success);
+    EXPECT_EQ(results_fingerprint(take_each(tickets)), expected);
+    EXPECT_TRUE(plug.take().at(0).success);
     {
       std::lock_guard lock(probe.mutex);
       EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, jobs.size()}));
@@ -298,39 +317,92 @@ TEST(SubmissionQueue, PerJobAttributionMatchesBatchCounters) {
 }
 
 TEST(SubmissionQueue, CancelQueuedTicket) {
+  // Cancelling a queued 3-job submission takes all three jobs out of the
+  // queue: each resolves as a cancellation failure and is counted.
   obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
   const std::uint64_t cancelled_before = cancellations.value();
   ProbeDispatch probe;
   probe.close_gate();
   engine::SubmissionQueue queue(probe.fn());
   plug_queue(queue, probe);
-  Ticket doomed = queue.submit(Job::from_workload("small_example"));
-  Ticket survivor = queue.submit(Job::from_workload("paper_3dft"));
+  Ticket doomed = queue.submit_batch(
+      {Job::from_workload("small_example"), Job::from_workload("dct8"),
+       Job::from_workload("fir(8)")});
+  Ticket survivor = queue.submit_batch({Job::from_workload("paper_3dft")});
+  EXPECT_EQ(queue.depth(), 4u);
 
   EXPECT_TRUE(doomed.cancel());
-  EXPECT_EQ(doomed.state(), TicketState::Cancelled);
+  EXPECT_EQ(queue.depth(), 1u);
   EXPECT_TRUE(doomed.ready());  // cancellation resolves the ticket
-  const JobResult& result = doomed.result();
-  EXPECT_FALSE(result.success);
-  EXPECT_NE(result.error.find("cancelled"), std::string::npos);
-  EXPECT_EQ(result.job, "small_example");
   EXPECT_FALSE(doomed.cancel());  // second cancel: already cancelled
+  const std::vector<JobResult> results = doomed.take();
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(cancelled_count(results), 3u);
+  EXPECT_EQ(results[0].job, "small_example");
+  EXPECT_EQ(results[1].job, "dct8");
+  EXPECT_EQ(results[2].job, "fir(8)");
+  EXPECT_EQ(cancellations.value() - cancelled_before, 3u);
 
   probe.open_gate();  // the next flush carries only the survivor
-  EXPECT_TRUE(survivor.result().success);
-  EXPECT_EQ(survivor.result().job, "paper_3dft");
-  EXPECT_EQ(cancellations.value() - cancelled_before, 1u);
+  const std::vector<JobResult> survived = survivor.take();
+  ASSERT_EQ(survived.size(), 1u);
+  EXPECT_TRUE(survived.front().success);
+  EXPECT_EQ(survived.front().job, "paper_3dft");
   std::lock_guard lock(probe.mutex);
-  EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 1}));  // the cancelled job never dispatched
+  EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 1}));  // the cancelled jobs never dispatched
+}
+
+TEST(SubmissionQueue, CancelRacingAFlushIsAllOrNothing) {
+  // A cancel issued right after submit_batch races the dispatcher's
+  // flush. Whichever side wins takes the whole submission: either every
+  // job is a cancellation failure and none was dispatched, or none is
+  // and the submission rode one dispatch whole.
+  ProbeDispatch probe;
+  engine::SubmissionQueue queue(probe.fn());
+  obs::Counter& cancellations = obs::Registry::global().counter("queue.cancelled");
+  const std::uint64_t cancelled_before = cancellations.value();
+  constexpr std::size_t kRounds = 300;
+  std::size_t cancelled = 0;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    Ticket ticket = queue.submit_batch(small_jobs(3));
+    if (round % 2 == 1) std::this_thread::yield();
+    const bool won = ticket.cancel();
+    const std::vector<JobResult> results = ticket.take();
+    ASSERT_EQ(results.size(), 3u);
+    ASSERT_EQ(cancelled_count(results), won ? 3u : 0u) << "round " << round;
+    if (won) ++cancelled;
+  }
+  EXPECT_EQ(cancellations.value() - cancelled_before, 3 * cancelled);
+  std::lock_guard lock(probe.mutex);
+  EXPECT_EQ(probe.sizes, std::vector<std::size_t>(kRounds - cancelled, 3u));
+}
+
+TEST(SubmissionQueue, FailedDispatchFailsEverySubmissionOfItsFlush) {
+  // A dispatch-level failure is rethrown by take() on every submission
+  // that shared the failed flush; the next flush runs normally.
+  ProbeDispatch probe;
+  probe.close_gate();
+  probe.fail_at = 1;
+  engine::SubmissionQueue queue(probe.fn());
+  Ticket plug = plug_queue(queue, probe);
+  std::vector<Ticket> shared;
+  shared.push_back(queue.submit_batch(small_jobs(2)));
+  shared.push_back(queue.submit_batch(small_jobs(1)));
+  shared.push_back(queue.submit_batch(small_jobs(3)));
+  probe.open_gate();
+  EXPECT_TRUE(plug.take().at(0).success);
+  for (Ticket& ticket : shared) EXPECT_THROW(ticket.take(), std::runtime_error);
+  EXPECT_EQ(queue.submit_batch(small_jobs(2)).take().size(), 2u);
+  std::lock_guard lock(probe.mutex);
+  EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 6, 2}));
 }
 
 TEST(SubmissionQueue, CancelAfterCompletionFails) {
   Engine engine;
-  Ticket ticket = engine.submit(Job::from_workload("small_example"));
-  ticket.wait();
+  Ticket ticket = engine.submit_batch({Job::from_workload("small_example")});
+  ASSERT_TRUE(await_ready(ticket, std::chrono::seconds(20)));
   EXPECT_FALSE(ticket.cancel());
-  EXPECT_EQ(ticket.state(), TicketState::Done);
-  EXPECT_TRUE(ticket.result().success);
+  EXPECT_TRUE(ticket.take().at(0).success);
 }
 
 TEST(SubmissionQueue, ShutdownDrainsQueuedJobs) {
@@ -340,7 +412,7 @@ TEST(SubmissionQueue, ShutdownDrainsQueuedJobs) {
     probe.close_gate();
     engine::SubmissionQueue queue(probe.fn());
     plug_queue(queue, probe);
-    for (const Job& job : fanin_corpus()) tickets.push_back(queue.submit(job));
+    tickets = submit_each(queue, fanin_corpus());
     for (const Ticket& t : tickets) EXPECT_FALSE(t.ready());
     // Shut down while the jobs are still queued: the dispatcher must flush
     // them once the dispatch in flight ends, not exit.
@@ -357,12 +429,12 @@ TEST(SubmissionQueue, ShutdownDrainsQueuedJobs) {
     }
 
     // Submitting after shutdown is refused loudly.
-    EXPECT_THROW(queue.submit(Job::from_workload("small_example")), std::runtime_error);
+    EXPECT_THROW(queue.submit_batch(small_jobs(1)), std::runtime_error);
     EXPECT_THROW(queue.run(fanin_corpus()), std::runtime_error);
     EXPECT_NO_THROW(queue.shutdown());  // idempotent
   }
   // Tickets outlive the queue: shared state keeps every result reachable.
-  for (const Ticket& t : tickets) EXPECT_TRUE(t.result().success);
+  for (const JobResult& r : take_each(tickets)) EXPECT_TRUE(r.success);
 }
 
 TEST(SubmissionQueue, DestructorDrainsWithoutExplicitShutdown) {
@@ -372,13 +444,11 @@ TEST(SubmissionQueue, DestructorDrainsWithoutExplicitShutdown) {
     probe.close_gate();
     engine::SubmissionQueue queue(probe.fn());
     plug_queue(queue, probe);
-    for (const Job& job : fanin_corpus()) tickets.push_back(queue.submit(job));
+    tickets = submit_each(queue, fanin_corpus());
     probe.open_gate();
   }  // ~SubmissionQueue: queue drains, every promise resolves — ASan gates leaks
-  for (const Ticket& t : tickets) {
-    EXPECT_TRUE(t.ready());
-    EXPECT_TRUE(t.result().success);
-  }
+  for (const Ticket& t : tickets) EXPECT_TRUE(t.ready());
+  for (const JobResult& r : take_each(tickets)) EXPECT_TRUE(r.success);
 }
 
 TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
@@ -387,41 +457,40 @@ TEST(SubmissionQueue, FlushOnIdleCoalescesWhileDispatchInFlight) {
   // rides the next flush together. Tested on a raw SubmissionQueue whose
   // dispatch function blocks on a test-controlled gate, so "while the
   // dispatch is in flight" is deterministic, not a timing accident.
+  obs::Histogram& wait_ms = obs::Registry::global().histogram("queue.wait_ms");
+  const std::uint64_t waits_before = wait_ms.count();
   ProbeDispatch probe;
   probe.close_gate();
   engine::SubmissionQueue queue(probe.fn());
 
-  Ticket first = queue.submit(Job::from_workload("small_example"));
-  // The first job flushed alone, immediately — the dispatcher was idle.
-  probe.await_dispatches(1);
-  EXPECT_EQ(first.state(), TicketState::Dispatched);
+  // The first job flushes alone, immediately — the dispatcher was idle.
+  Ticket first = plug_queue(queue, probe);
 
-  std::vector<Ticket> rest;
-  for (int i = 0; i < 4; ++i)
-    rest.push_back(queue.submit(Job::from_workload("small_example")));
+  Ticket three = queue.submit_batch(small_jobs(3));
+  Ticket one = queue.submit_batch(small_jobs(1));
   EXPECT_EQ(queue.depth(), 4u);  // queued behind the in-flight dispatch
 
   probe.open_gate();
-  first.wait();
-  for (Ticket& t : rest) t.wait();
-
+  EXPECT_EQ(first.take().size(), 1u);
+  EXPECT_EQ(three.take().size(), 3u);
+  EXPECT_EQ(one.take().at(0).job, "small_example");
   {
     std::lock_guard lock(probe.mutex);
     EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 4}));  // 1 solo + 1 shared, never 5
   }
-  for (Ticket& t : rest) EXPECT_EQ(t.result().job, "small_example");
+  EXPECT_EQ(wait_ms.count() - waits_before, 5u);  // one wait sample per job
 }
 
 TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
-  // A blocking run() issued while async tickets are queued must not
+  // A blocking run() issued while async submissions are queued must not
   // disturb them — everyone resolves, everyone is correct, and all three
   // jobs share the flush after the dispatch in flight.
   ProbeDispatch probe;
   probe.close_gate();
   engine::SubmissionQueue queue(probe.fn());
   plug_queue(queue, probe);
-  Ticket async1 = queue.submit(Job::from_workload("paper_3dft"));
-  Ticket async2 = queue.submit(Job::from_workload("dct8"));
+  Ticket async1 = queue.submit_batch({Job::from_workload("paper_3dft")});
+  Ticket async2 = queue.submit_batch({Job::from_workload("dct8")});
   std::vector<JobResult> batch;
   std::thread blocking([&] { batch = queue.run({Job::from_workload("small_example")}); });
   const bool queued = await_depth(queue, 3u);
@@ -431,8 +500,8 @@ TEST(SubmissionQueue, RunBatchSharesTheQueueWithAsyncSubmits) {
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_TRUE(batch.front().success);
   EXPECT_EQ(batch.front().job, "small_example");
-  EXPECT_EQ(async1.result().job, "paper_3dft");
-  EXPECT_EQ(async2.result().job, "dct8");
+  EXPECT_EQ(async1.take().at(0).job, "paper_3dft");
+  EXPECT_EQ(async2.take().at(0).job, "dct8");
   std::lock_guard lock(probe.mutex);
   EXPECT_EQ(probe.sizes, (std::vector<std::size_t>{1, 3}));  // all three shared one dispatch
 }
@@ -443,16 +512,31 @@ TEST(SubmissionQueue, ShutdownBeforeFirstSubmitStillLatches) {
   // restart the queue.
   Engine engine;
   engine.shutdown();
-  EXPECT_THROW(engine.submit(Job::from_workload("small_example")), std::runtime_error);
+  EXPECT_THROW(engine.submit_batch({Job::from_workload("small_example")}),
+               std::runtime_error);
   EXPECT_THROW(engine.run_batch({Job::from_workload("small_example")}),
                std::runtime_error);
 }
 
-TEST(SubmissionQueue, EmptySubmitBatchYieldsNoTickets) {
+TEST(SubmissionQueue, EmptySubmitBatchYieldsNoResults) {
+  // An empty submission is ready at once, holds no results, cannot be
+  // cancelled, and counts nothing.
   Engine engine;
-  const std::uint64_t submitted_before = engine.stats().jobs_submitted;
-  EXPECT_TRUE(engine.submit_batch({}).empty());
-  EXPECT_EQ(engine.stats().jobs_submitted, submitted_before);
+  const obs::Histogram& wait_ms = obs::Registry::global().histogram("queue.wait_ms");
+  const engine::EngineStats before = engine.stats();
+  const std::uint64_t waits_before = wait_ms.count();
+  Ticket ticket = engine.submit_batch({});
+  EXPECT_EQ(ticket.size(), 0u);
+  EXPECT_TRUE(ticket.ready());
+  EXPECT_FALSE(ticket.cancel());
+  EXPECT_TRUE(ticket.take().empty());
+  const engine::EngineStats after = engine.stats();
+  EXPECT_EQ(after.jobs_submitted, before.jobs_submitted);
+  EXPECT_EQ(after.jobs_cancelled, before.jobs_cancelled);
+  EXPECT_EQ(after.batches, before.batches);
+  EXPECT_EQ(after.coalesced_dispatches, before.coalesced_dispatches);
+  EXPECT_EQ(after.queue_depth, 0u);
+  EXPECT_EQ(wait_ms.count(), waits_before);
 }
 
 TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
@@ -478,8 +562,7 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
     probe.close_gate();
     engine::SubmissionQueue queue(probe.fn());
     const std::uint64_t before = caller_dispatches.value();
-    Ticket async = queue.submit(Job::from_workload("small_example"));
-    probe.await_dispatches(1);
+    Ticket async = plug_queue(queue, probe);
     const std::thread::id dispatcher = probe.thread_of(0);
     std::thread::id runner;
     std::size_t returned = 0;
@@ -492,7 +575,7 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
     blocking.join();
     EXPECT_TRUE(queued);
     EXPECT_EQ(returned, 2u);
-    EXPECT_TRUE(async.result().success);
+    EXPECT_TRUE(async.take().at(0).success);
     EXPECT_EQ(probe.thread_of(1), dispatcher);
     EXPECT_NE(probe.thread_of(1), runner);
     EXPECT_EQ(caller_dispatches.value() - before, 0u);
@@ -505,7 +588,7 @@ TEST(CallerDispatch, IdleQueueRunsABlockingBatchOnTheCallingThread) {
     ProbeDispatch probe;
     engine::SubmissionQueue queue(probe.fn());
     const std::uint64_t before = caller_dispatches.value();
-    EXPECT_TRUE(queue.submit(Job::from_workload("small_example")).result().success);
+    EXPECT_TRUE(queue.submit_batch(small_jobs(1)).take().at(0).success);
     EXPECT_NE(probe.thread_of(0), std::this_thread::get_id());
     EXPECT_EQ(queue.run(small_jobs(4)).size(), 4u);
     EXPECT_EQ(probe.thread_of(1), std::this_thread::get_id());
@@ -532,29 +615,20 @@ TEST(CallerDispatch, MixedCallersNeverOverlapDispatches) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         std::this_thread::sleep_for(std::chrono::microseconds(150 * (t + 1)));
-        switch ((t + round) % 3) {
-          case 0:
-            run_results += queue.run(small_jobs(1 + round % 3)).size();
-            break;
-          case 1: {
-            std::vector<Ticket> batch = queue.submit_batch(small_jobs(2));
-            batch.back().cancel();  // may lose to the flush; resolves either way
-            std::lock_guard lock(mutex);
-            tickets.insert(tickets.end(), batch.begin(), batch.end());
-            break;
-          }
-          default: {
-            Ticket ticket = queue.submit(Job::from_workload("small_example"));
-            std::lock_guard lock(mutex);
-            tickets.push_back(ticket);
-          }
+        if ((t + round) % 3 == 0) {
+          run_results += queue.run(small_jobs(1 + round % 3)).size();
+          continue;
         }
+        Ticket ticket = queue.submit_batch(small_jobs((t + round) % 3));
+        if ((t + round) % 3 == 2) ticket.cancel();  // may lose to the flush; resolves either way
+        std::lock_guard lock(mutex);
+        tickets.push_back(std::move(ticket));
       }
     });
   for (std::thread& t : threads) t.join();
 
   for (const Ticket& ticket : tickets)
-    ASSERT_TRUE(ticket.wait_for(std::chrono::seconds(20))) << "ticket never resolved";
+    ASSERT_TRUE(await_ready(ticket, std::chrono::seconds(20))) << "ticket never resolved";
   EXPECT_EQ(probe.max_in_flight.load(), 1);
   std::size_t expected_run_jobs = 0;
   for (int t = 0; t < kThreads; ++t)
@@ -574,7 +648,7 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
       SCOPED_TRACE(shut_down ? "shutdown during it" : "jobs queued during it");
       ProbeDispatch probe;
       probe.close_gate();
-      probe.fail_first = fail;
+      if (fail) probe.fail_at = 0;
       engine::SubmissionQueue queue(probe.fn());
       bool threw = false;
       std::thread caller([&] {
@@ -585,14 +659,14 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
         }
       });
       probe.await_dispatches(1);
-      std::vector<Ticket> queued = queue.submit_batch(small_jobs(2));
+      Ticket queued = queue.submit_batch(small_jobs(2));
       EXPECT_EQ(queue.depth(), 2u);  // no second dispatch while the caller's runs
 
       std::atomic<bool> stopped{false};
       std::thread stopper;
       if (shut_down) {
         stopper = shutdown_in_background(queue, stopped);
-        EXPECT_THROW(queue.submit(Job::from_workload("small_example")), std::runtime_error);
+        EXPECT_THROW(queue.submit_batch(small_jobs(1)), std::runtime_error);
         EXPECT_FALSE(stopped.load());  // still waiting on the caller's dispatch
       }
       {
@@ -604,10 +678,8 @@ TEST(CallerDispatch, NothingIsLostAroundACallerRunDispatch) {
       caller.join();
       if (stopper.joinable()) stopper.join();
       EXPECT_EQ(threw, fail);
-      for (const Ticket& ticket : queued) {
-        ASSERT_TRUE(ticket.wait_for(std::chrono::seconds(20))) << "lost wake-up";
-        EXPECT_TRUE(ticket.result().success);
-      }
+      ASSERT_TRUE(await_ready(queued, std::chrono::seconds(20))) << "lost wake-up";
+      for (const JobResult& r : queued.take()) EXPECT_TRUE(r.success);
       EXPECT_EQ(probe.max_in_flight.load(), 1);
     }
   }

@@ -111,22 +111,6 @@ TEST(TableTest, DoubleFormattingTrimsZeros) {
   EXPECT_NE(s.find("| 7 "), std::string::npos);  // integral double prints bare
 }
 
-TEST(TableTest, CsvEscapesSpecials) {
-  TextTable t({"a", "b"});
-  t.add_row({"x,y", "quote\"inside"});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-}
-
-TEST(TableTest, MarkdownHasSeparatorRow) {
-  TextTable t({"h1", "h2"});
-  t.add(1, 2);
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("|-"), std::string::npos);
-  EXPECT_NE(md.find(":|"), std::string::npos);  // right-aligned column marker
-}
-
 // ------------------------------------------------------------- strings --
 
 TEST(StringsTest, SplitWs) {

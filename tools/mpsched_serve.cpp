@@ -35,10 +35,8 @@
 #include <stdexcept>
 #include <string>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 #include "cli_common.hpp"
 #include "engine/cache_store.hpp"
@@ -61,7 +59,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-#ifndef _WIN32
 /// Forks into the background: the child keeps running (new session,
 /// stdio on /dev/null), the parent exits 0. Called only after the
 /// listening socket is bound, so "parent returned" means "daemon is
@@ -85,7 +82,6 @@ bool daemonize_or_exit_parent(const std::string& socket_path) {
   }
   return true;  // child: keep serving
 }
-#endif
 
 /// Flushes the trace ring to --trace-out after a graceful stop. The write
 /// is best-effort: under --daemonize stdout is already on /dev/null, so a
@@ -172,9 +168,7 @@ int main(int argc, char** argv) {
     // this also runs the orphan-temp sweep once, up front.)
     if (!cache_dir.empty()) engine::CacheStore probe(cache_dir);
     const int listen_fd = service::open_listen_socket(socket_path);
-#ifndef _WIN32
     if (daemonize && !daemonize_or_exit_parent(socket_path)) return 0;
-#endif
     service::Server server(options);
     server.adopt_socket(listen_fd);
     server.install_signal_handlers();
