@@ -134,14 +134,14 @@ void AnalysisCache::store_analysis(const CacheKey& key,
   if (store != nullptr) store->store(key, *value);
 }
 
-std::shared_ptr<const SolvedResult> AnalysisCache::find_solved(const SolveKey& key) const {
+std::shared_ptr<const SolvedEntry> AnalysisCache::find_solved(const SolveKey& key) const {
   std::lock_guard lock(mutex_);
   const auto it = solved_.find(key);
   return it != solved_.end() ? it->second : nullptr;
 }
 
 void AnalysisCache::store_solved(const SolveKey& key,
-                                 std::shared_ptr<const SolvedResult> value) {
+                                 std::shared_ptr<const SolvedEntry> value) {
   if (!(key == key)) return;  // a NaN option: no lookup could ever match it
   std::lock_guard lock(mutex_);
   solved_[key] = std::move(value);

@@ -30,10 +30,12 @@
 // selection and scheduling are deterministic in the analysis and the
 // job's options, so
 //
-//   SolvedResult  keyed by  SolveKey (analysis key ‖ every job option)
+//   SolvedEntry  keyed by  SolveKey (analysis key ‖ every job option)
 //
-// lets a repeated job skip its scheduler backend entirely. The memo never
-// touches the disk tier.
+// lets a repeated job skip its scheduler backend entirely. An entry holds
+// the SolvedResult and its members rendered once as compact JSON
+// (engine/job.hpp), so a warm response writes no field of it again. The
+// memo never touches the disk tier.
 //
 // Counters: the cache holds no counts of its own. Lookups are counted in
 // the metrics registry (cache.graph.hits/misses, cache.mem.hits/misses;
@@ -147,8 +149,8 @@ class AnalysisCache {
   /// The solved-result memo (memory only): nullptr on a miss. A key with a
   /// NaN option never equals itself, so store_solved() drops it rather
   /// than hold an entry no lookup can reach.
-  std::shared_ptr<const SolvedResult> find_solved(const SolveKey& key) const;
-  void store_solved(const SolveKey& key, std::shared_ptr<const SolvedResult> value);
+  std::shared_ptr<const SolvedEntry> find_solved(const SolveKey& key) const;
+  void store_solved(const SolveKey& key, std::shared_ptr<const SolvedEntry> value);
 
   /// Attaches (or detaches, with nullptr) the disk tier. Replacing an
   /// attached store is allowed; in-memory entries are kept either way.
@@ -168,7 +170,7 @@ class AnalysisCache {
   std::unordered_map<CacheKey, std::shared_ptr<const PreparedGraph>, CacheKeyHash> graphs_;
   std::unordered_map<CacheKey, std::shared_ptr<const AntichainAnalysis>, CacheKeyHash>
       analyses_;
-  std::unordered_map<SolveKey, std::shared_ptr<const SolvedResult>, SolveKeyHash> solved_;
+  std::unordered_map<SolveKey, std::shared_ptr<const SolvedEntry>, SolveKeyHash> solved_;
 };
 
 }  // namespace mpsched::engine

@@ -10,6 +10,7 @@
 #include "antichain/enumerate.hpp"
 #include "engine/cache_store.hpp"
 #include "graph/transform.hpp"
+#include "io/result_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -614,9 +615,10 @@ bool Dispatch::run_backend(std::size_t i, SolvedResult& s) {
 /// Solves every live job once per distinct SolveKey. With the cache on,
 /// jobs sharing a key form one group; a group the memo holds is served
 /// from it, and every other group runs its backend once (in parallel) and
-/// memoizes what the backend returned. Every job of a group then gets the
-/// same SolvedResult. With the cache off each job is its own group and
-/// the memo is neither read nor written.
+/// memoizes what the backend returned, rendered on the same worker. Every
+/// job of a group then gets the same SolvedResult and, when the memo
+/// holds it, a reference to the entry. With the cache off each job is its
+/// own group and the memo is neither read nor written.
 void Dispatch::solve() {
   static obs::Counter& computed =
       obs::Registry::global().counter("engine.solve.computed");
@@ -633,7 +635,8 @@ void Dispatch::solve() {
   const std::vector<std::vector<std::size_t>> groups =
       share_groups<SolveKeyHash>(live, solve_keys, options.use_cache);
 
-  std::vector<std::shared_ptr<const SolvedResult>> solved(groups.size());
+  // Only an entry handed to the memo carries text.
+  std::vector<std::shared_ptr<const SolvedEntry>> solved(groups.size());
   std::vector<std::size_t> misses;
   for (std::size_t g = 0; g < groups.size(); ++g) {
     if (options.use_cache) solved[g] = cache.find_solved(solve_keys[groups[g].front()]);
@@ -642,15 +645,19 @@ void Dispatch::solve() {
   workers.parallel_for(misses.size(), [&](std::size_t m) {
     const std::size_t g = misses[m];
     const std::size_t solver = groups[g].front();
-    auto s = std::make_shared<SolvedResult>();
-    if (run_backend(solver, *s) && options.use_cache)
-      cache.store_solved(solve_keys[solver], s);
-    solved[g] = std::move(s);
+    auto entry = std::make_shared<SolvedEntry>();
+    if (run_backend(solver, entry->result) && options.use_cache) {
+      entry->text = render_solved(entry->result);
+      cache.store_solved(solve_keys[solver], entry);
+    }
+    solved[g] = std::move(entry);
   });
 
   for (std::size_t g = 0; g < groups.size(); ++g)
-    for (const std::size_t i : groups[g])
-      static_cast<SolvedResult&>(batch.jobs[i]) = *solved[g];
+    for (const std::size_t i : groups[g]) {
+      static_cast<SolvedResult&>(batch.jobs[i]) = solved[g]->result;
+      if (!solved[g]->text.empty()) batch.jobs[i].memo = solved[g];
+    }
   computed.add(misses.size());
   reused.add(live.size() - misses.size());
 }

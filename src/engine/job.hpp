@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,25 @@ struct SolvedResult {
   std::uint64_t antichains = 0;         ///< total enumerated (or counted)
   std::size_t candidate_patterns = 0;   ///< distinct patterns found
   std::size_t refine_swaps = 0;         ///< 0 unless Job::refine
+
+ private:
+  /// Compares every field, so a field added above joins by itself. Only
+  /// same_solved() calls it: JobResult inherits it, and a public one would
+  /// let two JobResults compare equal on their solved part alone.
+  bool operator==(const SolvedResult&) const = default;
+  friend bool same_solved(const SolvedResult& a, const SolvedResult& b);
+};
+
+/// Whether two solved results hold the same value in every field.
+inline bool same_solved(const SolvedResult& a, const SolvedResult& b) { return a == b; }
+
+/// One entry of the solved-result memo (engine/analysis_cache.hpp): a
+/// result and its members as compact JSON text (io/result_io
+/// render_solved), rendered once by the worker that solved it, before the
+/// entry is shared. Immutable once stored.
+struct SolvedEntry {
+  SolvedResult result;
+  std::string text;
 };
 
 /// A job's full outcome. `error` is also where earlier phases (pipeline,
@@ -136,6 +156,14 @@ struct JobResult : SolvedResult {
   /// Exemplar-charged like analysis_ms: populated only on the job that
   /// computed the analysis fresh; empty on cache hits and duplicates.
   std::vector<double> shard_ms;
+
+  // -- serialization aid (never serialized itself) ------------------------
+  /// The memo entry this result's solved fields were copied from; null
+  /// when the memo does not hold them (cache off, a backend that threw, a
+  /// result built by hand). A compact write_result splices the entry's
+  /// text while the fields still equal the entry's, and writes them
+  /// otherwise.
+  std::shared_ptr<const SolvedEntry> memo;
 };
 
 }  // namespace mpsched::engine

@@ -216,6 +216,13 @@ void JsonWriter::write_string(std::string_view s) {
   out_ += '"';
 }
 
+bool JsonWriter::splice(std::string_view members) {
+  if (indent_ >= 0) return false;
+  separate();
+  out_ += members;
+  return true;
+}
+
 JsonWriter& JsonWriter::value(const Json& v) {
   if (v.is_null()) return null();
   if (v.is_bool()) return value(v.as_bool());

@@ -132,6 +132,13 @@ class JsonWriter {
     return value(v);
   }
 
+  /// Appends `members`, object members this class wrote compactly
+  /// ("k":v,...; non-empty, without braces), as one item of the open
+  /// object: a comma goes before them when needed and after them before
+  /// the next key. A pretty writer appends nothing and returns false,
+  /// since the text carries none of its line breaks.
+  bool splice(std::string_view members);
+
  private:
   /// The comma and line break before a key or a value, except a value
   /// that follows its key.

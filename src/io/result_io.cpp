@@ -247,6 +247,36 @@ Job job_from_json(const Json& j, std::size_t index) {
   return job_from_json(j, index, graphs);
 }
 
+namespace {
+
+/// A solved result's members, written into the open object.
+void write_solved(JsonWriter& out, const engine::SolvedResult& s) {
+  out.field("success", s.success);
+  if (!s.success) out.field("error", s.error);
+  out.key("patterns").begin_array();
+  for (const std::string& p : s.patterns) out.value(p);
+  out.end_array();
+  out.field("cycles", std::uint64_t{s.cycles});
+  out.field("critical_path", s.critical_path);
+  out.field("antichains", s.antichains);
+  out.field("candidate_patterns", std::uint64_t{s.candidate_patterns});
+  out.field("refine_swaps", std::uint64_t{s.refine_swaps});
+  out.key("node_cycles").begin_array();
+  for (const int c : s.node_cycles) out.value(c);
+  out.end_array();
+}
+
+}  // namespace
+
+std::string render_solved(const engine::SolvedResult& solved) {
+  std::string text;
+  JsonWriter out(text);
+  out.begin_object();
+  write_solved(out, solved);
+  out.end_object();
+  return text.substr(1, text.size() - 2);
+}
+
 void write_result(JsonWriter& out, const JobResult& r, bool include_diagnostics) {
   out.begin_object();
   out.field("job", r.job);
@@ -261,19 +291,11 @@ void write_result(JsonWriter& out, const JobResult& r, bool include_diagnostics)
   }
   out.field("nodes", std::uint64_t{r.nodes});
   out.field("edges", std::uint64_t{r.edges});
-  out.field("success", r.success);
-  if (!r.success) out.field("error", r.error);
-  out.key("patterns").begin_array();
-  for (const std::string& p : r.patterns) out.value(p);
-  out.end_array();
-  out.field("cycles", std::uint64_t{r.cycles});
-  out.field("critical_path", r.critical_path);
-  out.field("antichains", r.antichains);
-  out.field("candidate_patterns", std::uint64_t{r.candidate_patterns});
-  out.field("refine_swaps", std::uint64_t{r.refine_swaps});
-  out.key("node_cycles").begin_array();
-  for (const int c : r.node_cycles) out.value(c);
-  out.end_array();
+  // The entry's text is render_solved of the entry's fields: it stands in
+  // for this result's members while they still match, on a compact writer.
+  if (r.memo == nullptr || !engine::same_solved(r, r.memo->result) ||
+      !out.splice(r.memo->text))
+    write_solved(out, r);
   if (include_diagnostics) {
     out.field("cache_hit", r.analysis_cache_hit);
     out.key("timings").begin_object();

@@ -17,6 +17,12 @@
 // bytes — results files, service responses, and the Json trees
 // result_to_json/batch_to_json return (the parse of those bytes) — goes
 // through them, so no second builder of the layout exists to drift.
+// The solved members of an entry (success … node_cycles) are written by
+// one function: write_result calls it, and render_solved keeps its
+// compact output as the text of a solved-result memo entry
+// (engine::SolvedEntry), which a compact write_result splices in place of
+// writing the members again while the result's fields still equal the
+// entry's.
 #pragma once
 
 #include <initializer_list>
@@ -52,6 +58,10 @@ engine::Job job_from_json(const Json& doc, std::size_t index = 0);
 /// Writes one results entry.
 void write_result(JsonWriter& out, const engine::JobResult& result,
                   bool include_diagnostics = false);
+/// The solved members of a results entry as compact text without the
+/// enclosing braces: what the engine's memo keeps for write_result to
+/// splice.
+std::string render_solved(const engine::SolvedResult& solved);
 /// write_result's bytes, parsed.
 Json result_to_json(const engine::JobResult& result, bool include_diagnostics = false);
 

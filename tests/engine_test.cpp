@@ -595,6 +595,48 @@ TEST(Engine, SchedulerFailureIsReportedNotThrown) {
   EXPECT_EQ(solve_delta(before_rethrow).computed, 1u);
 }
 
+TEST(Engine, MemoHitsWriteTheBytesOfACacheOffRun) {
+  // A memo hit's compact results splice each entry's pre-rendered text; a
+  // cache-off engine holds no entries and writes every member. The raw
+  // bytes must be the same.
+  std::vector<Job> jobs = test_corpus();  // holds a duplicate
+  Job stacked = Job::from_workload("fir(8)");
+  stacked.transforms = {"cse", "mac_fusion"};
+  jobs.push_back(std::move(stacked));
+  Job listed = Job::from_workload("paper_3dft");
+  listed.backend = "list";
+  jobs.push_back(std::move(listed));
+  Job uncovered = Job::from_workload("paper_3dft");  // the backend fails
+  uncovered.select.pattern_count = 1;
+  uncovered.select.capacity = 1;
+  jobs.push_back(std::move(uncovered));
+  const auto compact = [](const engine::BatchResult& batch) {
+    std::string text;
+    JsonWriter out(text);
+    write_batch(out, batch);
+    return text;
+  };
+
+  Engine warm;
+  const engine::BatchResult first = warm.run_batch(jobs);
+  const SolveCounts before = solve_counts();
+  const engine::BatchResult hit = warm.run_batch(jobs);
+  EXPECT_EQ(solve_delta(before).computed, 0u);
+  EngineOptions options;
+  options.use_cache = false;
+  Engine uncached(options);
+  const engine::BatchResult reference = uncached.run_batch(jobs);
+
+  EXPECT_FALSE(hit.jobs.back().success);
+  EXPECT_FALSE(hit.jobs.back().error.empty());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_NE(hit.jobs[i].memo, nullptr) << hit.jobs[i].job;
+    EXPECT_EQ(reference.jobs[i].memo, nullptr) << reference.jobs[i].job;
+  }
+  EXPECT_EQ(compact(hit), compact(reference));
+  EXPECT_EQ(compact(first), compact(reference));
+}
+
 TEST(AnalysisCache, EnginesSharingOneCacheConcurrentlyMatchTheReference) {
   // Analyses and solved results are published by whichever engine gets
   // there first; the other engine's concurrent lookups must see either

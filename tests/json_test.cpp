@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -241,6 +242,27 @@ TEST(JsonWriter, NonFiniteDoublesThrow) {
   }
 }
 
+TEST(JsonWriter, SpliceAppendsMembersAsOneItem) {
+  const auto compact = [](bool member_before) {
+    std::string text;
+    JsonWriter out(text);
+    out.begin_object();
+    if (member_before) out.field("a", 1);
+    EXPECT_TRUE(out.splice(R"("b":2,"c":[3])"));
+    out.field("d", 4).end_object();
+    return text;
+  };
+  EXPECT_EQ(compact(true), R"({"a":1,"b":2,"c":[3],"d":4})");
+  EXPECT_EQ(compact(false), R"({"b":2,"c":[3],"d":4})");
+
+  std::string pretty;
+  JsonWriter out(pretty, 2);
+  out.begin_object();
+  EXPECT_FALSE(out.splice(R"("b":2)"));
+  out.field("d", 4).end_object();
+  EXPECT_EQ(pretty, "{\n  \"d\": 4\n}");
+}
+
 /// A results batch that exercises every optional field of the results
 /// layout: a non-default backend and a transform echo, a failed job with
 /// an error and empty arrays, a name that needs every kind of escape, a
@@ -409,6 +431,80 @@ TEST(ResultsWriter, ReproducesTheGoldenDocument) {
   file << in.rdbuf();
   EXPECT_EQ(file.str(), std::string(kGoldenPretty) + "\n");
   std::remove(path.c_str());
+}
+
+/// Gives every result of `batch` a memo entry holding its own solved
+/// fields and their rendered text, as the engine hands out a memo hit.
+engine::BatchResult with_memo(engine::BatchResult batch) {
+  for (engine::JobResult& r : batch.jobs) {
+    auto entry = std::make_shared<engine::SolvedEntry>();
+    entry->result = r;
+    entry->text = render_solved(r);
+    r.memo = std::move(entry);
+  }
+  return batch;
+}
+
+/// write_result's compact bytes.
+std::string compact_result(const engine::JobResult& r) {
+  std::string text;
+  JsonWriter out(text);
+  write_result(out, r);
+  return text;
+}
+
+TEST(ResultsWriter, MemoTextReproducesTheGoldenDocument) {
+  // Compact writers splice each entry's text, with and without
+  // diagnostics; the pretty writer ignores it and writes the members.
+  const engine::BatchResult batch = with_memo(golden_batch());
+  struct Case {
+    bool diagnostics;
+    int indent;
+    const char* golden;
+  };
+  for (const Case& c : {Case{true, -1, kGoldenCompact}, Case{true, 2, kGoldenPretty},
+                        Case{false, -1, kGoldenPlain}}) {
+    SCOPED_TRACE(c.indent);
+    std::string text;
+    JsonWriter out(text, c.indent);
+    write_batch(out, batch, c.diagnostics);
+    EXPECT_EQ(text, c.golden);
+  }
+  std::string one;
+  JsonWriter out(one);
+  write_result(out, batch.jobs.front(), true);
+  EXPECT_EQ(one, kGoldenResult);
+}
+
+TEST(ResultsWriter, SplicesMemoTextOnlyWhileTheFieldsMatch) {
+  const engine::JobResult plain = golden_batch().jobs.front();
+  const engine::JobResult memoized = with_memo(golden_batch()).jobs.front();
+
+  // The entry's text is what a matching result writes: a marker text in
+  // an entry with the same fields shows up in place of the members.
+  engine::JobResult marked = memoized;
+  auto entry = std::make_shared<engine::SolvedEntry>(*memoized.memo);
+  entry->text = R"("spliced":true)";
+  marked.memo = entry;
+  EXPECT_EQ(compact_result(marked),
+            R"json({"job":"q\"b\\s\tc\u0001 π","workload":"fir(8)","backend":"list",)json"
+            R"json("transforms":["strip_redundant_edges"],"nodes":3,"edges":2,"spliced":true})json");
+
+  // A result edited after it got its entry writes its own values.
+  engine::JobResult cycles_edited = memoized;
+  cycles_edited.cycles = 5;
+  engine::JobResult expected = plain;
+  expected.cycles = 5;
+  EXPECT_EQ(compact_result(cycles_edited), compact_result(expected));
+  EXPECT_EQ(result_to_json(cycles_edited).at("cycles").as_int(), 5);
+
+  engine::JobResult node_cycles_edited = memoized;
+  node_cycles_edited.node_cycles = {0, 2, 3};
+  expected = plain;
+  expected.node_cycles = {0, 2, 3};
+  EXPECT_EQ(compact_result(node_cycles_edited), compact_result(expected));
+  EXPECT_NE(compact_result(node_cycles_edited).find(R"("node_cycles":[0,2,3])"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -262,6 +262,71 @@ TEST_F(ServiceTest, SubmitJobReturnsOneResult) {
   EXPECT_EQ(response.at("result").dump(-1), expected);
 }
 
+TEST_F(ServiceTest, WarmResponseLinesAreTheColdAndCacheOffBytes) {
+  // Warm submit and submit_job responses splice memo text into their
+  // results. Each line, up to the analysis counters that say how it was
+  // answered, must be the bytes of the same request's cold line and of a
+  // cache-off server's line.
+  std::vector<Job> jobs = small_corpus();
+  Job listed = Job::from_workload("paper_3dft");
+  listed.backend = "list";
+  listed.transforms = {"cse"};
+  jobs.push_back(std::move(listed));
+  Job uncovered = Job::from_workload("paper_3dft");  // the backend fails
+  uncovered.select.pattern_count = 1;
+  uncovered.select.capacity = 1;
+  jobs.push_back(std::move(uncovered));
+  Request submit;
+  submit.op = Op::Submit;
+  submit.id = 7;
+  submit.jobs = jobs;
+  Request submit_job;
+  submit_job.op = Op::SubmitJob;
+  submit_job.id = 8;
+  submit_job.jobs = {jobs[1]};
+  const std::string lines = service::request_to_json(submit).dump(-1) + "\n" +
+                            service::request_to_json(submit_job).dump(-1) + "\n";
+
+  struct Line {
+    std::string body;      ///< everything before the analysis counters
+    std::string counters;
+  };
+  const auto serve = [&lines](Server& server) {
+    std::istringstream in(lines);
+    std::ostringstream out;
+    server.serve_stream(in, out);
+    std::vector<Line> split;
+    std::istringstream responses(out.str());
+    for (std::string line; std::getline(responses, line);) {
+      const std::size_t cut = line.rfind(",\"analyses_computed\":");
+      EXPECT_NE(cut, std::string::npos) << line;
+      split.push_back({line.substr(0, cut), line.substr(cut)});
+    }
+    return split;
+  };
+
+  Server server(ServerOptions{});
+  const std::vector<Line> cold = serve(server);
+  const std::vector<Line> warm = serve(server);
+  ServerOptions options;
+  options.engine.use_cache = false;
+  Server uncached(options);
+  const std::vector<Line> reference = serve(uncached);
+
+  ASSERT_EQ(cold.size(), 2u);
+  ASSERT_EQ(warm.size(), 2u);
+  ASSERT_EQ(reference.size(), 2u);
+  // The list backend composes its own patterns and reads no analysis.
+  EXPECT_EQ(warm[0].counters, R"(,"analyses_computed":0,"analyses_reused":4})");
+  EXPECT_EQ(warm[1].counters, R"(,"analyses_computed":0,"analyses_reused":1})");
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(warm[i].body, cold[i].body);
+    EXPECT_EQ(warm[i].body, reference[i].body);
+  }
+  EXPECT_EQ(warm[0].body.rfind(R"({"id":7,"op":"submit","ok":true,"results":)", 0), 0u);
+  EXPECT_EQ(warm[1].body.rfind(R"({"id":8,"op":"submit_job","ok":true,"result":)", 0), 0u);
+}
+
 TEST_F(ServiceTest, EachResponseIsWrittenInsideItsRequestSpan) {
   // One traced respond() round per line through a stream session: every
   // request records exactly one serve.serialize span (writing its
