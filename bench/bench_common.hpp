@@ -138,6 +138,14 @@ class Gate {
     report_.cell(workload_, what, measured, bound, std::nullopt);
   }
 
+  /// Upper-bound assertion (e.g. a pinned maximum allocation count).
+  void check_max(double bound, double measured, const std::string& what) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, ": bound<=%g measured=%g", bound, measured);
+    note(measured <= bound, what + buf);
+    report_.cell(workload_, what, measured, std::nullopt, bound);
+  }
+
   /// Report-only cell: recorded in the JSON trajectory, never asserted
   /// (wall times and other machine-dependent measurements).
   void info(const std::string& metric, double value) {

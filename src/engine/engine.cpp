@@ -1,10 +1,10 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <queue>
 #include <tuple>
-#include <unordered_map>
 
 #include "antichain/analytic.hpp"
 #include "antichain/enumerate.hpp"
@@ -13,6 +13,7 @@
 #include "io/result_io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -21,11 +22,10 @@ namespace mpsched::engine {
 namespace {
 
 /// One analysis to compute this batch: a unique (graph, options) content
-/// key, the jobs consuming it, and its root shards.
+/// key and its root shards. The groups consuming it name it (Group::unit).
 struct AnalysisUnit {
   CacheKey key;
-  std::size_t exemplar_job = 0;  ///< index whose dfg/options define the unit
-  std::vector<std::size_t> consumers;
+  std::size_t exemplar = 0;  ///< the group whose graph/options define the unit
   std::vector<std::vector<NodeId>> shard_roots;  ///< one empty shard for LevelAnalytic
   std::vector<AntichainAnalysis> shard_results;
   std::vector<std::string> shard_errors;
@@ -220,49 +220,121 @@ BatchResult Engine::summarize(std::vector<JobResult> results) {
 
 namespace {
 
-/// Groups job indices into sets that share one computation: jobs with
-/// equal keys when `share` is set, one job per group otherwise. Groups
-/// are ordered by their first member.
-template <typename Hash, typename Key>
-std::vector<std::vector<std::size_t>> share_groups(const std::vector<std::size_t>& members,
-                                                   const std::vector<Key>& keys,
-                                                   bool share) {
-  std::vector<std::vector<std::size_t>> groups;
-  std::unordered_map<Key, std::size_t, Hash> group_of;
-  for (const std::size_t i : members) {
-    std::size_t g = groups.size();
-    if (share) g = group_of.try_emplace(keys[i], g).first->second;
-    if (g == groups.size()) groups.emplace_back();
-    groups[g].push_back(i);
-  }
-  return groups;
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+/// ThreadPool::parallel_for, except that with nothing to run no
+/// std::function is built (building one may allocate).
+template <typename Fn>
+void fan_out(ThreadPool& workers, std::size_t n, const Fn& fn) {
+  if (n > 0) workers.parallel_for(n, fn);
 }
 
-/// One shared dispatch, phase by phase. Per-job state lives in slots
-/// indexed like `jobs`; each phase reads what earlier phases filled and
-/// skips the jobs an earlier phase failed. With the cache off the same
-/// phases run, and three things differ: the probe never hits, publishing
-/// never stores, and every job is its own unit with its own levels,
-/// closure and backend call.
+/// For each of `n` items, the first item equal to it (itself when none
+/// is), by linear probing over item indices: two allocations however many
+/// items are distinct. `hash(i)` must agree with `equal(a, b)`; an item
+/// unequal to itself (a NaN option) stays alone.
+template <typename Hash, typename Equal>
+std::vector<std::size_t> first_equal(std::size_t n, const Hash& hash, const Equal& equal) {
+  if (n == 0) return {};
+  const std::size_t mask = std::bit_ceil(2 * n) - 1;  // a power of two slots, at least 2n
+  std::vector<std::size_t> table(mask + 1, kNone);
+  std::vector<std::size_t> first(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t slot = hash(i) & mask;
+    while (table[slot] != kNone && !equal(table[slot], i)) slot = (slot + 1) & mask;
+    if (table[slot] == kNone) table[slot] = i;
+    first[i] = table[slot];
+  }
+  return first;
+}
+
+/// first_equal over the keys `key_of(i)` when `share` is set (the cache
+/// is on); otherwise every item is its own first.
+template <typename Hash, typename KeyOf>
+std::vector<std::size_t> first_with_key(std::size_t n, bool share, const KeyOf& key_of) {
+  if (!share) {
+    std::vector<std::size_t> alone(n);
+    std::iota(alone.begin(), alone.end(), std::size_t{0});
+    return alone;
+  }
+  return first_equal(
+      n, [&](std::size_t i) { return Hash{}(key_of(i)); },
+      [&](std::size_t a, std::size_t b) { return key_of(a) == key_of(b); });
+}
+
+/// Whether two jobs are the same work: one graph block and equal
+/// options, so every phase from resolve to solve gives both the same
+/// outcome. Names and workload labels are echoes and may differ.
+bool same_work(const Job& a, const Job& b) {
+  return a.dfg.identity() == b.dfg.identity() && a.transforms == b.transforms &&
+         a.backend == b.backend && a.select == b.select && a.schedule == b.schedule &&
+         a.refine == b.refine && a.refinement == b.refinement;
+}
+
+/// Hashes what same_work compares first: the graph block's identity and a
+/// few integral options, so one graph under many options does not put
+/// all of them on one probe chain. A field left out only lengthens a
+/// chain, never joins two groups.
+std::size_t work_hash(const Job& job) {
+  std::uint64_t h = reinterpret_cast<std::uintptr_t>(job.dfg.identity());
+  for (const std::uint64_t v :
+       {std::uint64_t{job.select.pattern_count}, std::uint64_t{job.select.capacity},
+        job.schedule.seed, std::uint64_t{job.refine}})
+    h = splitmix64(h) ^ v;
+  return static_cast<std::size_t>(splitmix64(h));
+}
+
+/// Jobs doing the same work (same_work) in one dispatch. Every phase
+/// from resolve to solve runs once per group, on its first job's graph
+/// and options; the fan-out copies the outcome to each member.
+struct Group {
+  std::size_t first = 0;  ///< its first job
+  std::size_t size = 0;   ///< its job count
+  const SchedulerBackend* backend = nullptr;
+  /// The effective (post-transform) graph: every phase after the first —
+  /// keys, levels/closure, enumeration, backend — consumes it, never
+  /// Job::dfg. With no transforms it shares the job's graph (a Dfg copy is
+  /// a pointer copy).
+  Dfg graph;
+  CacheKey graph_key;  ///< content keys, with the cache on
+  CacheKey key;        ///< analysis key
+  std::shared_ptr<const PreparedGraph> prepared;
+  std::shared_ptr<const AntichainAnalysis> analysis;
+  std::size_t unit = kNone;  ///< the analysis unit it consumes, if any
+  std::shared_ptr<const SolvedEntry> solved;
+  std::string error;  ///< the phase that failed it, and why
+};
+
+/// One shared dispatch, phase by phase. The grouping pass puts jobs doing
+/// the same work into one group; every later phase runs per group, skips
+/// the groups an earlier phase failed, and shares across groups by
+/// content: one prepared graph per graph key, one analysis unit per
+/// analysis key, one backend call per SolveKey. Only the analysis probe
+/// and the final JobResult fill run per job. Work shared by several jobs
+/// is timed onto the first of them. With the cache off every job is its
+/// own group and four things differ: nothing is keyed, the probe never
+/// runs, publishing never stores, and every group computes its own
+/// levels, closure, analysis and backend call.
 struct Dispatch {
   Dispatch(const std::vector<Job>& jobs, const EngineOptions& options,
            ThreadPool& workers, AnalysisCache& cache)
-      : jobs(jobs), options(options), workers(workers), cache(cache),
-        backends(jobs.size(), nullptr), graphs(jobs.size()), keys(jobs.size()),
-        prepared(jobs.size()), analysis(jobs.size()) {
+      : jobs(jobs), options(options), workers(workers), cache(cache) {
     batch.jobs.resize(jobs.size());
   }
 
+  void group();
   void resolve_and_transform();
   void key_and_prepare();
-  void probe_and_group();
+  void probe();
   void plan();
   void enumerate();
   void merge_and_publish();
   void solve();
-  bool run_backend(std::size_t i, SolvedResult& s);
+  void fill_results();
+  bool run_backend(const Group& g, SolvedResult& s);
 
-  bool failed(std::size_t i) const { return !batch.jobs[i].error.empty(); }
+  /// The timings of the job a group's shared work is charged to.
+  PhaseTimings& timings_of(const Group& g) { return batch.jobs[g.first].timings; }
 
   const std::vector<Job>& jobs;
   const EngineOptions& options;
@@ -270,16 +342,8 @@ struct Dispatch {
   AnalysisCache& cache;
   BatchResult batch;
 
-  // -- per job -----------------------------------------------------------
-  std::vector<const SchedulerBackend*> backends;
-  /// The effective (post-transform) graph: every phase after the first —
-  /// keys, levels/closure, enumeration, backend — consumes it, never
-  /// Job::dfg. With no transforms it shares the job's graph (a Dfg copy is
-  /// a pointer copy).
-  std::vector<Dfg> graphs;
-  std::vector<CacheKey> keys;  ///< analysis keys
-  std::vector<std::shared_ptr<const PreparedGraph>> prepared;
-  std::vector<std::shared_ptr<const AntichainAnalysis>> analysis;
+  std::vector<Group> groups;          ///< ordered by first job
+  std::vector<std::size_t> group_of;  ///< per job
 
   // -- per analysis to compute, and one task per shard of each -----------
   struct ShardTask {
@@ -290,158 +354,185 @@ struct Dispatch {
   std::vector<ShardTask> tasks;
 };
 
-/// Resolves each job's backend and transform stack on the thread running
-/// the dispatch; only the jobs with a transform stack go to the pool, to
-/// run it. Unknown names fail only that job. An empty stack shares the
-/// job's graph, so the default pipeline costs a registry lookup here and
-/// wakes no worker.
+/// Puts jobs doing the same work into one group, with the cache on: a
+/// hash of the graph block's identity and some options, then a comparison
+/// of all of them. Copies of one graph (a corpus reader's or the daemon's
+/// GraphIntern hands every job of one spec the same block) group without
+/// their graphs being hashed; equal graphs in separate blocks form
+/// separate groups, which later phases still share by content key. With
+/// the cache off every job is its own group.
+void Dispatch::group() {
+  group_of.resize(jobs.size());
+  groups.reserve(jobs.size());
+  const auto add = [&](std::size_t i) {
+    group_of[i] = groups.size();
+    groups.emplace_back().first = i;
+  };
+  if (!options.use_cache) {
+    for (std::size_t i = 0; i < jobs.size(); ++i) add(i);
+  } else {
+    const std::vector<std::size_t> first = first_equal(
+        jobs.size(), [&](std::size_t i) { return work_hash(jobs[i]); },
+        [&](std::size_t a, std::size_t b) { return same_work(jobs[a], jobs[b]); });
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (first[i] == i) add(i);
+      else group_of[i] = group_of[first[i]];
+    }
+  }
+  for (const std::size_t g : group_of) ++groups[g].size;
+}
+
+/// Resolves each group's backend and transform stack on the thread
+/// running the dispatch; only the groups with a transform stack go to the
+/// pool, to run it. Unknown names fail only that group. An empty stack
+/// shares the job's graph, so the default pipeline costs a registry
+/// lookup here and wakes no worker.
 void Dispatch::resolve_and_transform() {
   std::vector<std::size_t> transformed;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    JobResult& r = batch.jobs[i];
-    r.job = jobs[i].resolved_name();
-    r.workload = jobs[i].workload;
-    r.backend = jobs[i].backend;
-    r.transforms = jobs[i].transforms;
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    Group& group = groups[g];
+    const Job& job = jobs[group.first];
     Timer t;
     try {
-      backends[i] = &get_backend(jobs[i].backend);
-      if (jobs[i].transforms.empty()) {
-        graphs[i] = jobs[i].dfg;
-        r.nodes = graphs[i].node_count();
-        r.edges = graphs[i].edge_count();
-      } else {
-        transformed.push_back(i);
-      }
+      group.backend = &get_backend(job.backend);
+      if (job.transforms.empty()) group.graph = job.dfg;
+      else transformed.push_back(g);
     } catch (const std::exception& e) {
-      r.error = std::string("pipeline: ") + e.what();
+      group.error = std::string("pipeline: ") + e.what();
     }
-    r.timings.prepare_ms = t.millis();
+    timings_of(group).prepare_ms = t.millis();
   }
-  workers.parallel_for(transformed.size(), [&](std::size_t k) {
-    const std::size_t i = transformed[k];
-    JobResult& r = batch.jobs[i];
+  fan_out(workers, transformed.size(), [&](std::size_t k) {
+    Group& group = groups[transformed[k]];
+    const Job& job = jobs[group.first];
     Timer t;
     try {
-      graphs[i] = TransformPipeline::from_specs(jobs[i].transforms).apply(jobs[i].dfg);
-      r.nodes = graphs[i].node_count();
-      r.edges = graphs[i].edge_count();
+      group.graph = TransformPipeline::from_specs(job.transforms).apply(job.dfg);
     } catch (const std::exception& e) {
-      r.error = std::string("pipeline: ") + e.what();
+      group.error = std::string("pipeline: ") + e.what();
     }
-    r.timings.prepare_ms += t.millis();
+    timings_of(group).prepare_ms += t.millis();
   });
 }
 
 /// Content keys on the thread running the dispatch (a graph hashes once,
 /// then its key is a load: Dfg::content_hash), then levels + closure once
-/// per group of jobs sharing a graph. With the cache on, duplicate graphs
-/// form one group, so their (expensive, O(V·E/64)) closure is computed
-/// once even on a cold cache, and a group the cache holds is served here;
-/// only the misses go to the pool. With it off nothing is keyed and every job
-/// prepares its own graph on the pool.
+/// per graph key. With the cache on, groups with equal graph keys share
+/// one prepared graph, so their (expensive, O(V·E/64)) closure is
+/// computed once even on a cold cache, and a key the cache holds is
+/// served here; only the misses go to the pool. With it off nothing is
+/// keyed and every group prepares its own graph on the pool.
 void Dispatch::key_and_prepare() {
-  std::vector<CacheKey> graph_keys(jobs.size());
   if (options.use_cache) {
     obs::Span key_span("engine.key");
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      if (failed(i)) continue;
+    for (Group& group : groups) {
+      if (!group.error.empty()) continue;
+      const Job& job = jobs[group.first];
       Timer t;
       try {
-        std::tie(graph_keys[i], keys[i]) = AnalysisCache::content_keys(
-            graphs[i], jobs[i].select.generation, jobs[i].select.capacity,
-            jobs[i].select.span_limit,
-            pipeline_cache_tag(jobs[i].transforms, jobs[i].backend));
+        std::tie(group.graph_key, group.key) = AnalysisCache::content_keys(
+            group.graph, job.select.generation, job.select.capacity, job.select.span_limit,
+            pipeline_cache_tag(job.transforms, job.backend));
       } catch (const std::exception& e) {
-        batch.jobs[i].error = std::string("prepare: ") + e.what();
+        group.error = std::string("prepare: ") + e.what();
       }
-      batch.jobs[i].timings.prepare_ms += t.millis();
+      timings_of(group).prepare_ms += t.millis();
     }
   }
 
-  std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    if (!failed(i)) live.push_back(i);
-  const std::vector<std::vector<std::size_t>> groups =
-      share_groups<CacheKeyHash>(live, graph_keys, options.use_cache);
-  std::vector<std::size_t> misses;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  std::vector<std::size_t> live;  // the groups no phase has failed
+  live.reserve(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g)
+    if (groups[g].error.empty()) live.push_back(g);
+  const std::vector<std::size_t> first = first_with_key<CacheKeyHash>(
+      live.size(), options.use_cache,
+      [&](std::size_t k) -> const CacheKey& { return groups[live[k]].graph_key; });
+  std::vector<std::size_t> misses;  // indices into `live` of graphs to prepare
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    if (first[k] != k) continue;
     if (options.use_cache) {
-      if (auto hit = cache.find_graph(graph_keys[groups[g].front()])) {
-        for (const std::size_t i : groups[g]) prepared[i] = hit;
-        continue;
-      }
+      Group& group = groups[live[k]];
+      if ((group.prepared = cache.find_graph(group.graph_key)) != nullptr) continue;
     }
-    misses.push_back(g);
+    misses.push_back(k);
   }
-  workers.parallel_for(misses.size(), [&](std::size_t m) {
-    const std::vector<std::size_t>& group = groups[misses[m]];
-    const std::size_t exemplar = group.front();
-    const Dfg& dfg = graphs[exemplar];
+  fan_out(workers, misses.size(), [&](std::size_t m) {
+    Group& group = groups[live[misses[m]]];
     Timer t;
-    std::shared_ptr<const PreparedGraph> graph;
-    std::string error;
     try {
-      graph = std::make_shared<const PreparedGraph>(
-          PreparedGraph{compute_levels(dfg), Reachability(dfg)});
-      if (options.use_cache) cache.store_graph(graph_keys[exemplar], graph);
+      group.prepared = std::make_shared<const PreparedGraph>(
+          PreparedGraph{compute_levels(group.graph), Reachability(group.graph)});
+      if (options.use_cache) cache.store_graph(group.graph_key, group.prepared);
     } catch (const std::exception& e) {
-      error = std::string("prepare: ") + e.what();
+      group.error = std::string("prepare: ") + e.what();
     }
-    const double ms = t.millis();
-    for (const std::size_t i : group) {
-      prepared[i] = graph;
-      if (!error.empty()) batch.jobs[i].error = error;
-    }
-    // Charge the shared computation to the exemplar only, so summing
+    // Charge the shared computation to the first job only, so summing
     // prepare_ms across a results file reflects work actually done.
-    batch.jobs[exemplar].timings.prepare_ms += ms;
+    timings_of(group).prepare_ms += t.millis();
   });
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    if (first[k] == k) continue;
+    const Group& exemplar = groups[live[first[k]]];
+    groups[live[k]].prepared = exemplar.prepared;
+    groups[live[k]].error = exemplar.error;
+  }
 }
 
-/// Probes the cache for every job that needs an analysis, then groups the
-/// misses into units, one per analysis to compute: with the cache on, jobs
-/// sharing an analysis key share a unit (intra-batch deduplication).
-/// Jobs whose backend composes its own patterns (needs_analysis ==
-/// false) skip enumeration entirely: no unit, no cache traffic,
-/// analysis_source stays None. With a disk tier attached a memory miss
-/// reads a file, so each probe is timed and charged to its job's
-/// analysis_ms; a memory-only probe is a map lookup and reads no clock.
-void Dispatch::probe_and_group() {
+/// Probes the cache for every job that needs an analysis, then gathers
+/// the groups whose first job missed into units, one per analysis to
+/// compute: with the cache on, groups sharing an analysis key share a
+/// unit (intra-batch deduplication). A group's first job's probe decides
+/// the group; every job still probes once, because cache.mem.* and
+/// cache.disk.* count probes. Groups whose backend composes its own
+/// patterns (needs_analysis == false) skip enumeration entirely: no unit,
+/// no cache traffic, analysis_source stays None. With a disk tier
+/// attached a memory miss reads a file, so each probe is timed and
+/// charged to its job's analysis_ms; a memory-only probe is a map lookup
+/// and reads no clock.
+void Dispatch::probe() {
   const bool disk_tier = options.use_cache && cache.disk_store() != nullptr;
-  const auto probe = [&](std::size_t i) {
-    if (!disk_tier) return cache.find_analysis(keys[i]);
+  const auto probe = [&](std::size_t i, const CacheKey& key) {
+    if (!disk_tier) return cache.find_analysis(key);
     const Timer timer;
-    auto found = cache.find_analysis(keys[i]);
+    auto found = cache.find_analysis(key);
     batch.jobs[i].timings.analysis_ms += timer.millis();
     return found;
   };
-  std::vector<std::size_t> misses;
+  std::vector<std::size_t> missed;  // groups whose first job missed
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (failed(i) || !backends[i]->needs_analysis) continue;
+    Group& group = groups[group_of[i]];
+    if (!group.error.empty() || !group.backend->needs_analysis) continue;
     if (options.use_cache) {
-      if (auto hit = probe(i)) {
-        analysis[i] = std::move(hit);
-        batch.jobs[i].analysis_cache_hit = true;
-        batch.jobs[i].analysis_source = AnalysisSource::Reused;
-        ++batch.analyses_reused;
-        continue;
-      }
+      auto found = probe(i, group.key);
+      batch.jobs[i].analysis_cache_hit = found != nullptr;
+      if (i == group.first) group.analysis = std::move(found);
     }
-    misses.push_back(i);
+    if (i == group.first && group.analysis == nullptr) missed.push_back(group_of[i]);
   }
-  for (std::vector<std::size_t>& group :
-       share_groups<CacheKeyHash>(misses, keys, options.use_cache)) {
-    AnalysisUnit& unit = units.emplace_back();
-    unit.exemplar_job = group.front();
-    unit.key = keys[unit.exemplar_job];
-    for (const std::size_t i : group) {
-      const bool exemplar = i == unit.exemplar_job;
-      batch.jobs[i].analysis_source =
-          exemplar ? AnalysisSource::Computed : AnalysisSource::Reused;
-      if (!exemplar) ++batch.analyses_reused;
+
+  const std::vector<std::size_t> first = first_with_key<CacheKeyHash>(
+      missed.size(), options.use_cache,
+      [&](std::size_t k) -> const CacheKey& { return groups[missed[k]].key; });
+  for (std::size_t k = 0; k < missed.size(); ++k) {
+    Group& group = groups[missed[k]];
+    if (first[k] == k) {
+      AnalysisUnit& unit = units.emplace_back();
+      unit.exemplar = missed[k];
+      unit.key = group.key;
+      group.unit = units.size() - 1;
+    } else {
+      group.unit = groups[missed[first[k]]].unit;
     }
-    unit.consumers = std::move(group);
+  }
+
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Group& group = groups[group_of[i]];
+    if (!group.error.empty() || !group.backend->needs_analysis) continue;
+    const bool computes = i == group.first && group.unit != kNone &&
+                          units[group.unit].exemplar == group_of[i];
+    batch.jobs[i].analysis_source =
+        computes ? AnalysisSource::Computed : AnalysisSource::Reused;
+    if (!computes) ++batch.analyses_reused;
   }
   batch.analyses_computed = units.size();
 }
@@ -457,10 +548,10 @@ void Dispatch::plan() {
   const std::size_t target_shards = worker_count * options.shards_per_thread;
   for (std::size_t u = 0; u < units.size(); ++u) {
     AnalysisUnit& unit = units[u];
-    const Job& job = jobs[unit.exemplar_job];
+    const Group& group = groups[unit.exemplar];
+    const Job& job = jobs[group.first];
     if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
       try {
-        const PreparedGraph& graph = *prepared[unit.exemplar_job];
         // Estimation runs on the thread running this dispatch (the
         // dispatcher or a blocking caller), before the shard fan-out and
         // outside any pool task, so it may fan out on the engine's own
@@ -469,7 +560,7 @@ void Dispatch::plan() {
         EnumerateOptions estimate_options = enumerate_options_for(job.select);
         estimate_options.parallel = true;
         unit.shard_roots = pack_roots_by_cost(
-            estimate_root_costs(graphs[unit.exemplar_job], graph.levels, graph.reach,
+            estimate_root_costs(group.graph, group.prepared->levels, group.prepared->reach,
                                 estimate_options, &workers),
             target_shards);
       } catch (const std::exception& e) {
@@ -494,12 +585,12 @@ void Dispatch::enumerate() {
       obs::Registry::global().histogram("engine.shard_ms");
   static obs::Histogram& shard_cpu_ms_metric =
       obs::Registry::global().histogram("engine.shard_cpu_ms");
-  workers.parallel_for(tasks.size(), [&](std::size_t t) {
+  fan_out(workers, tasks.size(), [&](std::size_t t) {
     AnalysisUnit& unit = units[tasks[t].unit];
     const std::size_t s = tasks[t].shard;
-    const Job& job = jobs[unit.exemplar_job];
-    const Dfg& unit_dfg = graphs[unit.exemplar_job];
-    const PreparedGraph& graph = *prepared[unit.exemplar_job];
+    const Group& group = groups[unit.exemplar];
+    const Job& job = jobs[group.first];
+    const PreparedGraph& graph = *group.prepared;
     obs::Span enumerate_span("engine.enumerate",
                              obs::tracing_enabled()
                                  ? job.workload + " shard " + std::to_string(s)
@@ -509,12 +600,12 @@ void Dispatch::enumerate() {
     try {
       if (job.select.generation == PatternGeneration::SpanLimitedEnumeration) {
         unit.shard_results[s] =
-            enumerate_antichain_roots(unit_dfg, graph.levels, graph.reach,
+            enumerate_antichain_roots(group.graph, graph.levels, graph.reach,
                                       enumerate_options_for(job.select),
                                       unit.shard_roots[s], unit.enumerated.get());
       } else {
         unit.shard_results[s] =
-            analytic_level_analysis(unit_dfg, graph.levels, job.select.capacity);
+            analytic_level_analysis(group.graph, graph.levels, job.select.capacity);
       }
     } catch (const std::exception& e) {
       unit.shard_errors[s] = e.what();
@@ -530,63 +621,65 @@ void Dispatch::enumerate() {
 /// neither belongs on one thread while the pool idles after the shard
 /// phase. (Publication order across units is irrelevant: keys are
 /// distinct, and consumers read unit.result, not the cache.) Then hands
-/// every consumer its unit's result or error.
+/// every consuming group its unit's result or error.
 void Dispatch::merge_and_publish() {
-  workers.parallel_for(units.size(), [&](std::size_t u) {
+  fan_out(workers, units.size(), [&](std::size_t u) {
     AnalysisUnit& unit = units[u];
     for (std::size_t s = 0; s < unit.shard_errors.size(); ++s)
       if (unit.error.empty() && !unit.shard_errors[s].empty())
         unit.error = "analysis: " + unit.shard_errors[s];
     for (const double ms : unit.shard_ms) unit.total_ms += ms;
     if (!unit.error.empty()) return;
+    const Group& group = groups[unit.exemplar];
     {
-      obs::Span merge_span("engine.merge", obs::tracing_enabled()
-                                               ? jobs[unit.exemplar_job].workload
-                                               : std::string());
+      obs::Span merge_span("engine.merge",
+                           obs::tracing_enabled() ? jobs[group.first].workload : std::string());
       unit.result = std::make_shared<AntichainAnalysis>(
           unit.shard_results.size() == 1
               ? std::move(unit.shard_results.front())
               : merge_antichain_analyses(std::move(unit.shard_results),
-                                         graphs[unit.exemplar_job].node_count()));
+                                         group.graph.node_count()));
     }
     if (options.use_cache) cache.store_analysis(unit.key, unit.result);
   });
 
-  for (const AnalysisUnit& unit : units) {
-    for (const std::size_t i : unit.consumers) {
-      analysis[i] = unit.result;
-      // Same convention as prepare_ms: shared work is charged to the
-      // exemplar only, so summing timings over a results file reflects
-      // work actually done.
-      if (i == unit.exemplar_job) {
-        batch.jobs[i].timings.analysis_ms += unit.total_ms;
-        batch.jobs[i].shard_ms = unit.shard_ms;
-      }
-      if (!unit.error.empty()) batch.jobs[i].error = unit.error;
-    }
+  for (AnalysisUnit& unit : units) {
+    // Same convention as prepare_ms: shared work is charged to the
+    // exemplar only, so summing timings over a results file reflects
+    // work actually done.
+    const Group& exemplar = groups[unit.exemplar];
+    timings_of(exemplar).analysis_ms += unit.total_ms;
+    batch.jobs[exemplar.first].shard_ms = std::move(unit.shard_ms);
+  }
+  for (Group& group : groups) {
+    if (group.unit == kNone) continue;
+    const AnalysisUnit& unit = units[group.unit];
+    group.analysis = unit.result;
+    if (!unit.error.empty()) group.error = unit.error;
   }
 }
 
-/// Runs job i's scheduler backend into `s`, charging its select/schedule/
-/// refine time to job i. Returns false when the backend threw: `s` then
-/// reports the exception as a failure that must not be memoized.
-bool Dispatch::run_backend(std::size_t i, SolvedResult& s) {
-  const Job& job = jobs[i];
-  const Dfg& dfg = graphs[i];
+/// Runs a group's scheduler backend into `s`, charging its select/
+/// schedule/refine time to the group's first job. Returns false when the
+/// backend threw: `s` then reports the exception as a failure that must
+/// not be memoized.
+bool Dispatch::run_backend(const Group& g, SolvedResult& s) {
+  const Job& job = jobs[g.first];
+  const Dfg& dfg = g.graph;
   try {
-    s.critical_path = prepared[i]->levels.critical_path_length();
+    s.critical_path = g.prepared->levels.critical_path_length();
 
     BackendRequest request;
     request.dfg = &dfg;
-    request.analysis = analysis[i].get();  // null for self-contained backends
+    request.analysis = g.analysis.get();  // null for self-contained backends
     request.select = job.select;
     request.schedule = job.schedule;
     request.refine = job.refine;
     request.refinement = job.refinement;
     request.trace_detail = job.workload;
-    BackendResult out = backends[i]->solve(request);
+    BackendResult out = g.backend->solve(request);
 
-    PhaseTimings& timings = batch.jobs[i].timings;
+    PhaseTimings& timings = timings_of(g);
     timings.select_ms = out.select_ms;
     timings.schedule_ms = out.schedule_ms;
     timings.refine_ms = out.refine_ms;
@@ -612,54 +705,78 @@ bool Dispatch::run_backend(std::size_t i, SolvedResult& s) {
   }
 }
 
-/// Solves every live job once per distinct SolveKey. With the cache on,
-/// jobs sharing a key form one group; a group the memo holds is served
-/// from it, and every other group runs its backend once (in parallel) and
-/// memoizes what the backend returned, rendered on the same worker. Every
-/// job of a group then gets the same SolvedResult and, when the memo
-/// holds it, a reference to the entry. With the cache off each job is its
-/// own group and the memo is neither read nor written.
+/// Solves every live group once per distinct SolveKey. With the cache on,
+/// a group the memo holds is served from it, and the other groups run
+/// their backend once per distinct key (in parallel) and memoize what the
+/// backend returned, rendered on the same worker. Every group sharing a
+/// key then holds the same entry. With the cache off each group (one job)
+/// runs its own backend and the memo is neither read nor written.
 void Dispatch::solve() {
   static obs::Counter& computed =
       obs::Registry::global().counter("engine.solve.computed");
   static obs::Counter& reused = obs::Registry::global().counter("engine.solve.reused");
-  std::vector<std::size_t> live;
-  std::vector<SolveKey> solve_keys(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (failed(i)) continue;
-    live.push_back(i);
-    if (options.use_cache)
-      solve_keys[i] = {keys[i], jobs[i].select, jobs[i].schedule, jobs[i].refine,
-                       jobs[i].refinement};
-  }
-  const std::vector<std::vector<std::size_t>> groups =
-      share_groups<SolveKeyHash>(live, solve_keys, options.use_cache);
-
-  // Only an entry handed to the memo carries text.
-  std::vector<std::shared_ptr<const SolvedEntry>> solved(groups.size());
-  std::vector<std::size_t> misses;
+  std::vector<SolveKey> solve_keys;  // per entry of `misses`, with the cache on
+  std::vector<std::size_t> misses;   // live groups the memo does not hold
+  std::size_t live_jobs = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    if (options.use_cache) solved[g] = cache.find_solved(solve_keys[groups[g].front()]);
-    if (solved[g] == nullptr) misses.push_back(g);
+    Group& group = groups[g];
+    if (!group.error.empty()) continue;
+    live_jobs += group.size;
+    if (options.use_cache) {
+      const Job& job = jobs[group.first];
+      SolveKey key{group.key, job.select, job.schedule, job.refine, job.refinement};
+      if ((group.solved = cache.find_solved(key)) != nullptr) continue;
+      solve_keys.push_back(std::move(key));
+    }
+    misses.push_back(g);
   }
-  workers.parallel_for(misses.size(), [&](std::size_t m) {
-    const std::size_t g = misses[m];
-    const std::size_t solver = groups[g].front();
-    auto entry = std::make_shared<SolvedEntry>();
-    if (run_backend(solver, entry->result) && options.use_cache) {
-      entry->text = render_solved(entry->result);
-      cache.store_solved(solve_keys[solver], entry);
-    }
-    solved[g] = std::move(entry);
-  });
 
-  for (std::size_t g = 0; g < groups.size(); ++g)
-    for (const std::size_t i : groups[g]) {
-      static_cast<SolvedResult&>(batch.jobs[i]) = solved[g]->result;
-      if (!solved[g]->text.empty()) batch.jobs[i].memo = solved[g];
+  // One backend call per distinct key; a NaN option's key equals nothing,
+  // so such a group always solves alone.
+  const std::vector<std::size_t> first = first_with_key<SolveKeyHash>(
+      misses.size(), options.use_cache,
+      [&](std::size_t k) -> const SolveKey& { return solve_keys[k]; });
+  std::vector<std::size_t> solvers;  // indices into `misses`
+  for (std::size_t k = 0; k < misses.size(); ++k)
+    if (first[k] == k) solvers.push_back(k);
+  fan_out(workers, solvers.size(), [&](std::size_t m) {
+    const std::size_t k = solvers[m];
+    Group& group = groups[misses[k]];
+    auto entry = std::make_shared<SolvedEntry>();
+    if (run_backend(group, entry->result) && options.use_cache) {
+      entry->text = render_solved(entry->result);
+      cache.store_solved(solve_keys[k], entry);
     }
-  computed.add(misses.size());
-  reused.add(live.size() - misses.size());
+    group.solved = std::move(entry);
+  });
+  for (std::size_t k = 0; k < misses.size(); ++k)
+    if (first[k] != k) groups[misses[k]].solved = groups[misses[first[k]]].solved;
+  computed.add(solvers.size());
+  reused.add(live_jobs - solvers.size());
+}
+
+/// Fills every job's result from its group: the job's own echo fields,
+/// the effective graph's size, and the group's error or solved result,
+/// with a reference to the memo entry when the memo holds it (only an
+/// entry handed to the memo carries text).
+void Dispatch::fill_results() {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    const Group& group = groups[group_of[i]];
+    JobResult& r = batch.jobs[i];
+    r.job = job.resolved_name();
+    r.workload = job.workload;
+    r.backend = job.backend;
+    r.transforms = job.transforms;
+    r.nodes = group.graph.node_count();
+    r.edges = group.graph.edge_count();
+    if (group.solved == nullptr) {
+      r.error = group.error;
+      continue;
+    }
+    static_cast<SolvedResult&>(r) = group.solved->result;
+    if (!group.solved->text.empty()) r.memo = group.solved;
+  }
 }
 
 }  // namespace
@@ -673,12 +790,16 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
   Dispatch dispatch(jobs, options_, pool(), cache());
   {
     obs::Span prepare_span("engine.prepare");
+    {
+      obs::Span group_span("engine.group");
+      dispatch.group();
+    }
     dispatch.resolve_and_transform();
     dispatch.key_and_prepare();
   }
   {
     obs::Span probe_span("engine.probe");
-    dispatch.probe_and_group();
+    dispatch.probe();
   }
   {
     obs::Span plan_span("engine.plan");
@@ -689,6 +810,10 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
   {
     obs::Span solve_span("engine.solve");
     dispatch.solve();
+  }
+  {
+    obs::Span fanout_span("engine.fanout");
+    dispatch.fill_results();
   }
 
   BatchResult batch = std::move(dispatch.batch);

@@ -4,10 +4,15 @@
 // Every caller used to hand-wire enumerate_antichains → select_patterns →
 // multi_pattern_schedule per graph. The engine runs a whole corpus instead:
 //
-//   1. Deduplicate. Jobs are grouped by content-addressed analysis key
-//      (engine/analysis_cache.hpp); a batch with the same graph under the
-//      same generation options computes its antichain analysis once, and a
-//      warm cache skips the computation entirely.
+//   1. Deduplicate. One pass groups the jobs doing the same work: copies
+//      of one graph (one Dfg block, as a corpus reader or the serve
+//      daemon's graph intern hands out) under equal options. Every later
+//      phase — resolve, transform, key, prepare, plan, enumerate, merge,
+//      solve — runs once per group, and shares across groups by content
+//      key (engine/analysis_cache.hpp): one prepared graph per graph key,
+//      one antichain analysis per analysis key, one backend call per
+//      solve key. A warm cache skips the computations entirely; only the
+//      analysis probe and the copy into each JobResult run per job.
 //   2. Shard. Each analysis to compute is split by enumeration root into
 //      ~shards_per_thread × workers chunks, and ALL chunks of ALL jobs go
 //      into one dynamically-balanced parallel_for — work steals across

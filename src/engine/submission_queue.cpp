@@ -51,17 +51,20 @@ void admit(std::size_t jobs, std::size_t depth) {
   max_depth.set_max(static_cast<std::int64_t>(depth));
 }
 
-/// Per job of one submission, how long it sat queued: queue.wait_ms and a
-/// retroactive queue.wait span (the wait happened off the flushing
-/// thread's stack, so the span goes onto the exporter's synthetic queue
-/// tracks). A caller-run flush passes `flushed` as `enqueued`, so its
-/// waits are zero.
+/// How long one submission's jobs sat queued: queue.wait_ms, recorded
+/// once with the job count (every job of a submission waits alike), and
+/// per job a retroactive queue.wait span (the wait happened off the
+/// flushing thread's stack, so the span goes onto the exporter's
+/// synthetic queue tracks). A caller-run flush passes `flushed` as
+/// `enqueued`, so its waits are zero.
 void record_waits(const std::vector<Job>& jobs, std::chrono::steady_clock::time_point enqueued,
                   std::chrono::steady_clock::time_point flushed) {
   const bool tracing = obs::tracing_enabled();
   if (!obs::metrics_enabled() && !tracing) return;
   static obs::Histogram& wait_ms = obs::Registry::global().histogram("queue.wait_ms");
   const double waited = std::chrono::duration<double, std::milli>(flushed - enqueued).count();
+  wait_ms.record(waited, jobs.size());
+  if (!tracing) return;
   // The span start comes from the enqueue stamp converted to trace
   // nanoseconds directly — a round-trip through the fractional-ms double
   // above would lose sub-microsecond precision and could put a near-zero
@@ -69,10 +72,7 @@ void record_waits(const std::vector<Job>& jobs, std::chrono::steady_clock::time_
   // even across clock-read jitter.
   const std::int64_t flush_ns = obs::trace_ns_of(flushed);
   const std::int64_t start_ns = std::min(obs::trace_ns_of(enqueued), flush_ns);
-  for (const Job& job : jobs) {
-    wait_ms.record(waited);
-    if (tracing) obs::record_span("queue.wait", start_ns, flush_ns, job.workload);
-  }
+  for (const Job& job : jobs) obs::record_span("queue.wait", start_ns, flush_ns, job.workload);
 }
 
 /// Marks a caller-run dispatch finished, on return or throw, and wakes

@@ -108,6 +108,12 @@ class Dfg {
     return block_ ? block_->color_names.size() : 0;
   }
 
+  /// The block this graph's fields live in; null for a graph with none.
+  /// Graphs with one identity are copies of one graph, equal in every
+  /// field while both stay unchanged (a mutator on a shared block clones
+  /// it first, so the block itself never changes after its first copy).
+  const void* identity() const noexcept { return block_.get(); }
+
   ColorId color(NodeId n) const {
     MPSCHED_ASSERT(n < node_count());
     return block_->colors[n];

@@ -100,11 +100,14 @@ class Histogram {
   /// std::invalid_argument otherwise.
   explicit Histogram(std::vector<double> upper_bounds);
 
-  void record(double value) {
+  void record(double value) { record(value, 1); }
+  /// `count` records of one value at the cost of one: the bucket and the
+  /// count grow by `count`, the sum by value × count.
+  void record(double value, std::uint64_t count) {
     if (!metrics_enabled()) return;
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    detail::atomic_add(sum_, value);
+    buckets_[bucket_index(value)].fetch_add(count, std::memory_order_relaxed);
+    count_.fetch_add(count, std::memory_order_relaxed);
+    detail::atomic_add(sum_, value * static_cast<double>(count));
   }
 
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }

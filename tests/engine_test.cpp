@@ -9,10 +9,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <random>
+#include <regex>
 #include <string>
 #include <thread>
 
@@ -917,6 +920,253 @@ TEST(Engine, InvalidOptionsFailOnlyTheirJobWithAnAnalysisError) {
   EXPECT_FALSE(again.analysis_cache_hit);
   expect_analysis_error(again, "max_size must be at least 1");
   EXPECT_EQ(eng.cache().analysis_count(), 1u);
+}
+
+/// Runs `jobs` on `eng` and returns, as text, everything the dispatch
+/// reports about how it shared its work: per job (in order) its analysis
+/// source (C computed, R reused, N none), its cache hit and whether it
+/// carries shard times; each failed job's error (a source line number
+/// reads L); the batch's analysis counts; and the registry deltas of the
+/// run.
+std::string run_and_account(Engine& eng, const std::vector<Job>& jobs) {
+  static const char* const kCounters[] = {
+      "cache.graph.hits",      "cache.graph.misses",  "cache.mem.hits",
+      "cache.mem.misses",      "cache.disk.hits",     "cache.disk.misses",
+      "engine.jobs",           "engine.jobs_succeeded", "engine.solve.computed",
+      "engine.solve.reused",   "queue.submitted"};
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Histogram& waits = registry.histogram("queue.wait_ms");
+  std::vector<std::uint64_t> before;
+  for (const char* name : kCounters) before.push_back(registry.counter(name).value());
+  const std::uint64_t waits_before = waits.count();
+
+  const engine::BatchResult batch = eng.run_batch(jobs);
+
+  std::string sources, hits, shards, errors;
+  for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
+    const engine::JobResult& r = batch.jobs[i];
+    sources += r.analysis_source == engine::AnalysisSource::Computed ? 'C'
+               : r.analysis_source == engine::AnalysisSource::Reused ? 'R'
+                                                                     : 'N';
+    hits += r.analysis_cache_hit ? '1' : '0';
+    shards += r.shard_ms.empty() ? '0' : '1';
+    if (r.error.empty()) continue;
+    static const std::regex line_number(R"(\.cpp:[0-9]+)");
+    errors.append("error ").append(std::to_string(i)).append(": ");
+    errors.append(std::regex_replace(r.error, line_number, ".cpp:L")) += '\n';
+  }
+  std::string text = "sources " + sources + "\nhits    " + hits + "\nshards  " + shards +
+                     "\n" + errors + "analyses computed " +
+                     std::to_string(batch.analyses_computed) + " reused " +
+                     std::to_string(batch.analyses_reused) + "\n";
+  for (std::size_t c = 0; c < std::size(kCounters); ++c)
+    text += std::string(kCounters[c]) + " " +
+            std::to_string(registry.counter(kCounters[c]).value() - before[c]) + "\n";
+  return text + "queue.wait_ms count " + std::to_string(waits.count() - waits_before) + "\n";
+}
+
+/// The accounting text of a batch whose jobs all end the same way: every
+/// source `source`, every hit `hit`, every shard flag `shards`.
+std::string uniform_sources(std::size_t jobs, char source, char hit, char shards) {
+  std::string text = "sources ";
+  text.append(jobs, source).append("\nhits    ").append(jobs, hit);
+  return text.append("\nshards  ").append(jobs, shards) += '\n';
+}
+
+TEST(Engine, DispatchAccountingIsPinned) {
+  // Per-job attribution, batch counts and registry deltas of batches that
+  // share work in every way a dispatch can: block-sharing copies of one
+  // spec, one graph under several options, equal graphs built apart, a
+  // transform stack, a backend that reads no analysis, a disk tier behind
+  // a cold memory tier, and failures in each phase.
+  const char* const kWarmSpecs[] = {  // perfbench's warm_serve specs
+      "fir(28)",       "paper_3dft",    "bitonic(8)",  "dct8",
+      "layered(42)",   "small_example", "dft3",        "dft5",
+      "fft(4)",        "fft(8)",        "direct_dft(3)", "direct_dft(4)",
+      "fir(12)",       "iir(3)",        "matmul(3)",   "horner(10)",
+      "stencil5(3,3)", "layered(7)",    "layered(21)", "series_parallel(11)",
+      "series_parallel(12)", "expr_tree(5)", "expr_tree(9)"};
+  std::vector<Job> specs;
+  for (const char* spec : kWarmSpecs) specs.push_back(Job::from_workload(spec));
+  // 64 jobs drawn from the 23 specs; copies of one spec share its block.
+  std::vector<Job> warm_batch;
+  std::mt19937 draw(2806);
+  for (int i = 0; i < 64; ++i) warm_batch.push_back(specs[draw() % specs.size()]);
+
+  const Job dft = Job::from_workload("paper_3dft");
+  Job dft_pdef3 = dft;
+  dft_pdef3.select.pattern_count = 3;  // same analysis, another solve
+  Job dft_c4 = dft;
+  dft_c4.select.capacity = 4;  // same graph, another analysis
+  Job dft_renamed = dft;
+  dft_renamed.name = "renamed";
+  Job fir_cse = Job::from_workload("fir(8)");
+  fir_cse.transforms = {"cse"};
+  Job fir_plain = fir_cse;
+  fir_plain.transforms.clear();
+  Job fir_list = fir_plain;
+  fir_list.backend = "list";
+  const std::vector<Job> cold_batch{dft,      dft,       dft_pdef3, dft_c4,
+                                    Job::from_workload("paper_3dft"),
+                                    fir_cse,  fir_cse,   fir_plain, fir_list,
+                                    fir_list, dft_renamed};
+
+  {  // Cache on: the 23-spec prefill, then the warm batch.
+    Engine eng;
+    EXPECT_EQ(run_and_account(eng, specs),
+              uniform_sources(23, 'C', '0', '1') +
+                  "analyses computed 23 reused 0\n"
+                  "cache.graph.hits 0\ncache.graph.misses 23\n"
+                  "cache.mem.hits 0\ncache.mem.misses 23\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 23\nengine.jobs_succeeded 23\n"
+                  "engine.solve.computed 23\nengine.solve.reused 0\n"
+                  "queue.submitted 23\nqueue.wait_ms count 23\n");
+    EXPECT_EQ(run_and_account(eng, warm_batch),
+              uniform_sources(64, 'R', '1', '0') +
+                  "analyses computed 0 reused 64\n"
+                  "cache.graph.hits 21\ncache.graph.misses 0\n"
+                  "cache.mem.hits 64\ncache.mem.misses 0\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 64\nengine.jobs_succeeded 64\n"
+                  "engine.solve.computed 0\nengine.solve.reused 64\n"
+                  "queue.submitted 64\nqueue.wait_ms count 64\n");
+  }
+  {  // Cache off: every job computes everything.
+    EngineOptions options;
+    options.use_cache = false;
+    Engine eng(options);
+    EXPECT_EQ(run_and_account(eng, warm_batch),
+              uniform_sources(64, 'C', '0', '1') +
+                  "analyses computed 64 reused 0\n"
+                  "cache.graph.hits 0\ncache.graph.misses 0\n"
+                  "cache.mem.hits 0\ncache.mem.misses 0\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 64\nengine.jobs_succeeded 64\n"
+                  "engine.solve.computed 64\nengine.solve.reused 0\n"
+                  "queue.submitted 64\nqueue.wait_ms count 64\n");
+    EXPECT_EQ(run_and_account(eng, cold_batch),
+              "sources CCCCCCCCNNC\nhits    00000000000\nshards  11111111001\n"
+                  "analyses computed 9 reused 0\n"
+                  "cache.graph.hits 0\ncache.graph.misses 0\n"
+                  "cache.mem.hits 0\ncache.mem.misses 0\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 11\nengine.jobs_succeeded 11\n"
+                  "engine.solve.computed 11\nengine.solve.reused 0\n"
+                  "queue.submitted 11\nqueue.wait_ms count 11\n");
+  }
+  {  // Cache on, cold.
+    Engine eng;
+    EXPECT_EQ(run_and_account(eng, cold_batch),
+              "sources CRRCRCRCNNR\nhits    00000000000\nshards  10010101000\n"
+                  "analyses computed 4 reused 5\n"
+                  "cache.graph.hits 0\ncache.graph.misses 2\n"
+                  "cache.mem.hits 0\ncache.mem.misses 9\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 11\nengine.jobs_succeeded 11\n"
+                  "engine.solve.computed 6\nengine.solve.reused 5\n"
+                  "queue.submitted 11\nqueue.wait_ms count 11\n");
+  }
+  {  // A memory-cold engine on a warm cache directory.
+    const std::filesystem::path dir = "engine_test.tmp/DispatchAccountingIsPinned";
+    std::filesystem::remove_all(dir);
+    EngineOptions options;
+    options.cache_dir = dir.string();
+    {
+      Engine populate(options);
+      EXPECT_EQ(run_and_account(populate, cold_batch),
+                "sources CRRCRCRCNNR\nhits    00000000000\nshards  10010101000\n"
+                    "analyses computed 4 reused 5\n"
+                    "cache.graph.hits 0\ncache.graph.misses 2\n"
+                    "cache.mem.hits 0\ncache.mem.misses 9\n"
+                    "cache.disk.hits 0\ncache.disk.misses 9\n"
+                    "engine.jobs 11\nengine.jobs_succeeded 11\n"
+                    "engine.solve.computed 6\nengine.solve.reused 5\n"
+                    "queue.submitted 11\nqueue.wait_ms count 11\n");
+    }
+    Engine reader(options);
+    EXPECT_EQ(run_and_account(reader, cold_batch),
+              "sources RRRRRRRRNNR\nhits    11111111001\nshards  00000000000\n"
+                  "analyses computed 0 reused 9\n"
+                  "cache.graph.hits 0\ncache.graph.misses 2\n"
+                  "cache.mem.hits 5\ncache.mem.misses 4\n"
+                  "cache.disk.hits 4\ncache.disk.misses 0\n"
+                  "engine.jobs 11\nengine.jobs_succeeded 11\n"
+                  "engine.solve.computed 6\nengine.solve.reused 5\n"
+                  "queue.submitted 11\nqueue.wait_ms count 11\n");
+    std::filesystem::remove_all(dir);
+  }
+  {  // Failures, cold then memoized.
+    Job unknown_backend;
+    unknown_backend.name = "unknown_backend";
+    unknown_backend.dfg = workloads::small_example();
+    unknown_backend.backend = "no_such_backend";
+    Job no_capacity = Job::from_workload("fir(8)");
+    no_capacity.select.capacity = 0;
+    Job uncovered = Job::from_workload("paper_3dft");
+    uncovered.select.pattern_count = 1;
+    uncovered.select.capacity = 1;
+    Job nan_epsilon;
+    nan_epsilon.name = "nan_epsilon";
+    nan_epsilon.dfg = workloads::paper_3dft();
+    nan_epsilon.select.epsilon = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<Job> failures{unknown_backend, unknown_backend, no_capacity,
+                                    uncovered,       uncovered,       nan_epsilon,
+                                    nan_epsilon,     dft};
+    const std::string unknown =
+        "pipeline: unknown backend 'no_such_backend' (known: multi_pattern, list, "
+        "force_directed, exhaustive)";
+    const std::string uncovered_error =
+        "schedule: pattern set does not cover all colors of the graph\n";
+    const std::string nan_error =
+        "mpsched precondition failed: (options.epsilon > 0.0) at src/core/select.cpp:L — "
+        "epsilon must be positive (it guards division)\n";
+    Engine eng;
+    EXPECT_EQ(run_and_account(eng, failures),
+              std::string("sources NNCCRCRR\nhits    00000000\nshards  00010100\n") + "error 0: " + unknown + "\nerror 1: " + unknown +
+                  "\nerror 2: analysis: mpsched precondition failed: (options.max_size >= 1) "
+                  "at src/antichain/enumerate.cpp:L — max_size must be at least 1\n"
+                  "error 3: " + uncovered_error + "error 4: " + uncovered_error +
+                  "error 5: " + nan_error + "error 6: " + nan_error +
+                  "analyses computed 3 reused 3\n"
+                  "cache.graph.hits 0\ncache.graph.misses 2\n"
+                  "cache.mem.hits 0\ncache.mem.misses 6\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 8\nengine.jobs_succeeded 1\n"
+                  "engine.solve.computed 4\nengine.solve.reused 1\n"
+                  "queue.submitted 8\nqueue.wait_ms count 8\n");
+    // The backend's own failure is memoized; the NaN jobs, whose backend
+    // threw, solve again, and the failed analysis is computed again.
+    EXPECT_EQ(run_and_account(eng, failures),
+              std::string("sources NNCRRRRR\nhits    00011111\nshards  00000000\n") + "error 0: " + unknown + "\nerror 1: " + unknown +
+                  "\nerror 2: analysis: mpsched precondition failed: (options.max_size >= 1) "
+                  "at src/antichain/enumerate.cpp:L — max_size must be at least 1\n"
+                  "error 3: " + uncovered_error + "error 4: " + uncovered_error +
+                  "error 5: " + nan_error + "error 6: " + nan_error +
+                  "analyses computed 1 reused 5\n"
+                  "cache.graph.hits 2\ncache.graph.misses 0\n"
+                  "cache.mem.hits 5\ncache.mem.misses 1\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 8\nengine.jobs_succeeded 1\n"
+                  "engine.solve.computed 2\nengine.solve.reused 3\n"
+                  "queue.submitted 8\nqueue.wait_ms count 8\n");
+    EngineOptions options;
+    options.use_cache = false;
+    Engine uncached(options);
+    EXPECT_EQ(run_and_account(uncached, failures),
+              std::string("sources NNCCCCCC\nhits    00000000\nshards  00011111\n") + "error 0: " + unknown + "\nerror 1: " + unknown +
+                  "\nerror 2: analysis: mpsched precondition failed: (options.max_size >= 1) "
+                  "at src/antichain/enumerate.cpp:L — max_size must be at least 1\n"
+                  "error 3: " + uncovered_error + "error 4: " + uncovered_error +
+                  "error 5: " + nan_error + "error 6: " + nan_error +
+                  "analyses computed 6 reused 0\n"
+                  "cache.graph.hits 0\ncache.graph.misses 0\n"
+                  "cache.mem.hits 0\ncache.mem.misses 0\n"
+                  "cache.disk.hits 0\ncache.disk.misses 0\n"
+                  "engine.jobs 8\nengine.jobs_succeeded 1\n"
+                  "engine.solve.computed 5\nengine.solve.reused 0\n"
+                  "queue.submitted 8\nqueue.wait_ms count 8\n");
+  }
 }
 
 TEST(Workloads, SpecRegistry) {

@@ -94,6 +94,32 @@ TEST_F(ObsTest, HistogramPercentiles) {
   EXPECT_DOUBLE_EQ(overflow.percentile(99), 2.0);
 }
 
+TEST_F(ObsTest, RecordingACountEqualsThatManySingleRecords) {
+  // Values whose products and sums are exact in binary, in every bucket
+  // and the overflow one; a zero count records nothing.
+  const std::vector<std::pair<double, std::uint64_t>> records = {
+      {0.5, 3}, {1.0, 64}, {1.5, 7}, {4.0, 2}, {9.25, 5}, {-2.0, 4}, {3.0, 0}};
+  Histogram batched({1.0, 2.0, 4.0});
+  Histogram single({1.0, 2.0, 4.0});
+  for (const auto& [value, count] : records) {
+    batched.record(value, count);
+    for (std::uint64_t n = 0; n < count; ++n) single.record(value);
+  }
+  for (std::size_t i = 0; i <= batched.bounds().size(); ++i)
+    EXPECT_EQ(batched.bucket(i), single.bucket(i)) << "bucket " << i;
+  EXPECT_EQ(batched.count(), single.count());
+  EXPECT_EQ(batched.count(), 85u);
+  EXPECT_EQ(batched.sum(), single.sum());
+  EXPECT_EQ(batched.sum(), 0.5 * 3 + 64.0 + 1.5 * 7 + 8.0 + 9.25 * 5 - 8.0);
+
+  obs::set_metrics_enabled(false);
+  batched.record(0.5, 10);
+  obs::set_metrics_enabled(true);
+  EXPECT_EQ(batched.count(), 85u);
+  EXPECT_EQ(batched.bucket(0), single.bucket(0));
+  EXPECT_EQ(batched.sum(), single.sum());
+}
+
 TEST_F(ObsTest, DisabledPathRecordsNothing) {
   Histogram h({1.0});
   obs::Counter counter;

@@ -327,6 +327,73 @@ TEST_F(ServiceTest, WarmResponseLinesAreTheColdAndCacheOffBytes) {
   EXPECT_EQ(warm[1].body.rfind(R"({"id":8,"op":"submit_job","ok":true,"result":)", 0), 0u);
 }
 
+TEST_F(ServiceTest, WarmResponsesOfDuplicatedJobsAreTheColdAndCacheOffBytes) {
+  // A 64-job submit of repeated specs, which the server's graph intern
+  // resolves to copies of one graph: one spec under two names, and one
+  // graph under two transform stacks and two backends. Its compact line
+  // (the served response) and the pretty results document of the same
+  // jobs (which writes every member) must be the same cold, warm and on a
+  // cache-off server.
+  const char* const specs[] = {"paper_3dft", "small_example", "dct8",  "fir(8)",
+                               "fft(4)",     "iir(3)",        "dft3",  "horner(10)"};
+  Request submit;
+  submit.op = Op::Submit;
+  submit.id = 9;
+  for (std::size_t i = 0; i < 64; ++i) {
+    Job job = Job::from_workload(specs[i * 5 % 8]);
+    if (job.workload == "dct8" && i / 8 % 2 == 1) job.name = "dct8 alias";
+    if (job.workload == "fir(8)") {
+      if (i / 8 % 2 == 1) job.transforms = {"cse"};
+      if (i / 16 % 2 == 1) job.backend = "list";
+    }
+    submit.jobs.push_back(std::move(job));
+  }
+  const std::string line = service::request_to_json(submit).dump(-1);
+
+  const auto compact = [&line](Server& server) {
+    std::istringstream in(line + "\n");
+    std::ostringstream out;
+    server.serve_stream(in, out);
+    std::string response = out.str();
+    const std::size_t cut = response.rfind(",\"analyses_computed\":");
+    EXPECT_NE(cut, std::string::npos) << response;
+    return std::make_pair(response.substr(0, cut), response.substr(cut));
+  };
+  const auto pretty = [&line](Server& server) {
+    GraphIntern graphs;
+    const Request parsed = service::request_from_json(Json::parse(line), graphs);
+    const engine::BatchResult batch = server.engine().run_batch(parsed.jobs);
+    std::string text;
+    JsonWriter out(text, 2);
+    write_batch(out, batch);
+    return text;
+  };
+
+  Server server(ServerOptions{});
+  const auto cold = compact(server);
+  const auto warm = compact(server);
+  const std::string warm_pretty = pretty(server);
+  Server fresh(ServerOptions{});
+  const std::string cold_pretty = pretty(fresh);
+  ServerOptions options;
+  options.engine.use_cache = false;
+  Server uncached(options);
+  const auto reference = compact(uncached);
+  const std::string reference_pretty = pretty(uncached);
+
+  EXPECT_EQ(warm.first, cold.first);
+  EXPECT_EQ(warm.first, reference.first);
+  EXPECT_EQ(warm.first.rfind(R"({"id":9,"op":"submit","ok":true,"results":)", 0), 0u);
+  EXPECT_NE(warm.first.find(R"("job":"dct8 alias")"), std::string::npos);
+  EXPECT_EQ(warm_pretty, cold_pretty);
+  EXPECT_EQ(warm_pretty, reference_pretty);
+  // 60 jobs read an analysis (the 4 list-backend jobs read none): 7 specs
+  // and fir(8) under two stacks are 9 distinct analyses.
+  EXPECT_EQ(cold.second, ",\"analyses_computed\":9,\"analyses_reused\":51}\n");
+  EXPECT_EQ(warm.second, ",\"analyses_computed\":0,\"analyses_reused\":60}\n");
+  EXPECT_EQ(reference.second, ",\"analyses_computed\":60,\"analyses_reused\":0}\n");
+}
+
 TEST_F(ServiceTest, EachResponseIsWrittenInsideItsRequestSpan) {
   // One traced respond() round per line through a stream session: every
   // request records exactly one serve.serialize span (writing its
