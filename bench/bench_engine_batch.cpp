@@ -226,27 +226,32 @@ int main() {
 
     // Compact serialization of the warm results, as served (each result
     // splices its memo entry's text) and with every memo reference
-    // dropped (each result writes its members again): best of N passes.
+    // dropped (each result writes its members again). A pass is 200
+    // writes (about 0.5 ms spliced, 2 ms rendered in Release) timed on
+    // this thread's CPU clock, so time the core spends on another process
+    // is not counted. Spliced and rendered passes alternate, so a change
+    // in the machine's speed during the measurement reaches both, and
+    // each takes its best of 50 passes.
     engine::BatchResult rendered = rerun;
     for (engine::JobResult& r : rendered.jobs) r.memo = nullptr;
-    const auto write_us = [](const engine::BatchResult& batch, std::string& text) {
-      constexpr int kWrites = 20;
-      double best = 0;
-      for (int pass = 0; pass < 50; ++pass) {
-        Timer t;
-        for (int w = 0; w < kWrites; ++w) {
-          text.clear();
-          JsonWriter out(text);
-          write_batch(out, batch);
-        }
-        const double us = t.millis() * 1e3 / kWrites;
-        best = pass == 0 ? us : std::min(best, us);
+    const auto write_pass_us = [](const engine::BatchResult& batch, std::string& text) {
+      constexpr int kWrites = 200;
+      const double start = thread_cpu_ms();
+      for (int w = 0; w < kWrites; ++w) {
+        text.clear();
+        JsonWriter out(text);
+        write_batch(out, batch);
       }
-      return best;
+      return (thread_cpu_ms() - start) * 1e3 / kWrites;
     };
     std::string spliced_text, rendered_text;
-    const double spliced_us = write_us(rerun, spliced_text);
-    const double rendered_us = write_us(rendered, rendered_text);
+    double spliced_us = 0, rendered_us = 0;
+    for (int pass = 0; pass < 50; ++pass) {
+      const double spliced = write_pass_us(rerun, spliced_text);
+      const double rendered_pass = write_pass_us(rendered, rendered_text);
+      spliced_us = pass == 0 ? spliced : std::min(spliced_us, spliced);
+      rendered_us = pass == 0 ? rendered_pass : std::min(rendered_us, rendered_pass);
+    }
     std::printf("warm results write_batch: %.2f us spliced, %.2f us rendered (%.1fx)\n",
                 spliced_us, rendered_us, rendered_us / spliced_us);
     gate.check(spliced_text == rendered_text,

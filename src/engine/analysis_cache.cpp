@@ -53,13 +53,9 @@ void feed_pipeline_tag(Fnv128& h, const std::string& pipeline_tag) {
 
 }  // namespace
 
-CacheKey AnalysisCache::graph_key(const Dfg& dfg) { return key_of(dfg.content_hash()); }
+AnalysisCache::AnalysisCache(std::shared_ptr<CacheStore> store) : store_(std::move(store)) {}
 
-CacheKey AnalysisCache::analysis_key(const Dfg& dfg, PatternGeneration generation,
-                                     std::size_t max_size, std::optional<int> span_limit,
-                                     const std::string& pipeline_tag) {
-  return content_keys(dfg, generation, max_size, span_limit, pipeline_tag).second;
-}
+CacheKey AnalysisCache::graph_key(const Dfg& dfg) { return key_of(dfg.content_hash()); }
 
 std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
                                                           PatternGeneration generation,
@@ -99,7 +95,6 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
       obs::Registry::global().counter("cache.mem.hits");
   static obs::Counter& mem_misses =
       obs::Registry::global().counter("cache.mem.misses");
-  std::shared_ptr<CacheStore> store;
   {
     std::lock_guard lock(mutex_);
     const auto it = analyses_.find(key);
@@ -107,14 +102,13 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
       mem_hits.add();
       return it->second;
     }
-    store = store_;
   }
   mem_misses.add();
   // Memory miss: fall through to the disk tier outside the lock (file IO
   // must not serialize concurrent memory hits). A racing duplicate load is
   // harmless — identical content, last writer wins.
-  if (store == nullptr) return nullptr;
-  auto loaded = store->load(key);
+  if (store_ == nullptr) return nullptr;
+  auto loaded = store_->load(key);
   if (loaded != nullptr) {
     std::lock_guard lock(mutex_);
     analyses_[key] = loaded;
@@ -124,14 +118,12 @@ std::shared_ptr<const AntichainAnalysis> AnalysisCache::find_analysis(const Cach
 
 void AnalysisCache::store_analysis(const CacheKey& key,
                                    std::shared_ptr<const AntichainAnalysis> value) {
-  std::shared_ptr<CacheStore> store;
   {
     obs::Span span("cache.mem.store");
     std::lock_guard lock(mutex_);
     analyses_[key] = value;
-    store = store_;
   }
-  if (store != nullptr) store->store(key, *value);
+  if (store_ != nullptr) store_->store(key, *value);
 }
 
 std::shared_ptr<const SolvedEntry> AnalysisCache::find_solved(const SolveKey& key) const {
@@ -147,26 +139,9 @@ void AnalysisCache::store_solved(const SolveKey& key,
   solved_[key] = std::move(value);
 }
 
-void AnalysisCache::attach_store(std::shared_ptr<CacheStore> store) {
-  std::lock_guard lock(mutex_);
-  store_ = std::move(store);
-}
-
-CacheStore* AnalysisCache::disk_store() const {
-  std::lock_guard lock(mutex_);
-  return store_.get();
-}
-
 std::size_t AnalysisCache::analysis_count() const {
   std::lock_guard lock(mutex_);
   return analyses_.size();
-}
-
-void AnalysisCache::clear() {
-  std::lock_guard lock(mutex_);
-  graphs_.clear();
-  analyses_.clear();
-  solved_.clear();
 }
 
 }  // namespace mpsched::engine

@@ -17,14 +17,16 @@
 // structurally identical graphs share one cache line. Keys are 128-bit
 // (two independent FNV-1a streams over length-delimited fields) so
 // accidental collision is out of the question at any realistic corpus size.
-// The graph part is Dfg::content_hash(), which the graph memoizes, so a
-// graph shared by many jobs is serialized for hashing once; an analysis
-// key extends that hash state with the options.
+// content_keys() is the one key function: the graph part is
+// Dfg::content_hash(), which the graph memoizes, so a graph shared by many
+// jobs is serialized for hashing once, and the analysis key extends that
+// hash state with the options.
 //
-// A CacheStore (engine/cache_store.hpp) can be attached as a second tier:
-// analysis lookups that miss in memory fall through to the cache
-// directory, and stores write through to it, so analyses persist across
-// processes. Disk-served lookups are published into the memory tier.
+// Each engine owns one cache. Its disk tier, a CacheStore
+// (engine/cache_store.hpp), is fixed when the cache is built: analysis
+// lookups that miss in memory fall through to the cache directory, and
+// stores write through to it, so analyses persist across processes.
+// Disk-served lookups are published into the memory tier.
 //
 // Beside the analyses sits a memory-only memo of solved results: pattern
 // selection and scheduling are deterministic in the analysis and the
@@ -111,23 +113,23 @@ struct PreparedGraph {
 
 class AnalysisCache {
  public:
+  /// A memory-only cache, or one whose memory misses fall through to
+  /// `store`, its disk tier for life.
+  explicit AnalysisCache(std::shared_ptr<CacheStore> store = nullptr);
+
   /// Content key of the graph alone.
   static CacheKey graph_key(const Dfg& dfg);
 
-  /// Content key of (graph, generation strategy, enumeration options).
-  /// Only the options that influence the analysis participate:
-  /// generation mode, capacity/max_size, span limit. collect_members is
-  /// forced off for cached analyses, and `parallel` is an execution detail.
-  /// `pipeline_tag` (engine::pipeline_cache_tag) separates differently
-  /// configured pipelines over the same graph content; the empty tag feeds
-  /// nothing, so default-pipeline keys are byte-identical to pre-pipeline
-  /// releases and warm disk caches stay valid.
-  static CacheKey analysis_key(const Dfg& dfg, PatternGeneration generation,
-                               std::size_t max_size, std::optional<int> span_limit,
-                               const std::string& pipeline_tag = {});
-
-  /// Both keys from one graph hash (the batch engine needs both per job).
-  /// Returns {graph_key, analysis_key}.
+  /// Content keys of the graph and of (graph, generation strategy,
+  /// enumeration options), from one graph hash; returns {graph_key,
+  /// analysis_key}. Only the options that influence the analysis
+  /// participate: generation mode, capacity/max_size, span limit.
+  /// collect_members is forced off for cached analyses, and `parallel` is
+  /// an execution detail. `pipeline_tag` (engine::pipeline_cache_tag)
+  /// separates differently configured pipelines over the same graph
+  /// content; the empty tag feeds nothing, so default-pipeline keys are
+  /// byte-identical to pre-pipeline releases and warm disk caches stay
+  /// valid.
   static std::pair<CacheKey, CacheKey> content_keys(const Dfg& dfg,
                                                     PatternGeneration generation,
                                                     std::size_t max_size,
@@ -141,8 +143,8 @@ class AnalysisCache {
   void store_graph(const CacheKey& key, std::shared_ptr<const PreparedGraph> value);
 
   /// Pure lookups — the engine orchestrates the (sharded) computation
-  /// itself on a miss, then publishes with store_analysis(). With a store
-  /// attached, a memory miss falls through to disk before reporting one.
+  /// itself on a miss, then publishes with store_analysis(). With a disk
+  /// tier, a memory miss falls through to disk before reporting one.
   std::shared_ptr<const AntichainAnalysis> find_analysis(const CacheKey& key);
   void store_analysis(const CacheKey& key, std::shared_ptr<const AntichainAnalysis> value);
 
@@ -152,21 +154,15 @@ class AnalysisCache {
   std::shared_ptr<const SolvedEntry> find_solved(const SolveKey& key) const;
   void store_solved(const SolveKey& key, std::shared_ptr<const SolvedEntry> value);
 
-  /// Attaches (or detaches, with nullptr) the disk tier. Replacing an
-  /// attached store is allowed; in-memory entries are kept either way.
-  void attach_store(std::shared_ptr<CacheStore> store);
-  /// The attached disk tier; nullptr when the cache is memory-only.
-  CacheStore* disk_store() const;
+  /// The disk tier; nullptr when the cache is memory-only.
+  CacheStore* disk_store() const noexcept { return store_.get(); }
 
   /// Number of cached analyses (not graphs) held in memory.
   std::size_t analysis_count() const;
-  /// Drops the in-memory tiers and the solved-result memo; the attached
-  /// store (if any) is untouched.
-  void clear();
 
  private:
+  const std::shared_ptr<CacheStore> store_;  ///< read without mutex_: never reassigned
   mutable std::mutex mutex_;
-  std::shared_ptr<CacheStore> store_;
   std::unordered_map<CacheKey, std::shared_ptr<const PreparedGraph>, CacheKeyHash> graphs_;
   std::unordered_map<CacheKey, std::shared_ptr<const AntichainAnalysis>, CacheKeyHash>
       analyses_;

@@ -18,7 +18,7 @@ ResultCheck check_result(const Job& job, const JobResult& result) {
   Schedule schedule;
   PatternSet patterns;
   try {
-    check.dfg = TransformPipeline::from_specs(job.transforms).apply(job.dfg);
+    check.dfg = apply_transforms(job.transforms, job.dfg);
     const Dfg& dfg = check.dfg;
     if (result.node_cycles.size() != dfg.node_count()) {
       check.error = "node_cycles holds " + std::to_string(result.node_cycles.size()) +

@@ -90,6 +90,40 @@ void read_boundary_counters(EngineStats& stats, bool disk_tier) {
   stats.cache.analysis_misses = disk_tier ? m.disk_misses.value() : m.mem_misses.value();
 }
 
+/// What a batch's results add up to: the jobs that succeeded, and the
+/// per-job analysis attribution (JobResult::analysis_source).
+struct ResultCounts {
+  std::size_t succeeded = 0;
+  std::size_t analyses_computed = 0;
+  std::size_t analyses_reused = 0;
+};
+
+ResultCounts count_results(const std::vector<JobResult>& results) {
+  ResultCounts counts;
+  for (const JobResult& r : results) {
+    if (r.success) ++counts.succeeded;
+    if (r.analysis_source == AnalysisSource::Computed) ++counts.analyses_computed;
+    else if (r.analysis_source == AnalysisSource::Reused) ++counts.analyses_reused;
+  }
+  return counts;
+}
+
+/// The disk tier `options` ask for: nullptr without a cache_dir. Rejects
+/// a cache_dir on a disabled cache before the store creates the directory.
+std::shared_ptr<CacheStore> disk_tier_for(const EngineOptions& options) {
+  if (options.cache_dir.empty()) return nullptr;
+  // An engine that silently ran without its requested persistence would
+  // defeat the point of asking for it, so bad cache_dir configurations
+  // throw (like any bad option): a directory that cannot be used, or a
+  // directory combined with use_cache=false — with the cache off nothing
+  // would ever read or write the store.
+  if (!options.use_cache)
+    throw std::invalid_argument(
+        "EngineOptions: cache_dir requires use_cache (a disk tier on a disabled "
+        "cache would never be read or written)");
+  return std::make_shared<CacheStore>(options.cache_dir);
+}
+
 }  // namespace
 
 /// Greedy LPT — roots in descending estimated cost, each onto the
@@ -127,40 +161,20 @@ std::vector<std::vector<NodeId>> pack_roots_by_cost(
   return roots;
 }
 
-std::size_t BatchResult::succeeded() const {
-  std::size_t n = 0;
-  for (const JobResult& r : jobs)
-    if (r.success) ++n;
-  return n;
-}
+std::size_t BatchResult::succeeded() const { return count_results(jobs).succeeded; }
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {
-  // An engine that silently ran without its requested persistence would
-  // defeat the point of asking for it, so bad cache_dir configurations
-  // throw (like any bad option): a directory that cannot be used, or a
-  // directory combined with use_cache=false — with the cache off nothing
-  // would ever read or write the store.
-  if (!options_.cache_dir.empty() && !options_.use_cache)
-    throw std::invalid_argument(
-        "EngineOptions: cache_dir requires use_cache (a disk tier on a disabled "
-        "cache would never be read or written)");
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)), cache_(disk_tier_for(options_)) {
   if (options_.threads > 0) owned_pool_ = std::make_unique<ThreadPool>(options_.threads);
-  if (options_.cache == nullptr) owned_cache_ = std::make_unique<AnalysisCache>();
-  if (!options_.cache_dir.empty())
-    cache().attach_store(std::make_shared<CacheStore>(options_.cache_dir));
-  read_boundary_counters(stats_, cache().disk_store() != nullptr);
+  read_boundary_counters(stats_, cache_.disk_store() != nullptr);
   queue_ = std::make_unique<SubmissionQueue>(
-      [this](std::vector<Job> jobs) { return std::move(execute_batch(jobs).jobs); });
+      [this](std::vector<Job> jobs) { return execute_batch(jobs); });
 }
 
 Engine::~Engine() { shutdown(); }
 
 ThreadPool& Engine::pool() {
   return owned_pool_ ? *owned_pool_ : ThreadPool::shared();
-}
-
-AnalysisCache& Engine::cache() {
-  return options_.cache != nullptr ? *options_.cache : *owned_cache_;
 }
 
 void Engine::shutdown() { queue_->shutdown(); }
@@ -206,10 +220,9 @@ BatchResult Engine::collect(Ticket ticket) { return summarize(ticket.take()); }
 BatchResult Engine::summarize(std::vector<JobResult> results) {
   BatchResult batch;
   batch.jobs = std::move(results);
-  for (const JobResult& r : batch.jobs) {
-    if (r.analysis_source == AnalysisSource::Computed) ++batch.analyses_computed;
-    else if (r.analysis_source == AnalysisSource::Reused) ++batch.analyses_reused;
-  }
+  const ResultCounts counts = count_results(batch.jobs);
+  batch.analyses_computed = counts.analyses_computed;
+  batch.analyses_reused = counts.analyses_reused;
   // Every dispatch behind these results copied stats_.cache under
   // stats_mutex_ before handing them back, so this snapshot covers their
   // cache traffic and nothing half-way through another dispatch.
@@ -318,9 +331,7 @@ struct Group {
 struct Dispatch {
   Dispatch(const std::vector<Job>& jobs, const EngineOptions& options,
            ThreadPool& workers, AnalysisCache& cache)
-      : jobs(jobs), options(options), workers(workers), cache(cache) {
-    batch.jobs.resize(jobs.size());
-  }
+      : jobs(jobs), options(options), workers(workers), cache(cache), results(jobs.size()) {}
 
   void group();
   void resolve_and_transform();
@@ -334,13 +345,13 @@ struct Dispatch {
   bool run_backend(const Group& g, SolvedResult& s);
 
   /// The timings of the job a group's shared work is charged to.
-  PhaseTimings& timings_of(const Group& g) { return batch.jobs[g.first].timings; }
+  PhaseTimings& timings_of(const Group& g) { return results[g.first].timings; }
 
   const std::vector<Job>& jobs;
   const EngineOptions& options;
   ThreadPool& workers;
   AnalysisCache& cache;
-  BatchResult batch;
+  std::vector<JobResult> results;  ///< per job
 
   std::vector<Group> groups;          ///< ordered by first job
   std::vector<std::size_t> group_of;  ///< per job
@@ -407,7 +418,7 @@ void Dispatch::resolve_and_transform() {
     const Job& job = jobs[group.first];
     Timer t;
     try {
-      group.graph = TransformPipeline::from_specs(job.transforms).apply(job.dfg);
+      group.graph = apply_transforms(job.transforms, job.dfg);
     } catch (const std::exception& e) {
       group.error = std::string("pipeline: ") + e.what();
     }
@@ -490,12 +501,12 @@ void Dispatch::key_and_prepare() {
 /// charged to its job's analysis_ms; a memory-only probe is a map lookup
 /// and reads no clock.
 void Dispatch::probe() {
-  const bool disk_tier = options.use_cache && cache.disk_store() != nullptr;
+  const bool disk_tier = cache.disk_store() != nullptr;
   const auto probe = [&](std::size_t i, const CacheKey& key) {
     if (!disk_tier) return cache.find_analysis(key);
     const Timer timer;
     auto found = cache.find_analysis(key);
-    batch.jobs[i].timings.analysis_ms += timer.millis();
+    results[i].timings.analysis_ms += timer.millis();
     return found;
   };
   std::vector<std::size_t> missed;  // groups whose first job missed
@@ -504,7 +515,7 @@ void Dispatch::probe() {
     if (!group.error.empty() || !group.backend->needs_analysis) continue;
     if (options.use_cache) {
       auto found = probe(i, group.key);
-      batch.jobs[i].analysis_cache_hit = found != nullptr;
+      results[i].analysis_cache_hit = found != nullptr;
       if (i == group.first) group.analysis = std::move(found);
     }
     if (i == group.first && group.analysis == nullptr) missed.push_back(group_of[i]);
@@ -530,11 +541,8 @@ void Dispatch::probe() {
     if (!group.error.empty() || !group.backend->needs_analysis) continue;
     const bool computes = i == group.first && group.unit != kNone &&
                           units[group.unit].exemplar == group_of[i];
-    batch.jobs[i].analysis_source =
-        computes ? AnalysisSource::Computed : AnalysisSource::Reused;
-    if (!computes) ++batch.analyses_reused;
+    results[i].analysis_source = computes ? AnalysisSource::Computed : AnalysisSource::Reused;
   }
-  batch.analyses_computed = units.size();
 }
 
 /// Splits every unit into root shards and lays all shards of all units
@@ -649,7 +657,7 @@ void Dispatch::merge_and_publish() {
     // work actually done.
     const Group& exemplar = groups[unit.exemplar];
     timings_of(exemplar).analysis_ms += unit.total_ms;
-    batch.jobs[exemplar.first].shard_ms = std::move(unit.shard_ms);
+    results[exemplar.first].shard_ms = std::move(unit.shard_ms);
   }
   for (Group& group : groups) {
     if (group.unit == kNone) continue;
@@ -763,7 +771,7 @@ void Dispatch::fill_results() {
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     const Group& group = groups[group_of[i]];
-    JobResult& r = batch.jobs[i];
+    JobResult& r = results[i];
     r.job = job.resolved_name();
     r.workload = job.workload;
     r.backend = job.backend;
@@ -781,13 +789,13 @@ void Dispatch::fill_results() {
 
 }  // namespace
 
-BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
+std::vector<JobResult> Engine::execute_batch(const std::vector<Job>& jobs) {
   Timer wall;
   obs::Span dispatch_span("engine.dispatch",
                           obs::tracing_enabled()
                               ? std::to_string(jobs.size()) + " jobs"
                               : std::string());
-  Dispatch dispatch(jobs, options_, pool(), cache());
+  Dispatch dispatch(jobs, options_, pool(), cache_);
   {
     obs::Span prepare_span("engine.prepare");
     {
@@ -816,28 +824,25 @@ BatchResult Engine::execute_batch(const std::vector<Job>& jobs) {
     dispatch.fill_results();
   }
 
-  BatchResult batch = std::move(dispatch.batch);
-  batch.wall_ms = wall.millis();
-  account(batch);
-  return batch;
+  account(dispatch.results, wall.millis());
+  return std::move(dispatch.results);
 }
 
-void Engine::account(BatchResult& batch) {
+void Engine::account(const std::vector<JobResult>& results, double wall_ms) {
   const StatsInstruments& m = instruments();
+  const ResultCounts counts = count_results(results);
   m.dispatches.add();
-  m.jobs.add(batch.jobs.size());
-  m.jobs_succeeded.add(batch.succeeded());
-  m.analyses_computed.add(batch.analyses_computed);
-  m.analyses_reused.add(batch.analyses_reused);
-  m.dispatch_ms.record(batch.wall_ms);
+  m.jobs.add(results.size());
+  m.jobs_succeeded.add(counts.succeeded);
+  m.analyses_computed.add(counts.analyses_computed);
+  m.analyses_reused.add(counts.analyses_reused);
+  m.dispatch_ms.record(wall_ms);
   // Every count of this dispatch has landed (its lookups ran on this
   // thread, its stores inside joined fan-outs), so the copy made under
   // the lock stats() and collect() read under never reports the dispatch
   // without the cache traffic it produced.
-  const bool disk_tier = cache().disk_store() != nullptr;
   std::lock_guard lock(stats_mutex_);
-  read_boundary_counters(stats_, disk_tier);
-  batch.cache_stats = stats_.cache;
+  read_boundary_counters(stats_, cache_.disk_store() != nullptr);
 }
 
 }  // namespace mpsched::engine

@@ -76,11 +76,10 @@ struct EngineOptions {
   /// job computes its own analysis and runs its own backend, the honest
   /// baseline for measuring what the cache buys.
   bool use_cache = true;
-  /// Shared external cache; nullptr → the engine owns a private one.
-  AnalysisCache* cache = nullptr;
-  /// Non-empty → attach a CacheStore on this directory to the cache in
-  /// use (owned or external), persisting analyses across processes.
-  /// Created if absent; safe to share between concurrent processes.
+  /// Non-empty → the engine's cache gets a disk tier, a CacheStore on this
+  /// directory, persisting analyses across processes. Created if absent;
+  /// safe to share between concurrent processes. Requires use_cache: the
+  /// engine throws std::invalid_argument, creating no directory, without it.
   std::string cache_dir;
   /// Sharding granularity: target shards ≈ shards_per_thread × workers,
   /// clamped to the node count. Higher = better balance, more merge work.
@@ -187,8 +186,8 @@ class Engine {
   void shutdown();
 
   const EngineOptions& options() const noexcept { return options_; }
-  /// The cache in use (owned or external).
-  AnalysisCache& cache();
+  /// The engine's own cache, with its disk tier when cache_dir is set.
+  AnalysisCache& cache() noexcept { return cache_; }
 
   /// The registry snapshot described at EngineStats (thread-safe;
   /// dispatches may be executing concurrently — the dispatch and cache
@@ -206,14 +205,14 @@ class Engine {
   /// two lookups of another caller's dispatch.
   BatchResult summarize(std::vector<JobResult> results);
   /// One shared dispatch: the whole batch pipeline, phase by phase.
-  BatchResult execute_batch(const std::vector<Job>& jobs);
+  std::vector<JobResult> execute_batch(const std::vector<Job>& jobs);
   /// Counts the dispatch into the registry, then copies the dispatch and
-  /// cache counters into stats_ and `batch.cache_stats` under stats_mutex_.
-  void account(BatchResult& batch);
+  /// cache counters into stats_ under stats_mutex_.
+  void account(const std::vector<JobResult>& results, double wall_ms);
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
-  std::unique_ptr<AnalysisCache> owned_cache_;
+  AnalysisCache cache_;
   std::mutex stats_mutex_;
   EngineStats stats_;  ///< dispatch and cache fields at the last boundary
   /// Built last in the constructor and never reset, so every member the

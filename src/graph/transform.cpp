@@ -320,27 +320,13 @@ Dfg strip_redundant_edges(const Dfg& dfg) {
   return out;
 }
 
-TransformPipeline TransformPipeline::from_specs(
-    const std::vector<std::string>& names) {
-  TransformPipeline pipe;
-  for (const std::string& name : names) pipe.push_back(get_transform(name));
-  return pipe;
-}
-
-Dfg TransformPipeline::apply(const Dfg& dfg) const {
-  if (stages_.empty()) return dfg;
-  Dfg current = stages_.front()->apply(dfg);
-  for (std::size_t i = 1; i < stages_.size(); ++i) {
-    current = stages_[i]->apply(current);
-  }
+Dfg apply_transforms(const std::vector<std::string>& names, const Dfg& dfg) {
+  std::vector<const DfgTransform*> passes;
+  passes.reserve(names.size());
+  for (const std::string& name : names) passes.push_back(&get_transform(name));
+  Dfg current = dfg;
+  for (const DfgTransform* pass : passes) current = pass->apply(current);
   return current;
-}
-
-std::vector<std::string> TransformPipeline::names() const {
-  std::vector<std::string> out;
-  out.reserve(stages_.size());
-  for (const DfgTransform* t : stages_) out.emplace_back(t->name);
-  return out;
 }
 
 }  // namespace mpsched

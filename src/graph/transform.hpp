@@ -12,7 +12,7 @@
 // its old→new node map to itself.
 //
 // Passes are registered under string keys so jobs, corpus JSON and CLI
-// flags can name them; `TransformPipeline` composes an ordered stack.
+// flags can name them; apply_transforms() runs an ordered stack of them.
 #pragma once
 
 #include <string>
@@ -49,28 +49,10 @@ std::vector<std::string> transform_names();
 /// registry entry.
 Dfg strip_redundant_edges(const Dfg& dfg);
 
-/// An ordered stack of transforms applied left to right.
-class TransformPipeline {
- public:
-  TransformPipeline() = default;
-
-  /// Resolves each name against the registry; throws std::invalid_argument
-  /// listing the offending name when one is unknown.
-  static TransformPipeline from_specs(const std::vector<std::string>& names);
-
-  void push_back(const DfgTransform& t) { stages_.push_back(&t); }
-
-  bool empty() const noexcept { return stages_.empty(); }
-  std::size_t size() const noexcept { return stages_.size(); }
-
-  /// Runs every stage in order. The identity pipeline returns a copy.
-  Dfg apply(const Dfg& dfg) const;
-
-  /// Stage names in application order.
-  std::vector<std::string> names() const;
-
- private:
-  std::vector<const DfgTransform*> stages_;
-};
+/// Runs the named transforms on `dfg`, left to right. Every name is
+/// resolved before any pass runs, so an unknown one throws
+/// std::invalid_argument (get_transform's message) without running any.
+/// The empty stack returns a copy of `dfg` (a pointer copy).
+Dfg apply_transforms(const std::vector<std::string>& names, const Dfg& dfg);
 
 }  // namespace mpsched

@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_set>
 
 namespace mpsched {
 
@@ -330,6 +332,29 @@ class Parser {
     ~DepthGuard() { --parser.depth_; }
   };
 
+  /// An object's new key is checked against its earlier keys by a scan
+  /// while it holds fewer members than this; from then on a hash set of
+  /// its keys answers, so an object parses in time linear in its size.
+  static constexpr std::size_t kScannedKeys = 16;
+
+  /// Whether `key` is already a key of `members`. From kScannedKeys
+  /// members on, the lookup goes to `index`, built from the members then
+  /// and kept up to date here: a key reported new is about to be added.
+  static bool seen_before(const Json::Object& members,
+                          std::optional<std::unordered_set<std::string>>& index,
+                          const std::string& key) {
+    if (members.size() < kScannedKeys) {
+      for (const auto& member : members)
+        if (member.first == key) return true;
+      return false;
+    }
+    if (!index) {
+      index.emplace();
+      for (const auto& member : members) index->insert(member.first);
+    }
+    return !index->insert(key).second;
+  }
+
   Json parse_object() {
     const DepthGuard guard(*this);
     expect('{');
@@ -338,12 +363,14 @@ class Parser {
       ++pos_;
       return obj;
     }
+    Json::Object& members = obj.as_object();
+    std::optional<std::unordered_set<std::string>> index;
     while (true) {
       if (peek() != '"') fail("expected a string key");
       std::string key = parse_string();
-      if (obj.find(key) != nullptr) fail("duplicate key '" + key + "'");
+      if (seen_before(members, index, key)) fail("duplicate key '" + key + "'");
       expect(':');
-      obj.as_object().emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value());
       const char c = peek();
       ++pos_;
       if (c == '}') return obj;

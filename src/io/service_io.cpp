@@ -133,11 +133,6 @@ Request request_from_json(const Json& doc, GraphIntern& graphs) {
   return request;
 }
 
-Request request_from_json(const Json& doc) {
-  GraphIntern graphs;
-  return request_from_json(doc, graphs);
-}
-
 Json make_ok(const Request& request) {
   Json doc = Json::object();
   doc.set("id", request.id);

@@ -1,7 +1,5 @@
 #include "montium/allocate.hpp"
 
-#include <sstream>
-
 #include "util/hungarian.hpp"
 
 namespace mpsched {
@@ -50,24 +48,6 @@ Allocation allocate_alus(const Dfg& dfg, const Schedule& schedule, const TileCon
     }
   }
   return alloc;
-}
-
-std::string Allocation::to_string(const Dfg& dfg) const {
-  std::ostringstream os;
-  os << "allocation over " << alu_of.size() << " cycle(s), " << reconfigurations
-     << " ALU reconfiguration(s)\n";
-  for (std::size_t c = 0; c < alu_of.size(); ++c) {
-    os << "  cycle " << c << ':';
-    for (std::size_t a = 0; a < alu_of[c].size(); ++a) {
-      os << "  ALU" << a << '=';
-      if (alu_of[c][a] == kInvalidNode)
-        os << '-';
-      else
-        os << dfg.node_name(alu_of[c][a]);
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace mpsched

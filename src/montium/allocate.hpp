@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "graph/dfg.hpp"
@@ -28,8 +27,6 @@ struct Allocation {
   std::size_t reconfigurations = 0;
   /// Function changes per ALU.
   std::vector<std::size_t> per_alu_changes;
-
-  std::string to_string(const Dfg& dfg) const;
 };
 
 /// Binds a complete, dependency-valid schedule to ALUs. Throws if any

@@ -83,22 +83,6 @@ bool wait_for_server_exit(const std::string& socket_path, int timeout_ms) {
 
 // -- v2 async convenience (everything goes through call()) -----------------
 
-std::uint64_t Client::submit_async(const std::vector<engine::Job>& corpus,
-                                   bool diagnostics, std::int64_t id) {
-  Request request;
-  request.op = Op::SubmitAsync;
-  request.id = id;
-  request.jobs = corpus;
-  request.diagnostics = diagnostics;
-  const Response response = call(request);
-  if (!response.ok)
-    throw std::runtime_error("submit_async rejected: " + response.error);
-  const std::int64_t rid = response.body.at("request").as_int();
-  if (rid <= 0)
-    throw std::runtime_error("submit_async: server returned a non-positive request id");
-  return static_cast<std::uint64_t>(rid);
-}
-
 namespace {
 
 Response referencing_call(Client& client, Op op, std::uint64_t request_id,
@@ -118,10 +102,6 @@ Response Client::poll(std::uint64_t request, std::int64_t id) {
 
 Response Client::wait_request(std::uint64_t request, std::int64_t id) {
   return referencing_call(*this, Op::Wait, request, id);
-}
-
-Response Client::cancel(std::uint64_t request, std::int64_t id) {
-  return referencing_call(*this, Op::Cancel, request, id);
 }
 
 }  // namespace mpsched::service

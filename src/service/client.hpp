@@ -5,7 +5,7 @@
 // #include away.
 //
 // The v2 async flow pipelines naturally over the one connection: several
-// submit_async() calls first (each returns immediately with its
+// submit_async requests first (each answered at once with its
 // server-assigned request id), then poll()/wait_request() in whatever
 // order suits the caller — the session keeps every submitted request in
 // flight at once, sharing coalesced engine dispatches with every other
@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "io/service_io.hpp"
 
@@ -40,17 +39,11 @@ class Client {
   Json call_raw(const Json& request);
 
   // -- v2 async convenience (thin Request builders over call()) ----------
-  /// Enqueues a corpus; returns the server-assigned request id. Unlike
-  /// call(), a protocol-level failure throws (there is no id to return).
-  std::uint64_t submit_async(const std::vector<engine::Job>& corpus,
-                             bool diagnostics = false, std::int64_t id = 0);
   /// Non-blocking status of an async request.
   Response poll(std::uint64_t request, std::int64_t id = 0);
   /// Blocks until the request finishes; the response body carries the
   /// results document. Consumes the request server-side.
   Response wait_request(std::uint64_t request, std::int64_t id = 0);
-  /// Cancels the not-yet-dispatched jobs of an async request.
-  Response cancel(std::uint64_t request, std::int64_t id = 0);
 
  private:
   int fd_ = -1;

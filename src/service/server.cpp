@@ -1,5 +1,6 @@
 #include "service/server.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -472,21 +473,58 @@ std::string Server::respond(std::string_view line, Session& session) {
   return wire;
 }
 
+namespace {
+
+/// The response line a session sends for a request line longer than
+/// kMaxLineBytes, before it ends.
+std::string line_too_long_response() {
+  return make_error(0, "unknown",
+                    "request line exceeds " + std::to_string(kMaxLineBytes) + " bytes")
+             .dump(-1) +
+         "\n";
+}
+
+enum class LineRead { Line, TooLong, End };
+
+/// std::getline bounded at kMaxLineBytes: reads one line of `in` into
+/// `line`, without its newline. TooLong once the line outgrows the bound
+/// (the rest of it stays unread); End when the stream holds nothing more
+/// (a last line without a newline is still a Line).
+LineRead read_line(std::istream& in, std::string& line) {
+  using Traits = std::istream::traits_type;
+  line.clear();
+  const std::istream::sentry ready(in, /*noskipws=*/true);
+  if (!ready) return LineRead::End;
+  std::streambuf& buffer = *in.rdbuf();
+  for (Traits::int_type c = buffer.sbumpc(); !Traits::eq_int_type(c, Traits::eof());
+       c = buffer.sbumpc()) {
+    if (Traits::to_char_type(c) == '\n') return LineRead::Line;
+    if (line.size() == kMaxLineBytes) return LineRead::TooLong;
+    line.push_back(Traits::to_char_type(c));
+  }
+  in.setstate(std::ios::eofbit);
+  return line.empty() ? LineRead::End : LineRead::Line;
+}
+
+}  // namespace
+
 void Server::serve_stream(std::istream& in, std::ostream& out) {
   SessionScope scope;
   Session state;
   std::string line;
-  while (!stop_requested() && std::getline(in, line)) {
+  while (!stop_requested()) {
+    const LineRead read = read_line(in, line);
+    if (read == LineRead::End) break;
+    if (read == LineRead::TooLong) {
+      out << line_too_long_response() << std::flush;
+      break;
+    }
     if (trim(line).empty()) continue;
     out << respond(line, state) << std::flush;
   }
 }
 
 void Server::session(int fd, bool single_request) {
-  // Request lines are bounded: a client streaming gigabytes with no
-  // newline must not grow the daemon without limit (the shared engine
-  // serves every client). 64 MiB comfortably fits any real corpus line.
-  constexpr std::size_t kMaxLineBytes = 64u << 20;
   // Degraded (at-capacity) sessions run inline on the accept loop, so a
   // slow or idle client must not wedge it: the whole single request must
   // arrive by a fixed deadline (a deadline, not a per-poll timeout —
@@ -498,16 +536,13 @@ void Server::session(int fd, bool single_request) {
   std::size_t scan_from = 0;  // newline search resumes where it left off
   while (!stop_requested()) {
     const std::size_t newline = buffer.find('\n', scan_from);
+    // The line so far outgrows the bound whether or not its newline came.
+    if (std::min(newline, buffer.size()) > kMaxLineBytes) {
+      send_all(fd, line_too_long_response());
+      break;
+    }
     if (newline == std::string::npos) {
       scan_from = buffer.size();
-      if (buffer.size() > kMaxLineBytes) {
-        send_all(fd, make_error(0, "unknown",
-                                "request line exceeds " +
-                                    std::to_string(kMaxLineBytes) + " bytes")
-                             .dump(-1) +
-                         "\n");
-        break;
-      }
       int poll_timeout_ms = -1;
       if (single_request) {
         const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -51,6 +51,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -62,6 +63,13 @@
 #include "io/service_io.hpp"
 
 namespace mpsched::service {
+
+/// The longest request line a session reads; 64 MiB comfortably fits any
+/// real corpus line. A longer line is answered with an error and ends its
+/// session (stream or socket alike), so a client streaming gigabytes with
+/// no newline cannot grow the daemon without limit (the shared engine
+/// serves every client).
+inline constexpr std::size_t kMaxLineBytes = std::size_t{64} << 20;
 
 struct ServerOptions {
   /// Engine configuration (threads, cache, cache_dir, shard granularity).
@@ -144,8 +152,9 @@ class Server {
   Json handle_line(std::string_view line);
 
   /// Serves one session on [in, out]: one response line per request
-  /// line. Returns on end-of-stream, after a shutdown request, or when
-  /// stop was requested between requests.
+  /// line. Returns on end-of-stream, after a shutdown request, when stop
+  /// was requested between requests, or after answering a line longer
+  /// than kMaxLineBytes with an error.
   void serve_stream(std::istream& in, std::ostream& out);
 
   /// Accept loop on the Unix socket (options().socket_path, or a

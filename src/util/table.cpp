@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <ostream>
 #include <sstream>
 
 namespace mpsched {
@@ -63,7 +62,5 @@ std::string TextTable::to_string() const {
   for (const auto& r : rows_) emit(r);
   return os.str();
 }
-
-std::ostream& operator<<(std::ostream& os, const TextTable& t) { return os << t.to_string(); }
 
 }  // namespace mpsched

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@ class TextTable {
   /// Pipe-separated aligned text, e.g. for console output: the first
   /// column is left-aligned, the others right-aligned.
   std::string to_string() const;
-
-  friend std::ostream& operator<<(std::ostream& os, const TextTable& t);
 
  private:
   static std::string format_cell(const std::string& s) { return s; }

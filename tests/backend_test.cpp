@@ -133,7 +133,7 @@ const std::vector<std::vector<std::string>>& fusion_stacks() {
 }
 
 void check_directly(const std::string& spec, const std::vector<std::string>& stack) {
-  const Dfg g = TransformPipeline::from_specs(stack).apply(workloads::make_workload(spec));
+  const Dfg g = apply_transforms(stack, workloads::make_workload(spec));
   for (const std::string& backend : backend_names()) {
     const BackendResult r = solve(backend, g);
     ASSERT_TRUE(r.success) << spec << " backend=" << backend << ": " << r.error;
@@ -355,16 +355,16 @@ TEST(PipelineCacheTag, KeysSeparatePipelinesAndDefaultKeepsLegacyBytes) {
   const SelectOptions so;
   auto key = [&](const std::vector<std::string>& transforms,
                  const std::string& backend) {
-    return engine::AnalysisCache::analysis_key(
-        g, so.generation, so.capacity, so.span_limit,
-        engine::pipeline_cache_tag(transforms, backend));
+    return engine::AnalysisCache::content_keys(g, so.generation, so.capacity, so.span_limit,
+                                               engine::pipeline_cache_tag(transforms, backend))
+        .second;
   };
   const std::string def(kDefaultBackend);
 
   // Pinned: the default pipeline's key IS the pre-pipeline key (the
   // argument-less overload), so warm disk caches survive the refactor.
-  const engine::CacheKey legacy = engine::AnalysisCache::analysis_key(
-      g, so.generation, so.capacity, so.span_limit);
+  const engine::CacheKey legacy =
+      engine::AnalysisCache::content_keys(g, so.generation, so.capacity, so.span_limit).second;
   EXPECT_EQ(key({}, def), legacy);
 
   // Any transform stack or backend change must move the key.

@@ -183,8 +183,8 @@ TEST_F(CacheStoreTest, StoreRoundTripsAndCountsTiers) {
   CacheStore store(dir());
   const Delta hits("hits"), misses("misses"), corrupt("corrupt"), stores("stores");
   const Dfg dfg = workloads::paper_3dft();
-  const CacheKey key = AnalysisCache::analysis_key(
-      dfg, PatternGeneration::SpanLimitedEnumeration, 5, 1);
+  const CacheKey key =
+      AnalysisCache::content_keys(dfg, PatternGeneration::SpanLimitedEnumeration, 5, 1).second;
   EXPECT_EQ(store.load(key), nullptr);  // absent
   EXPECT_EQ(misses(), 1u);
 
@@ -217,8 +217,8 @@ TEST_F(CacheStoreTest, StoreRoundTripsAndCountsTiers) {
 TEST_F(CacheStoreTest, CorruptEntriesDegradeToMissesAndAreOverwritten) {
   CacheStore store(dir());
   const Dfg dfg = workloads::small_example();
-  const CacheKey key = AnalysisCache::analysis_key(
-      dfg, PatternGeneration::SpanLimitedEnumeration, 5, 1);
+  const CacheKey key =
+      AnalysisCache::content_keys(dfg, PatternGeneration::SpanLimitedEnumeration, 5, 1).second;
   const AntichainAnalysis analysis = analysis_of(dfg);
   store.store(key, analysis);
 
@@ -463,10 +463,14 @@ TEST_F(CacheStoreTest, CacheDirWithCacheDisabledIsAnError) {
   // With use_cache off, nothing would ever read or write the store; an
   // engine that silently dropped the requested persistence would defeat
   // the point of asking for it.
+  // The engine rejects the configuration before it builds its disk tier,
+  // so the directory it names is never created.
+  const fs::path never = fs::path(dir()) / "never";
   EngineOptions options;
-  options.cache_dir = dir();
+  options.cache_dir = never.string();
   options.use_cache = false;
   EXPECT_THROW(Engine{std::move(options)}, std::invalid_argument);
+  EXPECT_FALSE(fs::exists(never));
 }
 
 }  // namespace

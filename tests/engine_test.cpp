@@ -186,29 +186,29 @@ TEST(AnalysisCache, ContentAddressing) {
   EXPECT_NE(AnalysisCache::graph_key(a), AnalysisCache::graph_key(c));
 
   const auto key = [&](std::size_t cap, std::optional<int> span) {
-    return AnalysisCache::analysis_key(a, PatternGeneration::SpanLimitedEnumeration, cap,
-                                       span);
+    return AnalysisCache::content_keys(a, PatternGeneration::SpanLimitedEnumeration, cap, span)
+        .second;
   };
   EXPECT_EQ(key(5, 1), key(5, 1));
   EXPECT_NE(key(5, 1), key(4, 1));
   EXPECT_NE(key(5, 1), key(5, 2));
   EXPECT_NE(key(5, 1), key(5, std::nullopt));
-  EXPECT_NE(key(5, 1), AnalysisCache::analysis_key(a, PatternGeneration::LevelAnalytic, 5,
-                                                   std::optional<int>(1)));
+  EXPECT_NE(key(5, 1), AnalysisCache::content_keys(a, PatternGeneration::LevelAnalytic, 5,
+                                                   std::optional<int>(1))
+                           .second);
 
-  // The single-serialization pair matches the individual key functions.
-  const auto [graph_k, analysis_k] = AnalysisCache::content_keys(
-      a, PatternGeneration::SpanLimitedEnumeration, 5, std::optional<int>(1));
-  EXPECT_EQ(graph_k, AnalysisCache::graph_key(a));
-  EXPECT_EQ(analysis_k, key(5, 1));
+  // The pair's graph half is the graph's own key.
+  EXPECT_EQ(AnalysisCache::content_keys(a, PatternGeneration::SpanLimitedEnumeration, 5,
+                                        std::optional<int>(1))
+                .first,
+            AnalysisCache::graph_key(a));
 }
 
 TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
-  AnalysisCache cache;
   EngineOptions options;
   options.threads = 2;
-  options.cache = &cache;
   Engine eng(options);
+  AnalysisCache& cache = eng.cache();
   const engine::CacheStats before = eng.stats().cache;
 
   Job job = Job::from_workload("paper_3dft");
@@ -221,8 +221,9 @@ TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
   EXPECT_TRUE(second.analysis_cache_hit);
 
   // The cached analysis is bit-identical to a fresh monolithic enumeration.
-  const CacheKey key = AnalysisCache::analysis_key(
-      job.dfg, job.select.generation, job.select.capacity, job.select.span_limit);
+  const CacheKey key = AnalysisCache::content_keys(job.dfg, job.select.generation,
+                                                   job.select.capacity, job.select.span_limit)
+                           .second;
   const auto cached = cache.find_analysis(key);
   ASSERT_NE(cached, nullptr);
   EnumerateOptions eo;
@@ -641,31 +642,34 @@ TEST(Engine, MemoHitsWriteTheBytesOfACacheOffRun) {
 }
 
 TEST(AnalysisCache, EnginesSharingOneCacheConcurrentlyMatchTheReference) {
-  // Analyses and solved results are published by whichever engine gets
-  // there first; the other engine's concurrent lookups must see either
-  // nothing or a complete entry, never a torn one.
+  // Two threads, each running a memory-cold engine per round on one cache
+  // directory: analyses are published to it by whichever engine gets
+  // there first, and the other engine's concurrent disk lookups must see
+  // either nothing or a complete entry, never a torn one.
   const std::vector<Job> jobs = test_corpus();
   EngineOptions reference_options;
   reference_options.use_cache = false;
   const std::string reference =
       batch_to_json(Engine(reference_options).run_batch(jobs)).dump();
 
-  AnalysisCache shared;
+  const std::filesystem::path dir =
+      "engine_test.tmp/EnginesSharingOneCacheConcurrentlyMatchTheReference";
+  std::filesystem::remove_all(dir);
   EngineOptions options;
   options.threads = 2;
-  options.cache = &shared;
+  options.cache_dir = dir.string();
   std::atomic<int> mismatches{0};
   std::vector<std::thread> runners;
   for (int e = 0; e < 2; ++e) {
     runners.emplace_back([&] {
-      Engine eng(options);
       for (int round = 0; round < 3; ++round)
-        if (batch_to_json(eng.run_batch(jobs)).dump() != reference)
+        if (batch_to_json(Engine(options).run_batch(jobs)).dump() != reference)
           mismatches.fetch_add(1, std::memory_order_relaxed);
     });
   }
   for (std::thread& t : runners) t.join();
   EXPECT_EQ(mismatches.load(), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Engine, JobNamesBackFill) {

@@ -129,6 +129,25 @@ TEST(Json, ParseErrorsCarryLineNumbers) {
   }
 }
 
+TEST(Json, LargeObjectsParseAndRejectALateDuplicate) {
+  // Duplicate keys are found in time linear in an object's size: 200,000
+  // keys parse, and a repeat of the first key, placed last on its own
+  // line, is rejected with that line.
+  std::string members;
+  for (int k = 0; k < 200000; ++k)
+    members += "\"k" + std::to_string(k) + "\":" + std::to_string(k) + ",";
+  try {
+    Json::parse("{" + members + "\n\"k0\":0}");
+    FAIL() << "duplicate key accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "json parse error at line 2: duplicate key 'k0'");
+  }
+  const Json doc = Json::parse("{" + members + "\n\"kx\":0}");
+  ASSERT_EQ(doc.as_object().size(), 200001u);
+  EXPECT_EQ(doc.at("k123456").as_int(), 123456);
+  EXPECT_EQ(doc.at("kx").as_int(), 0);
+}
+
 TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse(""), std::invalid_argument);
   EXPECT_THROW(Json::parse("{"), std::invalid_argument);

@@ -21,6 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "engine/cache_store.hpp"
@@ -28,6 +31,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/client.hpp"
+#include "service/wire.hpp"
 #include "test_util.hpp"
 #include "util/strings.hpp"
 #include "workloads/corpus.hpp"
@@ -76,6 +80,33 @@ bool await_queue(Server& server, bool queued) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
+}
+
+/// The error a session answers a request line longer than
+/// service::kMaxLineBytes with, before it ends.
+void expect_line_too_long(const std::string& line) {
+  const Response response = service::response_from_json(Json::parse(line));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.op, "unknown");
+  EXPECT_EQ(response.error,
+            "request line exceeds " + std::to_string(service::kMaxLineBytes) + " bytes");
+}
+
+/// A raw connection to a server socket, for bytes no Request carries;
+/// reads time out after 30 s. -1 when nothing accepts.
+int connect_raw(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  path.copy(addr.sun_path, sizeof addr.sun_path - 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{30, 0};
+  if (::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout) != 0 ||
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// Per-test scratch dir + short relative socket path (sun_path is
@@ -143,9 +174,10 @@ TEST_F(ServiceTest, RequestRoundTripIsAFixpoint) {
   shutdown.id = 99;
   requests.push_back(shutdown);
 
+  GraphIntern graphs;
   for (const Request& request : requests) {
     const Json wire = service::request_to_json(request);
-    const Request reparsed = service::request_from_json(Json::parse(wire.dump(-1)));
+    const Request reparsed = service::request_from_json(Json::parse(wire.dump(-1)), graphs);
     EXPECT_EQ(service::request_to_json(reparsed).dump(-1), wire.dump(-1))
         << "op " << service::to_text(request.op);
     EXPECT_EQ(reparsed.id, request.id);
@@ -155,9 +187,10 @@ TEST_F(ServiceTest, RequestRoundTripIsAFixpoint) {
 }
 
 TEST_F(ServiceTest, MalformedRequestsAreRejected) {
-  const auto rejected = [](const char* text) {
+  GraphIntern graphs;
+  const auto rejected = [&](const char* text) {
     try {
-      (void)service::request_from_json(Json::parse(text));
+      (void)service::request_from_json(Json::parse(text), graphs);
       return false;
     } catch (const std::exception&) {
       return true;
@@ -489,6 +522,31 @@ TEST_F(ServiceTest, StreamSessionServesPingSubmitStatsShutdown) {
   EXPECT_EQ(count("serve.sessions") - sessions_before, 1u);
 }
 
+TEST_F(ServiceTest, StreamSessionEndsAfterAnOverLongLine) {
+  // A line of kMaxLineBytes is read (blank, so it is skipped); a line one
+  // byte longer gets the error response and ends the session, so the
+  // ping after it is not served.
+  Server server(ServerOptions{});
+  std::string text;
+  text.reserve(2 * service::kMaxLineBytes + 64);
+  text += "{\"op\":\"ping\",\"id\":1}\n";
+  text.append(service::kMaxLineBytes, ' ');
+  text += "\n{\"op\":\"ping\",\"id\":2}\n";
+  text.append(service::kMaxLineBytes + 1, 'x');
+  text += "\n{\"op\":\"ping\",\"id\":3}\n";
+  std::istringstream in(std::move(text));
+  std::ostringstream out;
+  server.serve_stream(in, out);
+
+  const std::vector<std::string> lines = split(out.str(), '\n');
+  ASSERT_GE(lines.size(), 3u);
+  EXPECT_EQ(service::response_from_json(Json::parse(lines[0])).id, 1);
+  EXPECT_EQ(service::response_from_json(Json::parse(lines[1])).id, 2);
+  expect_line_too_long(lines[2]);
+  for (std::size_t i = 3; i < lines.size(); ++i) EXPECT_EQ(lines[i], "") << "line " << i;
+  EXPECT_FALSE(server.stop_requested());
+}
+
 TEST_F(ServiceTest, CacheTrimOverTheProtocol) {
   ServerOptions options;
   options.engine.cache_dir = cache_dir();
@@ -603,41 +661,39 @@ TEST_F(ServiceTest, ResponseCacheStatsAreDispatchBoundaryConsistent) {
       static_cast<std::int64_t>(server.engine().stats().cache.analysis_misses) - misses_before,
       kJobs);
 
-  // The same property without a race: on a shared cache, a lookup made
+  // The same property without a race: a lookup in the engine's cache made
   // after the dispatch finished but before the wait is exactly what a
   // live read would pick up, and the response must not include it.
-  engine::AnalysisCache shared;
-  ServerOptions options;
-  options.engine.cache = &shared;
-  Server shared_server(options);
-  const std::int64_t shared_base =
-      static_cast<std::int64_t>(shared_server.engine().stats().cache.analysis_misses);
+  Server quiet_server(ServerOptions{});
+  const std::int64_t quiet_base =
+      static_cast<std::int64_t>(quiet_server.engine().stats().cache.analysis_misses);
   Server::Session session;
   Request async;
   async.op = Op::SubmitAsync;
   async.diagnostics = true;
   async.jobs = {Job::from_workload("fir(2)"), Job::from_workload("fir(3)")};
-  const Json accepted = shared_server.handle(async, session);
+  const Json accepted = quiet_server.handle(async, session);
   ASSERT_TRUE(accepted.at("ok").as_bool());
   Request poll;
   poll.op = Op::Poll;
   poll.request = static_cast<std::uint64_t>(accepted.at("request").as_int());
   Json status;
   for (int i = 0; i < 1000; ++i) {
-    status = shared_server.handle(poll, session);
+    status = quiet_server.handle(poll, session);
     if (status.at("done").as_bool()) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   ASSERT_TRUE(status.at("done").as_bool());
-  ASSERT_EQ(shared.find_analysis(engine::CacheKey{1, 2}), nullptr);  // one more miss
+  // One more miss, counted after the dispatch's boundary.
+  ASSERT_EQ(quiet_server.engine().cache().find_analysis(engine::CacheKey{1, 2}), nullptr);
   Request wait;
   wait.op = Op::Wait;
   wait.request = poll.request;
-  const Json finished = shared_server.handle(wait, session);
+  const Json finished = quiet_server.handle(wait, session);
   ASSERT_TRUE(finished.at("ok").as_bool());
   EXPECT_EQ(
       finished.at("results").at("diagnostics").at("cache_analysis_misses").as_int() -
-          shared_base,
+          quiet_base,
       2);
 }
 
@@ -1143,6 +1199,47 @@ TEST_F(ServiceTest, SocketSessionsEndToEnd) {
   EXPECT_FALSE(fs::exists(socket_));  // graceful exit unlinks the socket
 }
 
+TEST_F(ServiceTest, SocketSessionEndsAfterAnOverLongLine) {
+  // One byte over kMaxLineBytes and no newline: the session answers with
+  // the error before the line ends, then closes; the daemon serves the
+  // next session as before.
+  ServerOptions options;
+  options.socket_path = socket_;
+  Server server(options);
+  server.adopt_socket(service::open_listen_socket(socket_));
+  std::thread serving([&] { server.serve_socket(); });
+
+  const int fd = connect_raw(socket_);
+  EXPECT_GE(fd, 0);
+  std::string answer;
+  if (fd >= 0) {
+    const std::string chunk(std::size_t{1} << 16, 'x');
+    bool sent = true;
+    for (std::size_t left = service::kMaxLineBytes + 1; left > 0 && sent;) {
+      const std::size_t n = std::min(left, chunk.size());
+      sent = service::send_all(fd, std::string_view(chunk).substr(0, n));
+      left -= n;
+    }
+    EXPECT_TRUE(sent);
+    char buffer[4096];
+    for (ssize_t n; (n = ::read(fd, buffer, sizeof buffer)) > 0;)  // to the server's close
+      answer.append(buffer, static_cast<std::size_t>(n));
+    ::close(fd);
+  }
+  EXPECT_FALSE(answer.empty());
+  if (!answer.empty()) {
+    EXPECT_EQ(answer.find('\n'), answer.size() - 1) << "one response line, then the end";
+    expect_line_too_long(answer.substr(0, answer.size() - 1));
+  }
+
+  Client client(socket_);
+  EXPECT_TRUE(client.call(Request{}).ok);
+  Request shutdown;
+  shutdown.op = Op::Shutdown;
+  EXPECT_TRUE(client.call(shutdown).ok);
+  serving.join();
+}
+
 TEST_F(ServiceTest, ConcurrentClientsGetIdenticalResults) {
   ServerOptions options;
   options.socket_path = socket_;
@@ -1196,9 +1293,13 @@ TEST_F(ServiceTest, CrossSessionSubmitsShareOneAnalysis) {
   for (int c = 0; c < kClients; ++c)
     clients.emplace_back([&, c] {
       Client client(socket_);
-      const std::uint64_t rid =
-          client.submit_async({Job::from_workload("small_example")});
-      const Response finished = client.wait_request(rid);
+      Request submit;
+      submit.op = Op::SubmitAsync;
+      submit.jobs = {Job::from_workload("small_example")};
+      const Response accepted = client.call(submit);
+      if (!accepted.ok) return;
+      const Response finished = client.wait_request(
+          static_cast<std::uint64_t>(accepted.body.at("request").as_int()));
       if (finished.ok) results[c] = finished.body.at("results").dump(-1);
     });
   for (std::thread& t : clients) t.join();
@@ -1236,7 +1337,10 @@ TEST_F(ServiceTest, ShutdownDrainsASubmitQueuedBehindARunningDispatch) {
   std::thread serving([&] { server.serve_socket(); });
 
   Client plug_client(socket_);
-  plug_client.submit_async({plug_job()});
+  Request plug;
+  plug.op = Op::SubmitAsync;
+  plug.jobs = {plug_job()};
+  EXPECT_TRUE(plug_client.call(plug).ok);
   ASSERT_TRUE(await_queue(server, false));  // the plug's dispatch holds the queue
 
   std::string blocked_result_doc;

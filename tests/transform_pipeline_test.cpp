@@ -5,8 +5,8 @@
 //  * the edge-only passes (identity, strip_redundant_edges) preserve the
 //    node set exactly (ids, colors, names);
 //  * the registry resolves the five pass names and rejects unknown ones;
-//  * TransformPipeline composes stacks in order and the empty pipeline is
-//    the identity.
+//  * apply_transforms runs a stack in order and the empty stack is the
+//    identity.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -141,34 +141,28 @@ TEST(TransformRegistry, ResolvesKnownNamesAndRejectsUnknown) {
   EXPECT_EQ(test::thrown_message([] { (void)get_transform("bogus"); }),
             "unknown transform 'bogus' (known: identity, strip_redundant_edges, cse, "
             "rebalance_reductions, mac_fusion)");
-  EXPECT_THROW(TransformPipeline::from_specs({"identity", "bogus"}),
+  EXPECT_THROW(apply_transforms({"identity", "bogus"}, workloads::make_workload("dft3")),
                std::invalid_argument);
 }
 
 TEST(TransformPipeline, EmptyPipelineIsTheIdentity) {
   const Dfg g = workloads::make_workload("dft3");
-  const TransformPipeline pipeline;
-  EXPECT_TRUE(pipeline.empty());
-  const Dfg out = pipeline.apply(g);
+  const Dfg out = apply_transforms({}, g);
   expect_same_nodes(g, out);
   EXPECT_EQ(edge_list(out), edge_list(g));
 }
 
 TEST(TransformPipeline, IdentityTransformChangesNothing) {
   const Dfg g = workloads::make_workload("paper_3dft");
-  const Dfg out = TransformPipeline::from_specs({"identity"}).apply(g);
+  const Dfg out = apply_transforms({"identity"}, g);
   expect_same_nodes(g, out);
   EXPECT_EQ(edge_list(out), edge_list(g));
 }
 
 TEST(TransformPipeline, StacksComposeInOrder) {
   const Dfg g = workloads::make_workload("paper_3dft");
-  const TransformPipeline pipeline =
-      TransformPipeline::from_specs({"identity", "strip_redundant_edges", "identity"});
-  EXPECT_EQ(pipeline.size(), 3u);
-  EXPECT_EQ(pipeline.names(), (std::vector<std::string>{
-                                  "identity", "strip_redundant_edges", "identity"}));
-  EXPECT_EQ(edge_list(pipeline.apply(g)), edge_list(strip_redundant_edges(g)));
+  const Dfg out = apply_transforms({"identity", "strip_redundant_edges", "identity"}, g);
+  EXPECT_EQ(edge_list(out), edge_list(strip_redundant_edges(g)));
 }
 
 }  // namespace

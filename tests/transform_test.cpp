@@ -231,7 +231,7 @@ TEST(RebalanceTest, GraphWithoutAdditionsIsReturnedAsIs) {
 
 TEST(TransformTest, FullPhaseRunsAsOnePipeline) {
   const Dfg g = test::addition_chain(8);
-  const Dfg r = TransformPipeline::from_specs({"cse", "rebalance_reductions"}).apply(g);
+  const Dfg r = apply_transforms({"cse", "rebalance_reductions"}, g);
   r.validate();
   EXPECT_EQ(r.node_count(), g.node_count());
   EXPECT_LT(compute_levels(r).critical_path_length(),
