@@ -55,8 +55,6 @@ void feed_pipeline_tag(Fnv128& h, const std::string& pipeline_tag) {
 
 AnalysisCache::AnalysisCache(std::shared_ptr<CacheStore> store) : store_(std::move(store)) {}
 
-CacheKey AnalysisCache::graph_key(const Dfg& dfg) { return key_of(dfg.content_hash()); }
-
 std::pair<CacheKey, CacheKey> AnalysisCache::content_keys(const Dfg& dfg,
                                                           PatternGeneration generation,
                                                           std::size_t max_size,

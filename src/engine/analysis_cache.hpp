@@ -117,9 +117,6 @@ class AnalysisCache {
   /// `store`, its disk tier for life.
   explicit AnalysisCache(std::shared_ptr<CacheStore> store = nullptr);
 
-  /// Content key of the graph alone.
-  static CacheKey graph_key(const Dfg& dfg);
-
   /// Content keys of the graph and of (graph, generation strategy,
   /// enumeration options), from one graph hash; returns {graph_key,
   /// analysis_key}. Only the options that influence the analysis

@@ -6,6 +6,7 @@
 #include "graph/transform.hpp"
 #include "io/dfg_io.hpp"
 #include "sched/backend.hpp"
+#include "util/registry.hpp"
 
 namespace mpsched {
 
@@ -15,61 +16,19 @@ using engine::BatchResult;
 using engine::Job;
 using engine::JobResult;
 
-// -- enum <-> string ------------------------------------------------------
+// -- enum wire names --------------------------------------------------------
 
-const char* to_text(SizeBonus b) {
-  switch (b) {
-    case SizeBonus::Quadratic: return "quadratic";
-    case SizeBonus::Linear: return "linear";
-    case SizeBonus::None: return "none";
-  }
-  return "quadratic";
-}
-
-SizeBonus size_bonus_from(const std::string& s) {
-  if (s == "quadratic") return SizeBonus::Quadratic;
-  if (s == "linear") return SizeBonus::Linear;
-  if (s == "none") return SizeBonus::None;
-  throw std::invalid_argument("unknown size_bonus '" + s + "'");
-}
-
-const char* to_text(PatternGeneration g) {
-  return g == PatternGeneration::LevelAnalytic ? "analytic" : "enumeration";
-}
-
-PatternGeneration generation_from(const std::string& s) {
-  if (s == "enumeration") return PatternGeneration::SpanLimitedEnumeration;
-  if (s == "analytic") return PatternGeneration::LevelAnalytic;
-  throw std::invalid_argument("unknown generation '" + s + "'");
-}
-
-const char* to_text(PatternRule r) {
-  return r == PatternRule::F1CoverCount ? "F1" : "F2";
-}
-
-PatternRule rule_from(const std::string& s) {
-  if (s == "F1") return PatternRule::F1CoverCount;
-  if (s == "F2") return PatternRule::F2PrioritySum;
-  throw std::invalid_argument("unknown rule '" + s + "'");
-}
-
-const char* to_text(TieBreak t) {
-  switch (t) {
-    case TieBreak::Stable: return "stable";
-    case TieBreak::NodeIdAsc: return "node_id_asc";
-    case TieBreak::NodeIdDesc: return "node_id_desc";
-    case TieBreak::Random: return "random";
-  }
-  return "stable";
-}
-
-TieBreak tie_break_from(const std::string& s) {
-  if (s == "stable") return TieBreak::Stable;
-  if (s == "node_id_asc") return TieBreak::NodeIdAsc;
-  if (s == "node_id_desc") return TieBreak::NodeIdDesc;
-  if (s == "random") return TieBreak::Random;
-  throw std::invalid_argument("unknown tie_break '" + s + "'");
-}
+constexpr WireName<SizeBonus> kSizeBonuses[] = {
+    {"quadratic", SizeBonus::Quadratic}, {"linear", SizeBonus::Linear}, {"none", SizeBonus::None}};
+constexpr WireName<PatternGeneration> kGenerations[] = {
+    {"enumeration", PatternGeneration::SpanLimitedEnumeration},
+    {"analytic", PatternGeneration::LevelAnalytic}};
+constexpr WireName<PatternRule> kRules[] = {{"F1", PatternRule::F1CoverCount},
+                                            {"F2", PatternRule::F2PrioritySum}};
+constexpr WireName<TieBreak> kTieBreaks[] = {{"stable", TieBreak::Stable},
+                                             {"node_id_asc", TieBreak::NodeIdAsc},
+                                             {"node_id_desc", TieBreak::NodeIdDesc},
+                                             {"random", TieBreak::Random}};
 
 // -- writers --------------------------------------------------------------
 
@@ -79,16 +38,16 @@ Json select_to_json(const SelectOptions& o) {
   j.set("capacity", o.capacity);
   j.set("epsilon", o.epsilon);
   j.set("alpha", o.alpha);
-  j.set("size_bonus", to_text(o.size_bonus));
+  j.set("size_bonus", name_of(kSizeBonuses, o.size_bonus));
   j.set("span_limit", o.span_limit ? Json(std::int64_t{*o.span_limit}) : Json(nullptr));
-  j.set("generation", to_text(o.generation));
+  j.set("generation", name_of(kGenerations, o.generation));
   return j;
 }
 
 Json schedule_to_json(const MpScheduleOptions& o) {
   Json j = Json::object();
-  j.set("rule", to_text(o.rule));
-  j.set("tie_break", to_text(o.tie_break));
+  j.set("rule", name_of(kRules, o.rule));
+  j.set("tie_break", name_of(kTieBreaks, o.tie_break));
   // Bit-cast through int64 (appears negative above 2^63-1) so every
   // uint64 seed survives the round-trip; Json(uint64_t) would demote
   // out-of-int64-range values to a lossy double.
@@ -164,11 +123,13 @@ SelectOptions select_from_json(const Json& j, const std::string& where) {
     o.capacity = static_cast<std::size_t>(option_int(*v, block, "capacity"));
   if (const Json* v = j.find("epsilon")) o.epsilon = v->as_double();
   if (const Json* v = j.find("alpha")) o.alpha = v->as_double();
-  if (const Json* v = j.find("size_bonus")) o.size_bonus = size_bonus_from(v->as_string());
+  if (const Json* v = j.find("size_bonus"))
+    o.size_bonus = value_of(kSizeBonuses, v->as_string(), "unknown size_bonus");
   if (const Json* v = j.find("span_limit"))
     o.span_limit = v->is_null() ? std::nullopt
                                 : std::optional<int>(option_int(*v, block, "span_limit"));
-  if (const Json* v = j.find("generation")) o.generation = generation_from(v->as_string());
+  if (const Json* v = j.find("generation"))
+    o.generation = value_of(kGenerations, v->as_string(), "unknown generation");
   return o;
 }
 
@@ -176,8 +137,9 @@ MpScheduleOptions schedule_from_json(const Json& j, const std::string& where) {
   reject_unknown_keys(j, {"rule", "tie_break", "seed", "random_pattern_ties"},
                       where + ".schedule");
   MpScheduleOptions o;
-  if (const Json* v = j.find("rule")) o.rule = rule_from(v->as_string());
-  if (const Json* v = j.find("tie_break")) o.tie_break = tie_break_from(v->as_string());
+  if (const Json* v = j.find("rule")) o.rule = value_of(kRules, v->as_string(), "unknown rule");
+  if (const Json* v = j.find("tie_break"))
+    o.tie_break = value_of(kTieBreaks, v->as_string(), "unknown tie_break");
   if (const Json* v = j.find("seed")) o.seed = static_cast<std::uint64_t>(v->as_int());
   if (const Json* v = j.find("random_pattern_ties")) o.random_pattern_ties = v->as_bool();
   return o;

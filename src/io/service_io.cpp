@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "io/result_io.hpp"
+#include "util/registry.hpp"
 
 namespace mpsched::service {
 
@@ -16,39 +17,25 @@ std::uint64_t non_negative(const Json& v, const char* what) {
   return static_cast<std::uint64_t>(raw);
 }
 
+constexpr WireName<Op> kOps[] = {
+    {"ping", Op::Ping},
+    {"submit", Op::Submit},
+    {"submit_job", Op::SubmitJob},
+    {"submit_async", Op::SubmitAsync},
+    {"poll", Op::Poll},
+    {"wait", Op::Wait},
+    {"cancel", Op::Cancel},
+    {"stats", Op::Stats},
+    {"metrics", Op::Metrics},
+    {"cache_trim", Op::CacheTrim},
+    {"shutdown", Op::Shutdown},
+};
+
 }  // namespace
 
-const char* to_text(Op op) {
-  switch (op) {
-    case Op::Ping: return "ping";
-    case Op::Submit: return "submit";
-    case Op::SubmitJob: return "submit_job";
-    case Op::SubmitAsync: return "submit_async";
-    case Op::Poll: return "poll";
-    case Op::Wait: return "wait";
-    case Op::Cancel: return "cancel";
-    case Op::Stats: return "stats";
-    case Op::Metrics: return "metrics";
-    case Op::CacheTrim: return "cache_trim";
-    case Op::Shutdown: return "shutdown";
-  }
-  return "ping";
-}
+const char* to_text(Op op) { return name_of(kOps, op); }
 
-Op op_from(const std::string& name) {
-  if (name == "ping") return Op::Ping;
-  if (name == "submit") return Op::Submit;
-  if (name == "submit_job") return Op::SubmitJob;
-  if (name == "submit_async") return Op::SubmitAsync;
-  if (name == "poll") return Op::Poll;
-  if (name == "wait") return Op::Wait;
-  if (name == "cancel") return Op::Cancel;
-  if (name == "stats") return Op::Stats;
-  if (name == "metrics") return Op::Metrics;
-  if (name == "cache_trim") return Op::CacheTrim;
-  if (name == "shutdown") return Op::Shutdown;
-  throw std::invalid_argument("request: unknown op '" + name + "'");
-}
+Op op_from(const std::string& name) { return value_of(kOps, name, "request: unknown op"); }
 
 Json request_to_json(const Request& request) {
   Json doc = Json::object();

@@ -49,7 +49,9 @@ Json Client::call_raw(const Json& request) {
     throw std::runtime_error("client: connection lost while sending");
 
   std::size_t newline;
-  while ((newline = buffer_.find('\n')) == std::string::npos) {
+  std::size_t scan_from = 0;  // the newline search resumes past bytes already searched
+  while ((newline = buffer_.find('\n', scan_from)) == std::string::npos) {
+    scan_from = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::read(fd_, chunk, sizeof chunk);
     if (n < 0 && errno == EINTR) continue;

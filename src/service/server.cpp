@@ -6,9 +6,7 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
-#include <istream>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -169,7 +167,6 @@ void Server::install_signal_handlers() {
   struct sigaction action{};
   action.sa_handler = signal_stop_handler;
   sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;  // no SA_RESTART: blocking reads must wake up
   ::sigaction(SIGINT, &action, nullptr);
   ::sigaction(SIGTERM, &action, nullptr);
 }
@@ -484,47 +481,11 @@ std::string line_too_long_response() {
          "\n";
 }
 
-enum class LineRead { Line, TooLong, End };
-
-/// std::getline bounded at kMaxLineBytes: reads one line of `in` into
-/// `line`, without its newline. TooLong once the line outgrows the bound
-/// (the rest of it stays unread); End when the stream holds nothing more
-/// (a last line without a newline is still a Line).
-LineRead read_line(std::istream& in, std::string& line) {
-  using Traits = std::istream::traits_type;
-  line.clear();
-  const std::istream::sentry ready(in, /*noskipws=*/true);
-  if (!ready) return LineRead::End;
-  std::streambuf& buffer = *in.rdbuf();
-  for (Traits::int_type c = buffer.sbumpc(); !Traits::eq_int_type(c, Traits::eof());
-       c = buffer.sbumpc()) {
-    if (Traits::to_char_type(c) == '\n') return LineRead::Line;
-    if (line.size() == kMaxLineBytes) return LineRead::TooLong;
-    line.push_back(Traits::to_char_type(c));
-  }
-  in.setstate(std::ios::eofbit);
-  return line.empty() ? LineRead::End : LineRead::Line;
-}
-
 }  // namespace
 
-void Server::serve_stream(std::istream& in, std::ostream& out) {
-  SessionScope scope;
-  Session state;
-  std::string line;
-  while (!stop_requested()) {
-    const LineRead read = read_line(in, line);
-    if (read == LineRead::End) break;
-    if (read == LineRead::TooLong) {
-      out << line_too_long_response() << std::flush;
-      break;
-    }
-    if (trim(line).empty()) continue;
-    out << respond(line, state) << std::flush;
-  }
-}
+void Server::serve_stream(int in, int out) { session(in, out); }
 
-void Server::session(int fd, bool single_request) {
+void Server::session(int in, int out, bool single_request) {
   // Degraded (at-capacity) sessions run inline on the accept loop, so a
   // slow or idle client must not wedge it: the whole single request must
   // arrive by a fixed deadline (a deadline, not a per-poll timeout —
@@ -538,7 +499,7 @@ void Server::session(int fd, bool single_request) {
     const std::size_t newline = buffer.find('\n', scan_from);
     // The line so far outgrows the bound whether or not its newline came.
     if (std::min(newline, buffer.size()) > kMaxLineBytes) {
-      send_all(fd, line_too_long_response());
+      send_all(out, line_too_long_response());
       break;
     }
     if (newline == std::string::npos) {
@@ -550,19 +511,21 @@ void Server::session(int fd, bool single_request) {
         if (remaining.count() <= 0) break;  // single-request read timed out
         poll_timeout_ms = static_cast<int>(remaining.count());
       }
-      pollfd fds[2] = {{fd, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
+      pollfd fds[2] = {{in, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
       const int rc = ::poll(fds, 2, poll_timeout_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        break;
-      }
-      if (rc == 0) break;  // single-request read timed out
-      if (stop_requested()) break;
-      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      if (rc < 0 && errno == EINTR) continue;
+      // A poll error, the single-request timeout or a stop ends the
+      // session. Anything else woke the input, so read it: a descriptor
+      // in error (POLLERR, POLLNVAL) fails the read and ends it too.
+      if (rc <= 0 || stop_requested()) break;
       char chunk[4096];
-      const ssize_t n = ::read(fd, chunk, sizeof chunk);
-      if (n <= 0) break;  // client hung up (or error): session over
-      buffer.append(chunk, static_cast<std::size_t>(n));
+      const ssize_t n = ::read(in, chunk, sizeof chunk);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0 || (n == 0 && buffer.empty())) break;  // error, or end of input
+      if (n == 0)
+        buffer += '\n';  // an unterminated last line is still a request
+      else
+        buffer.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     const std::string line = buffer.substr(0, newline);
@@ -572,10 +535,9 @@ void Server::session(int fd, bool single_request) {
     // In-flight guarantee: once a request is being handled it runs to
     // completion and its response is flushed, stop or no stop; the loop
     // condition only gates picking up the *next* request.
-    if (!send_all(fd, respond(line, state))) break;
+    if (!send_all(out, respond(line, state))) break;
     if (single_request) break;
   }
-  ::close(fd);
 }
 
 void Server::serve_socket() {
@@ -600,45 +562,31 @@ void Server::serve_socket() {
   while (!stop_requested()) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
     const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (stop_requested()) break;
-    // POLLERR/POLLHUP fall through to accept(), whose failure breaks the
-    // loop — `continue` on them would spin at 100% CPU (poll returns
-    // immediately with the same revents forever).
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
+    if (rc < 0 && errno == EINTR) continue;
+    // Unless stopping, poll woke for the listener: a listener in error
+    // fails accept() and ends the loop rather than spinning on its revents.
+    if (rc < 0 || stop_requested()) break;
+    const int client = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
     if (client < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       break;
     }
-    ::fcntl(client, F_SETFD, FD_CLOEXEC);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    sessions.push_back({std::thread([this, client, done] {
-                          session(client);
-                          done->store(true, std::memory_order_release);
-                        }),
-                        done});
     reap(false);
-    while (sessions.size() >= options_.max_sessions && !stop_requested()) {
-      // Saturated: apply backpressure until a session finishes (50 ms
-      // naps, woken early by the stop pipe). New connections are still
-      // served — inline, one request each — so control ops (ping, stats,
-      // and above all shutdown) stay reachable when every slot is held
-      // by an idle client.
-      pollfd fds[2] = {{stop_pipe_[0], POLLIN, 0}, {listen_fd_, POLLIN, 0}};
-      ::poll(fds, 2, 50);
-      reap(false);
-      if (stop_requested() || sessions.size() < options_.max_sessions) break;
-      if ((fds[1].revents & POLLIN) != 0) {
-        const int extra = ::accept(listen_fd_, nullptr, nullptr);
-        if (extra >= 0) {
-          ::fcntl(extra, F_SETFD, FD_CLOEXEC);
-          session(extra, /*single_request=*/true);
-        }
-      }
+    if (sessions.size() < options_.max_sessions) {
+      auto done = std::make_shared<std::atomic<bool>>(false);
+      sessions.push_back({std::thread([this, client, done] {
+                            session(client, client);
+                            ::close(client);
+                            done->store(true, std::memory_order_release);
+                          }),
+                          done});
+    } else {
+      // At capacity the server degrades instead of refusing: this client
+      // is served inline, one request with a bounded wait, so control ops
+      // (ping, stats, and above all shutdown) stay reachable when every
+      // slot is held by an idle client.
+      session(client, client, /*single_request=*/true);
+      ::close(client);
     }
   }
 

@@ -5,9 +5,11 @@
 // single analysis.
 //
 // Transport is deliberately boring: newline-delimited JSON
-// (io/service_io), served either on an arbitrary istream/ostream pair
-// (stdin/stdout for `mpsched_serve --stdio`, stringstreams in tests) or
-// on a Unix-domain socket with one thread per connected client.
+// (io/service_io), served either on an input and an output descriptor
+// (stdin/stdout for `mpsched_serve --stdio`, pipes or temporary files in
+// tests) or on a Unix-domain socket with one thread per connected client.
+// Both run one session loop: it polls its input beside the stop pipe,
+// reads 4 KiB chunks, answers each line and writes the response whole.
 //
 // Concurrency story (protocol v2): blocking ops (submit, submit_job) call
 // Engine::run_batch, which runs the dispatch on the session's own thread
@@ -53,7 +55,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -151,16 +152,21 @@ class Server {
   Json handle_line(std::string_view line, Session& session);
   Json handle_line(std::string_view line);
 
-  /// Serves one session on [in, out]: one response line per request
-  /// line. Returns on end-of-stream, after a shutdown request, when stop
-  /// was requested between requests, or after answering a line longer
-  /// than kMaxLineBytes with an error.
-  void serve_stream(std::istream& in, std::ostream& out);
+  /// Serves one session that reads request lines from descriptor `in`
+  /// and writes one response line per request to `out` (a socket, a pipe,
+  /// a file or a terminal); closes neither.
+  /// Returns at end of input (an unterminated last line is answered
+  /// first), after a shutdown request, when stop is requested while it
+  /// waits for a line, when `in` fails or `out` breaks, or after answering
+  /// a line longer than kMaxLineBytes with an error.
+  void serve_stream(int in, int out);
 
   /// Accept loop on the Unix socket (options().socket_path, or a
-  /// pre-bound fd passed via adopt_socket). Spawns one session thread
-  /// per client, joins them all on stop, closes the listener and unlinks
-  /// the socket file before returning.
+  /// pre-bound fd passed via adopt_socket). Each accepted client first
+  /// reaps the finished sessions, then gets a session thread below
+  /// options().max_sessions, or at capacity one request served inline.
+  /// Joins every session on stop, closes the listener and unlinks the
+  /// socket file before returning.
   void serve_socket();
 
   /// Hands serve_socket() an already-listening fd (see
@@ -175,9 +181,8 @@ class Server {
   }
 
   /// Routes SIGINT/SIGTERM to request_stop() on this server (the most
-  /// recently installed server wins; handlers are installed without
-  /// SA_RESTART so a blocking stdio read returns and the session loop
-  /// can observe the stop).
+  /// recently installed server wins); its stop-pipe write wakes every
+  /// session and the accept loop.
   void install_signal_handlers();
 
  private:
@@ -191,9 +196,10 @@ class Server {
   /// (io/result_io write_batch/write_result); every other op writes its
   /// small response tree. Never throws for request-level failures.
   bool write_response(Request request, Session& session, std::string& out);
-  /// One socket session. `single_request` is the at-capacity degraded
-  /// mode: serve exactly one request (bounded wait), then close.
-  void session(int fd, bool single_request = false);
+  /// The one session loop, for stdio and socket sessions alike (see
+  /// serve_stream). `single_request` is the at-capacity degraded mode:
+  /// serve exactly one request, which must arrive within a fixed deadline.
+  void session(int in, int out, bool single_request = false);
 
   ServerOptions options_;
   engine::Engine engine_;

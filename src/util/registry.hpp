@@ -2,6 +2,8 @@
 // `name` field (the transform passes, the scheduler backends, the workload
 // generators and the corpus groups). Each registry's public find/get/names
 // functions forward here, so all of them find, list and reject names alike.
+// An enum's wire names are such a table too, of WireName {name, value}
+// entries, read both ways by name_of and value_of.
 #pragma once
 
 #include <iterator>
@@ -20,6 +22,30 @@ auto find_entry(const Table& table, std::string_view name) -> decltype(&*std::be
   for (const auto& entry : table)
     if (entry.name == name) return &entry;
   return nullptr;
+}
+
+/// One entry of an enum's wire-name table.
+template <typename Enum>
+struct WireName {
+  const char* name;
+  Enum value;
+};
+
+/// The name `table` gives `value`: the first entry holding it, or the
+/// first entry's name when none does (every value has an entry).
+template <typename Table, typename Value>
+const char* name_of(const Table& table, Value value) {
+  for (const auto& entry : table)
+    if (entry.value == value) return entry.name;
+  return std::begin(table)->name;
+}
+
+/// The value of `table`'s entry called `name`; throws
+/// std::invalid_argument "<unknown> '<name>'" when there is none.
+template <typename Table>
+auto value_of(const Table& table, std::string_view name, std::string_view unknown) {
+  if (const auto* entry = find_entry(table, name)) return entry->value;
+  throw std::invalid_argument(std::string(unknown).append(" '").append(name).append("'"));
 }
 
 /// The names of `table`'s entries, in table order.

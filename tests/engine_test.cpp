@@ -165,11 +165,11 @@ TEST(AnalysisCache, ContentAddressing) {
   const Dfg a = workloads::paper_3dft();
   Dfg b = workloads::paper_3dft();
   b.set_name("a totally different display name");
-  EXPECT_EQ(AnalysisCache::graph_key(a), AnalysisCache::graph_key(b));
+  EXPECT_EQ(test::graph_key(a), test::graph_key(b));
   // Names — including hostile ones with embedded newlines — are display
   // metadata and cannot perturb or collide the structural key.
   b.set_name("x\nnode q a");
-  EXPECT_EQ(AnalysisCache::graph_key(a), AnalysisCache::graph_key(b));
+  EXPECT_EQ(test::graph_key(a), test::graph_key(b));
 
   // Node display names do not participate either: same structure, same key.
   Dfg n1, n2;
@@ -179,11 +179,11 @@ TEST(AnalysisCache, ContentAddressing) {
   n2.add_node("a", "renamed_p");
   n2.add_node("b", "renamed_q");
   n2.add_edge(0, 1);
-  EXPECT_EQ(AnalysisCache::graph_key(n1), AnalysisCache::graph_key(n2));
+  EXPECT_EQ(test::graph_key(n1), test::graph_key(n2));
 
   Dfg c = workloads::paper_3dft();
   c.add_node("a", "extra");
-  EXPECT_NE(AnalysisCache::graph_key(a), AnalysisCache::graph_key(c));
+  EXPECT_NE(test::graph_key(a), test::graph_key(c));
 
   const auto key = [&](std::size_t cap, std::optional<int> span) {
     return AnalysisCache::content_keys(a, PatternGeneration::SpanLimitedEnumeration, cap, span)
@@ -201,7 +201,7 @@ TEST(AnalysisCache, ContentAddressing) {
   EXPECT_EQ(AnalysisCache::content_keys(a, PatternGeneration::SpanLimitedEnumeration, 5,
                                         std::optional<int>(1))
                 .first,
-            AnalysisCache::graph_key(a));
+            test::graph_key(a));
 }
 
 TEST(AnalysisCache, HitReturnsBitIdenticalAnalysis) {
@@ -1183,7 +1183,7 @@ TEST(Workloads, SpecRegistry) {
   // Deterministic: same spec, same graph.
   const Dfg a = workloads::make_workload("layered(42)");
   const Dfg b = workloads::make_workload("layered(42)");
-  EXPECT_EQ(AnalysisCache::graph_key(a), AnalysisCache::graph_key(b));
+  EXPECT_EQ(test::graph_key(a), test::graph_key(b));
 
   EXPECT_THROW(workloads::make_workload("unknown_thing"), std::invalid_argument);
   EXPECT_THROW(workloads::make_workload("fir"), std::invalid_argument);

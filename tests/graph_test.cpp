@@ -12,6 +12,7 @@
 
 #include "engine/analysis_cache.hpp"
 #include "graph/dfg.hpp"
+#include "test_util.hpp"
 #include "workloads/corpus.hpp"
 
 namespace mpsched {
@@ -205,7 +206,7 @@ struct Snapshot {
 };
 
 Snapshot snapshot(const Dfg& g) {
-  Snapshot s{engine::AnalysisCache::graph_key(g), g.name(), {}, {}, {}, {}};
+  Snapshot s{test::graph_key(g), g.name(), {}, {}, {}, {}};
   for (ColorId c = 0; c < g.color_count(); ++c) s.colors.push_back(g.color_name(c));
   for (NodeId n = 0; n < g.node_count(); ++n) {
     s.node_names.push_back(g.node_name(n));
@@ -330,8 +331,7 @@ TEST(DfgSharingTest, DefaultConstructedGraphIsEmptyAndNamedDfg) {
   EXPECT_THROW((void)g.preds(0), std::logic_error);
   // Reads the same as an explicitly built empty graph, copies included.
   const Dfg copy = g;
-  EXPECT_EQ(engine::AnalysisCache::graph_key(copy),
-            engine::AnalysisCache::graph_key(Dfg("dfg")));
+  EXPECT_EQ(test::graph_key(copy), test::graph_key(Dfg("dfg")));
 }
 
 TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
@@ -341,7 +341,7 @@ TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 50;
   const Dfg shared = workloads::make_workload("fft(8)");
-  const engine::CacheKey shared_key = engine::AnalysisCache::graph_key(shared);
+  const engine::CacheKey shared_key = test::graph_key(shared);
   const auto edit = [](Dfg& g, int t) {
     const NodeId n = g.add_node(g.intern_color("t" + std::to_string(t)),
                                 "extra" + std::to_string(t));
@@ -351,7 +351,7 @@ TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
   for (int t = 0; t < kThreads; ++t) {
     Dfg g = shared;
     edit(g, t);
-    expected[t] = engine::AnalysisCache::graph_key(g);
+    expected[t] = test::graph_key(g);
     ASSERT_NE(expected[t], shared_key);
   }
 
@@ -363,15 +363,15 @@ TEST(DfgSharingTest, ThreadsEditTheirCopiesOfOneSharedGraph) {
         Dfg mine = shared;
         const Dfg second = mine;  // a copy of a copy shares the block too
         edit(mine, t);
-        if (engine::AnalysisCache::graph_key(mine) != expected[t]) ++mismatches;
-        if (engine::AnalysisCache::graph_key(second) != shared_key) ++mismatches;
-        if (engine::AnalysisCache::graph_key(shared) != shared_key) ++mismatches;
+        if (test::graph_key(mine) != expected[t]) ++mismatches;
+        if (test::graph_key(second) != shared_key) ++mismatches;
+        if (test::graph_key(shared) != shared_key) ++mismatches;
       }
     });
   }
   for (std::thread& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(engine::AnalysisCache::graph_key(shared), shared_key);
+  EXPECT_EQ(test::graph_key(shared), shared_key);
 }
 
 // -- content hash -------------------------------------------------------------
@@ -403,7 +403,7 @@ TEST(DfgContentHashTest, KeysArePinned) {
     const Dfg g = workloads::make_workload(pin.spec);
     // Twice each: the first call computes the memo, the second reads it.
     for (int pass = 0; pass < 2; ++pass) {
-      EXPECT_EQ(engine::AnalysisCache::graph_key(g).to_string(), pin.graph);
+      EXPECT_EQ(test::graph_key(g).to_string(), pin.graph);
       const auto [graph, analysis] =
           engine::AnalysisCache::content_keys(g, o.generation, o.capacity, o.span_limit);
       EXPECT_EQ(graph.to_string(), pin.graph);
@@ -419,29 +419,29 @@ TEST(DfgContentHashTest, KeysArePinned) {
 TEST(DfgContentHashTest, MutatorsClearTheMemo) {
   // Keyed, then edited in place (unshared) or through a copy (a clone):
   // either way the key must be the edited graph's, never the memo's.
-  const engine::CacheKey before = engine::AnalysisCache::graph_key(diamond());
+  const engine::CacheKey before = test::graph_key(diamond());
   for (const auto& [name, mutate] : mutators()) {
     SCOPED_TRACE(name);
     Dfg fresh = diamond();
     mutate(fresh);
-    const engine::CacheKey expected = engine::AnalysisCache::graph_key(fresh);
+    const engine::CacheKey expected = test::graph_key(fresh);
 
     Dfg unshared = diamond();
-    EXPECT_EQ(engine::AnalysisCache::graph_key(unshared), before);
+    EXPECT_EQ(test::graph_key(unshared), before);
     mutate(unshared);
-    EXPECT_EQ(engine::AnalysisCache::graph_key(unshared), expected);
+    EXPECT_EQ(test::graph_key(unshared), expected);
 
     const Dfg keyed = diamond();
-    EXPECT_EQ(engine::AnalysisCache::graph_key(keyed), before);
+    EXPECT_EQ(test::graph_key(keyed), before);
     Dfg clone = keyed;
     mutate(clone);
-    EXPECT_EQ(engine::AnalysisCache::graph_key(clone), expected);
-    EXPECT_EQ(engine::AnalysisCache::graph_key(keyed), before);
+    EXPECT_EQ(test::graph_key(clone), expected);
+    EXPECT_EQ(test::graph_key(keyed), before);
   }
   // The structural mutators do move the key, so the checks above bite.
   Dfg grown = diamond();
   grown.add_edge(0, 3);
-  EXPECT_NE(engine::AnalysisCache::graph_key(grown), before);
+  EXPECT_NE(test::graph_key(grown), before);
 }
 
 TEST(DfgContentHashTest, ThreadsKeyOneSharedGraphThatWasNeverKeyed) {
@@ -450,8 +450,7 @@ TEST(DfgContentHashTest, ThreadsKeyOneSharedGraphThatWasNeverKeyed) {
   // kept its own copy, or read the published memo.
   constexpr int kThreads = 4;
   constexpr int kRounds = 20;
-  const engine::CacheKey expected =
-      engine::AnalysisCache::graph_key(workloads::make_workload("fft(8)"));
+  const engine::CacheKey expected = test::graph_key(workloads::make_workload("fft(8)"));
   for (int round = 0; round < kRounds; ++round) {
     const Dfg shared = workloads::make_workload("fft(8)");
     const std::vector<Dfg> copies(kThreads, shared);
@@ -463,12 +462,12 @@ TEST(DfgContentHashTest, ThreadsKeyOneSharedGraphThatWasNeverKeyed) {
         arrived.fetch_add(1);
         while (arrived.load() < kThreads) {
         }
-        keys[t] = engine::AnalysisCache::graph_key(copies[t]);
+        keys[t] = test::graph_key(copies[t]);
       });
     }
     for (std::thread& th : threads) th.join();
     for (int t = 0; t < kThreads; ++t) EXPECT_EQ(keys[t], expected) << "thread " << t;
-    EXPECT_EQ(engine::AnalysisCache::graph_key(shared), expected);
+    EXPECT_EQ(test::graph_key(shared), expected);
   }
 }
 

@@ -77,8 +77,6 @@ TEST(DfgIoTest, FileSaveAndLoad) {
 
 // -- graph intern ---------------------------------------------------------
 
-engine::CacheKey key_of(const Dfg& g) { return engine::AnalysisCache::graph_key(g); }
-
 using test::thrown_message;
 
 TEST(GraphInternTest, HoldsAtMostTheBoundAndMatchesFreshBuilds) {
@@ -90,7 +88,8 @@ TEST(GraphInternTest, HoldsAtMostTheBoundAndMatchesFreshBuilds) {
   for (std::size_t k = 0; k < specs; ++k) {
     const Dfg g = intern.workload(spec_of(k));
     ASSERT_LE(intern.size(), GraphIntern::kMaxGraphs);
-    ASSERT_EQ(key_of(g), key_of(workloads::make_workload(spec_of(k)))) << spec_of(k);
+    ASSERT_EQ(test::graph_key(g), test::graph_key(workloads::make_workload(spec_of(k))))
+        << spec_of(k);
   }
   // Full at kMaxGraphs, so the next insert emptied it first.
   EXPECT_EQ(intern.size(), specs - GraphIntern::kMaxGraphs);
@@ -126,7 +125,7 @@ TEST(GraphInternTest, InlineTextIsInternedApartFromSpecs) {
   const Dfg a = intern.text(text);
   const Dfg b = intern.text(text);
   EXPECT_EQ(&a.succs(0), &b.succs(0));
-  EXPECT_EQ(key_of(a), key_of(dfg_from_text(text)));
+  EXPECT_EQ(test::graph_key(a), test::graph_key(dfg_from_text(text)));
   (void)intern.workload("paper_3dft");
   EXPECT_EQ(intern.size(), 2u);
 }

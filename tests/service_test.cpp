@@ -13,9 +13,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -90,6 +93,30 @@ void expect_line_too_long(const std::string& line) {
   EXPECT_EQ(response.op, "unknown");
   EXPECT_EQ(response.error,
             "request line exceeds " + std::to_string(service::kMaxLineBytes) + " bytes");
+}
+
+/// Runs one stream session whose input is `input` and returns what it
+/// wrote: the session reads one anonymous temporary file and writes to
+/// another.
+std::string serve_text(Server& server, std::string_view input) {
+  const auto open = [] {
+    return std::unique_ptr<std::FILE, int (*)(std::FILE*)>(std::tmpfile(), &std::fclose);
+  };
+  const auto in = open();
+  const auto out = open();
+  if (in == nullptr || out == nullptr) {
+    ADD_FAILURE() << "no temporary file";
+    return {};
+  }
+  EXPECT_EQ(std::fwrite(input.data(), 1, input.size(), in.get()), input.size());
+  std::rewind(in.get());  // flushes, and the session reads from the start
+  server.serve_stream(::fileno(in.get()), ::fileno(out.get()));
+  std::rewind(out.get());
+  std::string text;
+  char chunk[1 << 16];
+  for (std::size_t n; (n = std::fread(chunk, 1, sizeof chunk, out.get())) > 0;)
+    text.append(chunk, n);
+  return text;
 }
 
 /// A raw connection to a server socket, for bytes no Request carries;
@@ -325,11 +352,8 @@ TEST_F(ServiceTest, WarmResponseLinesAreTheColdAndCacheOffBytes) {
     std::string counters;
   };
   const auto serve = [&lines](Server& server) {
-    std::istringstream in(lines);
-    std::ostringstream out;
-    server.serve_stream(in, out);
     std::vector<Line> split;
-    std::istringstream responses(out.str());
+    std::istringstream responses(serve_text(server, lines));
     for (std::string line; std::getline(responses, line);) {
       const std::size_t cut = line.rfind(",\"analyses_computed\":");
       EXPECT_NE(cut, std::string::npos) << line;
@@ -384,10 +408,7 @@ TEST_F(ServiceTest, WarmResponsesOfDuplicatedJobsAreTheColdAndCacheOffBytes) {
   const std::string line = service::request_to_json(submit).dump(-1);
 
   const auto compact = [&line](Server& server) {
-    std::istringstream in(line + "\n");
-    std::ostringstream out;
-    server.serve_stream(in, out);
-    std::string response = out.str();
+    std::string response = serve_text(server, line + "\n");
     const std::size_t cut = response.rfind(",\"analyses_computed\":");
     EXPECT_NE(cut, std::string::npos) << response;
     return std::make_pair(response.substr(0, cut), response.substr(cut));
@@ -437,12 +458,11 @@ TEST_F(ServiceTest, EachResponseIsWrittenInsideItsRequestSpan) {
   submit.op = Op::Submit;
   submit.id = 2;
   submit.jobs = small_corpus();
-  std::istringstream in("{\"op\":\"ping\",\"id\":1}\n" +
-                        service::request_to_json(submit).dump(-1) + "\nnot json\n");
-  std::ostringstream out;
+  const std::string in = "{\"op\":\"ping\",\"id\":1}\n" +
+                         service::request_to_json(submit).dump(-1) + "\nnot json\n";
   obs::clear_trace();
   obs::set_tracing_enabled(true);
-  server.serve_stream(in, out);
+  serve_text(server, in);
   obs::set_tracing_enabled(false);
   const Json trace = obs::trace_to_json();
   obs::clear_trace();
@@ -495,13 +515,11 @@ TEST_F(ServiceTest, StreamSessionServesPingSubmitStatsShutdown) {
   const std::uint64_t requests_before = count("serve.requests");
   const std::uint64_t errors_before = count("serve.errors");
   const std::uint64_t sessions_before = count("serve.sessions");
-  std::istringstream in(requests.str());
-  std::ostringstream out;
-  server.serve_stream(in, out);
+  const std::string out = serve_text(server, requests.str());
   EXPECT_TRUE(server.stop_requested());
 
   std::vector<Response> responses;
-  for (const std::string& line : split(out.str(), '\n'))
+  for (const std::string& line : split(out, '\n'))
     if (!trim(line).empty())
       responses.push_back(service::response_from_json(Json::parse(line)));
   ASSERT_EQ(responses.size(), 5u);  // ping, error, submit, stats, shutdown
@@ -534,17 +552,75 @@ TEST_F(ServiceTest, StreamSessionEndsAfterAnOverLongLine) {
   text += "\n{\"op\":\"ping\",\"id\":2}\n";
   text.append(service::kMaxLineBytes + 1, 'x');
   text += "\n{\"op\":\"ping\",\"id\":3}\n";
-  std::istringstream in(std::move(text));
-  std::ostringstream out;
-  server.serve_stream(in, out);
+  const std::string out = serve_text(server, text);
 
-  const std::vector<std::string> lines = split(out.str(), '\n');
+  const std::vector<std::string> lines = split(out, '\n');
   ASSERT_GE(lines.size(), 3u);
   EXPECT_EQ(service::response_from_json(Json::parse(lines[0])).id, 1);
   EXPECT_EQ(service::response_from_json(Json::parse(lines[1])).id, 2);
   expect_line_too_long(lines[2]);
   for (std::size_t i = 3; i < lines.size(); ++i) EXPECT_EQ(lines[i], "") << "line " << i;
   EXPECT_FALSE(server.stop_requested());
+}
+
+TEST_F(ServiceTest, StreamSessionAnswersAnUnterminatedLastLine) {
+  // At end of input the bytes after the last newline are one more request.
+  Server server(ServerOptions{});
+  const std::vector<std::string> lines =
+      split(serve_text(server, "{\"op\":\"ping\",\"id\":1}\n{\"op\":\"ping\",\"id\":2}"), '\n');
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(service::response_from_json(Json::parse(lines[0])).id, 1);
+  EXPECT_EQ(service::response_from_json(Json::parse(lines[1])).id, 2);
+  EXPECT_EQ(lines[2], "");
+}
+
+TEST_F(ServiceTest, IdleStreamSessionReturnsWhenStopIsRequested) {
+  // A session waiting for its next line on an open pipe polls the stop
+  // pipe beside it, so request_stop() from another thread ends it.
+  Server server(ServerOptions{});
+  int in[2], out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread session([&] {
+    server.serve_stream(in[0], out[1]);
+    returned.set_value();
+  });
+  // Once the ping is answered the session is in its loop, then idle.
+  EXPECT_TRUE(service::send_all(in[1], "{\"op\":\"ping\",\"id\":1}\n"));
+  std::string answer;
+  for (char c; ::read(out[0], &c, 1) == 1 && c != '\n';) answer += c;
+  EXPECT_EQ(service::response_from_json(Json::parse(answer)).id, 1);
+
+  server.request_stop();
+  const bool stopped = done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  ::close(in[1]);  // end of input ends a session the stop did not
+  session.join();
+  EXPECT_TRUE(stopped);
+  for (const int fd : {in[0], out[0], out[1]}) ::close(fd);
+}
+
+TEST_F(ServiceTest, StreamSessionOnAClosedDescriptorReturnsAtOnce) {
+  // poll() flags a closed input (POLLNVAL) and the read that follows
+  // fails, which ends the session instead of spinning on the flag.
+  Server server(ServerOptions{});
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  const std::uint64_t requests_before = count("serve.requests");
+  std::promise<void> returned;
+  std::future<void> done = returned.get_future();
+  std::thread session([&] {
+    server.serve_stream(fds[0], fds[1]);
+    returned.set_value();
+  });
+  const bool at_once = done.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  server.request_stop();  // ends a session that did not return
+  session.join();
+  EXPECT_TRUE(at_once);
+  EXPECT_EQ(count("serve.requests"), requests_before);
 }
 
 TEST_F(ServiceTest, CacheTrimOverTheProtocol) {
@@ -1086,13 +1162,12 @@ TEST_F(ServiceTest, StatsAndMetricsAgree) {
   Request wait;
   wait.op = Op::Wait;
   wait.request = 1;
-  std::istringstream in(service::request_to_json(submit).dump(-1) + "\n" +
-                        service::request_to_json(async).dump(-1) + "\n" +
-                        service::request_to_json(wait).dump(-1) + "\nnot json\n");
-  std::ostringstream out;
-  server.serve_stream(in, out);
+  const std::string out =
+      serve_text(server, service::request_to_json(submit).dump(-1) + "\n" +
+                             service::request_to_json(async).dump(-1) + "\n" +
+                             service::request_to_json(wait).dump(-1) + "\nnot json\n");
   std::vector<Response> responses;
-  for (const std::string& line : split(out.str(), '\n'))
+  for (const std::string& line : split(out, '\n'))
     if (!trim(line).empty())
       responses.push_back(service::response_from_json(Json::parse(line)));
   ASSERT_EQ(responses.size(), 4u);
@@ -1238,6 +1313,102 @@ TEST_F(ServiceTest, SocketSessionEndsAfterAnOverLongLine) {
   shutdown.op = Op::Shutdown;
   EXPECT_TRUE(client.call(shutdown).ok);
   serving.join();
+}
+
+TEST_F(ServiceTest, SocketSessionAnswersAnUnterminatedLastLine) {
+  // A client that half-closes after a line without a newline still gets
+  // its response before the session ends, as on a stream session.
+  ServerOptions options;
+  options.socket_path = socket_;
+  Server server(options);
+  server.adopt_socket(service::open_listen_socket(socket_));
+  std::thread serving([&] { server.serve_socket(); });
+
+  const int fd = connect_raw(socket_);
+  EXPECT_GE(fd, 0);
+  std::string answer;
+  if (fd >= 0) {
+    EXPECT_TRUE(service::send_all(fd, "{\"op\":\"ping\",\"id\":7}"));
+    EXPECT_EQ(::shutdown(fd, SHUT_WR), 0);
+    char buffer[4096];
+    for (ssize_t n; (n = ::read(fd, buffer, sizeof buffer)) > 0;)  // to the server's close
+      answer.append(buffer, static_cast<std::size_t>(n));
+    ::close(fd);
+  }
+
+  Request shutdown;
+  shutdown.op = Op::Shutdown;
+  EXPECT_TRUE(Client(socket_).call(shutdown).ok);
+  serving.join();
+  ASSERT_FALSE(answer.empty());
+  EXPECT_EQ(answer.find('\n'), answer.size() - 1) << "one response line, then the end";
+  const Response pong = service::response_from_json(Json::parse(answer));
+  EXPECT_TRUE(pong.ok);
+  EXPECT_EQ(pong.id, 7);
+}
+
+TEST_F(ServiceTest, AtCapacityEachConnectionIsServedOneRequestInline) {
+  // One idle client holds the only session slot. Each further connection
+  // is served one request inline on the accept loop and then closed, and
+  // a shutdown sent that way stops the server.
+  ServerOptions options;
+  options.socket_path = socket_;
+  options.max_sessions = 1;
+  Server server(options);
+  server.adopt_socket(service::open_listen_socket(socket_));
+  std::thread serving([&] { server.serve_socket(); });
+
+  Client idle(socket_);
+  EXPECT_TRUE(idle.call(Request{}).ok);  // its session holds the slot
+  const std::uint64_t sessions_before = count("serve.sessions");
+  for (std::int64_t id = 1; id <= 3; ++id) {
+    Client client(socket_);
+    Request ping;
+    ping.id = id;
+    const Response pong = client.call(ping);
+    EXPECT_TRUE(pong.ok);
+    EXPECT_EQ(pong.id, id);
+    EXPECT_THROW(client.call(ping), std::runtime_error) << "one request, then the close";
+  }
+  Request shutdown;
+  shutdown.op = Op::Shutdown;
+  EXPECT_TRUE(Client(socket_).call(shutdown).ok);
+  serving.join();
+  EXPECT_TRUE(server.stop_requested());
+  EXPECT_EQ(count("serve.sessions") - sessions_before, 4u);
+  EXPECT_FALSE(fs::exists(socket_));
+}
+
+TEST_F(ServiceTest, ClientReadsAResponseLineOfSeveralMegabytes) {
+  // A peer on a listening socket answers one request with an 8 MiB line,
+  // which reaches the client over many reads; the client returns that
+  // line whole. The pad cycles through 26 letters, so a lost or repeated
+  // 4 KiB chunk changes it.
+  std::string pad(std::size_t{8} << 20, ' ');
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = static_cast<char>('a' + i % 26);
+  const int listener = service::open_listen_socket(socket_);
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    for (char c; ::read(fd, &c, 1) == 1 && c != '\n';) {
+    }
+    service::send_all(fd, R"({"id":1,"op":"ping","ok":true,"pad":")" + pad + "\"}\n");
+    ::close(fd);
+  });
+  Response response;
+  {
+    Client client(socket_);
+    Request ping;
+    ping.id = 1;
+    EXPECT_NO_THROW(response = client.call(ping));
+  }
+  peer.join();
+  ::close(listener);
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.id, 1);
+  const std::string& read = response.body.at("pad").as_string();
+  EXPECT_EQ(read.size(), pad.size());
+  EXPECT_TRUE(read == pad) << "the response line's content changed";
 }
 
 TEST_F(ServiceTest, ConcurrentClientsGetIdenticalResults) {

@@ -82,6 +82,14 @@ inline PatternSet random_patterns(const Dfg& g, Rng& rng, std::size_t count,
   return random_pattern_set(g, rng, options);
 }
 
+/// The content key of a graph alone: the first of
+/// AnalysisCache::content_keys, which the options given here do not feed.
+inline engine::CacheKey graph_key(const Dfg& g) {
+  return engine::AnalysisCache::content_keys(g, PatternGeneration::SpanLimitedEnumeration, 0,
+                                             std::nullopt)
+      .first;
+}
+
 /// Asserts the §4 validity properties on a scheduler result: the run
 /// succeeded, every node is placed after its predecessors, every cycle's
 /// color usage fits a pattern of `patterns`, and the cycle count is sane

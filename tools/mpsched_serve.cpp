@@ -31,7 +31,6 @@
 // in-flight jobs finish, responses flush, the socket file is unlinked,
 // and the cache directory is left with no orphaned temp files.
 #include <cstdio>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 
@@ -155,7 +154,7 @@ int main(int argc, char** argv) {
     if (stdio) {
       service::Server server(options);
       server.install_signal_handlers();
-      server.serve_stream(std::cin, std::cout);
+      server.serve_stream(STDIN_FILENO, STDOUT_FILENO);
       return flush_trace(trace_out);
     }
 
